@@ -7,8 +7,7 @@ count or completion order. Records are sorted by (point, rep) before writing.
 
 Outputs in the configured directory: records.csv (RFC 4180, fixed header,
 floats at 17 significant digits), timings.csv (wall times, kept out of
-records.csv so reruns are byte-identical), summary.json, rates.csv when the
-grid has enough points for a slope fit, and plots/*.csv quantile series.
+records.csv so reruns are byte-identical) and summary.json.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -308,7 +307,7 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     gap = setup.curv.norm(exp.solution - est.solution)
     denom = err_est + err_exp
     rec.update(err_exp=err_exp, gap=gap,
-               ratio=gap / denom if denom > 0 else float("nan"))
+               ratio=gap / denom if denom > 0 else None)
 
     if cfg.experiment_kind == "cone_check":
         in_est = cones.cone_member(setup.cone, est.solution - setup.beta_star)
@@ -379,8 +378,6 @@ def run_experiment(cfg):
     with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_rates_csv(cfg, summary)
-    _write_plots(cfg, summary)
     return summary
 
 
@@ -475,8 +472,7 @@ def summarize(cfg, records):
         "points": points,
     }
     fit = None
-    with_gap = [e for e in points if e.get("median_gap") is not None]
-    if len(with_gap) >= 3:
+    if sum(1 for e in points if e.get("median_gap", 0.0) > 0) >= 3:
         slope, intercept, stderr = rate_fit(records, metric="gap")
         fit = {"metric": "gap", "slope": slope, "intercept": intercept,
                "stderr": stderr}
@@ -487,8 +483,9 @@ def summarize(cfg, records):
 def rate_fit(records, metric="gap"):
     """Least-squares slope of log(median metric) against log(r_n).
 
-    Records from non-converged solves are skipped; needs at least 3 grid
-    points with data.
+    Records from non-converged solves are skipped, and so are grid points
+    whose median is not positive (no logarithm); needs at least 3 grid
+    points left.
     """
     by_point = {}
     for r in records:
@@ -501,9 +498,11 @@ def rate_fit(records, metric="gap"):
     pairs = []
     for recs in by_point.values():
         med = float(np.median([float(r[metric]) for r in recs]))
-        pairs.append((float(recs[0]["r_n"]), med))
+        if med > 0:
+            pairs.append((float(recs[0]["r_n"]), med))
     if len(pairs) < 3:
-        raise ValueError("rate fit needs at least 3 grid points with data")
+        raise ValueError("rate fit needs at least 3 grid points with a "
+                         "positive median")
     x = np.log([a for a, _ in pairs])
     y = np.log([b for _, b in pairs])
     A = np.column_stack([x, np.ones_like(x)])
@@ -515,56 +514,6 @@ def rate_fit(records, metric="gap"):
     sxx = float(((x - x.mean()) ** 2).sum())
     stderr = math.sqrt(sig2 / sxx) if sxx > 0 else float("inf")
     return slope, intercept, stderr
-
-
-def _write_rates_csv(cfg, summary):
-    rows = []
-    for e in summary["points"]:
-        if e.get("median_gap") is None:
-            continue
-        rows.append({
-            "point": e["point"], "n": e["n"], "r_n": e["r_n"],
-            "median_gap": e["median_gap"], "median_ratio": e.get("median_ratio"),
-            "median_err_est": e.get("median_err_est"),
-            "median_err_exp": e.get("median_err_exp"),
-        })
-    if not rows:
-        return
-    fields = ["point", "n", "r_n", "median_gap", "median_ratio",
-              "median_err_est", "median_err_exp"]
-    if summary["rate_fit"]:
-        for row in rows:
-            row["slope"] = summary["rate_fit"]["slope"]
-            row["stderr"] = summary["rate_fit"]["stderr"]
-        fields += ["slope", "stderr"]
-    _write_csv(os.path.join(cfg.output_dir, "rates.csv"), fields, rows)
-
-
-def _write_plots(cfg, summary):
-    plots_dir = os.path.join(cfg.output_dir, "plots")
-    gap_rows = [e for e in summary["points"] if e.get("median_gap") is not None]
-    made = False
-    if gap_rows:
-        os.makedirs(plots_dir, exist_ok=True)
-        made = True
-        _write_csv(os.path.join(plots_dir, "gap_vs_rate.csv"),
-                   ["r_n", "q25_gap", "median_gap", "q75_gap"],
-                   [{"r_n": e["r_n"], "q25_gap": e["q25_gap"],
-                     "median_gap": e["median_gap"], "q75_gap": e["q75_gap"]}
-                    for e in gap_rows])
-        _write_csv(os.path.join(plots_dir, "ratio_vs_n.csv"),
-                   ["n", "q25_ratio", "median_ratio", "q75_ratio"],
-                   [{"n": e["n"], "q25_ratio": e["q25_ratio"],
-                     "median_ratio": e["median_ratio"],
-                     "q75_ratio": e["q75_ratio"]} for e in gap_rows])
-    cov_rows = [e for e in summary["points"] if e.get("coverage") is not None]
-    if cov_rows:
-        if not made:
-            os.makedirs(plots_dir, exist_ok=True)
-        _write_csv(os.path.join(plots_dir, "coverage_vs_n.csv"),
-                   ["n", "coverage", "coverage_se"],
-                   [{"n": e["n"], "coverage": e["coverage"],
-                     "coverage_se": e["coverage_se"]} for e in cov_rows])
 
 
 def load_records_csv(path):

@@ -206,6 +206,27 @@ def test_run_experiment_records_failures(tmp_path):
             assert "median_err_est" not in e
 
 
+def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
+    # with no signal both fits are 0, so gap, err_est and err_exp are all 0:
+    # ratio has no value and log(median gap) is undefined
+    cfg = ExperimentConfig(experiment_kind="rates", amplitude=0.0,
+                           grid=tuple(GridPoint(n, 2 * n, 5)
+                                      for n in (100, 200, 400)),
+                           replications=3, master_seed=5, threads=1,
+                           output_dir=str(tmp_path / "zero"))
+    summary = run_experiment(cfg)
+
+    def refuse(name):
+        raise ValueError("non-finite number %s in summary.json" % name)
+
+    loaded = json.loads((tmp_path / "zero" / "summary.json").read_text(),
+                        parse_constant=refuse)
+    assert loaded == summary
+    assert summary["failed"] == 0
+    assert all(e["median_gap"] == 0.0 for e in summary["points"])
+    assert summary["rate_fit"] is None
+
+
 def test_fit_experiment_kind(tmp_path):
     cfg = ExperimentConfig(experiment_kind="fit",
                            grid=(GridPoint(80, 20, 2),),

@@ -21,10 +21,6 @@ def test_config_validation():
         solver.SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         solver.SolverConfig(kkt_tol=0.0)
-    with pytest.raises(ValueError):
-        solver.SolverConfig(backtrack_shrink=1.0)
-    with pytest.raises(ValueError):
-        solver.SolverConfig(initial_step=-1.0)
 
 
 def test_unpenalized_matches_least_squares():
@@ -224,12 +220,25 @@ def test_non_convergence_reported():
     assert res.kkt_residual > 1e-14
 
 
-def test_power_max_eig():
-    rng = np.random.default_rng(17)
-    A = rng.normal(size=(12, 12))
-    mat = A @ A.T + np.eye(12)
-    top = solver.power_max_eig(mat)
-    assert top == pytest.approx(np.linalg.eigvalsh(mat)[-1], rel=1e-8)
+def test_expansion_step_from_top_eigenvalue():
+    # K = I + 9 vv' with v orthogonal to the all-ones vector: lambda_max is
+    # 10, but a power iteration started at the all-ones vector stays in the
+    # eigenvalue-1 space and returns 1, a step ten times too long
+    p = 20
+    v = np.random.default_rng(17).normal(size=p)
+    v -= v.mean()
+    v /= np.linalg.norm(v)
+    Kmat = np.eye(p) + 9.0 * np.outer(v, v)
+    K = CurvatureMatrix.from_matrix(Kmat, "exact-sigma")
+    assert K.eig_max == pytest.approx(10.0, rel=1e-12)
+    ds, _ = linear_instance(80, p, 3, seed=17)
+    pen = L1Penalty(0.05)
+    res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, pen)
+    z = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
+    assert res.converged
+    assert np.all(np.isfinite(res.solution))
+    assert subdifferential_residual(pen, res.solution,
+                                    Kmat @ (res.solution - z)) <= 1e-8
 
 
 def test_expansion_center_sign_convention():
