@@ -173,7 +173,7 @@ def complexity_estimate(cone, cov, n_draws, seed):
             block = np.linalg.norm(G[:, idx], axis=2)
             vals = _sup_per_draw(block, cone.c * np.sqrt(cone.s))
         elif isinstance(cone, SupportCone):
-            H = G if cov.is_identity else G @ cov.sqrt
+            H = cov.sqrt_rows(G)
             vals = np.linalg.norm(H[:, cone.support], axis=1)
         else:
             raise TypeError("unknown cone %r" % (cone,))
@@ -193,9 +193,7 @@ def restricted_eigenvalue_bound(cone, cov):
     if isinstance(cone, SupportCone):
         sub = cov.matrix[np.ix_(cone.support, cone.support)]
         return float(np.sqrt(np.linalg.eigvalsh(sub).min()))
-    if cov.is_identity:
-        return 1.0
-    return float(np.sqrt(np.linalg.eigvalsh(cov.matrix).min()))
+    return float(np.sqrt(cov.eig_min))
 
 
 def complexity_bound(cone, cov):

@@ -173,9 +173,9 @@ def debiased_estimate(dataset, beta_hat, cov, a):
     if not np.any(a != 0.0):
         raise ValueError("direction a must be nonzero")
     beta_hat = np.asarray(beta_hat, dtype=float)
-    scale = np.sqrt(float(a @ (cov.inv @ a)))
+    scale = np.sqrt(float(a @ cov.solve(a)))
     a = a / scale
-    z_a = dataset.X @ (cov.inv @ a)
+    z_a = dataset.X @ cov.solve(a)
     denom = float(z_a @ z_a)
     resid = dataset.y - dataset.X @ beta_hat
     theta = float(a @ beta_hat + (z_a @ resid) / denom)
@@ -224,7 +224,7 @@ def curvature_fluctuations(dataset, loss, curvature, beta_star, directions):
     w = loss.d2(dataset.y, dataset.X @ np.asarray(beta_star, dtype=float))
     U = dataset.X @ D
     M = (U * w[:, None]).T @ U / dataset.n
-    KD = curvature.matrix @ D
+    KD = curvature @ D
     C = D.T @ KD
     norms = np.sqrt(np.diag(C))
     if np.any(norms <= 0.0):

@@ -471,12 +471,13 @@ def summarize(cfg, records):
         "failed_fraction": failed / total if total else 0.0,
         "points": points,
     }
-    fit = None
-    if sum(1 for e in points if e.get("median_gap", 0.0) > 0) >= 3:
+    try:
         slope, intercept, stderr = rate_fit(records, metric="gap")
-        fit = {"metric": "gap", "slope": slope, "intercept": intercept,
-               "stderr": stderr}
-    summary["rate_fit"] = fit
+    except ValueError:  # too few grid points, or no spread in r_n
+        summary["rate_fit"] = None
+    else:
+        summary["rate_fit"] = {"metric": "gap", "slope": slope,
+                               "intercept": intercept, "stderr": stderr}
     return summary
 
 
@@ -485,7 +486,7 @@ def rate_fit(records, metric="gap"):
 
     Records from non-converged solves are skipped, and so are grid points
     whose median is not positive (no logarithm); needs at least 3 grid
-    points left.
+    points left, with at least two distinct r_n (no slope otherwise).
     """
     by_point = {}
     for r in records:
@@ -504,6 +505,8 @@ def rate_fit(records, metric="gap"):
         raise ValueError("rate fit needs at least 3 grid points with a "
                          "positive median")
     x = np.log([a for a, _ in pairs])
+    if x.min() == x.max():
+        raise ValueError("rate fit needs grid points with distinct r_n")
     y = np.log([b for _, b in pairs])
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
@@ -512,7 +515,7 @@ def rate_fit(records, metric="gap"):
     dof = len(pairs) - 2
     sig2 = float(resid @ resid) / dof if dof > 0 else 0.0
     sxx = float(((x - x.mean()) ** 2).sum())
-    stderr = math.sqrt(sig2 / sxx) if sxx > 0 else float("inf")
+    stderr = math.sqrt(sig2 / sxx)
     return slope, intercept, stderr
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .model import CovarianceModel, draw_rows, stream_rng
+
 
 def log1pexp(u):
     """Numerically stable log(1 + e^u), valid across the whole real line."""
@@ -47,28 +49,20 @@ class Loss:
             d = np.asarray(y, dtype=float) - np.asarray(u, dtype=float)
             return 0.5 * d * d
         y = np.asarray(y, dtype=float)
-        _check_labels(y)
         u = np.asarray(u, dtype=float)
         return (y - 1.0) * u + log1pexp(u)
 
     def d1(self, y, u):
         if self.kind == "squared":
             return np.asarray(u, dtype=float) - np.asarray(y, dtype=float)
-        y = np.asarray(y, dtype=float)
-        _check_labels(y)
         # 1/(1+e^u) = expit(-u)
-        return y - expit(-np.asarray(u, dtype=float))
+        return np.asarray(y, dtype=float) - expit(-np.asarray(u, dtype=float))
 
     def d2(self, y, u):
         if self.kind == "squared":
             return np.ones_like(np.asarray(u, dtype=float))
         s = expit(np.asarray(u, dtype=float))
         return s * (1.0 - s)
-
-
-def _check_labels(y):
-    if y.size and not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("logistic labels must be 0 or 1")
 
 
 SQUARED = Loss("squared", 0.0, 1.0, 1.0)
@@ -125,64 +119,6 @@ def stability_ratio_check(loss, s_values, t_values, max_gap=None):
     return StabilityReport(worst <= 1.0 + 1e-12, worst)
 
 
-@dataclass(frozen=True, eq=False)
-class CurvatureMatrix:
-    """Population curvature matrix K with cached factorizations.
-
-    Defines the norm ||u||_K = ||K^{1/2} u||. Provenance records how K was
-    obtained: "exact-sigma" (squared loss, K equals the covariance),
-    "stein-quadrature" (logistic with Gaussian design, closed form up to two
-    1D integrals), or "mc-estimate" (sample average, approximate).
-    """
-
-    matrix: np.ndarray
-    sqrt: np.ndarray
-    inv: np.ndarray
-    inv_sqrt: np.ndarray
-    provenance: str
-    eig_min: float
-    eig_max: float
-    is_identity: bool = False
-
-    @classmethod
-    def from_matrix(cls, K, provenance):
-        K = np.asarray(K, dtype=float)
-        if np.array_equal(K, np.eye(K.shape[0])):
-            # Shared buffer for all factorizations of the identity; also
-            # lets the surrogate solver skip its matrix products.
-            eye = _ro(K)
-            return cls(eye, eye, eye, eye, provenance, 1.0, 1.0, True)
-        K = 0.5 * (K + K.T)
-        w, vecs = np.linalg.eigh(K)
-        if w.min() <= 1e-12 * max(w.max(), 1e-300):
-            raise ValueError("curvature matrix is singular "
-                             "(min eigenvalue %.3e)" % w.min())
-        rw = np.sqrt(w)
-        sqrt = (vecs * rw) @ vecs.T
-        inv = (vecs / w) @ vecs.T
-        inv_sqrt = (vecs / rw) @ vecs.T
-        return cls(_ro(K), _ro(0.5 * (sqrt + sqrt.T)), _ro(0.5 * (inv + inv.T)),
-                   _ro(0.5 * (inv_sqrt + inv_sqrt.T)), provenance,
-                   float(w.min()), float(w.max()))
-
-    @property
-    def p(self):
-        return self.matrix.shape[0]
-
-    def norm(self, u):
-        """||u||_K, zero only at u = 0."""
-        u = np.asarray(u, dtype=float)
-        if self.is_identity:
-            return float(np.linalg.norm(u))
-        return float(np.sqrt(max(u @ (self.matrix @ u), 0.0)))
-
-
-def _ro(a):
-    a = np.ascontiguousarray(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 def _hermite_expectation(funcs, n_nodes):
     # Probabilists' Gauss-Hermite: E f(Z) for Z standard normal.
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
@@ -205,9 +141,9 @@ def _adaptive_hermite(funcs, tol=1e-13, start=64):
 def curvature_matrix(loss, cov, beta_star, design_kind="gaussian"):
     """Population curvature matrix for a design with covariance cov.
 
-    Squared loss returns the covariance itself. For the logistic loss with a
-    Gaussian design, the index t = x'beta is N(0, v^2) with
-    v^2 = beta' Sigma beta, and conditioning on t gives
+    Squared loss returns cov itself, factorized once for both roles. For
+    the logistic loss with a Gaussian design, the index t = x'beta is
+    N(0, v^2) with v^2 = beta' Sigma beta, and conditioning on t gives
 
         K = m0 Sigma + (E[sig'(vZ) Z^2] - m0) (Sigma b)(Sigma b)' / v^2,
 
@@ -218,15 +154,15 @@ def curvature_matrix(loss, cov, beta_star, design_kind="gaussian"):
     """
     beta_star = np.asarray(beta_star, dtype=float)
     if loss.kind == "squared":
-        return CurvatureMatrix.from_matrix(cov.matrix, "exact-sigma")
+        return cov
     if design_kind != "gaussian":
         raise ValueError(
             "quadrature curvature requires a gaussian design; for %r use "
             "curvature_matrix_mc" % (design_kind,))
-    q = cov.matrix @ beta_star
+    q = cov @ beta_star
     v2 = float(beta_star @ q)
     if v2 <= 1e-24:
-        return CurvatureMatrix.from_matrix(0.25 * cov.matrix, "stein-quadrature")
+        return CovarianceModel.curvature(0.25 * cov.matrix, "stein-quadrature")
     v = np.sqrt(v2)
 
     def sig_prime(z):
@@ -235,7 +171,7 @@ def curvature_matrix(loss, cov, beta_star, design_kind="gaussian"):
 
     m0, a2 = _adaptive_hermite([sig_prime, lambda z: sig_prime(z) * z * z])
     K = m0 * cov.matrix + ((a2 - m0) / v2) * np.outer(q, q)
-    return CurvatureMatrix.from_matrix(K, "stein-quadrature")
+    return CovarianceModel.curvature(K, "stein-quadrature")
 
 
 def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
@@ -245,8 +181,6 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
     Draws its own design of n_samples rows; the average n^{-1} sum l''(x'b)
     x x' needs no responses because l'' is response-free for both losses.
     """
-    from .model import draw_rows, stream_rng
-
     beta_star = np.asarray(beta_star, dtype=float)
     rng = stream_rng(seed, 2)
     acc = np.zeros((cov.p, cov.p))
@@ -258,7 +192,7 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
         w = loss.d2(0.0, X @ beta_star)
         acc += (X * w[:, None]).T @ X
         done += m
-    return CurvatureMatrix.from_matrix(acc / float(n_samples), "mc-estimate")
+    return CovarianceModel.curvature(acc / float(n_samples), "mc-estimate")
 
 
 def norm_ratio_bound(cov, curvature):
@@ -281,4 +215,4 @@ def load_curvature(path):
         meta = json.load(fh)
     K = np.fromfile(os.path.join(path, "K.bin"),
                     dtype="<f8").reshape(meta["p"], meta["p"])
-    return CurvatureMatrix.from_matrix(K, meta["provenance"])
+    return CovarianceModel.curvature(K, meta["provenance"])

@@ -1,9 +1,10 @@
 """Problem instances and synthetic data generation.
 
-Covariance models with cached square roots, group structures, sparse ground
-truths, and the two observation models: Gaussian-noise linear regression and
-binary labels with the flipped convention P(Y=1|x) = 1/(1+exp(x'beta)), under
-which a large positive index x'beta makes the label 1 rare.
+Symmetric positive-definite matrices (covariances and curvatures) with
+lazily built factors, group structures, and the two observation models:
+Gaussian-noise linear regression and binary labels with the flipped
+convention P(Y=1|x) = 1/(1+exp(x'beta)), under which a large positive index
+x'beta makes the label 1 rare.
 
 All generation is driven by counter-based Philox streams keyed by
 (master_seed, stream ids), so draws do not depend on the order in which
@@ -15,7 +16,8 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,27 +49,36 @@ def _readonly(a):
 
 @dataclass(frozen=True, eq=False)
 class CovarianceModel:
-    """Population covariance Sigma with cached square root and inverse.
+    """Symmetric positive-definite matrix: a covariance Sigma or a curvature K.
 
-    The square root is the symmetric one (from an eigendecomposition, not a
-    Cholesky factor), so ||Sigma^{1/2} u|| norms read the same as in the
-    analysis. Diagonal entries must not exceed 1 (normalized features) and
-    the matrix must be positive definite.
+    A matrix other than the identity is eigendecomposed once, at
+    construction, which also validates it. Its symmetric square root (from
+    the eigenpairs, not a Cholesky factor, so ||Sigma^{1/2} u|| norms read
+    the same as in the analysis), inverse and inverse square root are built
+    from the stored eigenpairs on first use. The identity stores no p x p
+    array: products, solves and norms act on their argument directly, and
+    `matrix` builds I only when asked for.
+
+    Covariances come from identity, ar1 and explicit: diagonal entries must
+    not exceed 1 (normalized features) and the matrix must be positive
+    definite. Curvature matrices come from curvature. provenance records how
+    the matrix was obtained: "exact-sigma" (a population covariance, which
+    is also the curvature of the squared loss), "stein-quadrature" (logistic
+    loss with Gaussian design, closed form up to two 1D integrals), or
+    "mc-estimate" (sample average, approximate).
     """
 
     kind: str
     p: int
     rho: float
-    matrix: np.ndarray
-    sqrt: np.ndarray
-    inv: np.ndarray
-    is_identity: bool
+    provenance: str = "exact-sigma"
+    _matrix: np.ndarray | None = field(default=None, repr=False)
+    _w: np.ndarray | None = field(default=None, repr=False)
+    _vecs: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def identity(cls, p):
-        eye = _readonly(np.eye(int(p)))
-        # One shared buffer: matrix, sqrt and inverse coincide.
-        return cls("identity", int(p), 0.0, eye, eye, eye, True)
+        return cls("identity", int(p), 0.0)
 
     @classmethod
     def ar1(cls, p, rho):
@@ -77,38 +88,104 @@ class CovarianceModel:
             raise ValueError("ar1 correlation must lie in (-1, 1), got %g" % rho)
         idx = np.arange(int(p))
         matrix = rho ** np.abs(idx[:, None] - idx[None, :])
-        return cls._build("ar1", rho, matrix)
+        return cls._covariance("ar1", rho, matrix)
 
     @classmethod
     def explicit(cls, matrix):
-        return cls._build("explicit", 0.0, matrix)
+        return cls._covariance("explicit", 0.0, matrix)
 
     @classmethod
-    def _build(cls, kind, rho, matrix):
+    def curvature(cls, K, provenance):
+        """Curvature matrix K, obtained as provenance says."""
+        K = cls._factorized("curvature", 0.0, provenance,
+                            np.asarray(K, dtype=float))
+        if K.eig_min <= 1e-12 * max(K.eig_max, 1e-300):
+            raise ValueError("curvature matrix is singular "
+                             "(min eigenvalue %.3e)" % K.eig_min)
+        return K
+
+    @classmethod
+    def _covariance(cls, kind, rho, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("covariance must be a square matrix")
-        p = matrix.shape[0]
         if np.abs(matrix - matrix.T).max() > 1e-10:
             raise ValueError("covariance must be symmetric")
-        matrix = 0.5 * (matrix + matrix.T)
         if np.diag(matrix).max() > 1.0 + 1e-12:
             raise ValueError("diagonal entries must be <= 1 (normalized features)")
-        if np.array_equal(matrix, np.eye(p)):
-            # Exact-identity fast path; keeps ar1(0) draws bit-identical to
-            # the identity model.
-            eye = _readonly(np.eye(p))
-            return cls(kind, p, rho, eye, eye, eye, True)
-        w, vecs = np.linalg.eigh(matrix)
-        if w.min() < 1e-10:
+        cov = cls._factorized(kind, rho, "exact-sigma", matrix)
+        if cov.eig_min < 1e-10:
             raise ValueError(
                 "covariance is not positive definite (min eigenvalue %.3e); "
-                "supply a full-rank matrix" % w.min())
-        sqrt = (vecs * np.sqrt(w)) @ vecs.T
-        inv = (vecs / w) @ vecs.T
-        return cls(kind, p, rho, _readonly(matrix),
-                   _readonly(0.5 * (sqrt + sqrt.T)),
-                   _readonly(0.5 * (inv + inv.T)), False)
+                "supply a full-rank matrix" % cov.eig_min)
+        return cov
+
+    @classmethod
+    def _factorized(cls, kind, rho, provenance, matrix):
+        matrix = 0.5 * (matrix + matrix.T)
+        p = matrix.shape[0]
+        # The exact identity, found without building I to compare with,
+        # stores nothing; this also keeps ar1(0) draws bit-identical to the
+        # identity model.
+        if np.count_nonzero(matrix) == p and np.all(matrix.diagonal() == 1.0):
+            return cls(kind, p, rho, provenance)
+        w, vecs = np.linalg.eigh(matrix)
+        return cls(kind, p, rho, provenance, _readonly(matrix), w, vecs)
+
+    @property
+    def is_identity(self):
+        return self._w is None
+
+    @property
+    def matrix(self):
+        """The dense matrix; for the identity, a new I on every call."""
+        return _readonly(np.eye(self.p)) if self.is_identity else self._matrix
+
+    @property
+    def eig_min(self):
+        return 1.0 if self.is_identity else float(self._w.min())
+
+    @property
+    def eig_max(self):
+        return 1.0 if self.is_identity else float(self._w.max())
+
+    def _spectral(self, scaled):
+        # Symmetrized V diag(f(w)) V', with scaled(V, w) = V diag(f(w)).
+        if self.is_identity:
+            return self.matrix
+        a = scaled(self._vecs, self._w) @ self._vecs.T
+        return _readonly(0.5 * (a + a.T))
+
+    @cached_property
+    def sqrt(self):
+        return self._spectral(lambda v, w: v * np.sqrt(w))
+
+    @cached_property
+    def inv(self):
+        return self._spectral(lambda v, w: v / w)
+
+    @cached_property
+    def inv_sqrt(self):
+        return self._spectral(lambda v, w: v / np.sqrt(w))
+
+    def __matmul__(self, u):
+        """The matrix times u, a vector or a matrix of columns."""
+        u = np.asarray(u, dtype=float)
+        return u if self.is_identity else self._matrix @ u
+
+    def solve(self, u):
+        """The inverse times u."""
+        u = np.asarray(u, dtype=float)
+        return u if self.is_identity else self.inv @ u
+
+    def sqrt_rows(self, A):
+        """A times the square root: each row of A mapped by the root."""
+        return A if self.is_identity else A @ self.sqrt
+
+    def norm(self, u):
+        """||M^{1/2} u|| for this matrix M; zero only at u = 0."""
+        u = np.asarray(u, dtype=float)
+        return float(np.sqrt(max(u @ (self @ u), 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,29 +225,6 @@ def _readonly_idx(a):
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class GroundTruth:
-    """Sparse coefficient vector with its support bookkeeping."""
-
-    beta_star: np.ndarray
-    support: np.ndarray
-    sparsity: int
-    group_support: np.ndarray | None
-    group_sparsity: int | None
-
-    @classmethod
-    def from_vector(cls, beta_star, groups=None):
-        beta_star = _readonly(np.asarray(beta_star, dtype=float))
-        support = _readonly_idx(np.flatnonzero(beta_star))
-        gsup = gs = None
-        if groups is not None:
-            nz = [k for k, g in enumerate(groups.groups)
-                  if np.any(beta_star[g] != 0.0)]
-            gsup = _readonly_idx(np.asarray(nz, dtype=np.intp))
-            gs = len(nz)
-        return cls(beta_star, support, int(support.size), gsup, gs)
-
-
 def flat_signal(p, s, amplitude=1.0):
     """Coefficient vector with the first s coordinates set to amplitude."""
     if not 0 <= s <= p:
@@ -185,7 +239,8 @@ class Dataset:
     """One simulated sample, with the noise realization kept for oracle use.
 
     For linear data y = X beta_star + noise holds exactly as generated.
-    Logistic datasets store no noise vector (labels are 0/1 floats).
+    Logistic datasets store no noise vector (labels are 0/1 floats, checked
+    here once so the loss need not rescan them).
     """
 
     X: np.ndarray
@@ -197,6 +252,11 @@ class Dataset:
     beta_star: np.ndarray
     covariance: CovarianceModel | None
     seed: int
+
+    def __post_init__(self):
+        if self.model_kind == "logistic" and \
+                not np.all((self.y == 0.0) | (self.y == 1.0)):
+            raise ValueError("logistic labels must be 0 or 1")
 
     @property
     def n(self):
@@ -228,9 +288,7 @@ def draw_rows(cov, n, design_kind, rng):
         raw = 2.0 * rng.integers(0, 2, size=(n, cov.p)).astype(float) - 1.0
     else:
         raise ValueError("unknown design kind %r" % (design_kind,))
-    if cov.is_identity:
-        return raw
-    return raw @ cov.sqrt
+    return cov.sqrt_rows(raw)
 
 
 def generate_linear(X, beta_star, noise_sd, seed, covariance=None,
@@ -268,7 +326,7 @@ def generate_logistic(X, beta_star, seed, covariance=None,
         raise ValueError("design has %d columns but beta_star has %d entries"
                          % (X.shape[1], beta_star.size))
     if covariance is not None:
-        sig_norm = float(np.linalg.norm(covariance.sqrt @ beta_star))
+        sig_norm = covariance.norm(beta_star)
         if sig_norm > 1.0 + 1e-9:
             warnings.warn(
                 "||Sigma^{1/2} beta_star|| = %.4f > 1; curvature constants "

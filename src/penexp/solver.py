@@ -6,7 +6,7 @@ against the population curvature matrix; its minimizer is the first-order
 expansion of the penalized estimator. Both run the same FISTA loop over a
 smooth part seen through an affine image of the iterate (X b for the fit,
 K (b - z) for the surrogate). The fit finds its step by backtracking; the
-surrogate steps by 1/lambda_max(K), taken from CurvatureMatrix.eig_max.
+surrogate steps by 1/lambda_max(K), taken from the curvature's eig_max.
 Both certify convergence through the penalty's subdifferential residual,
 independent of the iteration path, and both are deterministic: identical
 inputs produce bit-identical iterates.
@@ -155,9 +155,7 @@ def expansion_center(dataset, loss, curvature, beta_star):
     """
     beta_star = np.asarray(beta_star, dtype=float)
     g = smooth_gradient(dataset, loss, beta_star)
-    if curvature.is_identity:
-        return beta_star - g
-    return beta_star - curvature.inv @ g
+    return beta_star - curvature.solve(g)
 
 
 def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None,
@@ -177,11 +175,9 @@ def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None,
             "curvature has Monte Carlo provenance; pass allow_approximate=True "
             "to expand against an estimated matrix")
     t0 = time.perf_counter()
-    K = curvature.matrix
     z = expansion_center(dataset, loss, curvature, beta_star)
     smooth = _Smooth(
-        image=(lambda b: b - z) if curvature.is_identity
-        else (lambda b: K @ (b - z)),
+        image=lambda b: curvature @ (b - z),
         value=lambda b, u: 0.5 * float((b - z) @ u),
         grad=lambda b, u: u,
         lipschitz=curvature.eig_max)

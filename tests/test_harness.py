@@ -132,6 +132,10 @@ def test_rate_fit_needs_three_points():
     recs = synthetic_records([0.5, 0.4], lambda r: r * r)
     with pytest.raises(ValueError):
         rate_fit(recs, metric="gap")
+    # three points but one r_n: no slope to fit
+    recs = synthetic_records([0.3, 0.3, 0.3], lambda r: r * r)
+    with pytest.raises(ValueError):
+        rate_fit(recs, metric="gap")
 
 
 def run_tiny(tmp_path, name, **overrides):
@@ -207,24 +211,32 @@ def test_run_experiment_records_failures(tmp_path):
 
 
 def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
-    # with no signal both fits are 0, so gap, err_est and err_exp are all 0:
-    # ratio has no value and log(median gap) is undefined
-    cfg = ExperimentConfig(experiment_kind="rates", amplitude=0.0,
-                           grid=tuple(GridPoint(n, 2 * n, 5)
-                                      for n in (100, 200, 400)),
-                           replications=3, master_seed=5, threads=1,
-                           output_dir=str(tmp_path / "zero"))
-    summary = run_experiment(cfg)
-
     def refuse(name):
         raise ValueError("non-finite number %s in summary.json" % name)
 
-    loaded = json.loads((tmp_path / "zero" / "summary.json").read_text(),
-                        parse_constant=refuse)
-    assert loaded == summary
-    assert summary["failed"] == 0
-    assert all(e["median_gap"] == 0.0 for e in summary["points"])
-    assert summary["rate_fit"] is None
+    cases = [
+        # with no signal both fits are 0, so gap, err_est and err_exp are
+        # all 0: ratio has no value and log(median gap) is undefined
+        ("zero", 0.0, (100, 200, 400), 3),
+        # one grid point three times: every r_n is equal, so no slope
+        ("same_rn", 1.0, (100, 100, 100), 2),
+    ]
+    for name, amplitude, sizes, reps in cases:
+        cfg = ExperimentConfig(experiment_kind="rates", amplitude=amplitude,
+                               grid=tuple(GridPoint(n, 2 * n, 5)
+                                          for n in sizes),
+                               replications=reps, master_seed=5, threads=1,
+                               output_dir=str(tmp_path / name))
+        summary = run_experiment(cfg)
+        loaded = json.loads((tmp_path / name / "summary.json").read_text(),
+                            parse_constant=refuse)
+        assert loaded == summary
+        assert summary["failed"] == 0
+        assert summary["rate_fit"] is None
+        if amplitude == 0.0:
+            assert all(e["median_gap"] == 0.0 for e in summary["points"])
+        else:
+            assert all(e["median_gap"] > 0.0 for e in summary["points"])
 
 
 def test_fit_experiment_kind(tmp_path):

@@ -59,16 +59,6 @@ def test_group_structure_rejects_bad_partition():
         model.GroupStructure.from_indices([[0, 1]], p=4)  # does not cover
 
 
-def test_ground_truth_support_and_sparsity():
-    beta = np.array([1.0, 0.0, -2.0, 0.0])
-    gt = model.GroundTruth.from_vector(beta)
-    assert gt.support.tolist() == [0, 2]
-    assert gt.sparsity == 2
-    gs = model.GroupStructure.contiguous(2, 2)
-    gt2 = model.GroundTruth.from_vector(beta, gs)
-    assert gt2.group_sparsity == 2
-
-
 def test_flat_signal():
     b = model.flat_signal(6, 2, amplitude=3.0)
     assert b.tolist() == [3.0, 3.0, 0.0, 0.0, 0.0, 0.0]
@@ -242,6 +232,23 @@ def test_logistic_persistence_round_trip(tmp_path):
     assert np.array_equal(back.y, ds.y)
     assert back.model_kind == "logistic"
     assert back.noise is None
+
+
+def test_logistic_dataset_rejects_bad_labels(tmp_path):
+    cov = model.CovarianceModel.identity(2)
+    X = model.generate_design(cov, 6, "gaussian", seed=5)
+    ds = model.generate_logistic(X, np.zeros(2), seed=5, covariance=cov)
+    y = ds.y.copy()
+    y[0] = 2.0
+    with pytest.raises(ValueError):
+        model.Dataset(X=ds.X, y=y, model_kind="logistic",
+                      design_kind="gaussian", noise=None, noise_sd=None,
+                      beta_star=ds.beta_star, covariance=cov, seed=5)
+    # the same check guards datasets read back from disk
+    model.save_dataset(ds, str(tmp_path / "ds"))
+    y.astype("<f8").tofile(str(tmp_path / "ds" / "y.bin"))
+    with pytest.raises(ValueError):
+        model.load_dataset(str(tmp_path / "ds"))
 
 
 def test_stream_rng_streams_are_stable_and_distinct():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from penexp import model, solver
-from penexp.losses import LOGISTIC, SQUARED, CurvatureMatrix, curvature_matrix
+from penexp.losses import LOGISTIC, SQUARED, curvature_matrix
 from penexp.penalties import (GroupPenalty, L1BallConstraint, L1Penalty,
                               penalty_value, prox, subdifferential_residual)
 
@@ -229,7 +229,7 @@ def test_expansion_step_from_top_eigenvalue():
     v -= v.mean()
     v /= np.linalg.norm(v)
     Kmat = np.eye(p) + 9.0 * np.outer(v, v)
-    K = CurvatureMatrix.from_matrix(Kmat, "exact-sigma")
+    K = model.CovarianceModel.curvature(Kmat, "exact-sigma")
     assert K.eig_max == pytest.approx(10.0, rel=1e-12)
     ds, _ = linear_instance(80, p, 3, seed=17)
     pen = L1Penalty(0.05)
