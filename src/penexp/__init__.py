@@ -6,15 +6,12 @@ from .cones import (
     GroupCone,
     LassoCone,
     SupportCone,
-    complexity_bound,
     complexity_estimate,
-    cone_member,
     group_cone,
     group_penalty_level,
     lasso_cone,
     lasso_penalty_level,
     minimax_rate,
-    restricted_eigenvalue_bound,
     sparse_cone_from_counts,
     support_cone,
 )
@@ -68,11 +65,8 @@ from .penalties import (
     GroupPenalty,
     L1BallConstraint,
     L1Penalty,
-    penalty_value,
     project_l1_ball,
-    prox,
     soft_threshold,
-    subdifferential_residual,
 )
 from .solver import (
     SolverConfig,
@@ -91,15 +85,13 @@ __all__ = [
     "curvature_lower_bound", "curvature_matrix", "curvature_matrix_mc",
     "get_loss", "load_curvature", "norm_ratio_bound", "save_curvature",
     "stability_ratio_check",
-    "GroupPenalty", "L1BallConstraint", "L1Penalty", "penalty_value",
-    "project_l1_ball", "prox", "soft_threshold", "subdifferential_residual",
+    "GroupPenalty", "L1BallConstraint", "L1Penalty", "project_l1_ball",
+    "soft_threshold",
     "SolverConfig", "SolverResult", "expansion_center", "fit_expansion",
     "fit_penalized", "smooth_gradient",
-    "GroupCone", "LassoCone", "SupportCone", "complexity_bound",
-    "complexity_estimate", "cone_member", "group_cone",
-    "group_penalty_level", "lasso_cone", "lasso_penalty_level",
-    "minimax_rate", "restricted_eigenvalue_bound", "sparse_cone_from_counts",
-    "support_cone",
+    "GroupCone", "LassoCone", "SupportCone", "complexity_estimate",
+    "group_cone", "group_penalty_level", "lasso_cone", "lasso_penalty_level",
+    "minimax_rate", "sparse_cone_from_counts", "support_cone",
     "InferenceReport", "RiskIdentityReport", "curvature_fluctuations",
     "debiased_estimate", "empirical_curvature_ratio", "prox_risk_mc",
     "prox_risk_quadrature", "risk_identity_check", "sparsity_constant",

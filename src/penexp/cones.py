@@ -2,9 +2,10 @@
 
 The three cone families are the l1-vs-l2 cone {u : ||u||_1 <= sqrt(k)||u||},
 its blockwise analog for group norms, and the cone of vectors supported on a
-fixed index set. Penalty-level formulas, Monte Carlo Gaussian complexity with
-an exact per-draw maximizer, certified complexity upper bounds, and
-restricted-eigenvalue lower bounds live here.
+fixed index set. Each cone class owns its maths: membership, the exact
+per-draw supremum behind the Monte Carlo Gaussian complexity, a certified
+complexity upper bound, and a restricted-eigenvalue lower bound. Penalty-level
+formulas and minimax rate scales live here too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import stream_rng
+
+
+def _require_identity(cov):
+    if not cov.is_identity:
+        raise ValueError("per-draw maximization is exact only under the "
+                         "identity covariance; use the cone's bound")
 
 
 @dataclass(frozen=True)
@@ -26,6 +33,28 @@ class LassoCone:
         if self.k < 1:
             raise ValueError("cone parameter k must be >= 1")
 
+    def member(self, u, tol=1e-9):
+        """Does u satisfy the defining inequality, with relative slack."""
+        u = np.asarray(u, dtype=float)
+        l2 = np.linalg.norm(u)
+        return bool(np.abs(u).sum() <= np.sqrt(self.k) * l2 * (1.0 + tol))
+
+    def sups(self, G, cov):
+        """Exact sup of <g, u> over unit cone vectors u, per row g of G."""
+        _require_identity(cov)
+        return _sup_per_draw(np.abs(G), np.sqrt(self.k))
+
+    def restricted_eigenvalue(self, cov):
+        """sqrt of the smallest eigenvalue of Sigma: certifies the cone."""
+        return float(np.sqrt(cov.eig_min))
+
+    def bound(self, cov):
+        """sqrt(k log(2p/k)) / restricted eigenvalue."""
+        phi = self.restricted_eigenvalue(cov)
+        if not 0 < self.k <= 2 * cov.p:
+            raise ValueError("cone parameter exceeds dimension range")
+        return float(np.sqrt(self.k * np.log(2.0 * cov.p / self.k)) / phi)
+
 
 @dataclass(frozen=True, eq=False)
 class GroupCone:
@@ -35,6 +64,28 @@ class GroupCone:
     s: int
     groups: object
 
+    def member(self, u, tol=1e-9):
+        u = np.asarray(u, dtype=float)
+        l2 = np.linalg.norm(u)
+        norms = np.linalg.norm(u[self.groups.index], axis=1)
+        return bool(norms.sum() <= self.c * np.sqrt(self.s) * l2 * (1.0 + tol))
+
+    def sups(self, G, cov):
+        """The lasso-cone sup over the group norms of each row of G."""
+        _require_identity(cov)
+        block = np.linalg.norm(G[:, self.groups.index], axis=2)
+        return _sup_per_draw(block, self.c * np.sqrt(self.s))
+
+    restricted_eigenvalue = LassoCone.restricted_eigenvalue
+
+    def bound(self, cov):
+        """sqrt(s d + s log(M/s)) / restricted eigenvalue."""
+        phi = self.restricted_eigenvalue(cov)
+        M, d, s = self.groups.M, self.groups.d, self.s
+        if not M > s:
+            raise ValueError("need more groups than the sparsity level")
+        return float(np.sqrt(s * d + s * np.log(M / s)) / phi)
+
 
 @dataclass(frozen=True, eq=False)
 class SupportCone:
@@ -42,6 +93,24 @@ class SupportCone:
 
     support: np.ndarray
     p: int
+
+    def member(self, u, tol=1e-9):
+        u = np.asarray(u, dtype=float)
+        off = np.delete(np.abs(u), self.support).max(initial=0.0)
+        return bool(off <= tol * np.linalg.norm(u))
+
+    def sups(self, G, cov):
+        """Norm of each row of G Sigma^{1/2} on the support."""
+        return np.linalg.norm(cov.sqrt_rows(G)[:, self.support], axis=1)
+
+    def restricted_eigenvalue(self, cov):
+        """Exact: from the principal submatrix on the support."""
+        sub = cov.principal(self.support)
+        return float(np.sqrt(np.linalg.eigvalsh(sub).min()))
+
+    def bound(self, cov):
+        """sqrt of the trace of the principal submatrix on the support."""
+        return float(np.sqrt(np.trace(cov.principal(self.support))))
 
 
 def lasso_cone(k):
@@ -61,25 +130,6 @@ def group_cone(s, groups, xi=None, c=None):
 def support_cone(support, p):
     support = np.asarray(support, dtype=np.intp)
     return SupportCone(support, int(p))
-
-
-def cone_member(cone, u, tol=1e-9):
-    """Does u satisfy the cone's defining inequality, with relative slack."""
-    u = np.asarray(u, dtype=float)
-    l2 = np.linalg.norm(u)
-    if l2 == 0.0:
-        return True
-    if isinstance(cone, LassoCone):
-        return bool(np.abs(u).sum() <= np.sqrt(cone.k) * l2 * (1.0 + tol))
-    if isinstance(cone, GroupCone):
-        norms = np.linalg.norm(u[np.vstack(cone.groups.groups)], axis=1)
-        return bool(norms.sum() <= cone.c * np.sqrt(cone.s) * l2 * (1.0 + tol))
-    if isinstance(cone, SupportCone):
-        mask = np.ones(cone.p, dtype=bool)
-        mask[cone.support] = False
-        off = np.abs(u[mask]).max() if mask.any() else 0.0
-        return bool(off <= tol * l2)
-    raise TypeError("unknown cone %r" % (cone,))
 
 
 def lasso_penalty_level(loss, p, s, n, xi, noise_scale=None, design_L=1.0):
@@ -147,76 +197,25 @@ def _sup_per_draw(A, sqrt_k):
 def complexity_estimate(cone, cov, n_draws, seed):
     """Monte Carlo Gaussian complexity of the cone, with standard error.
 
-    Each draw's supremum is solved exactly (see _sup_per_draw). The lasso and
+    Each draw's supremum is solved exactly by the cone's sups. The lasso and
     group cones are only supported under the identity covariance, where the
-    maximization has this closed structure; use complexity_bound otherwise.
+    maximization has this closed structure; use the cone's bound otherwise.
     Support cones work for any covariance.
     """
     n_draws = int(n_draws)
     if n_draws < 2:
         raise ValueError("need at least 2 draws")
     rng = stream_rng(seed, 3)
-    if isinstance(cone, (LassoCone, GroupCone)) and not cov.is_identity:
-        raise ValueError(
-            "per-draw maximization is exact only under the identity "
-            "covariance; use complexity_bound for this covariance")
     sups = np.empty(n_draws)
     done = 0
     chunk = 512
     while done < n_draws:
         m = min(chunk, n_draws - done)
-        G = rng.standard_normal((m, cov.p))
-        if isinstance(cone, LassoCone):
-            vals = _sup_per_draw(np.abs(G), np.sqrt(cone.k))
-        elif isinstance(cone, GroupCone):
-            idx = np.vstack(cone.groups.groups)
-            block = np.linalg.norm(G[:, idx], axis=2)
-            vals = _sup_per_draw(block, cone.c * np.sqrt(cone.s))
-        elif isinstance(cone, SupportCone):
-            H = cov.sqrt_rows(G)
-            vals = np.linalg.norm(H[:, cone.support], axis=1)
-        else:
-            raise TypeError("unknown cone %r" % (cone,))
-        sups[done:done + m] = vals
+        sups[done:done + m] = cone.sups(rng.standard_normal((m, cov.p)), cov)
         done += m
     est = float(np.mean(sups))
     se = float(np.std(sups, ddof=1) / np.sqrt(n_draws))
     return est, se
-
-
-def restricted_eigenvalue_bound(cone, cov):
-    """Lower bound on min ||Sigma^{1/2} u|| over unit cone vectors.
-
-    sqrt(min eigenvalue of Sigma) certifies every cone; support cones get the
-    exact value from the principal submatrix.
-    """
-    if isinstance(cone, SupportCone):
-        sub = cov.matrix[np.ix_(cone.support, cone.support)]
-        return float(np.sqrt(np.linalg.eigvalsh(sub).min()))
-    return float(np.sqrt(cov.eig_min))
-
-
-def complexity_bound(cone, cov):
-    """Closed-form complexity upper bound, reported with constant 1.
-
-    Divide by sqrt(n) to get the rate scale of the corresponding estimation
-    problem.
-    """
-    phi = restricted_eigenvalue_bound(cone, cov)
-    if isinstance(cone, LassoCone):
-        p = cov.p
-        if not 0 < cone.k <= 2 * p:
-            raise ValueError("cone parameter exceeds dimension range")
-        return float(np.sqrt(cone.k * np.log(2.0 * p / cone.k)) / phi)
-    if isinstance(cone, GroupCone):
-        M, d, s = cone.groups.M, cone.groups.d, cone.s
-        if not M > s:
-            raise ValueError("need more groups than the sparsity level")
-        return float(np.sqrt(s * d + s * np.log(M / s)) / phi)
-    if isinstance(cone, SupportCone):
-        sub = cov.matrix[np.ix_(cone.support, cone.support)]
-        return float(np.sqrt(np.trace(sub)))
-    raise TypeError("unknown cone %r" % (cone,))
 
 
 def sparse_cone_from_counts(s, c_tilde):

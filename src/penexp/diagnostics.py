@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .model import stream_rng
-from .penalties import L1Penalty, prox, soft_threshold
+from .penalties import L1Penalty, soft_threshold
 from .solver import smooth_gradient
 
 
@@ -69,32 +69,13 @@ def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
         m = min(chunk, n_draws - done)
         Z = rng.standard_normal((m, beta_star.size))
         pts = beta_star[None, :] + tau * Z
-        W = _prox_rows(penalty, pts)
+        W = penalty.prox(pts)
         diff = beta_star[None, :] - W
         vals[done:done + m] = (diff * diff).sum(axis=1)
         done += m
     risk = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(n_draws))
     return risk, se
-
-
-def _prox_rows(penalty, pts):
-    """prox applied to each row, vectorized where the penalty separates."""
-    from .penalties import GroupPenalty
-
-    if isinstance(penalty, L1Penalty):
-        return soft_threshold(pts, penalty.level)
-    if isinstance(penalty, GroupPenalty):
-        idx = np.vstack(penalty.groups.groups)
-        blocks = pts[:, idx]
-        norms = np.linalg.norm(blocks, axis=2)
-        scale = np.maximum(1.0 - penalty.level / np.where(norms > 0, norms, 1.0),
-                           0.0)
-        scale[norms <= penalty.level] = 0.0
-        out = np.empty_like(pts)
-        out[:, idx] = blocks * scale[:, :, None]
-        return out
-    return np.vstack([prox(penalty, row, 1.0) for row in pts])
 
 
 def prox_risk_quadrature(penalty, beta_star, noise_scale, n):

@@ -239,13 +239,13 @@ def _setup_point(cfg, pt, loss):
 def _sparsity_bound(cfg, pt, cov, curv, groups):
     if groups is not None:
         c_max = max(
-            float(np.linalg.eigvalsh(curv.matrix[np.ix_(g, g)]).max())
+            float(np.linalg.eigvalsh(curv.principal(g)).max())
             for g in groups.groups)
         cone_spec = cones.group_cone(pt.s, groups, xi=cfg.xi)
     else:
         c_max = curv.eig_max
         cone_spec = cones.lasso_cone(pt.s * (6.0 + 2.0 / cfg.xi) ** 2)
-    phi = cones.restricted_eigenvalue_bound(cone_spec, cov)
+    phi = cone_spec.restricted_eigenvalue(cov)
     b3 = norm_ratio_bound(cov, curv)
     c_tilde = diagnostics.sparsity_constant(c_max, cfg.xi, b3, phi)
     return c_tilde * pt.s
@@ -310,8 +310,8 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
                ratio=gap / denom if denom > 0 else None)
 
     if cfg.experiment_kind == "cone_check":
-        in_est = cones.cone_member(setup.cone, est.solution - setup.beta_star)
-        in_exp = cones.cone_member(setup.cone, exp.solution - setup.beta_star)
+        in_est = setup.cone.member(est.solution - setup.beta_star)
+        in_exp = setup.cone.member(exp.solution - setup.beta_star)
         rec.update(cone_est=in_est, cone_exp=in_exp,
                    cone_both=in_est and in_exp)
     elif cfg.experiment_kind == "risk_identity":

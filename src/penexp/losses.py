@@ -196,7 +196,12 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
 
 
 def norm_ratio_bound(cov, curvature):
-    """Largest value of ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2 over u != 0."""
+    """Largest value of ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2 over u != 0.
+
+    Exactly 1 when K is Sigma itself, as for the squared loss, or when both
+    are the identity."""
+    if curvature is cov or (cov.is_identity and curvature.is_identity):
+        return 1.0
     A = curvature.inv_sqrt @ cov.matrix @ curvature.inv_sqrt
     return float(np.linalg.eigvalsh(0.5 * (A + A.T)).max())
 

@@ -168,6 +168,12 @@ class CovarianceModel:
     def inv_sqrt(self):
         return self._spectral(lambda v, w: v / np.sqrt(w))
 
+    def principal(self, idx):
+        """The principal submatrix on the indices idx."""
+        if self.is_identity:
+            return np.eye(len(idx))
+        return self._matrix[np.ix_(idx, idx)]
+
     def __matmul__(self, u):
         """The matrix times u, a vector or a matrix of columns."""
         u = np.asarray(u, dtype=float)
@@ -217,6 +223,11 @@ class GroupStructure:
         if sorted(allidx.tolist()) != list(range(p)):
             raise ValueError("groups must partition {0, ..., p-1}")
         return cls(int(p), len(groups), int(d), groups)
+
+    @cached_property
+    def index(self):
+        """(M, d) array whose row k lists the coordinates of group k."""
+        return _readonly_idx(np.vstack(self.groups))
 
 
 def _readonly_idx(a):

@@ -1,4 +1,9 @@
-"""Penalties with exact proximal maps and subdifferential certificates."""
+"""Penalties h with exact proximal maps and subdifferential certificates.
+
+Each penalty class gives h(b) as value, the proximal map of step*h as prox
+(along the last axis, so on a vector or on each row of a batch, with exact
+zeros) and the KKT residual as residual.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,19 @@ import numpy as np
 BOUNDARY_TOL = 1e-9
 
 
+def _check_step(step):
+    if step <= 0:
+        raise ValueError("prox step must be > 0")
+
+
+def _pair(beta, grad):
+    beta = np.asarray(beta, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    if beta.shape != grad.shape:
+        raise ValueError("beta and grad dimensions differ")
+    return beta, grad
+
+
 @dataclass(frozen=True)
 class L1Penalty:
     """h(b) = level * ||b||_1."""
@@ -20,6 +38,22 @@ class L1Penalty:
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("penalty level must be >= 0")
+
+    def value(self, beta):
+        return float(self.level * np.abs(np.asarray(beta, dtype=float)).sum())
+
+    def prox(self, x, step=1.0):
+        _check_step(step)
+        return soft_threshold(np.asarray(x, dtype=float), step * self.level)
+
+    def residual(self, beta, grad):
+        """Largest coordinatewise distance of -grad from level * sign(beta)
+        (the interval [-level, level] where beta is 0)."""
+        beta, grad = _pair(beta, grad)
+        res = np.where(beta != 0.0,
+                       np.abs(grad + self.level * np.sign(beta)),
+                       np.maximum(np.abs(grad) - self.level, 0.0))
+        return float(res.max()) if res.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -31,6 +65,37 @@ class L1BallConstraint:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
+
+    def value(self, beta):
+        l1 = np.abs(np.asarray(beta, dtype=float)).sum()
+        slack = BOUNDARY_TOL * max(1.0, self.radius)
+        return 0.0 if l1 <= self.radius + slack else float("inf")
+
+    def prox(self, x, step=1.0):
+        """The projection onto the ball, whatever the step."""
+        _check_step(step)
+        return project_l1_ball(x, self.radius)
+
+    def residual(self, beta, grad):
+        """Distance of -grad from the normal cone of the ball at beta.
+
+        An infeasible beta reports +inf; a boundary point (within
+        BOUNDARY_TOL) is scored against the normal cone with multiplier
+        ||grad||_inf.
+        """
+        beta, grad = _pair(beta, grad)
+        l1 = np.abs(beta).sum()
+        slack = BOUNDARY_TOL * max(1.0, self.radius)
+        if l1 > self.radius + slack:
+            return float("inf")
+        gmax = float(np.abs(grad).max()) if grad.size else 0.0
+        if l1 < self.radius - slack:
+            # Strict interior: stationarity needs a vanishing gradient.
+            return gmax
+        nz = beta != 0.0
+        if not nz.any():
+            return gmax
+        return float(np.abs(grad[nz] + gmax * np.sign(beta[nz])).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,6 +109,40 @@ class GroupPenalty:
         if self.level < 0:
             raise ValueError("penalty level must be >= 0")
 
+    def value(self, beta):
+        blocks = np.asarray(beta, dtype=float)[self.groups.index]
+        return float(self.level * np.linalg.norm(blocks, axis=1).sum())
+
+    def prox(self, x, step=1.0):
+        """Shrink each block's norm and keep its direction:
+        (x_G / ||x_G||) * (||x_G|| - step*level)_+. With singleton groups
+        this reproduces soft thresholding bitwise."""
+        _check_step(step)
+        x = np.asarray(x, dtype=float)
+        idx = self.groups.index
+        blocks = x[..., idx]
+        norms = np.linalg.norm(blocks, axis=-1)
+        shrunk = np.maximum(norms - step * self.level, 0.0)
+        # Dividing dead blocks by 1 instead of masking them keeps a batch
+        # free of boolean gathers; their entries come out as +-0.
+        blocks /= np.where(shrunk > 0.0, norms, 1.0)[..., None]
+        blocks *= shrunk[..., None]
+        out = np.empty_like(x)
+        out[..., idx] = blocks
+        return out
+
+    def residual(self, beta, grad):
+        """Largest blockwise distance of -grad from level * b_G/||b_G||
+        (the level-ball where b_G is 0)."""
+        beta, grad = _pair(beta, grad)
+        idx = self.groups.index
+        b_norms = np.linalg.norm(beta[idx], axis=1)
+        # A zero block has direction 0, so its deviation is ||grad_G||.
+        dirs = beta[idx] / np.where(b_norms > 0.0, b_norms, 1.0)[:, None]
+        dev = np.linalg.norm(grad[idx] + self.level * dirs, axis=1)
+        res = np.where(b_norms > 0.0, dev, np.maximum(dev - self.level, 0.0))
+        return float(res.max()) if res.size else 0.0
+
 
 def soft_threshold(x, t):
     """sign(x) (|x| - t)_+ with exact zeros."""
@@ -51,108 +150,22 @@ def soft_threshold(x, t):
 
 
 def project_l1_ball(x, radius):
-    """Euclidean projection onto {||b||_1 <= radius} by sort and threshold."""
+    """Euclidean projection onto {||b||_1 <= radius} by sort and threshold,
+    of x or of each row of x along its last axis."""
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     # The relative slack keeps the map idempotent: re-projecting a point
     # whose norm equals the radius up to rounding leaves it untouched.
-    if a.sum() <= radius * (1.0 + 1e-12):
+    inside = a.sum(axis=-1) <= radius * (1.0 + 1e-12)
+    if np.all(inside):
         return x.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, x.size + 1)
-    # Largest k with u_k above the running threshold (css_k - R)/k.
-    last = np.nonzero(u > (css - radius) / k)[0][-1]
-    theta = (css[last] - radius) / (last + 1.0)
-    return soft_threshold(x, theta)
-
-
-def _block_view(spec, v):
-    return np.asarray(v, dtype=float)[np.vstack(spec.groups.groups)]
-
-
-def penalty_value(spec, beta):
-    beta = np.asarray(beta, dtype=float)
-    if isinstance(spec, L1Penalty):
-        return float(spec.level * np.abs(beta).sum())
-    if isinstance(spec, L1BallConstraint):
-        l1 = np.abs(beta).sum()
-        if l1 <= spec.radius + BOUNDARY_TOL * max(1.0, spec.radius):
-            return 0.0
-        return float("inf")
-    if isinstance(spec, GroupPenalty):
-        norms = np.linalg.norm(_block_view(spec, beta), axis=1)
-        return float(spec.level * norms.sum())
-    raise TypeError("unknown penalty %r" % (spec,))
-
-
-def prox(spec, x, step=1.0):
-    """prox of step*h at x. Thresholded coordinates come out exactly 0."""
-    if step <= 0:
-        raise ValueError("prox step must be > 0")
-    x = np.asarray(x, dtype=float)
-    if isinstance(spec, L1Penalty):
-        return soft_threshold(x, step * spec.level)
-    if isinstance(spec, L1BallConstraint):
-        return project_l1_ball(x, spec.radius)
-    if isinstance(spec, GroupPenalty):
-        idx = np.vstack(spec.groups.groups)
-        blocks = x[idx]
-        norms = np.linalg.norm(blocks, axis=1)
-        # Shrink the norm, keep the direction: unit * (||x_G|| - t*level)_+.
-        # With singleton groups this reproduces soft thresholding bitwise.
-        alive = norms > step * spec.level
-        units = np.zeros_like(blocks)
-        units[alive] = blocks[alive] / norms[alive, None]
-        shrunk = np.maximum(norms - step * spec.level, 0.0)
-        out = np.empty_like(x)
-        out[idx] = units * shrunk[:, None]
-        return out
-    raise TypeError("unknown penalty %r" % (spec,))
-
-
-def subdifferential_residual(spec, beta, grad):
-    """Minimal-norm violation of -grad in the subdifferential of h at beta.
-
-    Zero at an exact minimizer of f + h when grad is the gradient of f at
-    beta. For the ball constraint an infeasible beta reports +inf; a boundary
-    point (within BOUNDARY_TOL) is scored against the normal cone with
-    multiplier ||grad||_inf.
-    """
-    beta = np.asarray(beta, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if beta.shape != grad.shape:
-        raise ValueError("beta and grad dimensions differ")
-    if isinstance(spec, L1Penalty):
-        res = np.where(beta != 0.0,
-                       np.abs(grad + spec.level * np.sign(beta)),
-                       np.maximum(np.abs(grad) - spec.level, 0.0))
-        return float(res.max()) if res.size else 0.0
-    if isinstance(spec, GroupPenalty):
-        idx = np.vstack(spec.groups.groups)
-        b_blk = beta[idx]
-        g_blk = grad[idx]
-        b_norms = np.linalg.norm(b_blk, axis=1)
-        worst = 0.0
-        zero = b_norms == 0.0
-        if zero.any():
-            slack = np.linalg.norm(g_blk[zero], axis=1) - spec.level
-            worst = max(worst, float(np.maximum(slack, 0.0).max()))
-        if (~zero).any():
-            dirs = b_blk[~zero] / b_norms[~zero][:, None]
-            dev = np.linalg.norm(g_blk[~zero] + spec.level * dirs, axis=1)
-            worst = max(worst, float(dev.max()))
-        return worst
-    if isinstance(spec, L1BallConstraint):
-        l1 = np.abs(beta).sum()
-        if l1 > spec.radius + BOUNDARY_TOL * max(1.0, spec.radius):
-            return float("inf")
-        gmax = float(np.abs(grad).max()) if grad.size else 0.0
-        if l1 < spec.radius - BOUNDARY_TOL * max(1.0, spec.radius):
-            # Strict interior: stationarity needs a vanishing gradient.
-            return gmax
-        nz = beta != 0.0
-        if not nz.any():
-            return gmax
-        return float(np.abs(grad[nz] + gmax * np.sign(beta[nz])).max())
-    raise TypeError("unknown penalty %r" % (spec,))
+    u = np.sort(a, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    k = np.arange(1, x.shape[-1] + 1)
+    # Largest k with u_k above the running threshold (css_k - R)/k; it
+    # exists because k = 1 always qualifies.
+    above = u > (css - radius) / k
+    last = x.shape[-1] - 1 - np.argmax(above[..., ::-1], axis=-1)
+    css_last = np.take_along_axis(css, last[..., None], axis=-1)[..., 0]
+    theta = (css_last - radius) / (last + 1.0)
+    return np.where(inside[..., None], x, soft_threshold(x, theta[..., None]))

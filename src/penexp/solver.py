@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .penalties import penalty_value, prox, subdifferential_residual
-
 # Step factor per failed sufficient-decrease test, first step when no
 # Lipschitz constant is known, and iterations between KKT checks.
 BACKTRACK_SHRINK = 0.5
@@ -84,7 +82,7 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
     x_prev, u_prev = x, u_x
     t_mom = 1.0
     step = INITIAL_STEP if smooth.lipschitz is None else 1.0 / smooth.lipschitz
-    obj = smooth.value(x, u_x) + penalty_value(penalty, x)
+    obj = smooth.value(x, u_x) + penalty.value(x)
     res = np.inf
     converged = False
     it = 0
@@ -97,14 +95,14 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
         fy = smooth.value(yv, u_y)
         g = smooth.grad(yv, u_y)
         while True:
-            x_new = prox(penalty, yv - step * g, step)
+            x_new = penalty.prox(yv - step * g, step)
             u_new = smooth.image(x_new)
             fx = smooth.value(x_new, u_new)
             d = x_new - yv
             if fx <= fy + g @ d + (d @ d) / (2.0 * step) + 1e-12 * max(1.0, abs(fy)):
                 break
             step *= BACKTRACK_SHRINK
-        new_obj = fx + penalty_value(penalty, x_new)
+        new_obj = fx + penalty.value(x_new)
         if new_obj > obj:
             t_next = 1.0
         obj = new_obj
@@ -112,12 +110,12 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
         x, u_x = x_new, u_new
         t_mom = t_next
         if it == 1 or it % CHECK_EVERY == 0:
-            res = subdifferential_residual(penalty, x, smooth.grad(x, u_x))
+            res = penalty.residual(x, smooth.grad(x, u_x))
             if res <= cfg.kkt_tol:
                 converged = True
                 break
     if not converged:
-        res = subdifferential_residual(penalty, x, smooth.grad(x, u_x))
+        res = penalty.residual(x, smooth.grad(x, u_x))
         converged = res <= cfg.kkt_tol
     return SolverResult(x, obj, float(res), it, converged,
                         time.perf_counter() - t0)

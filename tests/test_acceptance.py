@@ -16,8 +16,7 @@ from penexp.losses import (curvature_matrix, curvature_matrix_mc, get_loss,
 from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           flat_signal, generate_design, generate_linear,
                           generate_logistic, noise_scale, stream_rng)
-from penexp.penalties import (GroupPenalty, L1BallConstraint, L1Penalty, prox,
-                              subdifferential_residual)
+from penexp.penalties import GroupPenalty, L1BallConstraint, L1Penalty
 from penexp.solver import fit_expansion, fit_penalized, smooth_gradient
 
 RATE_GRID = tuple(harness.GridPoint(n, 2 * n, 5) for n in (400, 800, 1600, 3200))
@@ -64,7 +63,7 @@ def test_identity_curvature_expansion_is_one_prox_step():
     eta = fit_expansion(ds, sq, K, beta_star, pen)
     z = beta_star + ds.X.T @ ds.noise / ds.n
     assert eta.converged
-    assert np.abs(eta.solution - prox(pen, z)).max() <= 1e-10
+    assert np.abs(eta.solution - pen.prox(z)).max() <= 1e-10
 
 
 def test_hundred_random_instances_all_certify_kkt():
@@ -102,8 +101,8 @@ def test_hundred_random_instances_all_certify_kkt():
         else:
             pen = L1BallConstraint(float(np.abs(beta_star).sum()))
         res = fit_penalized(ds, loss, pen)
-        resid = subdifferential_residual(pen, res.solution,
-                                         smooth_gradient(ds, loss, res.solution))
+        resid = pen.residual(res.solution,
+                             smooth_gradient(ds, loss, res.solution))
         if not res.converged or resid > 1e-8:
             bad.append((i, loss_kind, pen_kind, res.converged, resid))
     assert bad == []

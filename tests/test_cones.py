@@ -3,11 +3,9 @@ import pytest
 from scipy.special import gammaln
 
 from penexp import cones
-from penexp.cones import (complexity_bound, complexity_estimate, cone_member,
-                          group_cone, group_penalty_level, lasso_cone,
-                          lasso_penalty_level, minimax_rate,
-                          restricted_eigenvalue_bound, sparse_cone_from_counts,
-                          support_cone)
+from penexp.cones import (complexity_estimate, group_cone, group_penalty_level,
+                          lasso_cone, lasso_penalty_level, minimax_rate,
+                          sparse_cone_from_counts, support_cone)
 from penexp.losses import get_loss
 from penexp.model import CovarianceModel, GroupStructure
 
@@ -91,14 +89,14 @@ def test_cone_parameter_validation():
 def test_member_basis_vector():
     u = np.zeros(10)
     u[0] = 1.0
-    assert cone_member(lasso_cone(1), u)
+    assert lasso_cone(1).member(u)
 
 
 def test_member_all_ones():
     p = 16
     u = np.ones(p)
-    assert cone_member(lasso_cone(p), u)
-    assert not cone_member(lasso_cone(p - 1), u)
+    assert lasso_cone(p).member(u)
+    assert not lasso_cone(p - 1).member(u)
 
 
 def test_member_sparse_vectors():
@@ -108,15 +106,15 @@ def test_member_sparse_vectors():
         u = np.zeros(50)
         idx = rng.choice(50, size=4, replace=False)
         u[idx] = rng.standard_normal(4)
-        assert cone_member(lasso_cone(4), u)
+        assert lasso_cone(4).member(u)
 
 
 def test_member_zero_vector():
     groups = GroupStructure.contiguous(5, 2)
     z = np.zeros(10)
-    assert cone_member(lasso_cone(1), z)
-    assert cone_member(group_cone(2, groups, c=1.0), z)
-    assert cone_member(support_cone([0], 10), z)
+    assert lasso_cone(1).member(z)
+    assert group_cone(2, groups, c=1.0).member(z)
+    assert support_cone([0], 10).member(z)
 
 
 def test_member_group_supported():
@@ -128,14 +126,14 @@ def test_member_group_supported():
         act = rng.choice(6, size=2, replace=False)
         for k in act:
             u[groups.groups[k]] = rng.standard_normal(3)
-        assert cone_member(group_cone(2, groups, c=1.0), u)
+        assert group_cone(2, groups, c=1.0).member(u)
 
 
 def test_member_support_cone():
     u = np.zeros(8)
     u[[1, 4]] = (2.0, -3.0)
-    assert cone_member(support_cone([1, 4], 8), u)
-    assert not cone_member(support_cone([1], 8), u)
+    assert support_cone([1, 4], 8).member(u)
+    assert not support_cone([1], 8).member(u)
 
 
 def test_complexity_whole_space():
@@ -236,14 +234,14 @@ def test_per_draw_sup_is_sound():
 
 def test_restricted_eigenvalue_identity():
     cov = CovarianceModel.identity(9)
-    assert restricted_eigenvalue_bound(lasso_cone(3), cov) == 1.0
-    assert restricted_eigenvalue_bound(support_cone([2, 4], 9), cov) == 1.0
+    assert lasso_cone(3).restricted_eigenvalue(cov) == 1.0
+    assert support_cone([2, 4], 9).restricted_eigenvalue(cov) == 1.0
 
 
 def test_restricted_eigenvalue_ar1_certified():
     p = 10
     cov = CovarianceModel.ar1(p, 0.5)
-    bound = restricted_eigenvalue_bound(lasso_cone(4), cov)
+    bound = lasso_cone(4).restricted_eigenvalue(cov)
     w = np.linalg.eigvalsh(cov.matrix)
     assert bound == pytest.approx(np.sqrt(w.min()), rel=1e-12)
     # certified lower bound never exceeds the norm along any direction
@@ -256,37 +254,37 @@ def test_restricted_eigenvalue_ar1_certified():
 
 def test_restricted_eigenvalue_support_exact():
     cov = CovarianceModel.ar1(8, 0.6)
-    one = restricted_eigenvalue_bound(support_cone([3], 8), cov)
+    one = support_cone([3], 8).restricted_eigenvalue(cov)
     assert one == pytest.approx(1.0, rel=1e-12)
-    pair = restricted_eigenvalue_bound(support_cone([2, 3], 8), cov)
+    pair = support_cone([2, 3], 8).restricted_eigenvalue(cov)
     assert pair == pytest.approx(np.sqrt(1.0 - 0.6), rel=1e-12)
 
 
 def test_complexity_bound_lasso():
     cov = CovarianceModel.identity(100)
-    val = complexity_bound(lasso_cone(20), cov)
+    val = lasso_cone(20).bound(cov)
     assert val == pytest.approx(np.sqrt(20.0 * np.log(10.0)), rel=1e-12)
     with pytest.raises(ValueError):
-        complexity_bound(lasso_cone(201), CovarianceModel.identity(100))
+        lasso_cone(201).bound(CovarianceModel.identity(100))
 
 
 def test_complexity_bound_group():
     groups = GroupStructure.contiguous(50, 3)
     cov = CovarianceModel.identity(150)
-    val = complexity_bound(group_cone(4, groups, xi=0.5), cov)
+    val = group_cone(4, groups, xi=0.5).bound(cov)
     assert val == pytest.approx(np.sqrt(4 * 3 + 4 * np.log(12.5)), rel=1e-12)
 
 
 def test_complexity_bound_support():
     cov = CovarianceModel.ar1(9, 0.4)
-    val = complexity_bound(support_cone([3, 7], 9), cov)
+    val = support_cone([3, 7], 9).bound(cov)
     assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_complexity_bound_divides_by_phi():
     cov = CovarianceModel.ar1(30, 0.5)
-    phi = restricted_eigenvalue_bound(lasso_cone(6), cov)
-    val = complexity_bound(lasso_cone(6), cov)
+    phi = lasso_cone(6).restricted_eigenvalue(cov)
+    val = lasso_cone(6).bound(cov)
     assert val == pytest.approx(np.sqrt(6.0 * np.log(10.0)) / phi, rel=1e-12)
 
 

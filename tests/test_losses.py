@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from penexp import losses, model
+from penexp import cones, losses, model
 from penexp.losses import LOGISTIC, SQUARED
 
 
@@ -129,6 +129,9 @@ def test_squared_identity_pipeline_holds_no_p_by_p_matrix():
         ds = model.generate_linear(X, beta, 1.0, seed=4, covariance=cov)
         K = losses.curvature_matrix(SQUARED, cov, beta)
         assert K.norm(ds.X[0]) > 0
+        sup = cones.support_cone(np.arange(5), p)
+        assert sup.bound(cov) == np.sqrt(5.0)
+        assert sup.restricted_eigenvalue(cov) == 1.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -196,6 +199,22 @@ def test_norm_ratio_bound():
                                                 "exact-sigma")
     assert losses.norm_ratio_bound(cov, K_quarter) == pytest.approx(
         4.0, rel=1e-10)
+
+
+def test_norm_ratio_bound_of_identical_matrices_is_exactly_one():
+    # no p x p product or eigendecomposition: 72 MB per I at p = 3000
+    tracemalloc.start()
+    try:
+        val = losses.norm_ratio_bound(model.CovarianceModel.identity(3000),
+                                      model.CovarianceModel.identity(3000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert val == 1.0
+    assert peak < 8e6
+    cov = model.CovarianceModel.ar1(30, 0.5)
+    K = losses.curvature_matrix(SQUARED, cov, model.flat_signal(30, 2))
+    assert losses.norm_ratio_bound(cov, K) == 1.0
 
 
 def test_norm_ratio_bound_vs_power_iteration():

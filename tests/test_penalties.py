@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from penexp.model import GroupStructure
 from penexp import penalties
 from penexp.penalties import (GroupPenalty, L1BallConstraint, L1Penalty,
-                              penalty_value, project_l1_ball, prox,
-                              soft_threshold, subdifferential_residual)
+                              project_l1_ball, soft_threshold)
 
 
 def two_groups():
@@ -13,19 +14,19 @@ def two_groups():
 
 
 def test_penalty_value_l1():
-    assert penalty_value(L1Penalty(0.5), np.array([1.0, -2.0])) == 1.5
-    assert penalty_value(L1Penalty(0.0), np.array([9.0])) == 0.0
+    assert L1Penalty(0.5).value(np.array([1.0, -2.0])) == 1.5
+    assert L1Penalty(0.0).value(np.array([9.0])) == 0.0
 
 
 def test_penalty_value_ball():
     ball = L1BallConstraint(1.0)
-    assert penalty_value(ball, np.array([0.3, 0.3])) == 0.0
-    assert penalty_value(ball, np.array([2.0, 0.0])) == np.inf
+    assert ball.value(np.array([0.3, 0.3])) == 0.0
+    assert ball.value(np.array([2.0, 0.0])) == np.inf
 
 
 def test_penalty_value_group():
     pen = GroupPenalty(2.0, two_groups())
-    assert penalty_value(pen, np.array([3.0, 4.0, 0.0, 0.0])) == 10.0
+    assert pen.value(np.array([3.0, 4.0, 0.0, 0.0])) == 10.0
 
 
 def test_spec_validation():
@@ -46,7 +47,7 @@ def test_soft_threshold_values():
 
 def test_prox_l1_exact_zero():
     x = np.array([0.49, -0.3, 2.0])
-    b = prox(L1Penalty(0.5), x, 1.0)
+    b = L1Penalty(0.5).prox(x, 1.0)
     assert b[0] == 0.0 and b[1] == 0.0
     assert b[2] == pytest.approx(1.5)
 
@@ -54,24 +55,49 @@ def test_prox_l1_exact_zero():
 def test_prox_group_block_shrinkage():
     pen = GroupPenalty(2.0, two_groups())
     x = np.array([3.0, 4.0, 0.3, 0.4])
-    b = prox(pen, x, 1.0)
+    b = pen.prox(x, 1.0)
     assert b[:2] == pytest.approx([1.8, 2.4])
     assert b[2] == 0.0 and b[3] == 0.0
 
 
-def test_prox_step_scaling():
-    # prox of t*h: threshold is t*lambda
+@pytest.mark.parametrize("pen", [
+    L1Penalty(0.5), L1BallConstraint(1.0),
+    GroupPenalty(0.5, GroupStructure.contiguous(1, 1))],
+    ids=lambda pen: type(pen).__name__)
+def test_prox_step_scaling(pen):
+    # prox of t*h: threshold is t*lambda (the ball projects whatever t is)
     x = np.array([2.0])
-    assert prox(L1Penalty(0.5), x, 2.0)[0] == pytest.approx(1.0)
+    assert pen.prox(x, 2.0)[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        prox(L1Penalty(0.5), x, 0.0)
+        pen.prox(x, 0.0)
+
+
+@st.composite
+def _penalty_batch_step(draw):
+    M, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    level = draw(st.floats(0.0, 3.0))
+    pen = draw(st.sampled_from([
+        L1Penalty(level), L1BallConstraint(max(level, 0.01)),
+        GroupPenalty(level, GroupStructure.contiguous(M, d))]))
+    rows = draw(st.integers(1, 5))
+    X = draw(hnp.arrays(float, (rows, M * d),
+                        elements=st.floats(-5.0, 5.0, allow_nan=False)))
+    return pen, X, draw(st.floats(0.01, 10.0))
+
+
+@settings(derandomize=True, database=None)
+@given(_penalty_batch_step())
+def test_batched_prox_equals_row_by_row(case):
+    pen, X, step = case
+    rows = np.vstack([pen.prox(r, step) for r in X])
+    assert pen.prox(X, step).tobytes() == rows.tobytes()
 
 
 def test_projection_examples():
-    b = prox(L1BallConstraint(1.0), np.array([2.0, 1.0]), 1.0)
+    b = L1BallConstraint(1.0).prox(np.array([2.0, 1.0]), 1.0)
     assert b == pytest.approx([1.0, 0.0])
     inside = np.array([0.2, -0.3])
-    assert np.array_equal(prox(L1BallConstraint(1.0), inside, 1.0), inside)
+    assert np.array_equal(L1BallConstraint(1.0).prox(inside, 1.0), inside)
 
 
 def test_projection_against_scalar_equation():
@@ -95,8 +121,8 @@ def test_projection_idempotent():
     ball = L1BallConstraint(2.5)
     for _ in range(20):
         x = rng.normal(size=15)
-        once = prox(ball, x, 1.0)
-        twice = prox(ball, once, 1.0)
+        once = ball.prox(x, 1.0)
+        twice = ball.prox(once, 1.0)
         assert np.array_equal(once, twice)
 
 
@@ -108,7 +134,7 @@ def test_prox_is_lipschitz():
         for _ in range(1000):
             x = rng.normal(size=12)
             y = rng.normal(size=12)
-            d = np.linalg.norm(prox(spec, x, 1.0) - prox(spec, y, 1.0))
+            d = np.linalg.norm(spec.prox(x, 1.0) - spec.prox(y, 1.0))
             assert d <= np.linalg.norm(x - y) + 1e-12
 
 
@@ -120,9 +146,9 @@ def test_prox_optimality_residual():
         for _ in range(100):
             t = float(rng.uniform(0.1, 3.0))
             x = rng.normal(size=12)
-            b = prox(spec, x, t)
+            b = spec.prox(x, t)
             # optimality: (x - b)/t lies in the subdifferential at b
-            res = subdifferential_residual(spec, b, (b - x) / t)
+            res = spec.residual(b, (b - x) / t)
             assert res <= 1e-10
 
 
@@ -130,16 +156,16 @@ def test_group_prox_singletons_equal_soft_threshold():
     gs = GroupStructure.contiguous(6, 1)
     pen = GroupPenalty(0.4, gs)
     x = np.array([1.0, -0.2, 0.5, -3.0, 0.39, 0.41])
-    assert np.array_equal(prox(pen, x, 1.0), soft_threshold(x, 0.4))
+    assert np.array_equal(pen.prox(x, 1.0), soft_threshold(x, 0.4))
 
 
 def test_residual_zero_cases():
     lam = 0.8
     grad = np.array([0.5, -0.8, 0.0])
-    assert subdifferential_residual(L1Penalty(lam), np.zeros(3), grad) == 0.0
+    assert L1Penalty(lam).residual(np.zeros(3), grad) == 0.0
     beyond = np.array([0.9, 0.0, 0.0])
-    assert subdifferential_residual(L1Penalty(lam), np.zeros(3),
-                                    beyond) == pytest.approx(0.1)
+    assert L1Penalty(lam).residual(np.zeros(3),
+                                   beyond) == pytest.approx(0.1)
 
 
 def test_residual_l1_brute_force():
@@ -156,7 +182,7 @@ def test_residual_l1_brute_force():
             else:
                 dist = max(abs(grad[j]) - lam, 0.0)
             worst = max(worst, dist)
-        got = subdifferential_residual(L1Penalty(lam), beta, grad)
+        got = L1Penalty(lam).residual(beta, grad)
         assert got == pytest.approx(worst, abs=1e-12)
 
 
@@ -179,30 +205,28 @@ def test_residual_group_brute_force():
             else:
                 dist = max(np.linalg.norm(gg) - lam, 0.0)
             worst = max(worst, dist)
-        got = subdifferential_residual(GroupPenalty(lam, gs), beta, grad)
+        got = GroupPenalty(lam, gs).residual(beta, grad)
         assert got == pytest.approx(worst, abs=1e-12)
 
 
 def test_residual_ball_cases():
     ball = L1BallConstraint(1.0)
     # infeasible point reports +inf
-    assert subdifferential_residual(ball, np.array([2.0, 0.0]),
-                                    np.zeros(2)) == np.inf
+    assert ball.residual(np.array([2.0, 0.0]), np.zeros(2)) == np.inf
     # interior point: residual is the gradient sup norm
     grad = np.array([0.3, -0.7])
-    assert subdifferential_residual(ball, np.array([0.1, 0.1]),
-                                    grad) == pytest.approx(0.7)
+    assert ball.residual(np.array([0.1, 0.1]), grad) == pytest.approx(0.7)
     # boundary with gradient aligned to the normal cone: residual 0
     beta = np.array([0.6, -0.4])
     grad2 = np.array([-0.9, 0.9])
-    got = subdifferential_residual(ball, beta, grad2)
+    got = ball.residual(beta, grad2)
     assert got == pytest.approx(0.0, abs=1e-12)
     # boundary, misaligned gradient
     grad3 = np.array([-0.9, 0.5])
     mu = 0.9
     expected = max(abs(grad3[0] + mu * np.sign(beta[0])),
                    abs(grad3[1] + mu * np.sign(beta[1])))
-    assert subdifferential_residual(ball, beta, grad3) == pytest.approx(
+    assert ball.residual(beta, grad3) == pytest.approx(
         expected, abs=1e-12)
 
 
@@ -212,6 +236,6 @@ def test_projection_minimizer_certified():
     ball = L1BallConstraint(2.0)
     for _ in range(100):
         x = rng.normal(scale=2, size=10)
-        b = prox(ball, x, 1.0)
-        res = subdifferential_residual(ball, b, b - x)
+        b = ball.prox(x, 1.0)
+        res = ball.residual(b, b - x)
         assert res <= 1e-9

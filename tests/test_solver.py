@@ -3,8 +3,7 @@ import pytest
 
 from penexp import model, solver
 from penexp.losses import LOGISTIC, SQUARED, curvature_matrix
-from penexp.penalties import (GroupPenalty, L1BallConstraint, L1Penalty,
-                              penalty_value, prox, subdifferential_residual)
+from penexp.penalties import GroupPenalty, L1BallConstraint, L1Penalty
 
 
 def linear_instance(n, p, s, seed, noise_sd=1.0, rho=0.0):
@@ -40,8 +39,7 @@ def test_large_penalty_gives_zero():
     assert np.count_nonzero(res.solution) == 0
     # zero satisfies the subgradient condition at this level
     grad = solver.smooth_gradient(ds, SQUARED, np.zeros(20))
-    assert subdifferential_residual(L1Penalty(lam * 1.0001),
-                                    np.zeros(20), grad) == 0.0
+    assert L1Penalty(lam * 1.0001).residual(np.zeros(20), grad) == 0.0
 
 
 def orthonormal_design(n, p, seed):
@@ -71,7 +69,7 @@ def test_expansion_prox_identity_isotropic():
     res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, pen)
     z = ds.beta_star + ds.X.T @ ds.noise / ds.n
     assert res.converged
-    assert np.abs(res.solution - prox(pen, z, 1.0)).max() < 1e-10
+    assert np.abs(res.solution - pen.prox(z, 1.0)).max() < 1e-10
 
 
 def test_expansion_without_penalty_returns_center():
@@ -175,7 +173,7 @@ def test_converged_implies_certified():
         assert res.kkt_residual <= 1e-9
         # recheck independently of the solver's own bookkeeping
         grad = solver.smooth_gradient(ds, SQUARED, res.solution)
-        assert subdifferential_residual(pen, res.solution, grad) <= 1e-9
+        assert pen.residual(res.solution, grad) <= 1e-9
 
 
 def test_logistic_fit_certified():
@@ -186,8 +184,7 @@ def test_logistic_fit_certified():
     res = solver.fit_penalized(ds, LOGISTIC, L1Penalty(0.05))
     assert res.converged
     grad = solver.smooth_gradient(ds, LOGISTIC, res.solution)
-    assert subdifferential_residual(L1Penalty(0.05), res.solution,
-                                    grad) <= 1e-8
+    assert L1Penalty(0.05).residual(res.solution, grad) <= 1e-8
 
 
 def test_constrained_solution_feasible():
@@ -196,7 +193,7 @@ def test_constrained_solution_feasible():
     res = solver.fit_penalized(ds, SQUARED, L1BallConstraint(R))
     assert res.converged
     assert np.abs(res.solution).sum() <= R + 1e-9
-    assert penalty_value(L1BallConstraint(R), res.solution) == 0.0
+    assert L1BallConstraint(R).value(res.solution) == 0.0
 
 
 def test_objective_close_to_long_run():
@@ -237,8 +234,7 @@ def test_expansion_step_from_top_eigenvalue():
     z = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
     assert res.converged
     assert np.all(np.isfinite(res.solution))
-    assert subdifferential_residual(pen, res.solution,
-                                    Kmat @ (res.solution - z)) <= 1e-8
+    assert pen.residual(res.solution, Kmat @ (res.solution - z)) <= 1e-8
 
 
 def test_expansion_center_sign_convention():
@@ -263,4 +259,4 @@ def test_expansion_general_k_kkt():
     # KKT of the surrogate: gradient is K (b - z)
     z = solver.expansion_center(ds, LOGISTIC, K, beta)
     grad = K.matrix @ (res.solution - z)
-    assert subdifferential_residual(pen, res.solution, grad) <= 1e-8
+    assert pen.residual(res.solution, grad) <= 1e-8
