@@ -12,21 +12,16 @@ from .cones import (
     lasso_cone,
     lasso_penalty_level,
     minimax_rate,
-    sparse_cone_from_counts,
     support_cone,
 )
 from .diagnostics import (
     InferenceReport,
     RiskIdentityReport,
-    curvature_fluctuations,
     debiased_estimate,
-    empirical_curvature_ratio,
     prox_risk_mc,
-    prox_risk_quadrature,
     risk_identity_check,
     sparsity_constant,
     sparsity_count,
-    taylor_remainder_gap,
 )
 from .harness import (
     ExperimentConfig,
@@ -38,15 +33,11 @@ from .harness import (
 from .losses import (
     LOGISTIC,
     SQUARED,
-    Loss,
-    curvature_lower_bound,
+    LogisticLoss,
+    SquaredLoss,
     curvature_matrix,
-    curvature_matrix_mc,
     get_loss,
-    load_curvature,
     norm_ratio_bound,
-    save_curvature,
-    stability_ratio_check,
 )
 from .model import (
     CovarianceModel,
@@ -81,21 +72,18 @@ __all__ = [
     "CovarianceModel", "Dataset", "GroupStructure",
     "flat_signal", "generate_design", "generate_linear", "generate_logistic",
     "load_dataset", "noise_scale", "save_dataset", "stream_rng",
-    "LOGISTIC", "SQUARED", "Loss",
-    "curvature_lower_bound", "curvature_matrix", "curvature_matrix_mc",
-    "get_loss", "load_curvature", "norm_ratio_bound", "save_curvature",
-    "stability_ratio_check",
+    "LOGISTIC", "SQUARED", "LogisticLoss", "SquaredLoss",
+    "curvature_matrix", "get_loss", "norm_ratio_bound",
     "GroupPenalty", "L1BallConstraint", "L1Penalty", "project_l1_ball",
     "soft_threshold",
     "SolverConfig", "SolverResult", "expansion_center", "fit_expansion",
     "fit_penalized", "smooth_gradient",
     "GroupCone", "LassoCone", "SupportCone", "complexity_estimate",
     "group_cone", "group_penalty_level", "lasso_cone", "lasso_penalty_level",
-    "minimax_rate", "sparse_cone_from_counts", "support_cone",
-    "InferenceReport", "RiskIdentityReport", "curvature_fluctuations",
-    "debiased_estimate", "empirical_curvature_ratio", "prox_risk_mc",
-    "prox_risk_quadrature", "risk_identity_check", "sparsity_constant",
-    "sparsity_count", "taylor_remainder_gap",
+    "minimax_rate", "support_cone",
+    "InferenceReport", "RiskIdentityReport", "debiased_estimate",
+    "prox_risk_mc", "risk_identity_check", "sparsity_constant",
+    "sparsity_count",
     "ExperimentConfig", "GridPoint", "parse_config", "rate_fit",
     "run_experiment",
 ]

@@ -58,9 +58,22 @@ def _solver_config(args):
     return solver.SolverConfig(kkt_tol=args.tol, max_iters=args.max_iters)
 
 
-def _write_vector(path, vec):
-    with open(path, "wb") as fh:
-        fh.write(np.ascontiguousarray(vec, dtype="<f8").tobytes())
+def _write_solve(args, loss, result, name):
+    """Write result's vector to <out>/<name>.bin and its metadata, which
+    is also printed, to <out>/<name>.json; the exit code follows
+    convergence."""
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, name + ".bin"), "wb") as fh:
+        fh.write(np.ascontiguousarray(result.solution, dtype="<f8").tobytes())
+    meta = {
+        "penalty": args.penalty, "loss": loss.kind,
+        "objective": result.objective, "kkt_residual": result.kkt_residual,
+        "iterations": result.iterations, "converged": result.converged,
+        "nnz": int(np.count_nonzero(result.solution)),
+        "vector": name + ".bin",
+    }
+    _emit(meta, args.out, name + ".json")
+    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
 def _emit(obj, out_dir=None, name=None):
@@ -92,17 +105,7 @@ def _cmd_fit(args):
     loss = _loss_for(ds)
     penalty = parse_penalty_spec(args.penalty, ds.p)
     result = solver.fit_penalized(ds, loss, penalty, _solver_config(args))
-    os.makedirs(args.out, exist_ok=True)
-    _write_vector(os.path.join(args.out, "solution.bin"), result.solution)
-    meta = {
-        "penalty": args.penalty, "loss": loss.kind,
-        "objective": result.objective, "kkt_residual": result.kkt_residual,
-        "iterations": result.iterations, "converged": result.converged,
-        "nnz": int(np.count_nonzero(result.solution)),
-        "vector": "solution.bin",
-    }
-    _emit(meta, args.out, "solution.json")
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _write_solve(args, loss, result, "solution")
 
 
 def _require_truth(ds, what):
@@ -121,17 +124,7 @@ def _cmd_expand(args):
                             ds.design_kind)
     result = solver.fit_expansion(ds, loss, curv, ds.beta_star, penalty,
                                   _solver_config(args))
-    os.makedirs(args.out, exist_ok=True)
-    _write_vector(os.path.join(args.out, "expansion.bin"), result.solution)
-    meta = {
-        "penalty": args.penalty, "loss": loss.kind,
-        "objective": result.objective, "kkt_residual": result.kkt_residual,
-        "iterations": result.iterations, "converged": result.converged,
-        "nnz": int(np.count_nonzero(result.solution)),
-        "vector": "expansion.bin",
-    }
-    _emit(meta, args.out, "expansion.json")
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    return _write_solve(args, loss, result, "expansion")
 
 
 def _cmd_risk_identity(args):

@@ -135,20 +135,16 @@ def support_cone(support, p):
 def lasso_penalty_level(loss, p, s, n, xi, noise_scale=None, design_L=1.0):
     """Penalty level putting the error vectors in the lasso cone w.h.p.
 
-    Squared loss: L sigma (1+3 xi) sqrt(2 log(p/s)/n) with sigma the realized
-    noise scale. Logistic: same with sigma replaced by the label
-    sub-Gaussian scale 1/2.
+    L sigma (1+3 xi) sqrt(2 log(p/s)/n), with sigma the loss's
+    penalty_scale: the realized noise scale for squared loss, the label
+    sub-Gaussian scale 1/2 for logistic loss.
     """
     if not p > s >= 1:
         raise ValueError("need p > s >= 1")
     if xi <= 0:
         raise ValueError("xi must be > 0")
     base = design_L * (1.0 + 3.0 * xi) * np.sqrt(2.0 * np.log(p / s) / n)
-    if loss.kind == "squared":
-        if noise_scale is None:
-            raise ValueError("squared loss needs the realized noise scale")
-        return float(noise_scale * base)
-    return float(0.5 * base)
+    return float(loss.penalty_scale(noise_scale) * base)
 
 
 def group_penalty_level(loss, M, d, s, n, xi, noise_scale=None, design_L=1.0):
@@ -160,9 +156,7 @@ def group_penalty_level(loss, M, d, s, n, xi, noise_scale=None, design_L=1.0):
     if xi <= 0:
         raise ValueError("xi must be > 0")
     width = np.sqrt(d) + (1.0 + 2.0 * xi) * np.sqrt(2.0 * np.log(M / s))
-    scale = 0.5 if loss.kind == "logistic" else noise_scale
-    if scale is None:
-        raise ValueError("squared loss needs the realized noise scale")
+    scale = loss.penalty_scale(noise_scale)
     return float(design_L * scale * (1.0 + xi) * width / np.sqrt(n))
 
 
@@ -216,13 +210,6 @@ def complexity_estimate(cone, cov, n_draws, seed):
     est = float(np.mean(sups))
     se = float(np.std(sups, ddof=1) / np.sqrt(n_draws))
     return est, se
-
-
-def sparse_cone_from_counts(s, c_tilde):
-    """Cone certified to contain all (2 c_tilde + 1) s sparse vectors."""
-    if c_tilde < 0:
-        raise ValueError("c_tilde must be >= 0")
-    return lasso_cone((2.0 * c_tilde + 1.0) * s)
 
 
 def minimax_rate(kind, n, p=None, s=None, M=None, d=None):

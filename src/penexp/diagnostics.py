@@ -1,10 +1,8 @@
-"""Verification quantities: risk identity, de-biased inference, sparsity,
-and pointwise empirical-process checks at realized error directions.
+"""Verification quantities: Monte Carlo proximal-map risk and the risk
+identity, de-biased inference, and sparsity counts and constants.
 
 The exact-risk machinery applies under a Gaussian design with identity
 covariance and squared loss; those hypotheses are enforced, not extrapolated.
-Process quantities are evaluated only at supplied directions (the realized
-error vectors), never as suprema over cones.
 """
 
 from __future__ import annotations
@@ -12,11 +10,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .model import stream_rng
-from .penalties import L1Penalty, soft_threshold
-from .solver import smooth_gradient
+from .model import noise_scale, stream_rng
 
 
 @dataclass(frozen=True)
@@ -78,36 +73,6 @@ def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
     return risk, se
 
 
-def prox_risk_quadrature(penalty, beta_star, noise_scale, n):
-    """Coordinatewise adaptive-quadrature version of prox_risk_mc.
-
-    Exact (to quadrature tolerance) for the l1 penalty, whose prox separates
-    over coordinates; used as an independent oracle against the MC path.
-    """
-    if not isinstance(penalty, L1Penalty):
-        raise ValueError("quadrature path covers the l1 penalty only")
-    beta_star = np.asarray(beta_star, dtype=float)
-    tau = float(noise_scale) / np.sqrt(n)
-    lam = penalty.level
-    if tau == 0.0:
-        d = beta_star - soft_threshold(beta_star, lam)
-        return float(d @ d)
-    sq2pi = np.sqrt(2.0 * np.pi)
-    total = 0.0
-    for b in beta_star:
-        def integrand(z, b=b):
-            w = soft_threshold(np.array([b + tau * z]), lam)[0]
-            d = b - w
-            return d * d * np.exp(-0.5 * z * z) / sq2pi
-
-        # Soft-threshold kinks in z; integrate smooth pieces separately.
-        kinks = sorted(((-lam - b) / tau, (lam - b) / tau))
-        pieces = [(-np.inf, kinks[0]), (kinks[0], kinks[1]), (kinks[1], np.inf)]
-        total += sum(quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11)[0]
-                     for lo, hi in pieces)
-    return float(total)
-
-
 def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed, t=2.0):
     """Compare the realized estimation error against the prox-risk identity.
 
@@ -117,8 +82,6 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed, t=2.0):
     Gaussian design with identity covariance; anything else is refused
     because the identity is proved exactly there.
     """
-    from .model import noise_scale as _noise_scale
-
     if dataset.model_kind != "linear":
         raise ValueError("risk identity applies to linear data")
     if dataset.design_kind != "gaussian":
@@ -128,7 +91,7 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed, t=2.0):
                          "refusing to extrapolate")
     beta_hat = np.asarray(beta_hat, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    sigma = _noise_scale(dataset)
+    sigma = noise_scale(dataset)
     lhs = float(np.linalg.norm(beta_hat - dataset.beta_star))
     risk, risk_se = prox_risk_mc(penalty, dataset.beta_star, sigma,
                                  dataset.n, n_mc, seed)
@@ -189,79 +152,3 @@ def sparsity_constant(c_max, xi, b3, phi):
         raise ValueError("all arguments must be > 0")
     factor = 2.0 * (3.0 + xi) * (1.0 + 1.0 / xi)
     return float(1.0 + c_max * factor * factor * b3 * b3 / (phi * phi))
-
-
-def curvature_fluctuations(dataset, loss, curvature, beta_star, directions):
-    """Sample-vs-population curvature comparisons at given directions.
-
-    For each direction u (and pair u, v), with Khat the sample curvature
-    matrix at beta_star:
-      quad_err[i]     |u' Khat u / ||u||_K^2 - 1|
-      cross_err[i][j] |u' (Khat - K) v| / (||u||_K ||v||_K), exactly symmetric
-      cubic_moment[i] n^{-1} sum |X_i'u|^3 / ||u||_K^3
-    Pointwise evaluations only; no cone suprema are attempted.
-    """
-    D = np.column_stack([np.asarray(u, dtype=float) for u in directions])
-    w = loss.d2(dataset.y, dataset.X @ np.asarray(beta_star, dtype=float))
-    U = dataset.X @ D
-    M = (U * w[:, None]).T @ U / dataset.n
-    KD = curvature @ D
-    C = D.T @ KD
-    norms = np.sqrt(np.diag(C))
-    if np.any(norms <= 0.0):
-        raise ValueError("directions must be nonzero")
-    m = D.shape[1]
-    quad_err = [abs(M[i, i] / (norms[i] * norms[i]) - 1.0) for i in range(m)]
-    cross = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            val = abs(M[i, j] - C[i, j]) / (norms[i] * norms[j])
-            cross[i][j] = cross[j][i] = float(val)
-    cubic = [float(np.mean(np.abs(U[:, i]) ** 3) / norms[i] ** 3)
-             for i in range(m)]
-    return {"quad_err": [float(q) for q in quad_err],
-            "cross_err": cross,
-            "cubic_moment": cubic}
-
-
-def taylor_remainder_gap(dataset, loss, beta, beta_star):
-    """Worst violation of the averaged-curvature increment bound.
-
-    For each observation, a_i = integral over t in [0,1] of
-    l''(y_i, u_i + t d_i) - l''(y_i, u_i) with u_i the index at beta_star
-    and d_i the index increment to beta; the bound is |a_i| <= B |d_i| with
-    B the second-derivative Lipschitz constant. Returns max_i |a_i| - B|d_i|,
-    which should be <= 0 up to quadrature error.
-    """
-    if loss.d2_lipschitz == 0.0:
-        return 0.0  # constant second derivative, all increments vanish
-    u = dataset.X @ np.asarray(beta_star, dtype=float)
-    d = dataset.X @ np.asarray(beta, dtype=float) - u
-    worst = -np.inf
-    for i in range(dataset.n):
-        base = float(loss.d2(dataset.y[i], u[i]))
-
-        def integrand(t, i=i, base=base):
-            return float(loss.d2(dataset.y[i], u[i] + t * d[i])) - base
-
-        a_i = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12)[0]
-        worst = max(worst, abs(a_i) - loss.d2_lipschitz * abs(d[i]))
-    return float(worst)
-
-
-def empirical_curvature_ratio(dataset, loss, curvature, beta_star, u):
-    """Second-order remainder of the empirical loss over ||u||_K^2.
-
-    Returns (ratio, in_unit_ball); the flag records whether ||u||_K <= 1,
-    the regime the lower-curvature comparisons are stated for. The value is
-    computed regardless.
-    """
-    u = np.asarray(u, dtype=float)
-    nk = curvature.norm(u)
-    if nk == 0.0:
-        raise ValueError("direction u must be nonzero")
-    beta_star = np.asarray(beta_star, dtype=float)
-    f0 = float(np.mean(loss.value(dataset.y, dataset.X @ beta_star)))
-    f1 = float(np.mean(loss.value(dataset.y, dataset.X @ (beta_star + u))))
-    lin = float(smooth_gradient(dataset, loss, beta_star) @ u)
-    return (f1 - f0 - lin) / (nk * nk), bool(nk <= 1.0 + 1e-12)

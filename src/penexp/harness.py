@@ -147,9 +147,13 @@ def validate_config(cfg):
                          % (cfg.experiment_kind, ", ".join(EXPERIMENT_KINDS)))
     if cfg.penalty_kind not in PENALTY_KINDS:
         raise ValueError("unknown penalty kind %r" % (cfg.penalty_kind,))
-    get_loss(cfg.loss_kind)
+    loss = get_loss(cfg.loss_kind)
     if cfg.design_kind not in ("gaussian", "rademacher"):
         raise ValueError("unknown design kind %r" % (cfg.design_kind,))
+    if cfg.design_kind not in loss.designs:
+        raise ValueError("%s loss needs a %s design, got %r"
+                         % (loss.kind, " or ".join(loss.designs),
+                            cfg.design_kind))
     _parse_covariance(cfg.covariance, 2)  # validates the syntax
     if not cfg.grid:
         raise ValueError("at least one grid entry is required")

@@ -61,17 +61,13 @@ class CovarianceModel:
 
     Covariances come from identity, ar1 and explicit: diagonal entries must
     not exceed 1 (normalized features) and the matrix must be positive
-    definite. Curvature matrices come from curvature. provenance records how
-    the matrix was obtained: "exact-sigma" (a population covariance, which
-    is also the curvature of the squared loss), "stein-quadrature" (logistic
-    loss with Gaussian design, closed form up to two 1D integrals), or
-    "mc-estimate" (sample average, approximate).
+    definite. Curvature matrices come from curvature and must be
+    nonsingular.
     """
 
     kind: str
     p: int
     rho: float
-    provenance: str = "exact-sigma"
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _w: np.ndarray | None = field(default=None, repr=False)
     _vecs: np.ndarray | None = field(default=None, repr=False)
@@ -95,10 +91,9 @@ class CovarianceModel:
         return cls._covariance("explicit", 0.0, matrix)
 
     @classmethod
-    def curvature(cls, K, provenance):
-        """Curvature matrix K, obtained as provenance says."""
-        K = cls._factorized("curvature", 0.0, provenance,
-                            np.asarray(K, dtype=float))
+    def curvature(cls, K):
+        """Curvature matrix K."""
+        K = cls._factorized("curvature", 0.0, np.asarray(K, dtype=float))
         if K.eig_min <= 1e-12 * max(K.eig_max, 1e-300):
             raise ValueError("curvature matrix is singular "
                              "(min eigenvalue %.3e)" % K.eig_min)
@@ -113,7 +108,7 @@ class CovarianceModel:
             raise ValueError("covariance must be symmetric")
         if np.diag(matrix).max() > 1.0 + 1e-12:
             raise ValueError("diagonal entries must be <= 1 (normalized features)")
-        cov = cls._factorized(kind, rho, "exact-sigma", matrix)
+        cov = cls._factorized(kind, rho, matrix)
         if cov.eig_min < 1e-10:
             raise ValueError(
                 "covariance is not positive definite (min eigenvalue %.3e); "
@@ -121,16 +116,16 @@ class CovarianceModel:
         return cov
 
     @classmethod
-    def _factorized(cls, kind, rho, provenance, matrix):
+    def _factorized(cls, kind, rho, matrix):
         matrix = 0.5 * (matrix + matrix.T)
         p = matrix.shape[0]
         # The exact identity, found without building I to compare with,
         # stores nothing; this also keeps ar1(0) draws bit-identical to the
         # identity model.
         if np.count_nonzero(matrix) == p and np.all(matrix.diagonal() == 1.0):
-            return cls(kind, p, rho, provenance)
+            return cls(kind, p, rho)
         w, vecs = np.linalg.eigh(matrix)
-        return cls(kind, p, rho, provenance, _readonly(matrix), w, vecs)
+        return cls(kind, p, rho, _readonly(matrix), w, vecs)
 
     @property
     def is_identity(self):

@@ -156,22 +156,15 @@ def expansion_center(dataset, loss, curvature, beta_star):
     return beta_star - curvature.solve(g)
 
 
-def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None,
-                  allow_approximate=False):
+def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     """Solve the quadratic surrogate 0.5 ||K^{1/2}(b - z)||^2 + h(b).
 
     The smooth part is seen through u = K (b - z), which is also its
     gradient, so each iteration costs one product with K. The step is the
     exact 1/lambda_max(K) from curvature.eig_max, and the solve starts at z,
-    so the identity-curvature case converges in one prox step. Monte Carlo
-    curvature estimates are refused unless allow_approximate is set,
-    because the surrogate is meaningful against the population matrix.
+    so the identity-curvature case converges in one prox step.
     """
     cfg = config or DEFAULT_CONFIG
-    if curvature.provenance == "mc-estimate" and not allow_approximate:
-        raise ValueError(
-            "curvature has Monte Carlo provenance; pass allow_approximate=True "
-            "to expand against an estimated matrix")
     t0 = time.perf_counter()
     z = expansion_center(dataset, loss, curvature, beta_star)
     smooth = _Smooth(

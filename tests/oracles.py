@@ -1,0 +1,185 @@
+"""Independent oracles that only the tests use.
+
+Each one recomputes a quantity of the analysis by another route (adaptive
+quadrature, a Monte Carlo average, a grid search) so the tests can check
+the package against it, or measures a property of the losses that the
+pipeline itself never needs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import quad
+
+from penexp.model import CovarianceModel, draw_rows, stream_rng
+from penexp.penalties import L1Penalty, soft_threshold
+from penexp.solver import smooth_gradient
+
+
+def curvature_lower_bound(loss, tau):
+    """Smallest value of l'' over |u| <= tau (lower curvature function).
+
+    Both losses have an l'' that is even in u and non-increasing in |u|, so
+    the smallest value is the one at u = tau.
+    """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    return float(loss.d2(0.0, float(tau)))
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    ok: bool
+    worst_quotient: float
+
+
+def stability_ratio_check(loss, s_values, t_values, max_gap=None):
+    """Check sup l''(y,s)/l''(y,t) <= exp(3|s-t|) over a grid of pairs.
+
+    Returns the worst quotient ratio/exp(3|s-t|); the bound holds when it is
+    at most 1. Pairs with |s-t| > max_gap are skipped when max_gap is given.
+    """
+    s_values = np.asarray(s_values, dtype=float)
+    t_values = np.asarray(t_values, dtype=float)
+    worst = 0.0
+    # Row blocks keep the pair grid from materializing all at once.
+    for start in range(0, s_values.size, 256):
+        s_blk = s_values[start:start + 256][:, None]
+        gap = np.abs(s_blk - t_values[None, :])
+        ratio = (loss.d2(0.0, s_blk) / loss.d2(0.0, t_values[None, :])
+                 / np.exp(3.0 * gap))
+        if max_gap is not None:
+            ratio = np.where(gap <= max_gap, ratio, 0.0)
+        worst = max(worst, float(ratio.max()))
+    return StabilityReport(worst <= 1.0 + 1e-12, worst)
+
+
+def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
+                        design_kind="gaussian"):
+    """Sample-average curvature matrix, an approximate Monte Carlo oracle.
+
+    Draws its own design of n_samples rows; the average n^{-1} sum l''(x'b)
+    x x' needs no responses because l'' is response-free for both losses.
+    Any design kind works, rademacher included.
+    """
+    beta_star = np.asarray(beta_star, dtype=float)
+    rng = stream_rng(seed, 2)
+    acc = np.zeros((cov.p, cov.p))
+    done = 0
+    chunk = max(1, int(2e6) // max(cov.p, 1))
+    while done < n_samples:
+        m = min(chunk, int(n_samples) - done)
+        X = draw_rows(cov, m, design_kind, rng)
+        w = loss.d2(0.0, X @ beta_star)
+        acc += (X * w[:, None]).T @ X
+        done += m
+    return CovarianceModel.curvature(acc / float(n_samples))
+
+
+def prox_risk_quadrature(penalty, beta_star, noise_scale, n):
+    """Coordinatewise adaptive-quadrature version of prox_risk_mc.
+
+    Exact (to quadrature tolerance) for the l1 penalty, whose prox separates
+    over coordinates; used as an independent oracle against the MC path.
+    """
+    if not isinstance(penalty, L1Penalty):
+        raise ValueError("quadrature path covers the l1 penalty only")
+    beta_star = np.asarray(beta_star, dtype=float)
+    tau = float(noise_scale) / np.sqrt(n)
+    lam = penalty.level
+    if tau == 0.0:
+        d = beta_star - soft_threshold(beta_star, lam)
+        return float(d @ d)
+    sq2pi = np.sqrt(2.0 * np.pi)
+    total = 0.0
+    for b in beta_star:
+        def integrand(z, b=b):
+            w = soft_threshold(np.array([b + tau * z]), lam)[0]
+            d = b - w
+            return d * d * np.exp(-0.5 * z * z) / sq2pi
+
+        # Soft-threshold kinks in z; integrate smooth pieces separately.
+        kinks = sorted(((-lam - b) / tau, (lam - b) / tau))
+        pieces = [(-np.inf, kinks[0]), (kinks[0], kinks[1]), (kinks[1], np.inf)]
+        total += sum(quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11)[0]
+                     for lo, hi in pieces)
+    return float(total)
+
+
+
+def curvature_fluctuations(dataset, loss, curvature, beta_star, directions):
+    """Sample-vs-population curvature comparisons at given directions.
+
+    For each direction u (and pair u, v), with Khat the sample curvature
+    matrix at beta_star:
+      quad_err[i]     |u' Khat u / ||u||_K^2 - 1|
+      cross_err[i][j] |u' (Khat - K) v| / (||u||_K ||v||_K), exactly symmetric
+      cubic_moment[i] n^{-1} sum |X_i'u|^3 / ||u||_K^3
+    Pointwise evaluations only; no cone suprema are attempted.
+    """
+    D = np.column_stack([np.asarray(u, dtype=float) for u in directions])
+    w = loss.d2(dataset.y, dataset.X @ np.asarray(beta_star, dtype=float))
+    U = dataset.X @ D
+    M = (U * w[:, None]).T @ U / dataset.n
+    KD = curvature @ D
+    C = D.T @ KD
+    norms = np.sqrt(np.diag(C))
+    if np.any(norms <= 0.0):
+        raise ValueError("directions must be nonzero")
+    m = D.shape[1]
+    quad_err = [abs(M[i, i] / (norms[i] * norms[i]) - 1.0) for i in range(m)]
+    cross = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            val = abs(M[i, j] - C[i, j]) / (norms[i] * norms[j])
+            cross[i][j] = cross[j][i] = float(val)
+    cubic = [float(np.mean(np.abs(U[:, i]) ** 3) / norms[i] ** 3)
+             for i in range(m)]
+    return {"quad_err": [float(q) for q in quad_err],
+            "cross_err": cross,
+            "cubic_moment": cubic}
+
+
+def taylor_remainder_gap(dataset, loss, beta, beta_star):
+    """Worst violation of the averaged-curvature increment bound.
+
+    For each observation, a_i = integral over t in [0,1] of
+    l''(y_i, u_i + t d_i) - l''(y_i, u_i) with u_i the index at beta_star
+    and d_i the index increment to beta; the bound is |a_i| <= B |d_i| with
+    B the second-derivative Lipschitz constant. Returns max_i |a_i| - B|d_i|,
+    which should be <= 0 up to quadrature error.
+    """
+    if loss.d2_lipschitz == 0.0:
+        return 0.0  # constant second derivative, all increments vanish
+    u = dataset.X @ np.asarray(beta_star, dtype=float)
+    d = dataset.X @ np.asarray(beta, dtype=float) - u
+    worst = -np.inf
+    for i in range(dataset.n):
+        base = float(loss.d2(dataset.y[i], u[i]))
+
+        def integrand(t, i=i, base=base):
+            return float(loss.d2(dataset.y[i], u[i] + t * d[i])) - base
+
+        a_i = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12)[0]
+        worst = max(worst, abs(a_i) - loss.d2_lipschitz * abs(d[i]))
+    return float(worst)
+
+
+def empirical_curvature_ratio(dataset, loss, curvature, beta_star, u):
+    """Second-order remainder of the empirical loss over ||u||_K^2.
+
+    Returns (ratio, in_unit_ball); the flag records whether ||u||_K <= 1,
+    the regime the lower-curvature comparisons are stated for. The value is
+    computed regardless.
+    """
+    u = np.asarray(u, dtype=float)
+    nk = curvature.norm(u)
+    if nk == 0.0:
+        raise ValueError("direction u must be nonzero")
+    beta_star = np.asarray(beta_star, dtype=float)
+    f0 = float(np.mean(loss.value(dataset.y, dataset.X @ beta_star)))
+    f1 = float(np.mean(loss.value(dataset.y, dataset.X @ (beta_star + u))))
+    lin = float(smooth_gradient(dataset, loss, beta_star) @ u)
+    return (f1 - f0 - lin) / (nk * nk), bool(nk <= 1.0 + 1e-12)

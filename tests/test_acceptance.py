@@ -8,11 +8,12 @@ before looking at its outcome.
 
 import numpy as np
 
+from oracles import (curvature_matrix_mc, stability_ratio_check,
+                     taylor_remainder_gap)
 from penexp import harness
 from penexp.cones import group_penalty_level, lasso_penalty_level
-from penexp.diagnostics import prox_risk_mc, taylor_remainder_gap
-from penexp.losses import (curvature_matrix, curvature_matrix_mc, get_loss,
-                           stability_ratio_check)
+from penexp.diagnostics import prox_risk_mc
+from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           flat_signal, generate_design, generate_linear,
                           generate_logistic, noise_scale, stream_rng)

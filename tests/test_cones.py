@@ -5,7 +5,7 @@ from scipy.special import gammaln
 from penexp import cones
 from penexp.cones import (complexity_estimate, group_cone, group_penalty_level,
                           lasso_cone, lasso_penalty_level, minimax_rate,
-                          sparse_cone_from_counts, support_cone)
+                          support_cone)
 from penexp.losses import get_loss
 from penexp.model import CovarianceModel, GroupStructure
 
@@ -286,13 +286,6 @@ def test_complexity_bound_divides_by_phi():
     phi = lasso_cone(6).restricted_eigenvalue(cov)
     val = lasso_cone(6).bound(cov)
     assert val == pytest.approx(np.sqrt(6.0 * np.log(10.0)) / phi, rel=1e-12)
-
-
-def test_sparse_cone_from_counts():
-    assert sparse_cone_from_counts(5, 0.0).k == 5.0
-    assert sparse_cone_from_counts(5, 4.0).k == 45.0
-    with pytest.raises(ValueError):
-        sparse_cone_from_counts(5, -1.0)
 
 
 def test_group_cone_default_c():

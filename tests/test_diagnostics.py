@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from penexp.diagnostics import (curvature_fluctuations, debiased_estimate,
-                                empirical_curvature_ratio, prox_risk_mc,
-                                prox_risk_quadrature, risk_identity_check,
-                                sparsity_constant, sparsity_count,
-                                taylor_remainder_gap)
-from penexp.losses import (curvature_lower_bound, curvature_matrix, get_loss)
+from oracles import (curvature_fluctuations, curvature_lower_bound,
+                     empirical_curvature_ratio, prox_risk_quadrature,
+                     taylor_remainder_gap)
+from penexp.diagnostics import (debiased_estimate, prox_risk_mc,
+                                risk_identity_check, sparsity_constant,
+                                sparsity_count)
+from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
                           generate_design, generate_linear, generate_logistic,
                           stream_rng)

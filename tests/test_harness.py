@@ -83,6 +83,11 @@ def test_validate_config_rejections():
     with pytest.raises(ValueError):
         parse_config("experiment = coverage\nloss = logistic\n"
                      "grid = n=50 p=20 s=2\n")
+    # the logistic curvature matrix exists in closed form only for a
+    # gaussian design, so set-up would refuse this run after parsing
+    with pytest.raises(ValueError, match="gaussian"):
+        parse_config("experiment = rates\nloss = logistic\n"
+                     "design = rademacher\ngrid = n=50 p=20 s=2\n")
 
 
 def test_task_seed_stable():

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import (curvature_lower_bound, curvature_matrix_mc,
+                     stability_ratio_check)
 from penexp import cones, losses, model
 from penexp.losses import LOGISTIC, SQUARED
 
@@ -62,10 +64,8 @@ def test_loss_constants():
     assert SQUARED.d2_lipschitz == 0.0
     assert SQUARED.d2_sup == 1.0
     assert LOGISTIC.d2_lipschitz == pytest.approx(1.0 / (6 * np.sqrt(3.0)))
-    # sharp sup of the logistic second derivative is 1/4; the conventional
-    # constant 1 is kept alongside for reporting
+    # sharp sup of the logistic second derivative is 1/4
     assert LOGISTIC.d2_sup == 0.25
-    assert LOGISTIC.d2_bound == 1.0
     with pytest.raises(ValueError):
         losses.get_loss("huber")
 
@@ -84,28 +84,28 @@ def test_logistic_d2_slope_grid_maximum():
 
 
 def test_curvature_lower_bound():
-    assert losses.curvature_lower_bound(LOGISTIC, 0.0) == pytest.approx(0.25)
-    assert losses.curvature_lower_bound(SQUARED, 17.0) == 1.0
+    assert curvature_lower_bound(LOGISTIC, 0.0) == pytest.approx(0.25)
+    assert curvature_lower_bound(SQUARED, 17.0) == 1.0
     expected = np.exp(2.0) / (1 + np.exp(2.0)) ** 2
-    assert losses.curvature_lower_bound(LOGISTIC, 2.0) == pytest.approx(
+    assert curvature_lower_bound(LOGISTIC, 2.0) == pytest.approx(
         expected)
     assert expected == pytest.approx(0.10499, abs=1e-5)
     with pytest.raises(ValueError):
-        losses.curvature_lower_bound(LOGISTIC, -1.0)
+        curvature_lower_bound(LOGISTIC, -1.0)
 
 
 def test_stability_ratio_trivial_cases():
-    rep = losses.stability_ratio_check(LOGISTIC, np.array([1.5]),
-                                       np.array([1.5]))
+    rep = stability_ratio_check(LOGISTIC, np.array([1.5]),
+                                np.array([1.5]))
     assert rep.ok and rep.worst_quotient == pytest.approx(1.0 / np.exp(0.0))
-    rep2 = losses.stability_ratio_check(SQUARED, np.linspace(-3, 3, 50),
-                                        np.linspace(-3, 3, 50))
+    rep2 = stability_ratio_check(SQUARED, np.linspace(-3, 3, 50),
+                                 np.linspace(-3, 3, 50))
     assert rep2.ok
 
 
 def test_stability_ratio_subgrid():
     g = np.arange(-6.0, 6.0, 0.05)
-    rep = losses.stability_ratio_check(LOGISTIC, g, g, max_gap=5.0)
+    rep = stability_ratio_check(LOGISTIC, g, g, max_gap=5.0)
     assert rep.ok
     assert rep.worst_quotient <= 1.0
 
@@ -114,7 +114,6 @@ def test_curvature_matrix_squared_is_sigma():
     cov = model.CovarianceModel.ar1(6, 0.4)
     K = losses.curvature_matrix(SQUARED, cov, model.flat_signal(6, 2))
     assert np.array_equal(K.matrix, cov.matrix)
-    assert K.provenance == "exact-sigma"
 
 
 def test_squared_identity_pipeline_holds_no_p_by_p_matrix():
@@ -159,8 +158,7 @@ def test_curvature_matrix_vs_mc():
     cov = model.CovarianceModel.identity(3)
     beta = np.array([1.0, 0.0, 0.0])
     K = losses.curvature_matrix(LOGISTIC, cov, beta)
-    Kmc = losses.curvature_matrix_mc(LOGISTIC, cov, beta, 400000, seed=31)
-    assert Kmc.provenance == "mc-estimate"
+    Kmc = curvature_matrix_mc(LOGISTIC, cov, beta, 400000, seed=31)
     scale = np.abs(K.matrix).max()
     assert np.abs(K.matrix - Kmc.matrix).max() < 0.01 * scale
 
@@ -193,10 +191,9 @@ def test_curvature_norm_and_factorizations():
 
 def test_norm_ratio_bound():
     cov = model.CovarianceModel.ar1(4, 0.5)
-    K_eq = model.CovarianceModel.curvature(cov.matrix, "exact-sigma")
+    K_eq = model.CovarianceModel.curvature(cov.matrix)
     assert losses.norm_ratio_bound(cov, K_eq) == pytest.approx(1.0, rel=1e-10)
-    K_quarter = model.CovarianceModel.curvature(0.25 * cov.matrix,
-                                                "exact-sigma")
+    K_quarter = model.CovarianceModel.curvature(0.25 * cov.matrix)
     assert losses.norm_ratio_bound(cov, K_quarter) == pytest.approx(
         4.0, rel=1e-10)
 
@@ -249,27 +246,3 @@ def test_score_mean_zero_at_truth():
     K = losses.curvature_matrix(LOGISTIC, cov, beta)
     band = 3 * np.sqrt(np.trace(K.matrix) / (n * reps))
     assert np.linalg.norm(acc) < band
-
-
-def test_curvature_persistence(tmp_path):
-    cov = model.CovarianceModel.identity(3)
-    K = losses.curvature_matrix(LOGISTIC, cov, np.array([0.5, 0.5, 0.0]))
-    losses.save_curvature(K, str(tmp_path / "K"))
-    back = losses.load_curvature(str(tmp_path / "K"))
-    assert np.array_equal(back.matrix, K.matrix)
-    assert back.provenance == K.provenance
-
-
-def test_expansion_refuses_mc_provenance():
-    from penexp import solver
-    from penexp.penalties import L1Penalty
-    cov = model.CovarianceModel.identity(3)
-    beta = np.array([0.4, 0.0, 0.0])
-    X = model.generate_design(cov, 60, "gaussian", seed=2)
-    ds = model.generate_logistic(X, beta, seed=2, covariance=cov)
-    Kmc = losses.curvature_matrix_mc(LOGISTIC, cov, beta, 20000, seed=3)
-    with pytest.raises(ValueError):
-        solver.fit_expansion(ds, LOGISTIC, Kmc, beta, L1Penalty(0.1))
-    res = solver.fit_expansion(ds, LOGISTIC, Kmc, beta, L1Penalty(0.1),
-                               allow_approximate=True)
-    assert res.converged

@@ -226,7 +226,7 @@ def test_expansion_step_from_top_eigenvalue():
     v -= v.mean()
     v /= np.linalg.norm(v)
     Kmat = np.eye(p) + 9.0 * np.outer(v, v)
-    K = model.CovarianceModel.curvature(Kmat, "exact-sigma")
+    K = model.CovarianceModel.curvature(Kmat)
     assert K.eig_max == pytest.approx(10.0, rel=1e-12)
     ds, _ = linear_instance(80, p, 3, seed=17)
     pen = L1Penalty(0.05)
