@@ -5,14 +5,11 @@ confidence-interval coverage, cone membership and sparsity."""
 from .cones import (
     GroupCone,
     LassoCone,
-    SupportCone,
-    complexity_estimate,
     group_cone,
     group_penalty_level,
     lasso_cone,
     lasso_penalty_level,
     minimax_rate,
-    support_cone,
 )
 from .diagnostics import (
     InferenceReport,
@@ -78,9 +75,8 @@ __all__ = [
     "soft_threshold",
     "SolverConfig", "SolverResult", "expansion_center", "fit_expansion",
     "fit_penalized", "smooth_gradient",
-    "GroupCone", "LassoCone", "SupportCone", "complexity_estimate",
-    "group_cone", "group_penalty_level", "lasso_cone", "lasso_penalty_level",
-    "minimax_rate", "support_cone",
+    "GroupCone", "LassoCone", "group_cone", "group_penalty_level",
+    "lasso_cone", "lasso_penalty_level", "minimax_rate",
     "InferenceReport", "RiskIdentityReport", "debiased_estimate",
     "prox_risk_mc", "risk_identity_check", "sparsity_constant",
     "sparsity_count",

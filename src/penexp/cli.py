@@ -130,6 +130,7 @@ def _cmd_expand(args):
 def _cmd_risk_identity(args):
     ds = model.load_dataset(args.dataset)
     _require_truth(ds, "risk-identity")
+    diagnostics.require_risk_identity_data(ds)
     loss = _loss_for(ds)
     penalty = parse_penalty_spec(args.penalty, ds.p)
     cfg = _solver_config(args)

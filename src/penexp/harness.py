@@ -235,21 +235,19 @@ def _setup_point(cfg, pt, loss):
         if cfg.penalty_kind == "l1_constrained" else None
     sbound = None
     if cfg.experiment_kind == "sparsity_check":
-        sbound = _sparsity_bound(cfg, pt, cov, curv, groups)
+        sbound = _sparsity_bound(cfg, pt, cov, curv, groups, cone)
     return _PointSetup(pt, cov, groups, beta_star, curv, cone, r_n, radius,
                        sbound)
 
 
-def _sparsity_bound(cfg, pt, cov, curv, groups):
+def _sparsity_bound(cfg, pt, cov, curv, groups, cone):
     if groups is not None:
         c_max = max(
             float(np.linalg.eigvalsh(curv.principal(g)).max())
             for g in groups.groups)
-        cone_spec = cones.group_cone(pt.s, groups, xi=cfg.xi)
     else:
         c_max = curv.eig_max
-        cone_spec = cones.lasso_cone(pt.s * (6.0 + 2.0 / cfg.xi) ** 2)
-    phi = cone_spec.restricted_eigenvalue(cov)
+    phi = cone.restricted_eigenvalue(cov)
     b3 = norm_ratio_bound(cov, curv)
     c_tilde = diagnostics.sparsity_constant(c_max, cfg.xi, b3, phi)
     return c_tilde * pt.s
@@ -259,13 +257,11 @@ def _make_penalty(cfg, setup, loss, sigma):
     pt = setup.point
     if cfg.penalty_kind == "l1_penalized":
         level = cones.lasso_penalty_level(
-            loss, pt.p, pt.s, pt.n, cfg.xi, noise_scale=sigma,
-            design_L=model.DESIGN_SUBGAUSSIAN_L[cfg.design_kind])
+            loss, pt.p, pt.s, pt.n, cfg.xi, noise_scale=sigma)
         return L1Penalty(level), level
     if cfg.penalty_kind == "group_lasso":
         level = cones.group_penalty_level(
-            loss, pt.M, pt.d, pt.s, pt.n, cfg.xi, noise_scale=sigma,
-            design_L=model.DESIGN_SUBGAUSSIAN_L[cfg.design_kind])
+            loss, pt.M, pt.d, pt.s, pt.n, cfg.xi, noise_scale=sigma)
         return GroupPenalty(level, setup.groups), level
     return L1BallConstraint(setup.radius), setup.radius
 
@@ -420,13 +416,18 @@ def _freq(flags):
     return freq, se
 
 
+def _certified(record):
+    """Did every solve of this task (the expansion, when run) converge?"""
+    return record["est_converged"] and (record["exp_converged"] is None
+                                       or record["exp_converged"])
+
+
 def summarize(cfg, records):
     """Medians, quartiles and frequencies per grid point, plus a rate fit."""
     points = []
     for pi, pt in enumerate(cfg.grid):
         recs = [r for r in records if r["point"] == pi]
-        good = [r for r in recs if r["est_converged"]
-                and (r["exp_converged"] is None or r["exp_converged"])]
+        good = [r for r in recs if _certified(r)]
         entry = {
             "point": pi, "n": pt.n, "p": pt.p, "s": pt.s, "M": pt.M,
             "d": pt.d, "replications": len(recs),
@@ -460,10 +461,7 @@ def summarize(cfg, records):
         points.append(entry)
 
     total = len(records)
-    failed = sum(1 for r in records
-                 if not (r["est_converged"]
-                         and (r["exp_converged"] is None
-                              or r["exp_converged"])))
+    failed = sum(1 for r in records if not _certified(r))
     summary = {
         "experiment": cfg.experiment_kind,
         "loss": cfg.loss_kind,
@@ -494,8 +492,7 @@ def rate_fit(records, metric="gap"):
     """
     by_point = {}
     for r in records:
-        if not (r["est_converged"]
-                and (r["exp_converged"] is None or r["exp_converged"])):
+        if not _certified(r):
             continue
         if r.get(metric) is None:
             continue

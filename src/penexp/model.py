@@ -21,10 +21,6 @@ from functools import cached_property
 
 import numpy as np
 
-# Sub-Gaussian scale of the standardized design rows, recorded per design
-# kind and consumed by the penalty-level formulas.
-DESIGN_SUBGAUSSIAN_L = {"gaussian": 1.0, "rademacher": 1.0}
-
 
 def stream_rng(master_seed, *ids):
     """Return a Generator on an independent Philox stream.
@@ -205,20 +201,6 @@ class GroupStructure:
         groups = tuple(_readonly_idx(np.arange(k * d, (k + 1) * d)) for k in range(M))
         return cls(M * d, M, d, groups)
 
-    @classmethod
-    def from_indices(cls, groups, p=None):
-        groups = tuple(_readonly_idx(np.asarray(g, dtype=np.intp)) for g in groups)
-        sizes = {g.size for g in groups}
-        if len(sizes) != 1:
-            raise ValueError("all groups must have equal size")
-        d = sizes.pop()
-        allidx = np.concatenate(groups)
-        if p is None:
-            p = allidx.size
-        if sorted(allidx.tolist()) != list(range(p)):
-            raise ValueError("groups must partition {0, ..., p-1}")
-        return cls(int(p), len(groups), int(d), groups)
-
     @cached_property
     def index(self):
         """(M, d) array whose row k lists the coordinates of group k."""
@@ -278,7 +260,7 @@ def generate_design(cov, n, design_kind="gaussian", seed=0):
 
     Gaussian rows are Sigma^{1/2} times standard normals; rademacher rows are
     Sigma^{1/2} times iid signs. Both are sub-Gaussian with respect to their
-    covariance with constant L = 1 (DESIGN_SUBGAUSSIAN_L).
+    covariance with constant L = 1, the L of the penalty-level formulas.
     """
     n = int(n)
     if n < 1:

@@ -2,8 +2,9 @@
 
 Each one recomputes a quantity of the analysis by another route (adaptive
 quadrature, a Monte Carlo average, a grid search) so the tests can check
-the package against it, or measures a property of the losses that the
-pipeline itself never needs.
+the package against it, or measures a property of the losses or cones that
+the pipeline itself never needs, such as the Gaussian complexity of the
+error cones.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from penexp.cones import LassoCone
 from penexp.model import CovarianceModel, draw_rows, stream_rng
 from penexp.penalties import L1Penalty, soft_threshold
 from penexp.solver import smooth_gradient
@@ -183,3 +185,88 @@ def empirical_curvature_ratio(dataset, loss, curvature, beta_star, u):
     f1 = float(np.mean(loss.value(dataset.y, dataset.X @ (beta_star + u))))
     lin = float(smooth_gradient(dataset, loss, beta_star) @ u)
     return (f1 - f0 - lin) / (nk * nk), bool(nk <= 1.0 + 1e-12)
+
+
+def _cone_profile(cone, G):
+    """Per-draw magnitudes and l1 radius of a cone, for each row g of G.
+
+    The group cone's supremum is the lasso cone's over block norms, so both
+    reduce to _sup_per_draw: |g| with radius sqrt(k) for the lasso cone,
+    the group norms of g with radius c sqrt(s) for the group cone.
+    """
+    if isinstance(cone, LassoCone):
+        return np.abs(G), np.sqrt(cone.k)
+    block = np.linalg.norm(G[:, cone.groups.index], axis=2)
+    return block, cone.c * np.sqrt(cone.s)
+
+
+def _sup_per_draw(A, sqrt_k):
+    """Exact sup of <g, u> over unit u with ||u||_1 <= sqrt_k, per row of |g|.
+
+    The maximizer is proportional to a soft thresholding of g; the threshold
+    solving ||u||_1/||u|| = sqrt_k is found by bisection (threshold 0 when the
+    unconstrained optimum is already feasible).
+    """
+    l1 = A.sum(axis=1)
+    l2 = np.sqrt((A * A).sum(axis=1))
+    sup = l2.copy()
+    need = l1 > sqrt_k * l2
+    if need.any():
+        sub = A[need]
+        lo = np.zeros(sub.shape[0])
+        hi = sub.max(axis=1)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            S = np.maximum(sub - mid[:, None], 0.0)
+            f = S.sum(axis=1) - sqrt_k * np.sqrt((S * S).sum(axis=1))
+            too_small = f > 0.0
+            lo = np.where(too_small, mid, lo)
+            hi = np.where(too_small, hi, mid)
+        t = 0.5 * (lo + hi)
+        S = np.maximum(sub - t[:, None], 0.0)
+        sup[need] = (sub * S).sum(axis=1) / np.sqrt((S * S).sum(axis=1))
+    return sup
+
+
+def complexity_estimate(cone, cov, n_draws, seed):
+    """Monte Carlo Gaussian complexity of a lasso or group cone, with its
+    standard error.
+
+    Each draw's supremum is solved exactly, which needs the identity
+    covariance; use complexity_bound otherwise.
+    """
+    n_draws = int(n_draws)
+    if n_draws < 2:
+        raise ValueError("need at least 2 draws")
+    if not cov.is_identity:
+        raise ValueError("per-draw maximization is exact only under the "
+                         "identity covariance; use complexity_bound")
+    rng = stream_rng(seed, 3)
+    sups = np.empty(n_draws)
+    done = 0
+    chunk = 512
+    while done < n_draws:
+        m = min(chunk, n_draws - done)
+        A, radius = _cone_profile(cone, rng.standard_normal((m, cov.p)))
+        sups[done:done + m] = _sup_per_draw(A, radius)
+        done += m
+    est = float(np.mean(sups))
+    se = float(np.std(sups, ddof=1) / np.sqrt(n_draws))
+    return est, se
+
+
+def complexity_bound(cone, cov):
+    """Certified upper bound on the cone's Gaussian complexity.
+
+    sqrt(k log(2p/k)) for the lasso cone and sqrt(s d + s log(M/s)) for the
+    group cone, each divided by the cone's restricted eigenvalue.
+    """
+    phi = cone.restricted_eigenvalue(cov)
+    if isinstance(cone, LassoCone):
+        if not 0 < cone.k <= 2 * cov.p:
+            raise ValueError("cone parameter exceeds dimension range")
+        return float(np.sqrt(cone.k * np.log(2.0 * cov.p / cone.k)) / phi)
+    M, d, s = cone.groups.M, cone.groups.d, cone.s
+    if not M > s:
+        raise ValueError("need more groups than the sparsity level")
+    return float(np.sqrt(s * d + s * np.log(M / s)) / phi)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from penexp import cones
-from penexp.cones import (complexity_estimate, group_cone, group_penalty_level,
-                          lasso_cone, lasso_penalty_level, minimax_rate,
-                          support_cone)
+from oracles import _sup_per_draw, complexity_bound, complexity_estimate
+from penexp.cones import (group_cone, group_penalty_level, lasso_cone,
+                          lasso_penalty_level, minimax_rate)
 from penexp.losses import get_loss
 from penexp.model import CovarianceModel, GroupStructure
 
@@ -39,9 +38,6 @@ def test_lasso_level_scales():
     a = lasso_penalty_level(SQ, p=100, s=5, n=50, xi=0.5, noise_scale=2.0)
     b = lasso_penalty_level(SQ, p=100, s=5, n=50, xi=0.5, noise_scale=1.0)
     assert a == pytest.approx(2.0 * b, rel=1e-12)
-    c = lasso_penalty_level(LG, p=100, s=5, n=50, xi=0.5, design_L=2.0)
-    d = lasso_penalty_level(LG, p=100, s=5, n=50, xi=0.5, design_L=1.0)
-    assert c == pytest.approx(2.0 * d, rel=1e-12)
 
 
 def test_lasso_level_errors():
@@ -114,7 +110,6 @@ def test_member_zero_vector():
     z = np.zeros(10)
     assert lasso_cone(1).member(z)
     assert group_cone(2, groups, c=1.0).member(z)
-    assert support_cone([0], 10).member(z)
 
 
 def test_member_group_supported():
@@ -127,13 +122,6 @@ def test_member_group_supported():
         for k in act:
             u[groups.groups[k]] = rng.standard_normal(3)
         assert group_cone(2, groups, c=1.0).member(u)
-
-
-def test_member_support_cone():
-    u = np.zeros(8)
-    u[[1, 4]] = (2.0, -3.0)
-    assert support_cone([1, 4], 8).member(u)
-    assert not support_cone([1], 8).member(u)
 
 
 def test_complexity_whole_space():
@@ -181,19 +169,6 @@ def test_complexity_singleton_groups_match_lasso():
     assert g_se == l_se
 
 
-def test_complexity_support_cone_ar1():
-    p = 12
-    cov = CovarianceModel.ar1(p, 0.5)
-    sup = [2, 5, 9]
-    est, se = complexity_estimate(support_cone(sup, p), cov, 20000, seed=23)
-    rng = np.random.default_rng(24)
-    sub = cov.matrix[np.ix_(sup, sup)]
-    draws = rng.multivariate_normal(np.zeros(3), sub, size=200000)
-    oracle = np.linalg.norm(draws, axis=1).mean()
-    o_se = np.linalg.norm(draws, axis=1).std(ddof=1) / np.sqrt(200000)
-    assert abs(est - oracle) <= 3.0 * np.hypot(se, o_se)
-
-
 def test_complexity_rejects_correlated_lasso_cone():
     cov = CovarianceModel.ar1(6, 0.3)
     with pytest.raises(ValueError):
@@ -215,7 +190,7 @@ def test_per_draw_sup_is_sound():
     p, k = 200, 10
     rng = np.random.default_rng(19)
     g = np.abs(rng.standard_normal(p))
-    sup = cones._sup_per_draw(g[None, :], np.sqrt(k))[0]
+    sup = _sup_per_draw(g[None, :], np.sqrt(k))[0]
     # best k-sparse candidate: top-k coordinates of g
     top = np.argsort(g)[-k:]
     u = np.zeros(p)
@@ -235,7 +210,8 @@ def test_per_draw_sup_is_sound():
 def test_restricted_eigenvalue_identity():
     cov = CovarianceModel.identity(9)
     assert lasso_cone(3).restricted_eigenvalue(cov) == 1.0
-    assert support_cone([2, 4], 9).restricted_eigenvalue(cov) == 1.0
+    groups = GroupStructure.contiguous(3, 3)
+    assert group_cone(2, groups, c=1.0).restricted_eigenvalue(cov) == 1.0
 
 
 def test_restricted_eigenvalue_ar1_certified():
@@ -252,39 +228,25 @@ def test_restricted_eigenvalue_ar1_certified():
     assert bound <= empirical + 1e-12
 
 
-def test_restricted_eigenvalue_support_exact():
-    cov = CovarianceModel.ar1(8, 0.6)
-    one = support_cone([3], 8).restricted_eigenvalue(cov)
-    assert one == pytest.approx(1.0, rel=1e-12)
-    pair = support_cone([2, 3], 8).restricted_eigenvalue(cov)
-    assert pair == pytest.approx(np.sqrt(1.0 - 0.6), rel=1e-12)
-
-
 def test_complexity_bound_lasso():
     cov = CovarianceModel.identity(100)
-    val = lasso_cone(20).bound(cov)
+    val = complexity_bound(lasso_cone(20), cov)
     assert val == pytest.approx(np.sqrt(20.0 * np.log(10.0)), rel=1e-12)
     with pytest.raises(ValueError):
-        lasso_cone(201).bound(CovarianceModel.identity(100))
+        complexity_bound(lasso_cone(201), CovarianceModel.identity(100))
 
 
 def test_complexity_bound_group():
     groups = GroupStructure.contiguous(50, 3)
     cov = CovarianceModel.identity(150)
-    val = group_cone(4, groups, xi=0.5).bound(cov)
+    val = complexity_bound(group_cone(4, groups, xi=0.5), cov)
     assert val == pytest.approx(np.sqrt(4 * 3 + 4 * np.log(12.5)), rel=1e-12)
-
-
-def test_complexity_bound_support():
-    cov = CovarianceModel.ar1(9, 0.4)
-    val = support_cone([3, 7], 9).bound(cov)
-    assert val == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_complexity_bound_divides_by_phi():
     cov = CovarianceModel.ar1(30, 0.5)
     phi = lasso_cone(6).restricted_eigenvalue(cov)
-    val = lasso_cone(6).bound(cov)
+    val = complexity_bound(lasso_cone(6), cov)
     assert val == pytest.approx(np.sqrt(6.0 * np.log(10.0)) / phi, rel=1e-12)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from penexp import cli, harness
+from penexp import cli, harness, solver
 from penexp.cones import minimax_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
                             TIMING_FIELDS, load_records_csv, parse_config,
@@ -335,6 +335,22 @@ def test_cli_risk_identity(tmp_path, capsys):
     assert report["est_converged"] and report["exp_converged"]
     assert report["ratio"] == pytest.approx(report["lhs"] / report["rhs"],
                                             rel=1e-12)
+
+
+def test_cli_risk_identity_refuses_logistic_data_before_solving(
+        tmp_path, capsys, monkeypatch):
+    ds = str(tmp_path / "ds")
+    cli.main(["generate", "--model", "logistic", "--n", "100", "--p", "20",
+              "--s", "2", "--amplitude", "0.5", "--seed", "3", "--out", ds])
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the data")
+
+    monkeypatch.setattr(solver, "fit_penalized", no_solve)
+    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.1"])
+    assert rc == 2
+    assert "risk identity applies to linear data" in capsys.readouterr().err
 
 
 def test_cli_experiment_and_rate_fit(tmp_path, capsys):

@@ -128,9 +128,8 @@ def test_squared_identity_pipeline_holds_no_p_by_p_matrix():
         ds = model.generate_linear(X, beta, 1.0, seed=4, covariance=cov)
         K = losses.curvature_matrix(SQUARED, cov, beta)
         assert K.norm(ds.X[0]) > 0
-        sup = cones.support_cone(np.arange(5), p)
-        assert sup.bound(cov) == np.sqrt(5.0)
-        assert sup.restricted_eigenvalue(cov) == 1.0
+        assert np.array_equal(cov.principal(np.arange(5)), np.eye(5))
+        assert cones.lasso_cone(5).restricted_eigenvalue(cov) == 1.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -50,15 +50,6 @@ def test_group_structure_contiguous():
     assert sorted(flat.tolist()) == list(range(6))
 
 
-def test_group_structure_rejects_bad_partition():
-    with pytest.raises(ValueError):
-        model.GroupStructure.from_indices([[0, 1], [1, 2]], p=4)  # overlap
-    with pytest.raises(ValueError):
-        model.GroupStructure.from_indices([[0, 1], [2]], p=3)  # sizes differ
-    with pytest.raises(ValueError):
-        model.GroupStructure.from_indices([[0, 1]], p=4)  # does not cover
-
-
 def test_flat_signal():
     b = model.flat_signal(6, 2, amplitude=3.0)
     assert b.tolist() == [3.0, 3.0, 0.0, 0.0, 0.0, 0.0]
@@ -99,11 +90,6 @@ def test_rademacher_design():
     assert set(np.unique(X)) == {-1.0, 1.0}
     with pytest.raises(ValueError):
         model.generate_design(cov, 10, "uniform", seed=3)
-
-
-def test_design_subgaussian_constants_recorded():
-    assert model.DESIGN_SUBGAUSSIAN_L["gaussian"] == 1.0
-    assert model.DESIGN_SUBGAUSSIAN_L["rademacher"] == 1.0
 
 
 def test_generate_linear_noiseless():
