@@ -131,6 +131,8 @@ def _cmd_risk_identity(args):
     ds = model.load_dataset(args.dataset)
     _require_truth(ds, "risk-identity")
     diagnostics.require_risk_identity_data(ds)
+    if args.n_mc < 2:
+        raise ValueError("--n-mc needs at least 2 draws, got %d" % args.n_mc)
     loss = _loss_for(ds)
     penalty = parse_penalty_spec(args.penalty, ds.p)
     cfg = _solver_config(args)

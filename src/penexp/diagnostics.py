@@ -45,9 +45,6 @@ class InferenceReport:
     noise_term: float | None
     remainder: float | None
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
     """Monte Carlo E_Z ||b* - prox_h(b* + (sigma/sqrt(n)) Z)||^2 and s.e."""

@@ -163,6 +163,8 @@ def validate_config(cfg):
         raise ValueError("xi must be > 0")
     if cfg.mc_inner < 2:
         raise ValueError("mc_inner must be >= 2")
+    if cfg.threads < 0:
+        raise ValueError("threads must be >= 0 (0 means one worker per core)")
     if not 0.0 <= cfg.max_fail_frac <= 1.0:
         raise ValueError("max_fail_frac must be in [0, 1]")
     for pt in cfg.grid:
@@ -353,7 +355,7 @@ def run_experiment(cfg):
     setups = [_setup_point(cfg, pt, loss) for pt in cfg.grid]
     tasks = [(pi, ri) for pi in range(len(cfg.grid))
              for ri in range(cfg.replications)]
-    workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
+    workers = cfg.threads or os.cpu_count() or 1
 
     def work(task):
         pi, ri = task
@@ -490,6 +492,9 @@ def rate_fit(records, metric="gap"):
     whose median is not positive (no logarithm); needs at least 3 grid
     points left, with at least two distinct r_n (no slope otherwise).
     """
+    if metric not in RECORD_FIELDS:
+        raise ValueError("unknown metric %r (not a records.csv column)"
+                         % (metric,))
     by_point = {}
     for r in records:
         if not _certified(r):

@@ -17,19 +17,15 @@ minimized; only the convex form is implemented.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .model import CovarianceModel
 
 
-def log1pexp(u):
-    """Numerically stable log(1 + e^u), valid across the whole real line."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    neg = u <= 0
-    out[neg] = np.log1p(np.exp(u[neg]))
-    out[~neg] = u[~neg] + np.log1p(np.exp(-u[~neg]))
-    return out
+def _sigmoid(u):
+    """The logistic link 1/(1 + e^-u). Below u = -709, e^-u overflows to
+    inf and the link is exactly 0, its limit, so the overflow is silenced."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
 
 
 class SquaredLoss:
@@ -76,14 +72,15 @@ class LogisticLoss:
     def value(self, y, u):
         y = np.asarray(y, dtype=float)
         u = np.asarray(u, dtype=float)
-        return (y - 1.0) * u + log1pexp(u)
+        return (y - 1.0) * u + np.logaddexp(0.0, u)
 
     def d1(self, y, u):
-        # 1/(1+e^u) = expit(-u)
-        return np.asarray(y, dtype=float) - expit(-np.asarray(u, dtype=float))
+        # 1/(1+e^u) = sig(-u)
+        u = np.asarray(u, dtype=float)
+        return np.asarray(y, dtype=float) - _sigmoid(-u)
 
     def d2(self, y, u):
-        s = expit(np.asarray(u, dtype=float))
+        s = _sigmoid(np.asarray(u, dtype=float))
         return s * (1.0 - s)
 
     def curvature(self, cov, beta_star, design_kind):
@@ -109,11 +106,10 @@ class LogisticLoss:
             return CovarianceModel.curvature(0.25 * cov.matrix)
         v = np.sqrt(v2)
 
-        def sig_prime(z):
-            s = expit(v * z)
-            return s * (1.0 - s)
+        def d2(z):
+            return self.d2(0.0, v * z)
 
-        m0, a2 = _adaptive_hermite([sig_prime, lambda z: sig_prime(z) * z * z])
+        m0, a2 = _adaptive_hermite([d2, lambda z: d2(z) * z * z])
         K = m0 * cov.matrix + ((a2 - m0) / v2) * np.outer(q, q)
         return CovarianceModel.curvature(K)
 

@@ -4,10 +4,15 @@ Every name exported in penexp.__all__, and every public top-level function
 and class defined in src/penexp, must be used by code in src/penexp other
 than its own definition and __init__.py; an import alone is not a use.
 Names that only tests would call belong in tests/oracles.py instead.
+
+numpy is the package's only run-time dependency: scipy is for the tests and
+the benchmark alone.
 """
 
 import ast
 import os
+import subprocess
+import sys
 
 import penexp
 
@@ -64,3 +69,32 @@ def test_every_export_has_a_caller_in_the_package():
     # equality also catches an allowlist entry that has gained a caller
     assert unused == ALLOWED_UNUSED, \
         "public but unused in src/penexp: %s" % sorted(unused)
+
+
+NUMPY_ONLY_RUN = """
+import sys
+import penexp
+import penexp.cli
+from penexp import losses, model, penalties, solver
+
+cov = model.CovarianceModel.ar1(40, 0.5)
+beta = model.flat_signal(40, 3, 0.25)
+X = model.generate_design(cov, 200, "gaussian", seed=1)
+ds = model.generate_logistic(X, beta, seed=2, covariance=cov)
+curv = losses.curvature_matrix(losses.LOGISTIC, cov, beta)
+pen = penalties.L1Penalty(0.05)
+est = solver.fit_penalized(ds, losses.LOGISTIC, pen)
+exp = solver.fit_expansion(ds, losses.LOGISTIC, curv, beta, pen)
+assert est.converged and exp.converged
+print(" ".join(m for m in sys.modules
+               if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_logistic_pipeline_imports_no_scipy():
+    # a fresh interpreter, so nothing the tests imported can hide an import
+    src = os.path.dirname(os.path.dirname(penexp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

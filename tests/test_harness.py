@@ -88,6 +88,10 @@ def test_validate_config_rejections():
     with pytest.raises(ValueError, match="gaussian"):
         parse_config("experiment = rates\nloss = logistic\n"
                      "design = rademacher\ngrid = n=50 p=20 s=2\n")
+    # 0 means one worker per core; a negative count is a mistake
+    with pytest.raises(ValueError, match="threads must be >= 0"):
+        parse_config("experiment = rates\nthreads = -3\n"
+                     "grid = n=50 p=20 s=2\n")
 
 
 def test_task_seed_stable():
@@ -353,6 +357,23 @@ def test_cli_risk_identity_refuses_logistic_data_before_solving(
     assert "risk identity applies to linear data" in capsys.readouterr().err
 
 
+def test_cli_risk_identity_refuses_one_draw_before_solving(
+        tmp_path, capsys, monkeypatch):
+    ds = str(tmp_path / "ds")
+    cli.main(["generate", "--n", "100", "--p", "20", "--s", "2",
+              "--seed", "3", "--out", ds])
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing --n-mc")
+
+    monkeypatch.setattr(solver, "fit_penalized", no_solve)
+    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.1",
+                   "--n-mc", "1"])
+    assert rc == 2
+    assert "--n-mc" in capsys.readouterr().err
+
+
 def test_cli_experiment_and_rate_fit(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(CONFIG_TEXT.replace("grid = n=120 p=30 s=2",
@@ -367,6 +388,11 @@ def test_cli_experiment_and_rate_fit(tmp_path, capsys):
     assert rc == 0
     fitted = json.loads(capsys.readouterr().out)
     assert fitted["slope"] == printed["rate_fit"]["slope"]
+    # a misspelt metric is named, not reported as too few grid points
+    rc = cli.main(["rate-fit", str(tmp_path / "res" / "records.csv"),
+                   "--metric", "gaps"])
+    assert rc == 2
+    assert "'gaps'" in capsys.readouterr().err
 
 
 def test_cli_experiment_bad_config(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,11 +38,21 @@ def test_logistic_loss_is_convex_form():
 
 
 def test_log1pexp_stable():
-    assert losses.log1pexp(np.array([0.0]))[0] == pytest.approx(np.log(2.0))
-    assert losses.log1pexp(np.array([1000.0]))[0] == pytest.approx(1000.0)
-    assert losses.log1pexp(np.array([-1000.0]))[0] == 0.0
+    # at y = 1 the logistic loss is log(1 + e^u)
+    assert LOGISTIC.value(1.0, 0.0) == pytest.approx(np.log(2.0))
+    assert LOGISTIC.value(1.0, 1000.0) == pytest.approx(1000.0)
+    assert LOGISTIC.value(1.0, -1000.0) == 0.0
     u = np.array([-5.0, -0.1, 0.1, 5.0])
-    assert np.allclose(losses.log1pexp(u), np.log1p(np.exp(u)), rtol=1e-14)
+    assert np.allclose(LOGISTIC.value(1.0, u), np.log1p(np.exp(u)),
+                       rtol=1e-14)
+    # far out the link saturates: the derivatives reach their limits
+    # without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = np.array([-800.0, 800.0])
+        assert LOGISTIC.d1(1.0, u).tolist() == [0.0, 1.0]
+        assert LOGISTIC.d1(0.0, u).tolist() == [-1.0, 0.0]
+        assert LOGISTIC.d2(1.0, u).tolist() == [0.0, 0.0]
 
 
 def test_derivatives_match_finite_differences():
