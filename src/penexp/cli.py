@@ -69,6 +69,7 @@ def _write_solve(args, loss, result, name):
         "penalty": args.penalty, "loss": loss.kind,
         "objective": result.objective, "kkt_residual": result.kkt_residual,
         "iterations": result.iterations, "converged": result.converged,
+        "passes": result.passes,
         "nnz": int(np.count_nonzero(result.solution)),
         "vector": name + ".bin",
     }

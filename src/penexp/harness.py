@@ -7,7 +7,8 @@ count or completion order. Records are sorted by (point, rep) before writing.
 
 Outputs in the configured directory: records.csv (RFC 4180, fixed header,
 floats at 17 significant digits), timings.csv (wall times, kept out of
-records.csv so reruns are byte-identical) and summary.json.
+records.csv so reruns are byte-identical, and the full passes over X or K
+of each solve) and summary.json.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ RECORD_FIELDS = [
     "theta_hat", "target", "covered", "t_stat",
     "nnz_coords", "nnz_groups", "sparsity_bound", "sparsity_ok",
 ]
-TIMING_FIELDS = ["point", "rep", "est_time", "exp_time"]
+TIMING_FIELDS = ["point", "rep", "est_time", "exp_time", "est_passes",
+                 "exp_passes"]
 
 
 @dataclass(frozen=True)
@@ -165,6 +167,8 @@ def validate_config(cfg):
         raise ValueError("mc_inner must be >= 2")
     if cfg.threads < 0:
         raise ValueError("threads must be >= 0 (0 means one worker per core)")
+    if not cfg.noise_sd >= 0:
+        raise ValueError("noise_sd must be >= 0")
     if not 0.0 <= cfg.max_fail_frac <= 1.0:
         raise ValueError("max_fail_frac must be in [0, 1]")
     for pt in cfg.grid:
@@ -287,13 +291,13 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     rec = {k: None for k in RECORD_FIELDS}
     rec.update(point=point_idx, n=pt.n, p=pt.p, s=pt.s, M=pt.M, d=pt.d,
                rep=rep_idx, seed=seed, r_n=setup.r_n, penalty_level=level)
-    timing = {"point": point_idx, "rep": rep_idx, "est_time": None,
-              "exp_time": None}
+    timing = {k: None for k in TIMING_FIELDS}
+    timing.update(point=point_idx, rep=rep_idx)
 
     est = solver.fit_penalized(ds, loss, penalty, solver_cfg)
     rec.update(est_iterations=est.iterations, est_kkt=est.kkt_residual,
                est_converged=est.converged)
-    timing["est_time"] = est.wall_time
+    timing.update(est_time=est.wall_time, est_passes=est.passes)
     err_est = setup.curv.norm(est.solution - setup.beta_star)
     rec["err_est"] = err_est
 
@@ -304,7 +308,7 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
                                solver_cfg)
     rec.update(exp_iterations=exp.iterations, exp_kkt=exp.kkt_residual,
                exp_converged=exp.converged)
-    timing["exp_time"] = exp.wall_time
+    timing.update(exp_time=exp.wall_time, exp_passes=exp.passes)
     err_exp = setup.curv.norm(exp.solution - setup.beta_star)
     gap = setup.curv.norm(exp.solution - est.solution)
     denom = err_est + err_exp

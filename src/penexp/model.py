@@ -291,6 +291,8 @@ def generate_linear(X, beta_star, noise_sd, seed, covariance=None,
     if X.shape[1] != beta_star.size:
         raise ValueError("design has %d columns but beta_star has %d entries"
                          % (X.shape[1], beta_star.size))
+    if not noise_sd >= 0:
+        raise ValueError("noise_sd must be >= 0, got %r" % (noise_sd,))
     rng = stream_rng(seed, 1)
     eps = float(noise_sd) * rng.standard_normal(X.shape[0])
     y = X @ beta_star + eps

@@ -2,7 +2,10 @@
 
 Each penalty class gives h(b) as value, the proximal map of step*h as prox
 (along the last axis, so on a vector or on each row of a batch, with exact
-zeros) and the KKT residual as residual.
+zeros) and the KKT residual as residual. For the working-set solver it also
+scores each unit (a coordinate, or a group for the group penalty) by how
+far it violates the KKT condition, and restricts itself to a subset of
+units.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import GroupStructure
 
 # Absolute tolerance for deciding whether a point sits on the l1-ball
 # boundary in the constrained KKT check.
@@ -29,6 +34,10 @@ def _pair(beta, grad):
     return beta, grad
 
 
+def _largest(scores):
+    return float(scores.max()) if scores.size else 0.0
+
+
 @dataclass(frozen=True)
 class L1Penalty:
     """h(b) = level * ||b||_1."""
@@ -46,14 +55,22 @@ class L1Penalty:
         _check_step(step)
         return soft_threshold(np.asarray(x, dtype=float), step * self.level)
 
-    def residual(self, beta, grad):
-        """Largest coordinatewise distance of -grad from level * sign(beta)
-        (the interval [-level, level] where beta is 0)."""
+    def scores(self, beta, grad):
+        """Coordinatewise distance of -grad from level * sign(beta) (the
+        interval [-level, level] where beta is 0)."""
         beta, grad = _pair(beta, grad)
-        res = np.where(beta != 0.0,
-                       np.abs(grad + self.level * np.sign(beta)),
-                       np.maximum(np.abs(grad) - self.level, 0.0))
-        return float(res.max()) if res.size else 0.0
+        return np.where(beta != 0.0,
+                        np.abs(grad + self.level * np.sign(beta)),
+                        np.maximum(np.abs(grad) - self.level, 0.0))
+
+    def residual(self, beta, grad):
+        """The largest score."""
+        return _largest(self.scores(beta, grad))
+
+    def restrict(self, units):
+        """This penalty, acting on the coordinates units, and those
+        coordinates."""
+        return self, np.asarray(units, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -97,6 +114,17 @@ class L1BallConstraint:
             return gmax
         return float(np.abs(grad[nz] + gmax * np.sign(beta[nz])).max())
 
+    def scores(self, beta, grad):
+        """|grad|, the Frank-Wolfe ranking: a zero coordinate whose |grad|
+        exceeds that of every coordinate kept raises the residual. The
+        residual is not separable, so it is not the largest score."""
+        return np.abs(_pair(beta, grad)[1])
+
+    def restrict(self, units):
+        """This constraint, acting on the coordinates units, and those
+        coordinates."""
+        return self, np.asarray(units, dtype=np.intp)
+
 
 @dataclass(frozen=True, eq=False)
 class GroupPenalty:
@@ -131,17 +159,27 @@ class GroupPenalty:
         out[..., idx] = blocks
         return out
 
-    def residual(self, beta, grad):
-        """Largest blockwise distance of -grad from level * b_G/||b_G||
-        (the level-ball where b_G is 0)."""
+    def scores(self, beta, grad):
+        """Blockwise distance of -grad from level * b_G/||b_G|| (the
+        level-ball where b_G is 0), one per group."""
         beta, grad = _pair(beta, grad)
         idx = self.groups.index
         b_norms = np.linalg.norm(beta[idx], axis=1)
         # A zero block has direction 0, so its deviation is ||grad_G||.
         dirs = beta[idx] / np.where(b_norms > 0.0, b_norms, 1.0)[:, None]
         dev = np.linalg.norm(grad[idx] + self.level * dirs, axis=1)
-        res = np.where(b_norms > 0.0, dev, np.maximum(dev - self.level, 0.0))
-        return float(res.max()) if res.size else 0.0
+        return np.where(b_norms > 0.0, dev, np.maximum(dev - self.level, 0.0))
+
+    def residual(self, beta, grad):
+        """The largest score."""
+        return _largest(self.scores(beta, grad))
+
+    def restrict(self, units):
+        """This penalty over the groups units, re-indexed onto the
+        concatenation of their coordinates, and those coordinates."""
+        units = np.asarray(units, dtype=np.intp)
+        kept = GroupStructure.contiguous(units.size, self.groups.d)
+        return GroupPenalty(self.level, kept), self.groups.index[units].ravel()
 
 
 def soft_threshold(x, t):

@@ -7,15 +7,17 @@ expansion of the penalized estimator. Both run the same FISTA loop over a
 smooth part seen through an affine image of the iterate (X b for the fit,
 K (b - z) for the surrogate). The fit finds its step by backtracking; the
 surrogate steps by 1/lambda_max(K), taken from the curvature's eig_max.
-Both certify convergence through the penalty's subdifferential residual,
-independent of the iteration path, and both are deterministic: identical
-inputs produce bit-identical iterates.
+The fit runs that loop on a working set of columns of X, grown until the
+full-gradient KKT residual certifies the whole vector. Both certify
+convergence through the penalty's subdifferential residual, independent of
+the iteration path, and both are deterministic: identical inputs produce
+bit-identical iterates.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -25,6 +27,10 @@ import numpy as np
 BACKTRACK_SHRINK = 0.5
 INITIAL_STEP = 1.0
 CHECK_EVERY = 5
+# Units (coordinates, or groups) in the first working set of the penalized
+# fit, and the factor by which a working set may grow per outer round.
+WS_INITIAL = 100
+WS_GROWTH = 2
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,8 @@ class SolverResult:
     iterations: int
     converged: bool
     wall_time: float
+    # Full-width products with X (penalized fit) or with K (expansion).
+    passes: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,16 +67,20 @@ class _Smooth:
     image(b) is the affine image u of b; value(b, u) and grad(b, u) give f
     and its gradient from b and its image. lipschitz is a known Lipschitz
     constant of the gradient, or None when the step must be found.
+    grad_products is the number of products with the image's matrix that
+    one gradient costs (image itself costs one).
     """
 
     image: Callable
     value: Callable
     grad: Callable
     lipschitz: float | None
+    grad_products: int
 
 
 def _fista(smooth, penalty, x, u_x, cfg, t0):
-    """FISTA with backtracking from x, whose image is u_x.
+    """FISTA with backtracking from x, whose image is u_x; returns the
+    result and the image of its solution.
 
     Momentum restarts whenever the objective increases. The image of the
     momentum point is combined linearly from cached images, so an
@@ -77,7 +89,8 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
     is 1/L, under which the test holds, so the step never shrinks; without
     one it starts at INITIAL_STEP. The KKT residual is checked at iteration 1
     and every CHECK_EVERY iterations, and once more at the end if the loop
-    ran out; non-convergence is reported, never raised.
+    ran out; non-convergence is reported, never raised. passes counts the
+    products with the image's matrix.
     """
     x_prev, u_prev = x, u_x
     t_mom = 1.0
@@ -85,7 +98,7 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
     obj = smooth.value(x, u_x) + penalty.value(x)
     res = np.inf
     converged = False
-    it = 0
+    it = images = grads = 0
     while it < cfg.max_iters:
         it += 1
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
@@ -94,9 +107,11 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
         u_y = u_x + mom * (u_x - u_prev)
         fy = smooth.value(yv, u_y)
         g = smooth.grad(yv, u_y)
+        grads += 1
         while True:
             x_new = penalty.prox(yv - step * g, step)
             u_new = smooth.image(x_new)
+            images += 1
             fx = smooth.value(x_new, u_new)
             d = x_new - yv
             if fx <= fy + g @ d + (d @ d) / (2.0 * step) + 1e-12 * max(1.0, abs(fy)):
@@ -111,14 +126,17 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
         t_mom = t_next
         if it == 1 or it % CHECK_EVERY == 0:
             res = penalty.residual(x, smooth.grad(x, u_x))
+            grads += 1
             if res <= cfg.kkt_tol:
                 converged = True
                 break
     if not converged:
         res = penalty.residual(x, smooth.grad(x, u_x))
+        grads += 1
         converged = res <= cfg.kkt_tol
+    passes = images + smooth.grad_products * grads
     return SolverResult(x, obj, float(res), it, converged,
-                        time.perf_counter() - t0)
+                        time.perf_counter() - t0, passes), u_x
 
 
 def smooth_gradient(dataset, loss, beta):
@@ -128,20 +146,66 @@ def smooth_gradient(dataset, loss, beta):
 
 
 def fit_penalized(dataset, loss, penalty, config=None):
-    """Solve the penalized problem by FISTA with backtracking.
+    """Solve the penalized problem by working-set FISTA with backtracking.
 
-    The smooth part is seen through u = X b, so each iteration costs two
-    matrix-vector products plus one more per KKT check. Starts at 0.
+    Starts at 0. Each outer round makes one full gradient X'r and stops if
+    the penalty's residual on all of it is within kkt_tol. Otherwise the
+    working set W, a set of the penalty's units that only grows, takes the
+    worst violators outside it (penalty.scores, ties by index) until it is
+    WS_GROWTH times its size (WS_INITIAL units at first), and FISTA runs on
+    the columns of W, warm-started. W holds the support, since the iterate
+    is zero outside it. The loop ends uncertified when the max_iters budget,
+    shared by all inner solves, is spent or when no unit outside W has a
+    positive score. Inner products with X[:, W] count as passes only when
+    W covers all columns.
     """
     cfg = config or DEFAULT_CONFIG
-    X, y, n = dataset.X, dataset.y, dataset.n
+    X, y, n, p = dataset.X, dataset.y, dataset.n, dataset.p
     t0 = time.perf_counter()
-    smooth = _Smooth(
-        image=lambda b: X @ b,
-        value=lambda b, u: float(np.mean(loss.value(y, u))),
-        grad=lambda b, u: X.T @ loss.d1(y, u) / n,
-        lipschitz=None)
-    return _fista(smooth, penalty, np.zeros(dataset.p), np.zeros(n), cfg, t0)
+    beta, u = np.zeros(p), np.zeros(n)
+    work = np.zeros(0, dtype=np.intp)
+    iterations = passes = 0
+    while True:
+        grad = X.T @ loss.d1(y, u) / n
+        passes += 1
+        res = penalty.residual(beta, grad)
+        if res <= cfg.kkt_tol or iterations == cfg.max_iters:
+            break
+        grown = _grow(penalty.scores(beta, grad), work)
+        if grown.size == work.size:
+            break
+        work = grown
+        sub, cols = penalty.restrict(work)
+        XW = X if np.array_equal(cols, np.arange(p)) else X[:, cols]
+        smooth = _Smooth(
+            image=lambda b: XW @ b,
+            value=lambda b, v: float(np.mean(loss.value(y, v))),
+            grad=lambda b, v: XW.T @ loss.d1(y, v) / n,
+            lipschitz=None, grad_products=1)
+        inner, u = _fista(smooth, sub, beta[cols], u,
+                          replace(cfg, max_iters=cfg.max_iters - iterations),
+                          t0)
+        beta = np.zeros(p)
+        beta[cols] = inner.solution
+        iterations += inner.iterations
+        if XW.shape[1] == p:
+            passes += inner.passes
+    objective = float(np.mean(loss.value(y, u))) + penalty.value(beta)
+    return SolverResult(beta, objective, float(res), iterations,
+                        bool(res <= cfg.kkt_tol), time.perf_counter() - t0,
+                        passes)
+
+
+def _grow(scores, work):
+    """work, in ascending order, joined by the highest-scoring units
+    outside it with a positive score (ties to the lower index), up to
+    max(WS_INITIAL, WS_GROWTH * len(work)) units in all."""
+    outside = np.ones(scores.size, dtype=bool)
+    outside[work] = False
+    candidates = np.flatnonzero(outside & (scores > 0.0))
+    take = max(WS_INITIAL, WS_GROWTH * work.size) - work.size
+    worst = candidates[np.argsort(-scores[candidates], kind="stable")[:take]]
+    return np.union1d(work, worst)
 
 
 def expansion_center(dataset, loss, curvature, beta_star):
@@ -160,9 +224,10 @@ def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     """Solve the quadratic surrogate 0.5 ||K^{1/2}(b - z)||^2 + h(b).
 
     The smooth part is seen through u = K (b - z), which is also its
-    gradient, so each iteration costs one product with K. The step is the
-    exact 1/lambda_max(K) from curvature.eig_max, and the solve starts at z,
-    so the identity-curvature case converges in one prox step.
+    gradient, so each iteration costs one product with K, and passes
+    counts those products. The step is the exact 1/lambda_max(K) from
+    curvature.eig_max, and the solve starts at z, so the identity-curvature
+    case converges in one prox step.
     """
     cfg = config or DEFAULT_CONFIG
     t0 = time.perf_counter()
@@ -171,6 +236,6 @@ def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
         image=lambda b: curvature @ (b - z),
         value=lambda b, u: 0.5 * float((b - z) @ u),
         grad=lambda b, u: u,
-        lipschitz=curvature.eig_max)
+        lipschitz=curvature.eig_max, grad_products=0)
     # the smooth part and its image vanish at z
-    return _fista(smooth, penalty, z.copy(), np.zeros(z.size), cfg, t0)
+    return _fista(smooth, penalty, z.copy(), np.zeros(z.size), cfg, t0)[0]

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -92,6 +93,9 @@ def test_validate_config_rejections():
     with pytest.raises(ValueError, match="threads must be >= 0"):
         parse_config("experiment = rates\nthreads = -3\n"
                      "grid = n=50 p=20 s=2\n")
+    with pytest.raises(ValueError, match="noise_sd must be >= 0"):
+        parse_config("experiment = rates\nnoise_sd = -1\n"
+                     "grid = n=50 p=20 s=2\n")
 
 
 def test_task_seed_stable():
@@ -181,6 +185,16 @@ def test_run_experiment_outputs(tmp_path):
     tim = (out / "timings.csv").read_text()
     assert tim.splitlines()[0] == ",".join(TIMING_FIELDS)
     assert len(tim.splitlines()) == 1 + summary["records"]
+    # the expansion steps by the exact 1/eig_max of K = I, so it makes one
+    # product with K per iteration; a fit makes at least the full pass of
+    # its certificate
+    with open(out / "timings.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    by_task = {(int(r["point"]), int(r["rep"])): r for r in rows}
+    for rec in recs:
+        row = by_task[(rec["point"], rec["rep"])]
+        assert int(row["est_passes"]) >= 1
+        assert int(row["exp_passes"]) == rec["exp_iterations"]
 
 
 def test_run_experiment_thread_invariance(tmp_path):
@@ -278,6 +292,7 @@ def test_cli_generate_fit_expand(tmp_path, capsys):
     info = json.loads((tmp_path / "sol" / "solution.json").read_text())
     assert info["converged"] is True
     assert info["kkt_residual"] <= 1e-8
+    assert info["passes"] >= 2
     beta = np.fromfile(tmp_path / "sol" / "solution.bin")
     assert beta.shape == (30,)
 
@@ -286,8 +301,18 @@ def test_cli_generate_fit_expand(tmp_path, capsys):
     assert rc == 0
     info = json.loads((tmp_path / "exp" / "expansion.json").read_text())
     assert info["converged"] is True
+    assert info["passes"] >= info["iterations"] >= 1
     eta = np.fromfile(tmp_path / "exp" / "expansion.bin")
     assert eta.shape == (30,)
+
+
+def test_cli_generate_refuses_negative_noise_sd(tmp_path, capsys):
+    out = tmp_path / "ds"
+    rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
+                   "--noise-sd", "-2", "--out", str(out)])
+    assert rc == 2
+    assert "noise_sd must be >= 0" in capsys.readouterr().err
+    assert not (out / "meta.json").exists()
 
 
 def test_cli_fit_not_converged_exit(tmp_path, capsys):

@@ -175,15 +175,16 @@ def test_residual_l1_brute_force():
     for _ in range(200):
         beta = rng.normal(size=8) * (rng.random(8) < 0.6)
         grad = rng.normal(size=8)
-        worst = 0.0
+        dists = []
         for j in range(8):
             if beta[j] != 0:
-                dist = abs(grad[j] + lam * np.sign(beta[j]))
+                dists.append(abs(grad[j] + lam * np.sign(beta[j])))
             else:
-                dist = max(abs(grad[j]) - lam, 0.0)
-            worst = max(worst, dist)
+                dists.append(max(abs(grad[j]) - lam, 0.0))
         got = L1Penalty(lam).residual(beta, grad)
-        assert got == pytest.approx(worst, abs=1e-12)
+        assert got == pytest.approx(max(dists), abs=1e-12)
+        assert L1Penalty(lam).scores(beta, grad) == pytest.approx(dists,
+                                                                  abs=1e-12)
 
 
 def test_residual_group_brute_force():
@@ -196,17 +197,44 @@ def test_residual_group_brute_force():
             if rng.random() < 0.5:
                 beta[3 * k:3 * k + 3] = 0.0
         grad = rng.normal(size=12)
-        worst = 0.0
+        dists = []
         for k in range(4):
             bg = beta[3 * k:3 * k + 3]
             gg = grad[3 * k:3 * k + 3]
             if np.any(bg != 0):
-                dist = np.linalg.norm(gg + lam * bg / np.linalg.norm(bg))
+                dists.append(
+                    np.linalg.norm(gg + lam * bg / np.linalg.norm(bg)))
             else:
-                dist = max(np.linalg.norm(gg) - lam, 0.0)
-            worst = max(worst, dist)
+                dists.append(max(np.linalg.norm(gg) - lam, 0.0))
         got = GroupPenalty(lam, gs).residual(beta, grad)
-        assert got == pytest.approx(worst, abs=1e-12)
+        assert got == pytest.approx(max(dists), abs=1e-12)
+        assert GroupPenalty(lam, gs).scores(beta, grad) == pytest.approx(
+            dists, abs=1e-12)
+
+
+@pytest.mark.parametrize("pen", [
+    L1Penalty(0.3), L1BallConstraint(1.5),
+    GroupPenalty(0.3, GroupStructure.contiguous(4, 3))],
+    ids=lambda pen: type(pen).__name__)
+def test_restriction_acts_on_the_kept_units(pen):
+    # on a vector that is zero outside the kept units, the restricted
+    # penalty gives the same value, prox and residual on the sub-vector
+    units = np.array([1, 3])
+    sub, cols = pen.restrict(units)
+    if isinstance(pen, GroupPenalty):
+        assert cols.tolist() == [3, 4, 5, 9, 10, 11]
+    else:
+        assert cols.tolist() == [1, 3]
+    rng = np.random.default_rng(8)
+    beta = np.zeros(12)
+    beta[cols] = 0.2 * rng.normal(size=cols.size)
+    grad = rng.normal(size=12)
+    assert sub.value(beta[cols]) == pen.value(beta)
+    assert np.array_equal(sub.prox(beta[cols], 0.5),
+                          pen.prox(beta, 0.5)[cols])
+    if not isinstance(pen, L1BallConstraint):
+        assert np.array_equal(sub.scores(beta[cols], grad[cols]),
+                              pen.scores(beta, grad)[units])
 
 
 def test_residual_ball_cases():

@@ -1,7 +1,13 @@
+import time
+from dataclasses import dataclass, replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from penexp import model, solver
+from penexp.cones import lasso_penalty_level
 from penexp.losses import LOGISTIC, SQUARED, curvature_matrix
 from penexp.penalties import GroupPenalty, L1BallConstraint, L1Penalty
 
@@ -24,11 +30,15 @@ def test_config_validation():
 
 def test_unpenalized_matches_least_squares():
     ds, _ = linear_instance(80, 10, 3, seed=2)
-    res = solver.fit_penalized(ds, SQUARED, L1Penalty(0.0),
+    counted, count = counting(ds)
+    res = solver.fit_penalized(counted, SQUARED, L1Penalty(0.0),
                                solver.SolverConfig(kkt_tol=1e-11))
     ols, *_ = np.linalg.lstsq(ds.X, ds.y, rcond=None)
     assert res.converged
     assert np.abs(res.solution - ols).max() < 1e-8
+    # the working set holds every column, so the inner products are full
+    # passes too
+    assert res.passes == count[0] > res.iterations
 
 
 def test_large_penalty_gives_zero():
@@ -260,3 +270,152 @@ def test_expansion_general_k_kkt():
     z = solver.expansion_center(ds, LOGISTIC, K, beta)
     grad = K.matrix @ (res.solution - z)
     assert pen.residual(res.solution, grad) <= 1e-8
+
+
+def plain_fista(ds, loss, penalty, cfg):
+    """The FISTA loop run once on all columns of X, with no working set."""
+    X, y, n = ds.X, ds.y, ds.n
+    smooth = solver._Smooth(
+        image=lambda b: X @ b,
+        value=lambda b, u: float(np.mean(loss.value(y, u))),
+        grad=lambda b, u: X.T @ loss.d1(y, u) / n,
+        lipschitz=None, grad_products=1)
+    res, _ = solver._fista(smooth, penalty, np.zeros(ds.p), np.zeros(n), cfg,
+                           time.perf_counter())
+    return res
+
+
+@st.composite
+def _working_set_case(draw):
+    loss = draw(st.sampled_from([SQUARED, LOGISTIC]))
+    kind = draw(st.sampled_from(["l1", "ball", "group"]))
+    d = draw(st.integers(1, 3)) if kind == "group" else 1
+    M = draw(st.integers(2, 30))
+    n = draw(st.integers(10, 60))
+    seed = draw(st.integers(0, 2 ** 20))
+    ws_initial = draw(st.integers(1, 4))
+    scale = draw(st.floats(0.05, 1.0))
+    return loss, kind, d, M, n, seed, ws_initial, scale
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_working_set_case())
+def test_working_set_matches_plain_fista(case):
+    loss, kind, d, M, n, seed, ws_initial, scale = case
+    p = M * d
+    cov = model.CovarianceModel.identity(p)
+    X = model.generate_design(cov, n, "gaussian", seed)
+    beta = model.flat_signal(p, min(3, p - 1), 0.4)
+    if loss is SQUARED:
+        ds = model.generate_linear(X, beta, 1.0, seed, covariance=cov)
+    else:
+        ds = model.generate_logistic(X, beta, seed, covariance=cov)
+    # scale sets the penalty from nearly none to nearly all-zero solutions
+    g0 = np.abs(solver.smooth_gradient(ds, loss, np.zeros(p)))
+    if kind == "l1":
+        pen = L1Penalty(scale * g0.max())
+    elif kind == "ball":
+        pen = L1BallConstraint(2.0 * scale)
+    else:
+        pen = GroupPenalty(scale * g0.max(),
+                           model.GroupStructure.contiguous(M, d))
+    cfg = solver.SolverConfig(kkt_tol=1e-10, max_iters=200000)
+    with mock.patch.object(solver, "WS_INITIAL", ws_initial):
+        res = solver.fit_penalized(ds, loss, pen, cfg)
+    full = plain_fista(ds, loss, pen, cfg)
+    assert res.converged and full.converged
+    grad = solver.smooth_gradient(ds, loss, res.solution)
+    assert pen.residual(res.solution, grad) <= 1e-10
+    assert abs(res.objective - full.objective) <= 1e-10 * max(
+        1.0, abs(full.objective))
+
+
+def test_working_set_admits_coordinate_outside_first_set():
+    # y loads on the first two columns; with a first working set of one
+    # unit only the stronger column 0 is in it, and column 1 must enter
+    n, p = 200, 30
+    cov = model.CovarianceModel.identity(p)
+    X = model.generate_design(cov, n, "gaussian", seed=21)
+    beta = np.zeros(p)
+    beta[:2] = [2.0, 1.0]
+    ds = model.generate_linear(X, beta, 0.5, seed=21, covariance=cov)
+    pen = L1Penalty(0.1)
+    g0 = np.abs(solver.smooth_gradient(ds, SQUARED, np.zeros(p)))
+    assert int(np.argmax(g0)) == 0
+    with mock.patch.object(solver, "WS_INITIAL", 1):
+        res = solver.fit_penalized(ds, SQUARED, pen)
+    assert res.converged
+    assert res.solution[1] != 0.0
+    assert res.passes >= 3  # one full gradient per round, three rounds
+    grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+    assert pen.residual(res.solution, grad) <= 1e-8
+
+
+@dataclass(frozen=True)
+class _NeverCertified(L1Penalty):
+    """The l1 penalty with a residual on the full vector that never meets
+    any tolerance; its restriction to a working set is the plain l1
+    penalty, so every inner solve converges."""
+
+    def residual(self, beta, grad):
+        return 1.0
+
+    def restrict(self, units):
+        return L1Penalty(self.level), np.asarray(units, dtype=np.intp)
+
+
+def test_working_set_that_cannot_grow_ends_uncertified():
+    ds, _ = linear_instance(80, 40, 3, seed=22)
+    res = solver.fit_penalized(ds, SQUARED, _NeverCertified(0.1))
+    assert not res.converged
+    assert res.kkt_residual == 1.0
+    # once an inner solve leaves no unit outside the working set with a
+    # positive score, the loop stops instead of re-solving the same set
+    # until max_iters runs out, one full pass per round
+    assert res.passes <= 5
+    assert res.iterations < 1000
+    grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+    assert L1Penalty(0.1).residual(res.solution, grad) <= 1e-8
+
+
+class CountingDesign(np.ndarray):
+    """A design matrix that counts the matrix products made with all of its
+    columns (X @ b and X.T @ r), apart from the solver's bookkeeping."""
+
+    def __array_finalize__(self, obj):
+        self.count = getattr(obj, "count", None)
+        self.full_size = getattr(obj, "full_size", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and any(
+                isinstance(a, CountingDesign) and a.size == a.full_size
+                for a in inputs):
+            self.count[0] += 1
+        plain = [a.view(np.ndarray) if isinstance(a, CountingDesign) else a
+                 for a in inputs]
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def counting(ds):
+    X = ds.X.view(CountingDesign)
+    X.count, X.full_size = [0], ds.X.size
+    return replace(ds, X=X), X.count
+
+
+@pytest.mark.parametrize("kind", ["l1", "ball"])
+def test_rates_shaped_fit_passes_over_x(kind):
+    # one task of the rates experiment at n = 400, p = 2n, s = 5
+    n, p, s = 400, 800, 5
+    ds, _ = linear_instance(n, p, s, seed=23)
+    if kind == "l1":
+        pen = L1Penalty(lasso_penalty_level(SQUARED, p, s, n, 0.5,
+                                            noise_scale=model.noise_scale(ds)))
+    else:
+        pen = L1BallConstraint(float(np.abs(ds.beta_star).sum()))
+    counted, count = counting(ds)
+    res = solver.fit_penalized(counted, SQUARED, pen)
+    assert res.converged
+    assert res.passes == count[0]
+    assert res.passes <= 5
+    plain = solver.fit_penalized(ds, SQUARED, pen)
+    assert plain.solution.tobytes() == res.solution.tobytes()
