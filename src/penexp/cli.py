@@ -1,7 +1,9 @@
 """Command-line entry points.
 
-Subcommands: generate, fit, expand, risk-identity, coverage, experiment,
-rate-fit. Exit codes: 0 on success, 2 on invalid configuration or arguments,
+Subcommands: generate, fit, expand, risk-identity, experiment, rate-fit.
+Monte Carlo experiments, coverage runs among them, are config files run by
+`experiment`, whose --threads and --out override the config's threads and
+out. Exit codes: 0 on success, 2 on invalid configuration or arguments,
 3 when solves fail to converge (or an experiment exceeds its allowed failure
 fraction).
 """
@@ -86,7 +88,7 @@ def _emit(obj, out_dir=None, name=None):
 
 
 def _cmd_generate(args):
-    cov = harness._parse_covariance(args.covariance, args.p)
+    cov = model.CovarianceModel.from_spec(args.covariance, args.p)
     beta_star = model.flat_signal(args.p, args.s, args.amplitude)
     X = model.generate_design(cov, args.n, args.design, args.seed)
     if args.model == "linear":
@@ -156,39 +158,15 @@ def _cmd_risk_identity(args):
     return EXIT_OK
 
 
-def _cmd_coverage(args):
-    cfg = harness.ExperimentConfig(
-        experiment_kind="coverage",
-        grid=(harness.GridPoint(args.n, args.p, args.s),),
-        loss_kind="squared", penalty_kind="l1_penalized",
-        covariance=args.covariance, xi=args.xi,
-        replications=args.replications, master_seed=args.seed,
-        threads=args.threads, kkt_tol=args.tol, max_iters=args.max_iters,
-        output_dir=args.out)
-    summary = harness.run_experiment(cfg)
-    _emit({"coverage": summary["points"][0].get("coverage"),
-           "coverage_se": summary["points"][0].get("coverage_se"),
-           "records": summary["records"], "failed": summary["failed"],
-           "out": args.out})
-    if summary["failed_fraction"] > cfg.max_fail_frac:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
-
-
 def _cmd_experiment(args):
     with open(args.config) as fh:
         cfg = harness.parse_config(fh.read())
     overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
     if args.threads is not None:
         overrides["threads"] = args.threads
     if args.out is not None:
         overrides["output_dir"] = args.out
-    if args.tol is not None:
-        overrides["kkt_tol"] = args.tol
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    cfg = replace(cfg, **overrides)
     summary = harness.run_experiment(cfg)
     _emit({"out": cfg.output_dir, "records": summary["records"],
            "failed": summary["failed"],
@@ -269,28 +247,12 @@ def build_parser():
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_risk_identity)
 
-    sp = sub.add_parser("coverage",
-                        help="confidence-interval coverage experiment")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--replications", type=int, default=500)
-    sp.add_argument("--covariance", default="identity")
-    sp.add_argument("--xi", type=float, default=0.5)
-    sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--threads", type=int, default=0,
-                    help="0 means one worker per CPU core")
-    add_solver_flags(sp)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_coverage)
-
     sp = sub.add_parser("experiment", help="run a config-file experiment")
     sp.add_argument("config")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="override master_seed from the config")
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--threads", type=int, default=None,
+                    help="override threads from the config")
+    sp.add_argument("--out", default=None,
+                    help="override out from the config")
     sp.set_defaults(func=_cmd_experiment)
 
     sp = sub.add_parser("rate-fit",

@@ -97,12 +97,13 @@ def group_penalty_level(loss, M, d, s, n, xi, noise_scale=None):
 
 
 def minimax_rate(kind, n, p=None, s=None, M=None, d=None):
-    """Rate scale r_n for the estimation error under each penalty family."""
-    if kind in ("l1_penalized", "l1_constrained", "lasso"):
+    """Rate scale r_n for the estimation error: kind "lasso" for both l1
+    fits, "group" for the group lasso."""
+    if kind == "lasso":
         if not p > s >= 1:
             raise ValueError("need p > s >= 1")
         return float(np.sqrt(2.0 * s * np.log(p / s) / n))
-    if kind in ("group_lasso", "group"):
+    if kind == "group":
         if not M > s >= 1:
             raise ValueError("need M > s >= 1")
         return float(np.sqrt((s * d + s * np.log(M / s)) / n))

@@ -42,8 +42,6 @@ class InferenceReport:
     ci_high: float
     covered: bool
     t_stat: float
-    noise_term: float | None
-    remainder: float | None
 
 
 def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
@@ -133,13 +131,8 @@ def debiased_estimate(dataset, beta_hat, cov, a):
     half = 1.96 / np.sqrt(dataset.n)
     ci_low, ci_high = theta - half, theta + half
     t_stat = float(np.sqrt(dataset.n) * (theta - target))
-    noise_term = remainder = None
-    if dataset.noise is not None:
-        noise_term = float(np.sqrt(dataset.n) * (z_a @ dataset.noise) / denom)
-        remainder = t_stat - noise_term
     return InferenceReport(theta, target, ci_low, ci_high,
-                           bool(ci_low <= target <= ci_high), t_stat,
-                           noise_term, remainder)
+                           bool(ci_low <= target <= ci_high), t_stat)
 
 
 def sparsity_count(beta, groups=None):

@@ -156,7 +156,7 @@ def validate_config(cfg):
         raise ValueError("%s loss needs a %s design, got %r"
                          % (loss.kind, " or ".join(loss.designs),
                             cfg.design_kind))
-    _parse_covariance(cfg.covariance, 2)  # validates the syntax
+    model.CovarianceModel.from_spec(cfg.covariance, 2)  # validates the syntax
     if not cfg.grid:
         raise ValueError("at least one grid entry is required")
     if cfg.replications < 1:
@@ -191,14 +191,6 @@ def validate_config(cfg):
         raise ValueError("coverage runs require squared loss (linear data)")
 
 
-def _parse_covariance(spec, p):
-    if spec == "identity":
-        return model.CovarianceModel.identity(p)
-    if spec.startswith("ar1:"):
-        return model.CovarianceModel.ar1(p, float(spec.split(":", 1)[1]))
-    raise ValueError("unknown covariance %r (identity or ar1:<rho>)" % (spec,))
-
-
 def task_seed(master_seed, point_idx, rep_idx):
     """Stable 64-bit seed derived from (master, point, rep)."""
     seq = np.random.SeedSequence((int(master_seed), int(point_idx),
@@ -220,7 +212,7 @@ class _PointSetup:
 
 
 def _setup_point(cfg, pt, loss):
-    cov = _parse_covariance(cfg.covariance, pt.p)
+    cov = model.CovarianceModel.from_spec(cfg.covariance, pt.p)
     groups = None
     if cfg.penalty_kind == "group_lasso":
         groups = model.GroupStructure.contiguous(pt.M, pt.d)

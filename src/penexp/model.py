@@ -87,6 +87,16 @@ class CovarianceModel:
         return cls._covariance("explicit", 0.0, matrix)
 
     @classmethod
+    def from_spec(cls, spec, p):
+        """Covariance of dimension p from a spec: identity or ar1:<rho>."""
+        if spec == "identity":
+            return cls.identity(p)
+        if spec.startswith("ar1:"):
+            return cls.ar1(p, float(spec.split(":", 1)[1]))
+        raise ValueError("unknown covariance %r (identity or ar1:<rho>)"
+                         % (spec,))
+
+    @classmethod
     def curvature(cls, K):
         """Curvature matrix K."""
         K = cls._factorized("curvature", 0.0, np.asarray(K, dtype=float))

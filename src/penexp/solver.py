@@ -80,7 +80,7 @@ class _Smooth:
 
 def _fista(smooth, penalty, x, u_x, cfg, t0):
     """FISTA with backtracking from x, whose image is u_x; returns the
-    result and the image of its solution.
+    result, and the image of its solution and the gradient there.
 
     Momentum restarts whenever the objective increases. The image of the
     momentum point is combined linearly from cached images, so an
@@ -125,18 +125,20 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
         x, u_x = x_new, u_new
         t_mom = t_next
         if it == 1 or it % CHECK_EVERY == 0:
-            res = penalty.residual(x, smooth.grad(x, u_x))
+            g_x = smooth.grad(x, u_x)
+            res = penalty.residual(x, g_x)
             grads += 1
             if res <= cfg.kkt_tol:
                 converged = True
                 break
     if not converged:
-        res = penalty.residual(x, smooth.grad(x, u_x))
+        g_x = smooth.grad(x, u_x)
+        res = penalty.residual(x, g_x)
         grads += 1
         converged = res <= cfg.kkt_tol
     passes = images + smooth.grad_products * grads
     return SolverResult(x, obj, float(res), it, converged,
-                        time.perf_counter() - t0, passes), u_x
+                        time.perf_counter() - t0, passes), u_x, g_x
 
 
 def smooth_gradient(dataset, loss, beta):
@@ -148,7 +150,7 @@ def smooth_gradient(dataset, loss, beta):
 def fit_penalized(dataset, loss, penalty, config=None):
     """Solve the penalized problem by working-set FISTA with backtracking.
 
-    Starts at 0. Each outer round makes one full gradient X'r and stops if
+    Starts at 0. Each outer round takes the full gradient X'r and stops if
     the penalty's residual on all of it is within kkt_tol. Otherwise the
     working set W, a set of the penalty's units that only grows, takes the
     worst violators outside it (penalty.scores, ties by index) until it is
@@ -157,7 +159,9 @@ def fit_penalized(dataset, loss, penalty, config=None):
     is zero outside it. The loop ends uncertified when the max_iters budget,
     shared by all inner solves, is spent or when no unit outside W has a
     positive score. Inner products with X[:, W] count as passes only when
-    W covers all columns.
+    W covers all columns. When W is every column in order, the inner
+    solve's last gradient is X'r at its solution, and the next round takes
+    it instead of making the same product again.
     """
     cfg = config or DEFAULT_CONFIG
     X, y, n, p = dataset.X, dataset.y, dataset.n, dataset.p
@@ -165,9 +169,11 @@ def fit_penalized(dataset, loss, penalty, config=None):
     beta, u = np.zeros(p), np.zeros(n)
     work = np.zeros(0, dtype=np.intp)
     iterations = passes = 0
+    grad = None
     while True:
-        grad = X.T @ loss.d1(y, u) / n
-        passes += 1
+        if grad is None:
+            grad = X.T @ loss.d1(y, u) / n
+            passes += 1
         res = penalty.residual(beta, grad)
         if res <= cfg.kkt_tol or iterations == cfg.max_iters:
             break
@@ -182,14 +188,16 @@ def fit_penalized(dataset, loss, penalty, config=None):
             value=lambda b, v: float(np.mean(loss.value(y, v))),
             grad=lambda b, v: XW.T @ loss.d1(y, v) / n,
             lipschitz=None, grad_products=1)
-        inner, u = _fista(smooth, sub, beta[cols], u,
-                          replace(cfg, max_iters=cfg.max_iters - iterations),
-                          t0)
+        inner, u, grad = _fista(
+            smooth, sub, beta[cols], u,
+            replace(cfg, max_iters=cfg.max_iters - iterations), t0)
         beta = np.zeros(p)
         beta[cols] = inner.solution
         iterations += inner.iterations
         if XW.shape[1] == p:
             passes += inner.passes
+        if XW is not X:
+            grad = None
     objective = float(np.mean(loss.value(y, u))) + penalty.value(beta)
     return SolverResult(beta, objective, float(res), iterations,
                         bool(res <= cfg.kkt_tol), time.perf_counter() - t0,

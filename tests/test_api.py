@@ -1,9 +1,10 @@
 """The package holds only what the package itself uses.
 
-Every name exported in penexp.__all__, and every public top-level function
-and class defined in src/penexp, must be used by code in src/penexp other
-than its own definition and __init__.py; an import alone is not a use.
-Names that only tests would call belong in tests/oracles.py instead.
+Every public top-level function and class defined in src/penexp must be
+used by code in src/penexp other than its own definition; an import alone
+is not a use. Names that only tests would call belong in tests/oracles.py
+instead. The package root holds its docstring alone, so every object has
+one name, the one in its module.
 
 numpy is the package's only run-time dependency: scipy is for the tests and
 the benchmark alone.
@@ -64,11 +65,16 @@ def _used_names():
 
 
 def test_every_export_has_a_caller_in_the_package():
-    public = set(penexp.__all__) | _public_definitions()
-    unused = public - _used_names()
+    unused = _public_definitions() - _used_names()
     # equality also catches an allowlist entry that has gained a caller
     assert unused == ALLOWED_UNUSED, \
         "public but unused in src/penexp: %s" % sorted(unused)
+
+
+def test_package_root_is_its_docstring_alone():
+    with open(penexp.__file__) as fh:
+        body = ast.parse(fh.read()).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr)
 
 
 NUMPY_ONLY_RUN = """

@@ -258,19 +258,20 @@ def test_group_cone_default_c():
 
 
 def test_minimax_rate_lasso():
-    val = minimax_rate("l1_penalized", 400, p=800, s=5)
+    val = minimax_rate("lasso", 400, p=800, s=5)
     assert val == pytest.approx(np.sqrt(2.0 * 5 * np.log(160.0) / 400.0),
                                 rel=1e-14)
-    assert minimax_rate("l1_constrained", 400, p=800, s=5) == val
     with pytest.raises(ValueError):
-        minimax_rate("l1_penalized", 400, p=5, s=5)
+        minimax_rate("lasso", 400, p=5, s=5)
 
 
 def test_minimax_rate_group():
-    val = minimax_rate("group_lasso", 2000, M=200, d=4, s=5)
+    val = minimax_rate("group", 2000, M=200, d=4, s=5)
     manual = np.sqrt((5 * 4 + 5 * np.log(40.0)) / 2000.0)
     assert val == pytest.approx(manual, rel=1e-14)
     with pytest.raises(ValueError):
-        minimax_rate("group_lasso", 2000, M=5, d=4, s=5)
-    with pytest.raises(ValueError):
-        minimax_rate("ridge", 100, p=10, s=2)
+        minimax_rate("group", 2000, M=5, d=4, s=5)
+    # the penalty kinds of a config are not rate families
+    for kind in ("ridge", "l1_penalized", "l1_constrained", "group_lasso"):
+        with pytest.raises(ValueError, match="unknown penalty family"):
+            minimax_rate(kind, 100, p=10, s=2)

@@ -148,8 +148,7 @@ def test_debiased_at_truth():
     z_a = ds.X[:, 0]
     expected = float(z_a @ ds.noise) / float(z_a @ z_a)
     assert rep.theta_hat - rep.target == pytest.approx(expected, abs=1e-14)
-    assert rep.t_stat == pytest.approx(rep.noise_term, abs=1e-10)
-    assert rep.remainder == pytest.approx(0.0, abs=1e-10)
+    assert rep.t_stat == pytest.approx(np.sqrt(ds.n) * expected, abs=1e-10)
 
 
 def test_debiased_scale_invariance():

@@ -78,6 +78,9 @@ def test_validate_config_rejections():
         harness.validate_config(ExperimentConfig(
             experiment_kind="rates", penalty_kind="group_lasso",
             grid=(GridPoint(50, 20, 3, M=4, d=4),)))
+    with pytest.raises(ValueError, match="unknown covariance 'ar2:0.5'"):
+        parse_config("experiment = rates\ncovariance = ar2:0.5\n"
+                     "grid = n=50 p=20 s=2\n")
     with pytest.raises(ValueError):
         parse_config("experiment = risk_identity\ncovariance = ar1:0.5\n"
                      "grid = n=50 p=20 s=2\n")
@@ -174,7 +177,7 @@ def test_run_experiment_outputs(tmp_path):
     recs = load_records_csv(out / "records.csv")
     assert [(r["point"], r["rep"]) for r in recs] == \
         sorted((r["point"], r["rep"]) for r in recs)
-    assert recs[0]["r_n"] == minimax_rate("l1_penalized", 60, p=30, s=2)
+    assert recs[0]["r_n"] == minimax_rate("lasso", 60, p=30, s=2)
     assert isinstance(recs[0]["est_converged"], bool)
     assert recs[0]["est_time"] if "est_time" in RECORD_FIELDS else True
     # summary.json round trips
@@ -442,12 +445,16 @@ def test_cli_experiment_failure_exit(tmp_path, capsys):
 
 
 def test_cli_coverage_smoke(tmp_path, capsys):
-    rc = cli.main(["coverage", "--n", "100", "--p", "30", "--s", "2",
-                   "--replications", "8", "--seed", "21", "--threads", "1",
+    conf = tmp_path / "coverage.conf"
+    conf.write_text("experiment = coverage\nreplications = 8\n"
+                    "master_seed = 21\ngrid = n=100 p=30 s=2\n")
+    rc = cli.main(["experiment", str(conf), "--threads", "1",
                    "--out", str(tmp_path / "cov")])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
-    assert 0.0 <= out["coverage"] <= 1.0
+    assert out["records"] == 8
+    summary = json.loads((tmp_path / "cov" / "summary.json").read_text())
+    assert 0.0 <= summary["points"][0]["coverage"] <= 1.0
     recs = load_records_csv(tmp_path / "cov" / "records.csv")
     assert len(recs) == 8
     assert all(r["covered"] in (True, False) for r in recs)

@@ -20,6 +20,17 @@ def test_ar1_matrix_entries():
             assert cov.matrix[i, j] == pytest.approx(0.5 ** abs(i - j))
 
 
+def test_covariance_from_spec():
+    assert model.CovarianceModel.from_spec("identity", 6).is_identity
+    cov = model.CovarianceModel.from_spec("ar1:0.5", 6)
+    assert np.array_equal(cov.matrix, model.CovarianceModel.ar1(6, 0.5).matrix)
+    for spec in ("ar2:0.5", "toeplitz", ""):
+        with pytest.raises(ValueError, match="unknown covariance"):
+            model.CovarianceModel.from_spec(spec, 6)
+    with pytest.raises(ValueError):
+        model.CovarianceModel.from_spec("ar1:strong", 6)
+
+
 def test_covariance_factorizations_consistent():
     cov = model.CovarianceModel.ar1(12, 0.7)
     assert np.allclose(cov.sqrt @ cov.sqrt, cov.matrix, atol=1e-10)

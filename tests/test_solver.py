@@ -280,9 +280,8 @@ def plain_fista(ds, loss, penalty, cfg):
         value=lambda b, u: float(np.mean(loss.value(y, u))),
         grad=lambda b, u: X.T @ loss.d1(y, u) / n,
         lipschitz=None, grad_products=1)
-    res, _ = solver._fista(smooth, penalty, np.zeros(ds.p), np.zeros(n), cfg,
-                           time.perf_counter())
-    return res
+    return solver._fista(smooth, penalty, np.zeros(ds.p), np.zeros(n), cfg,
+                         time.perf_counter())[0]
 
 
 @st.composite
@@ -419,3 +418,34 @@ def test_rates_shaped_fit_passes_over_x(kind):
     assert res.passes <= 5
     plain = solver.fit_penalized(ds, SQUARED, pen)
     assert plain.solution.tobytes() == res.solution.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["l1", "ball"])
+def test_full_working_set_reuses_inner_gradient(kind):
+    # at p <= WS_INITIAL, with every coordinate violating at 0, the first
+    # working set holds every column, so the fit is one full gradient at 0
+    # and one inner solve whose last KKT check made the full gradient at
+    # the solution
+    n, p, s = 200, 60, 3
+    ds, _ = linear_instance(n, p, s, seed=24)
+    if kind == "l1":
+        g0 = solver.smooth_gradient(ds, SQUARED, np.zeros(p))
+        pen = L1Penalty(0.5 * np.abs(g0).min())
+    else:
+        pen = L1BallConstraint(float(np.abs(ds.beta_star).sum()))
+    fista, inner = solver._fista, []
+
+    def recording_fista(*args):
+        out = fista(*args)
+        inner.append(out[0])
+        return out
+
+    counted, count = counting(ds)
+    with mock.patch.object(solver, "_fista", recording_fista):
+        res = solver.fit_penalized(counted, SQUARED, pen)
+    assert res.converged
+    assert len(inner) == 1 and inner[0].solution.size == p
+    assert res.iterations == inner[0].iterations
+    assert res.passes == 1 + inner[0].passes == count[0]
+    grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+    assert res.kkt_residual == pen.residual(res.solution, grad)
