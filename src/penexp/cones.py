@@ -46,7 +46,7 @@ class GroupCone:
     def member(self, u, tol=1e-9):
         u = np.asarray(u, dtype=float)
         l2 = np.linalg.norm(u)
-        norms = np.linalg.norm(u[self.groups.index], axis=1)
+        norms = np.linalg.norm(self.groups.blocks(u), axis=-1)
         return bool(norms.sum() <= self.c * np.sqrt(self.s) * l2 * (1.0 + tol))
 
     restricted_eigenvalue = LassoCone.restricted_eigenvalue

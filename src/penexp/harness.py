@@ -5,6 +5,12 @@ line. Each (grid point, replication) task derives its own integer seed from
 (master_seed, point index, rep index), so results do not depend on worker
 count or completion order. Records are sorted by (point, rep) before writing.
 
+The point set-ups and then the tasks run in one thread pool, and every
+mapped OpenBLAS copy is held at one thread while they run: the pool is the
+parallelism, and BLAS helper threads would only take cores from the other
+workers. It also makes the BLAS results, hence the outputs, independent of
+the process's BLAS thread setting. The previous counts come back afterwards.
+
 Outputs in the configured directory: records.csv (RFC 4180, fixed header,
 floats at 17 significant digits), timings.csv (wall times, kept out of
 records.csv so reruns are byte-identical, and the full passes over X or K
@@ -13,7 +19,9 @@ of each solve) and summary.json.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import ctypes
 import json
 import math
 import os
@@ -337,9 +345,57 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     return rec, timing
 
 
+# Thread-count functions, %s = get or set: numpy's OpenBLAS (64-bit
+# integers), scipy's, and a plain OpenBLAS of either integer width.
+_OPENBLAS_THREAD_SYMBOLS = (
+    "scipy_openblas_%s_num_threads64_", "scipy_openblas_%s_num_threads",
+    "openblas_%s_num_threads64_", "openblas_%s_num_threads")
+
+
+def _openblas_libs():
+    """(get, set) thread-count functions of each OpenBLAS copy mapped into
+    this process; none when there is no OpenBLAS or no /proc/self/maps."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in fh
+                            if "openblas" in line})
+    except OSError:
+        return []
+    libs = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, name % "get", None)
+            put = getattr(lib, name % "set", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                libs.append((get, put))
+                break
+    return libs
+
+
+@contextlib.contextmanager
+def _blas_threads(count):
+    """Run the block with every mapped OpenBLAS copy on count threads, and
+    give each copy its previous count back afterwards."""
+    libs = _openblas_libs()
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(count)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(libs, before):
+            put(n)
+
+
 def run_experiment(cfg):
     """Run all (grid point, replication) tasks and write the output files.
 
+    The point set-ups, then the tasks, run in a pool of cfg.threads workers
+    (one per core for 0), each computing with one OpenBLAS thread; the
+    previous OpenBLAS thread counts come back when the run ends or raises.
     Returns the summary dict (also written to summary.json). Records from
     non-converged solves stay in records.csv flagged as such but are
     excluded from all summary statistics.
@@ -348,7 +404,6 @@ def run_experiment(cfg):
     loss = get_loss(cfg.loss_kind)
     solver_cfg = solver.SolverConfig(max_iters=cfg.max_iters,
                                      kkt_tol=cfg.kkt_tol)
-    setups = [_setup_point(cfg, pt, loss) for pt in cfg.grid]
     tasks = [(pi, ri) for pi in range(len(cfg.grid))
              for ri in range(cfg.replications)]
     workers = cfg.threads or os.cpu_count() or 1
@@ -357,11 +412,10 @@ def run_experiment(cfg):
         pi, ri = task
         return _run_task(cfg, setups[pi], loss, solver_cfg, pi, ri)
 
-    if workers == 1:
-        results = [work(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, tasks))
+    with _blas_threads(1), ThreadPoolExecutor(max_workers=workers) as pool:
+        setups = list(pool.map(lambda pt: _setup_point(cfg, pt, loss),
+                               cfg.grid))
+        results = list(pool.map(work, tasks))
     records = [r for r, _ in results]
     timings = [t for _, t in results]
     records.sort(key=lambda r: (r["point"], r["rep"]))

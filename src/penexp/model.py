@@ -197,7 +197,8 @@ class CovarianceModel:
 
 @dataclass(frozen=True, eq=False)
 class GroupStructure:
-    """Partition of {0, ..., p-1} into M disjoint groups of equal size d."""
+    """Partition of {0, ..., p-1} into M consecutive groups of equal size d:
+    group k holds the coordinates k*d, ..., (k+1)*d - 1."""
 
     p: int
     M: int
@@ -211,10 +212,10 @@ class GroupStructure:
         groups = tuple(_readonly_idx(np.arange(k * d, (k + 1) * d)) for k in range(M))
         return cls(M * d, M, d, groups)
 
-    @cached_property
-    def index(self):
-        """(M, d) array whose row k lists the coordinates of group k."""
-        return _readonly_idx(np.vstack(self.groups))
+    def blocks(self, x):
+        """x with its last axis split into (M, d): row k of the block axis
+        is group k. A view whenever the reshape allows one."""
+        return x.reshape(x.shape[:-1] + (self.M, self.d))
 
 
 def _readonly_idx(a):

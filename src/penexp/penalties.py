@@ -2,10 +2,10 @@
 
 Each penalty class gives h(b) as value, the proximal map of step*h as prox
 (along the last axis, so on a vector or on each row of a batch, with exact
-zeros) and the KKT residual as residual. For the working-set solver it also
-scores each unit (a coordinate, or a group for the group penalty) by how
-far it violates the KKT condition, and restricts itself to a subset of
-units.
+zeros, as a fresh array that the caller may overwrite) and the KKT residual
+as residual. For the working-set solver it also scores each unit (a
+coordinate, or a group for the group penalty) by how far it violates the
+KKT condition, and restricts itself to a subset of units.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class GroupPenalty:
             raise ValueError("penalty level must be >= 0")
 
     def value(self, beta):
-        blocks = np.asarray(beta, dtype=float)[self.groups.index]
-        return float(self.level * np.linalg.norm(blocks, axis=1).sum())
+        blocks = self.groups.blocks(np.asarray(beta, dtype=float))
+        return float(self.level * np.linalg.norm(blocks, axis=-1).sum())
 
     def prox(self, x, step=1.0):
         """Shrink each block's norm and keep its direction:
@@ -147,27 +147,25 @@ class GroupPenalty:
         this reproduces soft thresholding bitwise."""
         _check_step(step)
         x = np.asarray(x, dtype=float)
-        idx = self.groups.index
-        blocks = x[..., idx]
+        blocks = self.groups.blocks(x)
         norms = np.linalg.norm(blocks, axis=-1)
         shrunk = np.maximum(norms - step * self.level, 0.0)
         # Dividing dead blocks by 1 instead of masking them keeps a batch
         # free of boolean gathers; their entries come out as +-0.
-        blocks /= np.where(shrunk > 0.0, norms, 1.0)[..., None]
-        blocks *= shrunk[..., None]
-        out = np.empty_like(x)
-        out[..., idx] = blocks
-        return out
+        out = blocks / np.where(shrunk > 0.0, norms, 1.0)[..., None]
+        out *= shrunk[..., None]
+        return out.reshape(x.shape)
 
     def scores(self, beta, grad):
         """Blockwise distance of -grad from level * b_G/||b_G|| (the
         level-ball where b_G is 0), one per group."""
         beta, grad = _pair(beta, grad)
-        idx = self.groups.index
-        b_norms = np.linalg.norm(beta[idx], axis=1)
+        b_blocks = self.groups.blocks(beta)
+        b_norms = np.linalg.norm(b_blocks, axis=-1)
         # A zero block has direction 0, so its deviation is ||grad_G||.
-        dirs = beta[idx] / np.where(b_norms > 0.0, b_norms, 1.0)[:, None]
-        dev = np.linalg.norm(grad[idx] + self.level * dirs, axis=1)
+        dirs = b_blocks / np.where(b_norms > 0.0, b_norms, 1.0)[..., None]
+        dev = np.linalg.norm(self.groups.blocks(grad) + self.level * dirs,
+                             axis=-1)
         return np.where(b_norms > 0.0, dev, np.maximum(dev - self.level, 0.0))
 
     def residual(self, beta, grad):
@@ -178,8 +176,10 @@ class GroupPenalty:
         """This penalty over the groups units, re-indexed onto the
         concatenation of their coordinates, and those coordinates."""
         units = np.asarray(units, dtype=np.intp)
-        kept = GroupStructure.contiguous(units.size, self.groups.d)
-        return GroupPenalty(self.level, kept), self.groups.index[units].ravel()
+        d = self.groups.d
+        kept = GroupStructure.contiguous(units.size, d)
+        columns = (units[:, None] * d + np.arange(d)).ravel()
+        return GroupPenalty(self.level, kept), columns
 
 
 def soft_threshold(x, t):

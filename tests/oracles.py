@@ -110,6 +110,17 @@ def prox_risk_quadrature(penalty, beta_star, noise_scale, n):
     return float(total)
 
 
+def prox_risk_unchunked(penalty, beta_star, noise_scale, n, n_draws, seed):
+    """prox_risk_mc's estimate and standard error from one (n_draws, p)
+    draw of the same stream, with the arithmetic written out plainly."""
+    beta_star = np.asarray(beta_star, dtype=float)
+    tau = float(noise_scale) / np.sqrt(n)
+    Z = stream_rng(seed, 4).standard_normal((int(n_draws), beta_star.size))
+    pts = beta_star[None, :] + tau * Z
+    diff = beta_star[None, :] - penalty.prox(pts)
+    vals = (diff * diff).sum(axis=1)
+    return float(np.mean(vals)), float(np.std(vals, ddof=1) / np.sqrt(n_draws))
+
 
 def curvature_fluctuations(dataset, loss, curvature, beta_star, directions):
     """Sample-vs-population curvature comparisons at given directions.
@@ -196,7 +207,7 @@ def _cone_profile(cone, G):
     """
     if isinstance(cone, LassoCone):
         return np.abs(G), np.sqrt(cone.k)
-    block = np.linalg.norm(G[:, cone.groups.index], axis=2)
+    block = np.linalg.norm(cone.groups.blocks(G), axis=-1)
     return block, cone.c * np.sqrt(cone.s)
 
 

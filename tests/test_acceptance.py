@@ -7,6 +7,7 @@ before looking at its outcome.
 """
 
 import numpy as np
+import pytest
 
 from oracles import (curvature_matrix_mc, stability_ratio_check,
                      taylor_remainder_gap)
@@ -287,3 +288,23 @@ def test_records_identical_across_thread_counts(tmp_path):
     a = (tmp_path / "a" / "records.csv").read_bytes()
     b = (tmp_path / "b" / "records.csv").read_bytes()
     assert a == b
+
+
+def test_records_identical_across_blas_and_worker_threads(tmp_path):
+    """Logistic AR(1) runs, whose set-up and tasks make BLAS calls with
+    correlated Sigma, write the same bytes whatever the process's OpenBLAS
+    thread count and the worker count."""
+    if not harness._openblas_libs():
+        pytest.skip("no OpenBLAS mapped into this process")
+    grid = [(200, 400, 5), (400, 800, 5), (800, 1600, 5)]
+    kw = dict(loss_kind="logistic", penalty_kind="l1_constrained",
+              covariance="ar1:0.5", amplitude=0.25, replications=2,
+              master_seed=12021)
+    bodies = set()
+    for blas in (1, 2):
+        for threads in (1, 2):
+            out = tmp_path / ("blas%d-threads%d" % (blas, threads))
+            with harness._blas_threads(blas):
+                run("rates", grid, out, threads=threads, **kw)
+            bodies.add((out / "records.csv").read_bytes())
+    assert len(bodies) == 1

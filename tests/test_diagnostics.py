@@ -3,15 +3,15 @@ import pytest
 
 from oracles import (curvature_fluctuations, curvature_lower_bound,
                      empirical_curvature_ratio, prox_risk_quadrature,
-                     taylor_remainder_gap)
-from penexp.diagnostics import (debiased_estimate, prox_risk_mc,
-                                risk_identity_check, sparsity_constant,
-                                sparsity_count)
+                     prox_risk_unchunked, taylor_remainder_gap)
+from penexp.diagnostics import (MC_CHUNK_ELEMENTS, debiased_estimate,
+                                prox_risk_mc, risk_identity_check,
+                                sparsity_constant, sparsity_count)
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
                           generate_design, generate_linear, generate_logistic,
                           stream_rng)
-from penexp.penalties import GroupPenalty, L1Penalty
+from penexp.penalties import GroupPenalty, L1BallConstraint, L1Penalty
 from penexp.solver import fit_expansion, fit_penalized
 
 
@@ -65,6 +65,21 @@ def test_prox_risk_quadrature_l1_only():
     groups = GroupStructure.contiguous(2, 2)
     with pytest.raises(ValueError):
         prox_risk_quadrature(GroupPenalty(0.1, groups), np.zeros(4), 1.0, 10)
+
+
+@pytest.mark.parametrize("penalty", [
+    L1Penalty(0.05), L1BallConstraint(2.5),
+    GroupPenalty(0.08, GroupStructure.contiguous(500, 4))],
+    ids=["l1", "l1_ball", "group"])
+def test_prox_risk_mc_chunks_match_one_draw(penalty):
+    # three full chunks and a short fourth; the chunked, in-place loop must
+    # reproduce the one-draw estimate bit for bit
+    p = 2000
+    chunk = MC_CHUNK_ELEMENTS // p
+    n_draws = 3 * chunk + chunk // 3
+    beta = flat_signal(p, 8, 0.5)
+    got = prox_risk_mc(penalty, beta, 1.3, 150, n_draws, seed=31)
+    assert got == prox_risk_unchunked(penalty, beta, 1.3, 150, n_draws, 31)
 
 
 def test_prox_risk_needs_draws():

@@ -209,6 +209,38 @@ def test_run_experiment_thread_invariance(tmp_path):
     assert s1["rate_fit"]["slope"] == s2["rate_fit"]["slope"]
 
 
+def test_run_experiment_pins_blas_and_restores_it(tmp_path, monkeypatch):
+    libs = harness._openblas_libs()
+    if not libs:
+        pytest.skip("no OpenBLAS mapped into this process")
+
+    def counts():
+        return [get() for get, _ in libs]
+
+    seen = []
+    real_task = harness._run_task
+
+    def spy(*args):
+        seen.append(counts())
+        return real_task(*args)
+
+    def boom(*args):
+        raise RuntimeError("task failed")
+
+    with harness._blas_threads(2):
+        before = counts()
+        monkeypatch.setattr(harness, "_run_task", spy)
+        run_tiny(tmp_path, "one", threads=1)
+        run_tiny(tmp_path, "two", threads=2)
+        assert counts() == before
+        monkeypatch.setattr(harness, "_run_task", boom)
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_tiny(tmp_path, "raise", threads=2)
+        assert counts() == before
+    assert len(seen) == 24
+    assert all(c == [1] * len(libs) for c in seen)
+
+
 def test_rate_fit_matches_csv_round_trip(tmp_path):
     cfg, summary = run_tiny(tmp_path, "rt")
     recs = load_records_csv(tmp_path / "rt" / "records.csv")
