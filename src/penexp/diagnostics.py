@@ -127,12 +127,18 @@ def debiased_estimate(dataset, beta_hat, cov, a):
     """Bias-corrected estimate of a'beta with its fixed-width interval.
 
     a is renormalized so ||Sigma^{-1/2} a|| = 1 (the target rescales with
-    it); the correction adds the score-weighted average residual. The
-    interval half-width is 1.96/sqrt(n), calibrated for unit-variance noise.
+    it); the correction adds the score-weighted average residual, so the
+    estimate's error is about N(0, sigma^2/n), where sigma is the
+    generating noise sd of the linear data. The interval half-width is
+    1.96 sigma/sqrt(n), and t_stat is sqrt(n) (theta_hat - target)/sigma.
     """
     a = np.asarray(a, dtype=float)
     if not np.any(a != 0.0):
         raise ValueError("direction a must be nonzero")
+    sigma = dataset.noise_sd
+    if sigma is None or not sigma > 0:
+        raise ValueError("de-biased intervals need linear data with "
+                         "noise_sd > 0, got %r" % (sigma,))
     beta_hat = np.asarray(beta_hat, dtype=float)
     scale = np.sqrt(float(a @ cov.solve(a)))
     a = a / scale
@@ -141,9 +147,9 @@ def debiased_estimate(dataset, beta_hat, cov, a):
     resid = dataset.y - dataset.X @ beta_hat
     theta = float(a @ beta_hat + (z_a @ resid) / denom)
     target = float(a @ dataset.beta_star)
-    half = 1.96 / np.sqrt(dataset.n)
+    half = 1.96 * sigma / np.sqrt(dataset.n)
     ci_low, ci_high = theta - half, theta + half
-    t_stat = float(np.sqrt(dataset.n) * (theta - target))
+    t_stat = float(np.sqrt(dataset.n) * (theta - target) / sigma)
     return InferenceReport(theta, target, ci_low, ci_high,
                            bool(ci_low <= target <= ci_high), t_stat)
 

@@ -195,8 +195,13 @@ def validate_config(cfg):
             raise ValueError(
                 "risk_identity runs require squared loss, identity "
                 "covariance and gaussian design")
-    if cfg.experiment_kind == "coverage" and cfg.loss_kind != "squared":
-        raise ValueError("coverage runs require squared loss (linear data)")
+    if cfg.experiment_kind == "coverage":
+        if cfg.loss_kind != "squared":
+            raise ValueError("coverage runs require squared loss "
+                             "(linear data)")
+        if cfg.noise_sd == 0:
+            raise ValueError("coverage runs need noise_sd > 0: the "
+                             "interval half-width is 1.96 noise_sd/sqrt(n)")
 
 
 def task_seed(master_seed, point_idx, rep_idx):
@@ -393,9 +398,10 @@ def _blas_threads(count):
 def run_experiment(cfg):
     """Run all (grid point, replication) tasks and write the output files.
 
-    The point set-ups, then the tasks, run in a pool of cfg.threads workers
-    (one per core for 0), each computing with one OpenBLAS thread; the
-    previous OpenBLAS thread counts come back when the run ends or raises.
+    The point set-ups, largest p first, then the tasks, run in a pool of
+    cfg.threads workers (one per core for 0), each computing with one
+    OpenBLAS thread; the previous OpenBLAS thread counts come back when the
+    run ends or raises.
     Returns the summary dict (also written to summary.json). Records from
     non-converged solves stay in records.csv flagged as such but are
     excluded from all summary statistics.
@@ -413,8 +419,11 @@ def run_experiment(cfg):
         return _run_task(cfg, setups[pi], loss, solver_cfg, pi, ri)
 
     with _blas_threads(1), ThreadPoolExecutor(max_workers=workers) as pool:
-        setups = list(pool.map(lambda pt: _setup_point(cfg, pt, loss),
-                               cfg.grid))
+        # largest p first, so that the costliest set-up never starts last
+        by_size = sorted(range(len(cfg.grid)), key=lambda i: -cfg.grid[i].p)
+        pending = {i: pool.submit(_setup_point, cfg, cfg.grid[i], loss)
+                   for i in by_size}
+        setups = [pending[i].result() for i in range(len(cfg.grid))]
         results = list(pool.map(work, tasks))
     records = [r for r, _ in results]
     timings = [t for _, t in results]

@@ -89,11 +89,14 @@ class LogisticLoss:
         The index t = x'beta is N(0, v^2) with v^2 = beta' Sigma beta, and
         conditioning on t gives
 
-            K = m0 Sigma + (E[sig'(vZ) Z^2] - m0) (Sigma b)(Sigma b)' / v^2,
+            K = m0 Sigma + c q q',  q = Sigma b,  c = (a2 - m0) / v^2,
 
-        with m0 = E[sig'(vZ)], both expectations by quadrature (node count
-        doubled from 64 until stable). v = 0 degenerates to K = Sigma/4.
-        Other designs have no closed form and are refused.
+        with m0 = E[sig'(vZ)] and a2 = E[sig'(vZ) Z^2], both by quadrature
+        (node count doubled from 64 until stable). K is returned as a
+        rank-one update of cov: it holds no p x p array and makes no
+        eigendecomposition of its own, and its products, solves and eig_max
+        come from cov's eigenpairs. v = 0 degenerates to K = Sigma/4, a
+        dense curvature. Other designs have no closed form and are refused.
         """
         if design_kind not in self.designs:
             raise ValueError(
@@ -110,8 +113,7 @@ class LogisticLoss:
             return self.d2(0.0, v * z)
 
         m0, a2 = _adaptive_hermite([d2, lambda z: d2(z) * z * z])
-        K = m0 * cov.matrix + ((a2 - m0) / v2) * np.outer(q, q)
-        return CovarianceModel.curvature(K)
+        return CovarianceModel.rank_one(cov, m0, (a2 - m0) / v2, q)
 
     def penalty_scale(self, noise_scale):
         """The labels' sub-Gaussian scale 1/2, in place of a noise scale."""
@@ -164,8 +166,12 @@ def norm_ratio_bound(cov, curvature):
     """Largest value of ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2 over u != 0.
 
     Exactly 1 when K is Sigma itself, as for the squared loss, or when both
-    are the identity."""
+    are the identity. For a rank-one update K = m0 Sigma + c q q' (the
+    logistic K, where m0 + c q'Sigma^{-1}q = a2) it is 1/min(m0, a2), in
+    closed form."""
     if curvature is cov or (cov.is_identity and curvature.is_identity):
         return 1.0
+    if curvature.base is cov:
+        return 1.0 / curvature.relative_bounds[0]
     A = curvature.inv_sqrt @ cov.matrix @ curvature.inv_sqrt
     return float(np.linalg.eigvalsh(0.5 * (A + A.T)).max())

@@ -47,18 +47,28 @@ def _readonly(a):
 class CovarianceModel:
     """Symmetric positive-definite matrix: a covariance Sigma or a curvature K.
 
-    A matrix other than the identity is eigendecomposed once, at
-    construction, which also validates it. Its symmetric square root (from
-    the eigenpairs, not a Cholesky factor, so ||Sigma^{1/2} u|| norms read
-    the same as in the analysis), inverse and inverse square root are built
-    from the stored eigenpairs on first use. The identity stores no p x p
-    array: products, solves and norms act on their argument directly, and
-    `matrix` builds I only when asked for.
+    It takes one of three forms:
+
+    - The identity stores no p x p array: products, solves and norms act on
+      their argument directly, and `matrix` builds I only when asked for.
+    - A dense matrix is eigendecomposed once, at construction, which also
+      validates it. Solves are V (w^{-1} * V'u), two O(p^2) products, and no
+      inverse is built. The symmetric square root (from the eigenpairs, not
+      a Cholesky factor, so ||Sigma^{1/2} u|| norms read the same as in the
+      analysis) and the inverse square root are built from the stored
+      eigenpairs on first use.
+    - A rank-one update m0 base + c q q' of a covariance base (rank_one; the
+      logistic curvature). It holds a reference to base, the scalars m0 and
+      c and the vector q: no p x p array of its own and no
+      eigendecomposition. Products are m0 (base u) + c q (q'u), solves are
+      Sherman-Morrison on top of base's solve, and eig_max and eig_min are
+      roots of the secular equation on base's eigenpairs. `matrix` builds
+      the dense matrix on every call.
 
     Covariances come from identity, ar1 and explicit: diagonal entries must
     not exceed 1 (normalized features) and the matrix must be positive
-    definite. Curvature matrices come from curvature and must be
-    nonsingular.
+    definite. Curvature matrices come from curvature (dense) and rank_one,
+    and must be nonsingular.
     """
 
     kind: str
@@ -67,6 +77,11 @@ class CovarianceModel:
     _matrix: np.ndarray | None = field(default=None, repr=False)
     _w: np.ndarray | None = field(default=None, repr=False)
     _vecs: np.ndarray | None = field(default=None, repr=False)
+    # the covariance a rank-one update is made from, None otherwise
+    base: CovarianceModel | None = field(default=None, repr=False)
+    _m0: float = 1.0
+    _c: float = 0.0
+    _q: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def identity(cls, p):
@@ -98,11 +113,24 @@ class CovarianceModel:
 
     @classmethod
     def curvature(cls, K):
-        """Curvature matrix K."""
+        """Curvature matrix K, dense."""
         K = cls._factorized("curvature", 0.0, np.asarray(K, dtype=float))
         if K.eig_min <= 1e-12 * max(K.eig_max, 1e-300):
             raise ValueError("curvature matrix is singular "
                              "(min eigenvalue %.3e)" % K.eig_min)
+        return K
+
+    @classmethod
+    def rank_one(cls, base, m0, c, q):
+        """Curvature matrix m0 base + c q q', a rank-one update of the
+        identity or dense covariance base."""
+        K = cls("curvature", base.p, 0.0, base=base, _m0=float(m0),
+                _c=float(c), _q=_readonly(np.array(q, dtype=float)))
+        low, high = K.relative_bounds
+        if low <= 1e-12 * max(high, 1e-300):
+            raise ValueError("curvature matrix is singular (smallest "
+                             "eigenvalue relative to the covariance %.3e)"
+                             % low)
         return K
 
     @classmethod
@@ -135,23 +163,57 @@ class CovarianceModel:
 
     @property
     def is_identity(self):
-        return self._w is None
+        return self._w is None and self.base is None
 
     @property
     def matrix(self):
-        """The dense matrix; for the identity, a new I on every call."""
+        """The dense matrix; for the identity or a rank-one update, built
+        anew on every call."""
+        if self.base is not None:
+            return _readonly(self._m0 * self.base.matrix
+                             + self._c * np.outer(self._q, self._q))
         return _readonly(np.eye(self.p)) if self.is_identity else self._matrix
 
-    @property
+    @cached_property
+    def _update_spectrum(self):
+        # A rank-one update is V (D + c v v') V' with D = m0 diag(w) and
+        # v = V'q, where base = V diag(w) V': D ascending and v * v.
+        if self.base.is_identity:
+            return np.full(self.p, self._m0), self._q * self._q
+        v = self.base._vecs.T @ self._q
+        return self._m0 * self.base._w, v * v
+
+    @cached_property
     def eig_min(self):
+        if self.base is not None:
+            d, v2 = self._update_spectrum
+            return -_secular_max(-d[::-1], v2[::-1], -self._c)
         return 1.0 if self.is_identity else float(self._w.min())
 
-    @property
+    @cached_property
     def eig_max(self):
+        if self.base is not None:
+            return _secular_max(*self._update_spectrum, self._c)
         return 1.0 if self.is_identity else float(self._w.max())
+
+    @cached_property
+    def _sherman_morrison(self):
+        # r = base^{-1} q and a = m0 + c q'r
+        r = self.base.solve(self._q)
+        return r, self._m0 + self._c * float(self._q @ r)
+
+    @property
+    def relative_bounds(self):
+        """Least and largest u'Mu / u'(base)u over u != 0 of a rank-one
+        update M: base^{-1/2} M base^{-1/2} = m0 I + c r r' with
+        |r|^2 = q' base^{-1} q, whose eigenvalues are m0 and m0 + c |r|^2."""
+        a = self._sherman_morrison[1]
+        return min(self._m0, a), max(self._m0, a)
 
     def _spectral(self, scaled):
         # Symmetrized V diag(f(w)) V', with scaled(V, w) = V diag(f(w)).
+        if self.base is not None:
+            raise ValueError("a rank-one update builds no p x p factor")
         if self.is_identity:
             return self.matrix
         a = scaled(self._vecs, self._w) @ self._vecs.T
@@ -162,15 +224,15 @@ class CovarianceModel:
         return self._spectral(lambda v, w: v * np.sqrt(w))
 
     @cached_property
-    def inv(self):
-        return self._spectral(lambda v, w: v / w)
-
-    @cached_property
     def inv_sqrt(self):
         return self._spectral(lambda v, w: v / np.sqrt(w))
 
     def principal(self, idx):
         """The principal submatrix on the indices idx."""
+        if self.base is not None:
+            q = self._q[idx]
+            return self._m0 * self.base.principal(idx) + \
+                self._c * np.outer(q, q)
         if self.is_identity:
             return np.eye(len(idx))
         return self._matrix[np.ix_(idx, idx)]
@@ -178,12 +240,25 @@ class CovarianceModel:
     def __matmul__(self, u):
         """The matrix times u, a vector or a matrix of columns."""
         u = np.asarray(u, dtype=float)
+        if self.base is not None:
+            return self._m0 * (self.base @ u) + \
+                np.multiply.outer(self._q, self._c * (self._q @ u))
         return u if self.is_identity else self._matrix @ u
 
     def solve(self, u):
-        """The inverse times u."""
+        """The inverse times u, a vector or a matrix of columns."""
         u = np.asarray(u, dtype=float)
-        return u if self.is_identity else self.inv @ u
+        if self.base is not None:
+            # (m0 B + c q q')^{-1} u = (x - r c (q'x) / a) / m0, x = B^{-1} u
+            r, a = self._sherman_morrison
+            x = self.base.solve(u)
+            return (x - np.multiply.outer(r, (self._c / a) * (self._q @ x))) \
+                / self._m0
+        if self.is_identity:
+            return u
+        t = self._vecs.T @ u
+        t /= self._w if t.ndim == 1 else self._w[:, None]
+        return self._vecs @ t
 
     def sqrt_rows(self, A):
         """A times the square root: each row of A mapped by the root."""
@@ -193,6 +268,32 @@ class CovarianceModel:
         """||M^{1/2} u|| for this matrix M; zero only at u = 0."""
         u = np.asarray(u, dtype=float)
         return float(np.sqrt(max(u @ (self @ u), 0.0)))
+
+
+def _secular_max(d, v2, c):
+    """Largest eigenvalue of diag(d) + c v v', for ascending d and v2 = v*v.
+
+    It is the largest root of the secular equation
+    f(lam) = 1 + c sum_i v2_i / (d_i - lam) = 0 (Golub, SIAM Rev. 1973;
+    Bunch, Nielsen and Sorensen, Numer. Math. 1978). It lies between d[-1]
+    and d[-1] + c |v|^2 (Weyl), and for c < 0 above d[-2] (interlacing),
+    so no pole of f falls inside that bracket. f is monotone there, with
+    c f(lam) >= 0 at and above the root, so bisection halves the bracket
+    until its ends are adjacent floats. The upper end is returned, raised by
+    size * eps of its magnitude, the scale of the rounding error of the
+    eigendecomposition it rests on, so that the value bounds the largest
+    eigenvalue of the dense matrix too.
+    """
+    lo, hi = sorted((float(d[-1]), float(d[-1] + c * v2.sum())))
+    if c < 0 and d.size > 1:
+        lo = max(lo, float(d[-2]))
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if c * (1.0 + c * float(np.sum(v2 / (d - mid)))) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi + d.size * np.finfo(float).eps * abs(hi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -56,7 +56,8 @@ class SolverResult:
     iterations: int
     converged: bool
     wall_time: float
-    # Full-width products with X (penalized fit) or with K (expansion).
+    # Full-width products with X (penalized fit), or with K plus the
+    # passes over X of the expansion centre (expansion).
     passes: int
 
 
@@ -217,33 +218,42 @@ def _grow(scores, work):
 
 
 def expansion_center(dataset, loss, curvature, beta_star):
-    """Point z whose penalized projection under K is the expansion.
+    """Point z whose penalized projection under K is the expansion, and the
+    full passes over X it took.
 
     z = beta_star - K^{-1} (average loss score at beta_star). For squared
-    loss with identity covariance this reduces to beta_star + X'eps/n, which
-    is what makes the expansion a pure prox evaluation in that case.
+    loss on linear data drawn at beta_star, that score is -X'eps/n, from
+    the stored noise: one pass over X. Otherwise it is smooth_gradient's
+    two. For squared loss with identity covariance z is beta_star + X'eps/n,
+    which is what makes the expansion a pure prox evaluation in that case.
     """
     beta_star = np.asarray(beta_star, dtype=float)
-    g = smooth_gradient(dataset, loss, beta_star)
-    return beta_star - curvature.solve(g)
+    if dataset.noise is not None and loss.kind == "squared" and \
+            np.array_equal(beta_star, dataset.beta_star):
+        g, passes = -(dataset.X.T @ dataset.noise) / dataset.n, 1
+    else:
+        g, passes = smooth_gradient(dataset, loss, beta_star), 2
+    return beta_star - curvature.solve(g), passes
 
 
 def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     """Solve the quadratic surrogate 0.5 ||K^{1/2}(b - z)||^2 + h(b).
 
     The smooth part is seen through u = K (b - z), which is also its
-    gradient, so each iteration costs one product with K, and passes
-    counts those products. The step is the exact 1/lambda_max(K) from
-    curvature.eig_max, and the solve starts at z, so the identity-curvature
-    case converges in one prox step.
+    gradient, so each iteration costs one product with K. passes counts
+    those products plus the full passes over X that expansion_center made.
+    The step is the exact 1/lambda_max(K) from curvature.eig_max, and the
+    solve starts at z, so the identity-curvature case converges in one prox
+    step.
     """
     cfg = config or DEFAULT_CONFIG
     t0 = time.perf_counter()
-    z = expansion_center(dataset, loss, curvature, beta_star)
+    z, center_passes = expansion_center(dataset, loss, curvature, beta_star)
     smooth = _Smooth(
         image=lambda b: curvature @ (b - z),
         value=lambda b, u: 0.5 * float((b - z) @ u),
         grad=lambda b, u: u,
         lipschitz=curvature.eig_max, grad_products=0)
     # the smooth part and its image vanish at z
-    return _fista(smooth, penalty, z.copy(), np.zeros(z.size), cfg, t0)[0]
+    res = _fista(smooth, penalty, z.copy(), np.zeros(z.size), cfg, t0)[0]
+    return replace(res, passes=res.passes + center_passes)

@@ -80,6 +80,28 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
     return CovarianceModel.curvature(acc / float(n_samples))
 
 
+def logistic_curvature_dense(cov, beta_star):
+    """The logistic K = m0 Sigma + c q q' as a dense array, with q = Sigma
+    beta*, v^2 = beta*' q, m0 = E sig'(vZ) and c = (E sig'(vZ) Z^2 - m0)/v^2,
+    both expectations by adaptive quadrature (scipy's quad, not the
+    package's Gauss-Hermite rule)."""
+    sigma = cov.matrix
+    q = sigma @ beta_star
+    v = float(np.sqrt(beta_star @ q))
+
+    def expect(f):
+        return quad(lambda z: f(z) * np.exp(-0.5 * z * z) / np.sqrt(2 * np.pi),
+                    -np.inf, np.inf, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    def d2(z):
+        e = np.exp(-abs(v * z))
+        return e / (1.0 + e) ** 2
+
+    m0 = expect(d2)
+    a2 = expect(lambda z: d2(z) * z * z)
+    return m0 * sigma + ((a2 - m0) / (v * v)) * np.outer(q, q)
+
+
 def prox_risk_quadrature(penalty, beta_star, noise_scale, n):
     """Coordinatewise adaptive-quadrature version of prox_risk_mc.
 

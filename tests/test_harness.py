@@ -10,6 +10,7 @@ from penexp.cones import minimax_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
                             TIMING_FIELDS, load_records_csv, parse_config,
                             rate_fit, run_experiment, task_seed)
+from penexp.losses import LOGISTIC
 
 
 CONFIG_TEXT = """\
@@ -98,6 +99,10 @@ def test_validate_config_rejections():
                      "grid = n=50 p=20 s=2\n")
     with pytest.raises(ValueError, match="noise_sd must be >= 0"):
         parse_config("experiment = rates\nnoise_sd = -1\n"
+                     "grid = n=50 p=20 s=2\n")
+    # a coverage interval is 1.96 noise_sd/sqrt(n) wide
+    with pytest.raises(ValueError, match="noise_sd > 0"):
+        parse_config("experiment = coverage\nnoise_sd = 0\n"
                      "grid = n=50 p=20 s=2\n")
 
 
@@ -189,15 +194,15 @@ def test_run_experiment_outputs(tmp_path):
     assert tim.splitlines()[0] == ",".join(TIMING_FIELDS)
     assert len(tim.splitlines()) == 1 + summary["records"]
     # the expansion steps by the exact 1/eig_max of K = I, so it makes one
-    # product with K per iteration; a fit makes at least the full pass of
-    # its certificate
+    # product with K per iteration, plus the one pass over X (X'eps) of its
+    # centre; a fit makes at least the full pass of its certificate
     with open(out / "timings.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     by_task = {(int(r["point"]), int(r["rep"])): r for r in rows}
     for rec in recs:
         row = by_task[(rec["point"], rec["rep"])]
         assert int(row["est_passes"]) >= 1
-        assert int(row["exp_passes"]) == rec["exp_iterations"]
+        assert int(row["exp_passes"]) == rec["exp_iterations"] + 1
 
 
 def test_run_experiment_thread_invariance(tmp_path):
@@ -239,6 +244,64 @@ def test_run_experiment_pins_blas_and_restores_it(tmp_path, monkeypatch):
         assert counts() == before
     assert len(seen) == 24
     assert all(c == [1] * len(libs) for c in seen)
+
+
+def test_point_setups_start_largest_first(tmp_path, monkeypatch):
+    # one worker runs the set-ups in the order they were submitted
+    sizes = []
+    real_setup = harness._setup_point
+
+    def spy(cfg, pt, loss):
+        sizes.append(pt.p)
+        return real_setup(cfg, pt, loss)
+
+    monkeypatch.setattr(harness, "_setup_point", spy)
+    _, summary = run_tiny(
+        tmp_path, "sizes", replications=1,
+        grid=(GridPoint(60, 20, 2), GridPoint(60, 40, 2),
+              GridPoint(60, 30, 2), GridPoint(80, 40, 2)))
+    assert sizes == [40, 40, 30, 20]
+    assert [pt["p"] for pt in summary["points"]] == [20, 40, 30, 40]
+
+
+def test_logistic_ar1_point_makes_one_eigendecomposition(tmp_path,
+                                                         monkeypatch):
+    # Sigma's eigh serves the design's square root and every use of the
+    # rank-one K: its eig_max step, its solve and its norms
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    cfg = ExperimentConfig(
+        experiment_kind="rates", loss_kind="logistic",
+        penalty_kind="l1_constrained", covariance="ar1:0.5", amplitude=0.25,
+        grid=(GridPoint(100, 60, 3),), replications=1, threads=1,
+        output_dir=str(tmp_path / "ar1"))
+    setup = harness._setup_point(cfg, cfg.grid[0], LOGISTIC)
+    assert calls == [(60, 60)]
+    rec, _ = harness._run_task(cfg, setup, LOGISTIC, solver.SolverConfig(),
+                               0, 0)
+    assert rec["exp_converged"] and rec["gap"] > 0
+    assert calls == [(60, 60)]
+
+
+def test_coverage_interval_scales_with_noise_sd(tmp_path):
+    # at noise_sd = 2 an interval of 1.96/sqrt(n), the width for unit
+    # noise, covers about 65 % of the time; 1.96 noise_sd/sqrt(n) covers
+    # 95 %, and the t statistics have unit spread
+    cfg = ExperimentConfig(
+        experiment_kind="coverage", grid=(GridPoint(400, 800, 5),),
+        xi=0.05, amplitude=0.1, noise_sd=2.0, replications=100,
+        master_seed=4242, output_dir=str(tmp_path / "cov"))
+    summary = run_experiment(cfg)
+    assert 0.88 <= summary["points"][0]["coverage"] <= 0.99
+    recs = load_records_csv(tmp_path / "cov" / "records.csv")
+    t_sd = float(np.std([r["t_stat"] for r in recs], ddof=1))
+    assert 0.8 <= t_sd <= 1.25
 
 
 def test_rate_fit_matches_csv_round_trip(tmp_path):

@@ -3,9 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh as generalized_eigh
 
 from oracles import (curvature_lower_bound, curvature_matrix_mc,
-                     stability_ratio_check)
+                     logistic_curvature_dense, stability_ratio_check)
 from penexp import cones, losses, model
 from penexp.losses import LOGISTIC, SQUARED
 
@@ -151,6 +152,59 @@ def test_squared_identity_pipeline_holds_no_p_by_p_matrix():
         is ar1
 
 
+@pytest.mark.parametrize("p", [30, 200])
+@pytest.mark.parametrize("rho", [0.5, 0.8])
+def test_logistic_rank_one_k_matches_dense(p, rho):
+    cov = model.CovarianceModel.ar1(p, rho)
+    beta = model.flat_signal(p, 5, 0.25)
+    K = losses.curvature_matrix(LOGISTIC, cov, beta)
+    dense = logistic_curvature_dense(cov, beta)
+    rng = np.random.default_rng(p)
+    U = rng.standard_normal((p, 3))
+    u = U[:, 0]
+
+    def rel(a, b):
+        return float(np.abs(a - b).max() / np.abs(b).max())
+
+    assert K.base is cov
+    assert rel(K.matrix, dense) <= 1e-12
+    assert rel(K @ u, dense @ u) <= 1e-12
+    assert rel(K @ U, dense @ U) <= 1e-12
+    assert rel(K.solve(u), np.linalg.solve(dense, u)) <= 1e-12
+    assert rel(K.solve(U), np.linalg.solve(dense, U)) <= 1e-12
+    assert K.norm(u) == pytest.approx(np.sqrt(u @ dense @ u), rel=1e-12)
+    idx = np.array([0, 3, 4, p - 1])
+    assert rel(K.principal(idx), dense[np.ix_(idx, idx)]) <= 1e-12
+    eigs = np.linalg.eigvalsh(dense)
+    assert K.eig_max == pytest.approx(eigs[-1], rel=1e-12)
+    assert K.eig_min == pytest.approx(eigs[0], rel=1e-12)
+    # a step of 1/eig_max is never longer than the dense matrix allows
+    assert K.eig_max >= eigs[-1] - np.spacing(eigs[-1])
+    assert K.eig_min <= eigs[0] + np.spacing(eigs[0])
+    ratio = generalized_eigh(cov.matrix, dense, eigvals_only=True).max()
+    assert losses.norm_ratio_bound(cov, K) == pytest.approx(ratio, rel=1e-12)
+
+
+def test_logistic_k_holds_no_p_by_p_array():
+    # Sigma's eigenpairs are all K needs: building it, stepping, solving
+    # and bounding the norm ratio allocate O(p) memory beyond Sigma's
+    p = 1500
+    cov = model.CovarianceModel.ar1(p, 0.5)
+    beta = model.flat_signal(p, 5, 0.25)
+    u = np.ones(p)
+    tracemalloc.start()
+    try:
+        K = losses.curvature_matrix(LOGISTIC, cov, beta)
+        assert K.eig_max > 0
+        assert np.all(np.isfinite(K.solve(u)))
+        assert K.norm(u) > 0
+        assert losses.norm_ratio_bound(cov, K) > 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * p * p
+
+
 def test_curvature_matrix_zero_signal():
     cov = model.CovarianceModel.ar1(4, 0.3)
     K = losses.curvature_matrix(LOGISTIC, cov, np.zeros(4))
@@ -195,8 +249,9 @@ def test_curvature_norm_and_factorizations():
     direct = np.sqrt(u @ cov.matrix @ u)
     assert K.norm(u) == pytest.approx(direct, rel=1e-12)
     assert np.allclose(K.sqrt @ K.sqrt, K.matrix, atol=1e-10)
-    assert np.allclose(K.matrix @ K.inv, np.eye(5), atol=1e-9)
-    assert np.allclose(K.inv_sqrt @ K.inv_sqrt, K.inv, atol=1e-9)
+    inv = K.solve(np.eye(5))
+    assert np.allclose(K.matrix @ inv, np.eye(5), atol=1e-9)
+    assert np.allclose(K.inv_sqrt @ K.inv_sqrt, inv, atol=1e-9)
 
 
 def test_norm_ratio_bound():
@@ -231,8 +286,11 @@ def test_norm_ratio_bound_vs_power_iteration():
     K = losses.curvature_matrix(LOGISTIC, cov, beta)
     val = losses.norm_ratio_bound(cov, K)
     assert val > 1.0
-    # independent power iteration on K^{-1/2} Sigma K^{-1/2}
-    mat = K.inv_sqrt @ cov.matrix @ K.inv_sqrt
+    # independent power iteration on K^{-1/2} Sigma K^{-1/2}, from the
+    # dense K
+    w, vecs = np.linalg.eigh(K.matrix)
+    inv_sqrt = (vecs / np.sqrt(w)) @ vecs.T
+    mat = inv_sqrt @ cov.matrix @ inv_sqrt
     v = np.ones(4) / 2.0
     for _ in range(5000):
         w = mat @ v

@@ -9,7 +9,7 @@ def test_identity_covariance_basic():
     assert cov.p == 5
     assert np.array_equal(cov.matrix, np.eye(5))
     assert np.array_equal(cov.sqrt, np.eye(5))
-    assert np.array_equal(cov.inv, np.eye(5))
+    assert np.array_equal(cov.solve(np.eye(5)), np.eye(5))
     assert cov.is_identity
 
 
@@ -34,7 +34,8 @@ def test_covariance_from_spec():
 def test_covariance_factorizations_consistent():
     cov = model.CovarianceModel.ar1(12, 0.7)
     assert np.allclose(cov.sqrt @ cov.sqrt, cov.matrix, atol=1e-10)
-    assert np.allclose(cov.matrix @ cov.inv, np.eye(12), atol=1e-10)
+    assert np.allclose(cov.matrix @ cov.solve(np.eye(12)), np.eye(12),
+                       atol=1e-10)
     # symmetric square root, not a Cholesky factor
     assert np.allclose(cov.sqrt, cov.sqrt.T)
 

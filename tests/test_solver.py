@@ -86,7 +86,7 @@ def test_expansion_without_penalty_returns_center():
     ds, cov = linear_instance(90, 30, 3, seed=6, rho=0.5)
     K = curvature_matrix(SQUARED, cov, ds.beta_star)
     res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, L1Penalty(0.0))
-    z = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
+    z, _ = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
     assert res.converged
     assert np.abs(res.solution - z).max() < 1e-9
 
@@ -124,7 +124,7 @@ def test_expansion_matches_coordinate_descent_oracle():
     lam = 0.3
     res = solver.fit_expansion(ds, SQUARED, K, beta, L1Penalty(lam),
                                solver.SolverConfig(kkt_tol=1e-12))
-    z = solver.expansion_center(ds, SQUARED, K, beta)
+    z, _ = solver.expansion_center(ds, SQUARED, K, beta)
     oracle = cd_expansion_oracle(Kmat, z, lam)
 
     def objective(b):
@@ -241,7 +241,7 @@ def test_expansion_step_from_top_eigenvalue():
     ds, _ = linear_instance(80, p, 3, seed=17)
     pen = L1Penalty(0.05)
     res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, pen)
-    z = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
+    z, _ = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
     assert res.converged
     assert np.all(np.isfinite(res.solution))
     assert pen.residual(res.solution, Kmat @ (res.solution - z)) <= 1e-8
@@ -252,7 +252,7 @@ def test_expansion_center_sign_convention():
     # noise average, with a plus sign
     ds, cov = linear_instance(200, 20, 3, seed=18, noise_sd=0.5)
     K = curvature_matrix(SQUARED, cov, ds.beta_star)
-    z = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
+    z, _ = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
     expected = ds.beta_star + ds.X.T @ ds.noise / ds.n
     assert np.abs(z - expected).max() < 1e-12
 
@@ -267,7 +267,7 @@ def test_expansion_general_k_kkt():
     res = solver.fit_expansion(ds, LOGISTIC, K, beta, pen)
     assert res.converged
     # KKT of the surrogate: gradient is K (b - z)
-    z = solver.expansion_center(ds, LOGISTIC, K, beta)
+    z, _ = solver.expansion_center(ds, LOGISTIC, K, beta)
     grad = K.matrix @ (res.solution - z)
     assert pen.residual(res.solution, grad) <= 1e-8
 
