@@ -4,8 +4,8 @@ Subcommands: generate, fit, expand, risk-identity, experiment, rate-fit.
 Monte Carlo experiments, coverage runs among them, are config files run by
 `experiment`, whose --threads and --out override the config's threads and
 out. Exit codes: 0 on success, 2 on invalid configuration or arguments,
-3 when solves fail to converge (or an experiment exceeds its allowed failure
-fraction).
+3 when solves fail to converge (or more than MAX_FAIL_FRAC of an
+experiment's tasks are uncertified).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .penalties import GroupPenalty, L1BallConstraint, L1Penalty
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
+MAX_FAIL_FRAC = 0.02  # of an experiment's tasks, uncertified, for exit 0
 
 
 def parse_penalty_spec(spec, p):
@@ -112,9 +113,9 @@ def _cmd_fit(args):
 
 
 def _require_truth(ds, what):
-    if ds.beta_star is None or ds.covariance is None:
+    if ds.covariance is None:
         raise ValueError(
-            "%s needs a dataset saved with beta_star and covariance "
+            "%s needs a dataset saved with its covariance "
             "(use the generate subcommand)" % what)
 
 
@@ -172,7 +173,7 @@ def _cmd_experiment(args):
            "failed": summary["failed"],
            "failed_fraction": summary["failed_fraction"],
            "rate_fit": summary["rate_fit"]})
-    if summary["failed_fraction"] > cfg.max_fail_frac:
+    if summary["failed_fraction"] > MAX_FAIL_FRAC:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
 

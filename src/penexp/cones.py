@@ -56,14 +56,10 @@ def lasso_cone(k):
     return LassoCone(float(k))
 
 
-def group_cone(s, groups, xi=None, c=None):
-    """Group error cone; c defaults to 2 + 3/xi, the value the tuning
-    analysis guarantees for the error vectors."""
-    if c is None:
-        if xi is None:
-            raise ValueError("give either c or xi")
-        c = 2.0 + 3.0 / float(xi)
-    return GroupCone(float(c), int(s), groups)
+def group_cone(s, groups, xi):
+    """Group error cone with c = 2 + 3/xi, the value the tuning analysis
+    guarantees for the error vectors."""
+    return GroupCone(2.0 + 3.0 / float(xi), int(s), groups)
 
 
 def lasso_penalty_level(loss, p, s, n, xi, noise_scale=None):

@@ -16,16 +16,11 @@ minimized; only the convex form is implemented.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .model import CovarianceModel
-
-
-def _sigmoid(u):
-    """The logistic link 1/(1 + e^-u). Below u = -709, e^-u overflows to
-    inf and the link is exactly 0, its limit, so the overflow is silenced."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-u))
+from .model import CovarianceModel, sigmoid
 
 
 class SquaredLoss:
@@ -77,10 +72,10 @@ class LogisticLoss:
     def d1(self, y, u):
         # 1/(1+e^u) = sig(-u)
         u = np.asarray(u, dtype=float)
-        return np.asarray(y, dtype=float) - _sigmoid(-u)
+        return np.asarray(y, dtype=float) - sigmoid(-u)
 
     def d2(self, y, u):
-        s = _sigmoid(np.asarray(u, dtype=float))
+        s = sigmoid(np.asarray(u, dtype=float))
         return s * (1.0 - s)
 
     def curvature(self, cov, beta_star, design_kind):
@@ -95,8 +90,9 @@ class LogisticLoss:
         (node count doubled from 64 until stable). K is returned as a
         rank-one update of cov: it holds no p x p array and makes no
         eigendecomposition of its own, and its products, solves and eig_max
-        come from cov's eigenpairs. v = 0 degenerates to K = Sigma/4, a
-        dense curvature. Other designs have no closed form and are refused.
+        come from cov's eigenpairs. At v = 0, K = Sigma/4 is the same
+        update with m0 = 1/4 and c = 0, and needs no quadrature. Other
+        designs have no closed form and are refused.
         """
         if design_kind not in self.designs:
             raise ValueError(
@@ -106,7 +102,7 @@ class LogisticLoss:
         q = cov @ beta_star
         v2 = float(beta_star @ q)
         if v2 <= 1e-24:
-            return CovarianceModel.curvature(0.25 * cov.matrix)
+            return CovarianceModel.rank_one(cov, 0.25, 0.0, q)
         v = np.sqrt(v2)
 
         def d2(z):
@@ -134,22 +130,28 @@ def get_loss(kind):
                          % (kind, sorted(_LOSSES))) from None
 
 
-def _hermite_expectation(funcs, n_nodes):
-    # Probabilists' Gauss-Hermite: E f(Z) for Z standard normal.
+@lru_cache(maxsize=None)
+def _hermite_rule(n_nodes):
+    # Probabilists' Gauss-Hermite nodes and weights for E f(Z), Z standard
+    # normal: an eigenproblem of size n_nodes, so solved once per count.
     nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
     weights = weights / np.sqrt(2.0 * np.pi)
-    return [float(np.sum(weights * f(nodes))) for f in funcs]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def _adaptive_hermite(funcs, tol=1e-13, start=64):
-    vals = _hermite_expectation(funcs, start)
-    nodes = start
-    while nodes < 2048:
-        nodes *= 2
-        new = _hermite_expectation(funcs, nodes)
-        if all(abs(a - b) <= tol * max(1.0, abs(b)) for a, b in zip(vals, new)):
+    # E f(Z) for each f, with the node count doubled from start (up to
+    # 2048) until two successive rules agree
+    vals, nodes = None, start
+    while nodes <= 2048:
+        x, w = _hermite_rule(nodes)
+        new = [float(np.sum(w * f(x))) for f in funcs]
+        if vals is not None and all(abs(a - b) <= tol * max(1.0, abs(b))
+                                    for a, b in zip(vals, new)):
             return new
-        vals = new
+        vals, nodes = new, 2 * nodes
     return vals
 
 
@@ -168,10 +170,8 @@ def norm_ratio_bound(cov, curvature):
     Exactly 1 when K is Sigma itself, as for the squared loss, or when both
     are the identity. For a rank-one update K = m0 Sigma + c q q' (the
     logistic K, where m0 + c q'Sigma^{-1}q = a2) it is 1/min(m0, a2), in
-    closed form."""
+    closed form; 4 for the logistic K at beta* = 0, Sigma/4. K must be one
+    of these two."""
     if curvature is cov or (cov.is_identity and curvature.is_identity):
         return 1.0
-    if curvature.base is cov:
-        return 1.0 / curvature.relative_bounds[0]
-    A = curvature.inv_sqrt @ cov.matrix @ curvature.inv_sqrt
-    return float(np.linalg.eigvalsh(0.5 * (A + A.T)).max())
+    return 1.0 / curvature.relative_bounds[0]

@@ -22,6 +22,13 @@ from functools import cached_property
 import numpy as np
 
 
+def sigmoid(u):
+    """The logistic link 1/(1 + e^-u). Below u = -709, e^-u overflows to
+    inf and the link is exactly 0, its limit, so the overflow is silenced."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
+
+
 def stream_rng(master_seed, *ids):
     """Return a Generator on an independent Philox stream.
 
@@ -37,8 +44,8 @@ def stream_rng(master_seed, *ids):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _readonly(a):
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a, dtype=float):
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -55,8 +62,7 @@ class CovarianceModel:
       validates it. Solves are V (w^{-1} * V'u), two O(p^2) products, and no
       inverse is built. The symmetric square root (from the eigenpairs, not
       a Cholesky factor, so ||Sigma^{1/2} u|| norms read the same as in the
-      analysis) and the inverse square root are built from the stored
-      eigenpairs on first use.
+      analysis) is built from the stored eigenpairs on first use.
     - A rank-one update m0 base + c q q' of a covariance base (rank_one; the
       logistic curvature). It holds a reference to base, the scalars m0 and
       c and the vector q: no p x p array of its own and no
@@ -67,8 +73,8 @@ class CovarianceModel:
 
     Covariances come from identity, ar1 and explicit: diagonal entries must
     not exceed 1 (normalized features) and the matrix must be positive
-    definite. Curvature matrices come from curvature (dense) and rank_one,
-    and must be nonsingular.
+    definite. Curvature matrices come from rank_one (every K the pipeline
+    builds) and curvature (a dense matrix), and must be nonsingular.
     """
 
     kind: str
@@ -110,6 +116,13 @@ class CovarianceModel:
             return cls.ar1(p, float(spec.split(":", 1)[1]))
         raise ValueError("unknown covariance %r (identity or ar1:<rho>)"
                          % (spec,))
+
+    @property
+    def spec(self):
+        """The from_spec string of an identity or AR(1) covariance."""
+        if self.kind not in ("identity", "ar1"):
+            raise ValueError("a %s matrix has no covariance spec" % self.kind)
+        return "identity" if self.kind == "identity" else "ar1:%r" % self.rho
 
     @classmethod
     def curvature(cls, K):
@@ -210,22 +223,14 @@ class CovarianceModel:
         a = self._sherman_morrison[1]
         return min(self._m0, a), max(self._m0, a)
 
-    def _spectral(self, scaled):
-        # Symmetrized V diag(f(w)) V', with scaled(V, w) = V diag(f(w)).
+    @cached_property
+    def sqrt(self):
         if self.base is not None:
             raise ValueError("a rank-one update builds no p x p factor")
         if self.is_identity:
             return self.matrix
-        a = scaled(self._vecs, self._w) @ self._vecs.T
+        a = (self._vecs * np.sqrt(self._w)) @ self._vecs.T
         return _readonly(0.5 * (a + a.T))
-
-    @cached_property
-    def sqrt(self):
-        return self._spectral(lambda v, w: v * np.sqrt(w))
-
-    @cached_property
-    def inv_sqrt(self):
-        return self._spectral(lambda v, w: v / np.sqrt(w))
 
     def principal(self, idx):
         """The principal submatrix on the indices idx."""
@@ -310,19 +315,14 @@ class GroupStructure:
     def contiguous(cls, M, d):
         """M consecutive blocks of size d."""
         M, d = int(M), int(d)
-        groups = tuple(_readonly_idx(np.arange(k * d, (k + 1) * d)) for k in range(M))
+        groups = tuple(_readonly(np.arange(k * d, (k + 1) * d), np.intp)
+                       for k in range(M))
         return cls(M * d, M, d, groups)
 
     def blocks(self, x):
         """x with its last axis split into (M, d): row k of the block axis
         is group k. A view whenever the reshape allows one."""
         return x.reshape(x.shape[:-1] + (self.M, self.d))
-
-
-def _readonly_idx(a):
-    a = np.ascontiguousarray(a, dtype=np.intp)
-    a.setflags(write=False)
-    return a
 
 
 def flat_signal(p, s, amplitude=1.0):
@@ -435,9 +435,8 @@ def generate_logistic(X, beta_star, seed, covariance=None,
                 "derived for the unit ball may not apply" % sig_norm,
                 stacklevel=2)
     rng = stream_rng(seed, 1)
-    index = X @ beta_star
-    # P(Y=1) = sigmoid(-index) under the flipped convention.
-    p1 = 1.0 / (1.0 + np.exp(np.clip(index, -700, 700)))
+    # P(Y=1) = sigmoid(-x'beta_star) under the flipped convention.
+    p1 = sigmoid(-(X @ beta_star))
     y = (rng.random(X.shape[0]) < p1).astype(float)
     return Dataset(_readonly(X), _readonly(y), "logistic", design_kind,
                    None, None, _readonly(beta_star), covariance, int(seed))
@@ -457,8 +456,11 @@ def noise_scale(dataset):
 
 
 def save_dataset(dataset, path):
-    """Persist a dataset as meta.json plus little-endian float64 binaries."""
-    os.makedirs(path, exist_ok=True)
+    """Persist a dataset as meta.json plus little-endian float64 binaries.
+
+    The covariance is stored as its from_spec string, so only an identity
+    or AR(1) covariance (or none) can be saved."""
+    cov = dataset.covariance
     meta = {
         "n": dataset.n,
         "p": dataset.p,
@@ -467,8 +469,9 @@ def save_dataset(dataset, path):
         "seed": dataset.seed,
         "beta_star": [float(b) for b in dataset.beta_star],
         "noise_sd": dataset.noise_sd,
-        "covariance": _cov_meta(dataset.covariance),
+        "covariance": None if cov is None else cov.spec,
     }
+    os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -476,17 +479,6 @@ def save_dataset(dataset, path):
     dataset.y.astype("<f8").tofile(os.path.join(path, "y.bin"))
     if dataset.noise is not None:
         dataset.noise.astype("<f8").tofile(os.path.join(path, "eps.bin"))
-    if dataset.covariance is not None and dataset.covariance.kind == "explicit":
-        dataset.covariance.matrix.astype("<f8").tofile(
-            os.path.join(path, "Sigma.bin"))
-
-
-def _cov_meta(cov):
-    if cov is None:
-        return None
-    if cov.kind == "explicit":
-        return {"kind": "explicit", "p": cov.p}
-    return {"kind": cov.kind, "p": cov.p, "rho": cov.rho}
 
 
 def load_dataset(path):
@@ -497,22 +489,11 @@ def load_dataset(path):
     y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
     eps_path = os.path.join(path, "eps.bin")
     noise = np.fromfile(eps_path, dtype="<f8") if os.path.exists(eps_path) else None
-    cov = _cov_from_meta(meta["covariance"], path)
+    spec = meta["covariance"]
+    cov = None if spec is None else CovarianceModel.from_spec(spec, p)
     return Dataset(_readonly(X), _readonly(y), meta["model_kind"],
                    meta["design_kind"],
                    _readonly(noise) if noise is not None else None,
                    meta["noise_sd"],
                    _readonly(np.asarray(meta["beta_star"], dtype=float)),
                    cov, int(meta["seed"]))
-
-
-def _cov_from_meta(meta, path):
-    if meta is None:
-        return None
-    if meta["kind"] == "identity":
-        return CovarianceModel.identity(meta["p"])
-    if meta["kind"] == "ar1":
-        return CovarianceModel.ar1(meta["p"], meta["rho"])
-    mat = np.fromfile(os.path.join(path, "Sigma.bin"),
-                      dtype="<f8").reshape(meta["p"], meta["p"])
-    return CovarianceModel.explicit(mat)

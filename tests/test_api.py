@@ -16,6 +16,7 @@ import subprocess
 import sys
 
 import penexp
+from penexp import harness
 
 # Public names without a caller in the package. Empty: a name listed here
 # would be an exception to the rule above, and none is needed.
@@ -104,3 +105,16 @@ def test_logistic_pipeline_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == []
+
+
+def test_readme_config_block_lists_every_config_key():
+    # the ini block under "Experiment configs" is the config reference
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(penexp.__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Experiment configs", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    keys = {line.split("#", 1)[0].partition("=")[0].strip()
+            for line in block.splitlines() if "=" in line.split("#", 1)[0]}
+    assert keys == set(harness._CONFIG_KEYS) | {"grid"}

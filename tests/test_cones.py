@@ -3,8 +3,8 @@ import pytest
 from scipy.special import gammaln
 
 from oracles import _sup_per_draw, complexity_bound, complexity_estimate
-from penexp.cones import (group_cone, group_penalty_level, lasso_cone,
-                          lasso_penalty_level, minimax_rate)
+from penexp.cones import (GroupCone, group_cone, group_penalty_level,
+                          lasso_cone, lasso_penalty_level, minimax_rate)
 from penexp.losses import get_loss
 from penexp.model import CovarianceModel, GroupStructure
 
@@ -78,7 +78,7 @@ def test_group_level_errors():
 def test_cone_parameter_validation():
     with pytest.raises(ValueError):
         lasso_cone(0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # c comes from xi, which must be given
         group_cone(3, GroupStructure.contiguous(4, 2))
 
 
@@ -109,7 +109,7 @@ def test_member_zero_vector():
     groups = GroupStructure.contiguous(5, 2)
     z = np.zeros(10)
     assert lasso_cone(1).member(z)
-    assert group_cone(2, groups, c=1.0).member(z)
+    assert GroupCone(1.0, 2, groups).member(z)
 
 
 def test_member_group_supported():
@@ -121,7 +121,7 @@ def test_member_group_supported():
         act = rng.choice(6, size=2, replace=False)
         for k in act:
             u[groups.groups[k]] = rng.standard_normal(3)
-        assert group_cone(2, groups, c=1.0).member(u)
+        assert GroupCone(1.0, 2, groups).member(u)
 
 
 def test_complexity_whole_space():
@@ -162,7 +162,7 @@ def test_complexity_singleton_groups_match_lasso():
     p, s, c = 30, 2, 2.0
     cov = CovarianceModel.identity(p)
     groups = GroupStructure.contiguous(p, 1)
-    g_est, g_se = complexity_estimate(group_cone(s, groups, c=c), cov, 500,
+    g_est, g_se = complexity_estimate(GroupCone(c, s, groups), cov, 500,
                                       seed=17)
     l_est, l_se = complexity_estimate(lasso_cone(c * c * s), cov, 500, seed=17)
     assert g_est == l_est
@@ -175,7 +175,7 @@ def test_complexity_rejects_correlated_lasso_cone():
         complexity_estimate(lasso_cone(2), cov, 100, seed=1)
     with pytest.raises(ValueError):
         complexity_estimate(
-            group_cone(1, GroupStructure.contiguous(3, 2), c=1.0),
+            GroupCone(1.0, 1, GroupStructure.contiguous(3, 2)),
             cov, 100, seed=1)
 
 
@@ -211,7 +211,7 @@ def test_restricted_eigenvalue_identity():
     cov = CovarianceModel.identity(9)
     assert lasso_cone(3).restricted_eigenvalue(cov) == 1.0
     groups = GroupStructure.contiguous(3, 3)
-    assert group_cone(2, groups, c=1.0).restricted_eigenvalue(cov) == 1.0
+    assert GroupCone(1.0, 2, groups).restricted_eigenvalue(cov) == 1.0
 
 
 def test_restricted_eigenvalue_ar1_certified():
@@ -251,10 +251,11 @@ def test_complexity_bound_divides_by_phi():
 
 
 def test_group_cone_default_c():
-    cone = group_cone(3, GroupStructure.contiguous(4, 2), xi=0.5)
+    groups = GroupStructure.contiguous(4, 2)
+    cone = group_cone(3, groups, 0.5)
     assert cone.c == pytest.approx(8.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        group_cone(3, GroupStructure.contiguous(4, 2))
+    assert (cone.s, cone.groups) == (3, groups)
+    assert group_cone(3, groups, 0.1).c == pytest.approx(32.0, rel=1e-14)
 
 
 def test_minimax_rate_lasso():

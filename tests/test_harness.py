@@ -65,6 +65,35 @@ def test_parse_config_errors():
         parse_config("experiment = rates\nnot a key value line\n")
 
 
+def test_parse_config_refuses_removed_keys():
+    # the risk bound's t and the CLI's failure fraction are fixed values
+    for line in ("t_bound = 2.0", "max_fail_frac = 0.02"):
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config("experiment = rates\n%s\ngrid = n=10 p=5 s=1\n"
+                         % line)
+
+
+def test_threads_zero_starts_one_worker_per_usable_core(tmp_path,
+                                                        monkeypatch):
+    sizes = []
+    real_pool = harness.ThreadPoolExecutor
+
+    def spy_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", spy_pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    run_tiny(tmp_path, "pinned", threads=0, replications=1)
+    run_tiny(tmp_path, "two", threads=2, replications=1)
+    # a platform without CPU affinity falls back to the core count
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    run_tiny(tmp_path, "plain", threads=0, replications=1)
+    assert sizes == [1, 2, 4]
+
+
 def test_validate_config_rejections():
     base = dict(experiment_kind="rates", grid=(GridPoint(50, 20, 3),))
     with pytest.raises(ValueError):

@@ -205,6 +205,54 @@ def test_logistic_k_holds_no_p_by_p_array():
     assert peak < 0.05 * 8 * p * p
 
 
+def test_logistic_k_at_zero_signal_is_a_quarter_of_sigma(monkeypatch):
+    # beta* = 0 gives K = Sigma/4 in the rank-one form with c = 0: no
+    # p x p array and no eigendecomposition, where a dense Sigma/4 at
+    # p = 3000 takes 72 MB and an eigh of its own
+    p = 3000
+    cov = model.CovarianceModel.identity(p)
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    tracemalloc.start()
+    try:
+        K = losses.curvature_matrix(LOGISTIC, cov, np.zeros(p))
+        eig_max = K.eig_max
+        ratio = losses.norm_ratio_bound(cov, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < 8e6
+    assert ratio == 4.0
+    assert 0.25 <= eig_max <= 0.25 * (1.0 + p * np.finfo(float).eps)
+
+
+def test_gauss_hermite_rules_are_computed_once_per_node_count(monkeypatch):
+    calls = {}
+    real_rule = np.polynomial.hermite_e.hermegauss
+
+    def counting_rule(n):
+        calls[n] = calls.get(n, 0) + 1
+        return real_rule(n)
+
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", counting_rule)
+    losses._hermite_rule.cache_clear()
+    cov = model.CovarianceModel.ar1(40, 0.5)
+    for amplitude in (0.25, 0.25, 0.5):
+        losses.curvature_matrix(LOGISTIC, cov,
+                                model.flat_signal(40, 5, amplitude))
+    # at least two rules, since convergence compares successive ones
+    assert len(calls) >= 2 and set(calls.values()) == {1}
+    nodes, weights = losses._hermite_rule(min(calls))
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
 def test_curvature_matrix_zero_signal():
     cov = model.CovarianceModel.ar1(4, 0.3)
     K = losses.curvature_matrix(LOGISTIC, cov, np.zeros(4))
@@ -251,16 +299,23 @@ def test_curvature_norm_and_factorizations():
     assert np.allclose(K.sqrt @ K.sqrt, K.matrix, atol=1e-10)
     inv = K.solve(np.eye(5))
     assert np.allclose(K.matrix @ inv, np.eye(5), atol=1e-9)
-    assert np.allclose(K.inv_sqrt @ K.inv_sqrt, inv, atol=1e-9)
 
 
 def test_norm_ratio_bound():
     cov = model.CovarianceModel.ar1(4, 0.5)
-    K_eq = model.CovarianceModel.curvature(cov.matrix)
+    assert losses.norm_ratio_bound(cov, cov) == 1.0
+    zero = np.zeros(4)
+    K_eq = model.CovarianceModel.rank_one(cov, 1.0, 0.0, zero)
     assert losses.norm_ratio_bound(cov, K_eq) == pytest.approx(1.0, rel=1e-10)
-    K_quarter = model.CovarianceModel.curvature(0.25 * cov.matrix)
+    K_quarter = model.CovarianceModel.rank_one(cov, 0.25, 0.0, zero)
     assert losses.norm_ratio_bound(cov, K_quarter) == pytest.approx(
         4.0, rel=1e-10)
+    # a rank-one update that lowers the curvature along Sigma^{-1} q
+    q = cov @ np.array([1.0, -0.5, 0.0, 2.0])
+    K = model.CovarianceModel.rank_one(cov, 0.5, -0.3 / (q @ cov.solve(q)), q)
+    ratio = generalized_eigh(cov.matrix, K.matrix, eigvals_only=True).max()
+    assert losses.norm_ratio_bound(cov, K) == pytest.approx(ratio, rel=1e-10)
+    assert ratio == pytest.approx(5.0, rel=1e-10)
 
 
 def test_norm_ratio_bound_of_identical_matrices_is_exactly_one():

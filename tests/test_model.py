@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,30 @@ def test_dataset_persistence_round_trip(tmp_path):
     assert back.model_kind == "linear"
     assert back.seed == 77
     assert np.array_equal(back.covariance.matrix, cov.matrix)
+
+
+def test_dataset_round_trip_stores_covariance_spec(tmp_path):
+    for cov, spec in ((model.CovarianceModel.ar1(3, 0.4), "ar1:0.4"),
+                      (model.CovarianceModel.identity(3), "identity")):
+        X = model.generate_design(cov, 8, "gaussian", seed=9)
+        ds = model.generate_linear(X, model.flat_signal(3, 1), 1.0, seed=9,
+                                   covariance=cov)
+        path = tmp_path / spec.replace(":", "_")
+        model.save_dataset(ds, str(path))
+        meta = json.loads((path / "meta.json").read_text())
+        assert meta["covariance"] == spec
+        back = model.load_dataset(str(path)).covariance
+        assert (back.kind, back.p) == (cov.kind, cov.p)
+        assert back.rho.hex() == cov.rho.hex()
+
+
+def test_save_dataset_refuses_explicit_covariance(tmp_path):
+    cov = model.CovarianceModel.explicit(np.array([[1.0, 0.3], [0.3, 1.0]]))
+    X = model.generate_design(cov, 8, "gaussian", seed=3)
+    ds = model.generate_linear(X, np.ones(2), 1.0, seed=3, covariance=cov)
+    with pytest.raises(ValueError, match="no covariance spec"):
+        model.save_dataset(ds, str(tmp_path / "ds"))
+    assert not (tmp_path / "ds").exists()
 
 
 def test_logistic_persistence_round_trip(tmp_path):
