@@ -24,11 +24,11 @@ class LassoCone:
         if self.k < 1:
             raise ValueError("cone parameter k must be >= 1")
 
-    def member(self, u, tol=1e-9):
-        """Does u satisfy the defining inequality, with relative slack."""
+    def member(self, u):
+        """Does u satisfy the defining inequality, with relative slack 1e-9."""
         u = np.asarray(u, dtype=float)
         l2 = np.linalg.norm(u)
-        return bool(np.abs(u).sum() <= np.sqrt(self.k) * l2 * (1.0 + tol))
+        return bool(np.abs(u).sum() <= np.sqrt(self.k) * l2 * (1.0 + 1e-9))
 
     def restricted_eigenvalue(self, cov):
         """sqrt of the smallest eigenvalue of Sigma: certifies the cone."""
@@ -43,11 +43,11 @@ class GroupCone:
     s: int
     groups: object
 
-    def member(self, u, tol=1e-9):
+    def member(self, u):
         u = np.asarray(u, dtype=float)
         l2 = np.linalg.norm(u)
         norms = np.linalg.norm(self.groups.blocks(u), axis=-1)
-        return bool(norms.sum() <= self.c * np.sqrt(self.s) * l2 * (1.0 + tol))
+        return bool(norms.sum() <= self.c * np.sqrt(self.s) * l2 * (1.0 + 1e-9))
 
     restricted_eigenvalue = LassoCone.restricted_eigenvalue
 

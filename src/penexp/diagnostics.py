@@ -42,8 +42,6 @@ class RiskIdentityReport:
 class InferenceReport:
     theta_hat: float
     target: float
-    ci_low: float
-    ci_high: float
     covered: bool
     t_stat: float
 
@@ -148,10 +146,10 @@ def debiased_estimate(dataset, beta_hat, cov, a):
     theta = float(a @ beta_hat + (z_a @ resid) / denom)
     target = float(a @ dataset.beta_star)
     half = 1.96 * sigma / np.sqrt(dataset.n)
-    ci_low, ci_high = theta - half, theta + half
     t_stat = float(np.sqrt(dataset.n) * (theta - target) / sigma)
-    return InferenceReport(theta, target, ci_low, ci_high,
-                           bool(ci_low <= target <= ci_high), t_stat)
+    return InferenceReport(theta, target,
+                           bool(theta - half <= target <= theta + half),
+                           t_stat)
 
 
 def sparsity_count(beta, groups=None):

@@ -165,18 +165,24 @@ def validate_config(cfg):
         raise ValueError("at least one grid entry is required")
     if cfg.replications < 1:
         raise ValueError("replications must be >= 1")
-    if cfg.xi <= 0:
-        raise ValueError("xi must be > 0")
+    if not 0 < cfg.xi < math.inf:
+        raise ValueError("xi must be > 0 and finite")
+    if not math.isfinite(cfg.amplitude):
+        raise ValueError("amplitude must be finite")
+    if cfg.penalty_kind == "l1_constrained" and cfg.amplitude == 0:
+        raise ValueError("l1_constrained runs need amplitude != 0: the "
+                         "l1-ball radius is ||beta*||_1")
     if cfg.mc_inner < 2:
         raise ValueError("mc_inner must be >= 2")
     if cfg.threads < 0:
         raise ValueError("threads must be >= 0 (0 means one worker per "
                          "usable core)")
-    if not cfg.noise_sd >= 0:
-        raise ValueError("noise_sd must be >= 0")
+    if not 0 <= cfg.noise_sd < math.inf:
+        raise ValueError("noise_sd must be >= 0 and finite")
     for pt in cfg.grid:
-        if not pt.p > pt.s >= 1:
-            raise ValueError("grid point needs p > s >= 1, got %r" % (pt,))
+        if not (pt.n >= 1 and pt.p > pt.s >= 1):
+            raise ValueError("grid point needs n >= 1 and p > s >= 1, got %r"
+                             % (pt,))
         if cfg.penalty_kind == "group_lasso":
             if pt.M is None or pt.d is None:
                 raise ValueError("group runs need M and d in each grid entry")

@@ -1,11 +1,10 @@
 """Loss functions: each owns its derivatives, constants and curvature matrix.
 
 A loss is a margin loss l(y, u) with its first two derivatives in u, the
-Lipschitz constant of l'' (d2_lipschitz), the sharp supremum of l''
-(d2_sup), the design kinds its population curvature matrix is known for
-(designs), that curvature matrix, and the noise scale the penalty-level
-formulas use. The two losses are used through the singletons SQUARED and
-LOGISTIC, or get_loss by kind.
+Lipschitz constant of l'' (d2_lipschitz), the design kinds its population
+curvature matrix is known for (designs), that curvature matrix, and the
+noise scale the penalty-level formulas use. The two losses are used
+through the singletons SQUARED and LOGISTIC, or get_loss by kind.
 
 The logistic loss here is the convex negative log-likelihood for labels drawn
 with P(Y=1|x) = 1/(1+exp(x'b)), namely l(y,u) = (y-1)u + log(1+e^u). Its
@@ -28,7 +27,6 @@ class SquaredLoss:
 
     kind = "squared"
     d2_lipschitz = 0.0
-    d2_sup = 1.0
     designs = ("gaussian", "rademacher")
 
     def value(self, y, u):
@@ -56,12 +54,11 @@ class LogisticLoss:
     """l(y, u) = (y - 1) u + log(1 + e^u), whose l'' is sig'(u).
 
     The Lipschitz constant of l'' is max|sig''| = 1/(6 sqrt(3)), attained
-    near u = +-log(2 + sqrt(3)); the sharp sup of l'' is 1/4.
+    near u = +-log(2 + sqrt(3)).
     """
 
     kind = "logistic"
     d2_lipschitz = 1.0 / (6.0 * np.sqrt(3.0))
-    d2_sup = 0.25
     designs = ("gaussian",)
 
     def value(self, y, u):
@@ -141,14 +138,14 @@ def _hermite_rule(n_nodes):
     return nodes, weights
 
 
-def _adaptive_hermite(funcs, tol=1e-13, start=64):
-    # E f(Z) for each f, with the node count doubled from start (up to
-    # 2048) until two successive rules agree
-    vals, nodes = None, start
+def _adaptive_hermite(funcs):
+    # E f(Z) for each f, with the node count doubled from 64 (up to 2048)
+    # until two successive rules agree to 1e-13
+    vals, nodes = None, 64
     while nodes <= 2048:
         x, w = _hermite_rule(nodes)
         new = [float(np.sum(w * f(x))) for f in funcs]
-        if vals is not None and all(abs(a - b) <= tol * max(1.0, abs(b))
+        if vals is not None and all(abs(a - b) <= 1e-13 * max(1.0, abs(b))
                                     for a, b in zip(vals, new)):
             return new
         vals, nodes = new, 2 * nodes
@@ -167,11 +164,10 @@ def curvature_matrix(loss, cov, beta_star, design_kind="gaussian"):
 def norm_ratio_bound(cov, curvature):
     """Largest value of ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2 over u != 0.
 
-    Exactly 1 when K is Sigma itself, as for the squared loss, or when both
-    are the identity. For a rank-one update K = m0 Sigma + c q q' (the
-    logistic K, where m0 + c q'Sigma^{-1}q = a2) it is 1/min(m0, a2), in
-    closed form; 4 for the logistic K at beta* = 0, Sigma/4. K must be one
-    of these two."""
-    if curvature is cov or (cov.is_identity and curvature.is_identity):
+    Exactly 1 when K is Sigma itself, as for the squared loss. For a
+    rank-one update K = m0 Sigma + c q q' (the logistic K, where
+    m0 + c q'Sigma^{-1}q = a2) it is 1/min(m0, a2), in closed form; 4 for
+    the logistic K at beta* = 0, Sigma/4. K must be one of these two."""
+    if curvature is cov:
         return 1.0
     return 1.0 / curvature.relative_bounds[0]

@@ -67,14 +67,14 @@ class CovarianceModel:
       logistic curvature). It holds a reference to base, the scalars m0 and
       c and the vector q: no p x p array of its own and no
       eigendecomposition. Products are m0 (base u) + c q (q'u), solves are
-      Sherman-Morrison on top of base's solve, and eig_max and eig_min are
-      roots of the secular equation on base's eigenpairs. `matrix` builds
+      Sherman-Morrison on top of base's solve, and eig_max is the largest
+      root of the secular equation on base's eigenpairs. `matrix` builds
       the dense matrix on every call.
 
     Covariances come from identity, ar1 and explicit: diagonal entries must
     not exceed 1 (normalized features) and the matrix must be positive
-    definite. Curvature matrices come from rank_one (every K the pipeline
-    builds) and curvature (a dense matrix), and must be nonsingular.
+    definite; eig_min serves them alone. A curvature matrix is a covariance
+    itself (squared loss) or comes from rank_one, and must be nonsingular.
     """
 
     kind: str
@@ -125,15 +125,6 @@ class CovarianceModel:
         return "identity" if self.kind == "identity" else "ar1:%r" % self.rho
 
     @classmethod
-    def curvature(cls, K):
-        """Curvature matrix K, dense."""
-        K = cls._factorized("curvature", 0.0, np.asarray(K, dtype=float))
-        if K.eig_min <= 1e-12 * max(K.eig_max, 1e-300):
-            raise ValueError("curvature matrix is singular "
-                             "(min eigenvalue %.3e)" % K.eig_min)
-        return K
-
-    @classmethod
     def rank_one(cls, base, m0, c, q):
         """Curvature matrix m0 base + c q q', a rank-one update of the
         identity or dense covariance base."""
@@ -155,15 +146,6 @@ class CovarianceModel:
             raise ValueError("covariance must be symmetric")
         if np.diag(matrix).max() > 1.0 + 1e-12:
             raise ValueError("diagonal entries must be <= 1 (normalized features)")
-        cov = cls._factorized(kind, rho, matrix)
-        if cov.eig_min < 1e-10:
-            raise ValueError(
-                "covariance is not positive definite (min eigenvalue %.3e); "
-                "supply a full-rank matrix" % cov.eig_min)
-        return cov
-
-    @classmethod
-    def _factorized(cls, kind, rho, matrix):
         matrix = 0.5 * (matrix + matrix.T)
         p = matrix.shape[0]
         # The exact identity, found without building I to compare with,
@@ -172,6 +154,10 @@ class CovarianceModel:
         if np.count_nonzero(matrix) == p and np.all(matrix.diagonal() == 1.0):
             return cls(kind, p, rho)
         w, vecs = np.linalg.eigh(matrix)
+        if w[0] < 1e-10:
+            raise ValueError(
+                "covariance is not positive definite (min eigenvalue %.3e); "
+                "supply a full-rank matrix" % w[0])
         return cls(kind, p, rho, _readonly(matrix), w, vecs)
 
     @property
@@ -199,8 +185,8 @@ class CovarianceModel:
     @cached_property
     def eig_min(self):
         if self.base is not None:
-            d, v2 = self._update_spectrum
-            return -_secular_max(-d[::-1], v2[::-1], -self._c)
+            raise ValueError("a rank-one update has no eig_min; see "
+                             "relative_bounds")
         return 1.0 if self.is_identity else float(self._w.min())
 
     @cached_property
@@ -276,7 +262,8 @@ class CovarianceModel:
 
 
 def _secular_max(d, v2, c):
-    """Largest eigenvalue of diag(d) + c v v', for ascending d and v2 = v*v.
+    """Largest eigenvalue of diag(d) + c v v', for ascending d and v2 = v*v:
+    eig_max of a rank-one update, the expansion solve's step 1/eig_max.
 
     It is the largest root of the secular equation
     f(lam) = 1 + c sum_i v2_i / (d_i - lam) = 0 (Golub, SIAM Rev. 1973;
@@ -306,7 +293,6 @@ class GroupStructure:
     """Partition of {0, ..., p-1} into M consecutive groups of equal size d:
     group k holds the coordinates k*d, ..., (k+1)*d - 1."""
 
-    p: int
     M: int
     d: int
     groups: tuple
@@ -317,7 +303,7 @@ class GroupStructure:
         M, d = int(M), int(d)
         groups = tuple(_readonly(np.arange(k * d, (k + 1) * d), np.intp)
                        for k in range(M))
-        return cls(M * d, M, d, groups)
+        return cls(M, d, groups)
 
     def blocks(self, x):
         """x with its last axis split into (M, d): row k of the block axis

@@ -45,8 +45,8 @@ class L1Penalty:
     level: float
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("penalty level must be >= 0")
+        if not 0 <= self.level < np.inf:
+            raise ValueError("penalty level must be >= 0 and finite")
 
     def value(self, beta):
         return float(self.level * np.abs(np.asarray(beta, dtype=float)).sum())
@@ -80,8 +80,8 @@ class L1BallConstraint:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        if not 0 < self.radius < np.inf:
+            raise ValueError("radius must be > 0 and finite")
 
     def value(self, beta):
         l1 = np.abs(np.asarray(beta, dtype=float)).sum()
@@ -134,8 +134,8 @@ class GroupPenalty:
     groups: object
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("penalty level must be >= 0")
+        if not 0 <= self.level < np.inf:
+            raise ValueError("penalty level must be >= 0 and finite")
 
     def value(self, beta):
         blocks = self.groups.blocks(np.asarray(beta, dtype=float))

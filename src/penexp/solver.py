@@ -39,8 +39,8 @@ class SolverConfig:
     kkt_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be > 0")
+        if not 0 < self.kkt_tol < np.inf:
+            raise ValueError("kkt_tol must be > 0 and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

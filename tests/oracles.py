@@ -77,7 +77,7 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
         w = loss.d2(0.0, X @ beta_star)
         acc += (X * w[:, None]).T @ X
         done += m
-    return CovarianceModel.curvature(acc / float(n_samples))
+    return CovarianceModel.explicit(acc / float(n_samples))
 
 
 def logistic_curvature_dense(cov, beta_star):

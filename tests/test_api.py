@@ -2,9 +2,11 @@
 
 Every public top-level function and class defined in src/penexp must be
 used by code in src/penexp other than its own definition; an import alone
-is not a use. Names that only tests would call belong in tests/oracles.py
-instead. The package root holds its docstring alone, so every object has
-one name, the one in its module.
+is not a use. Every public member of those classes (method, property,
+class attribute or dataclass field) must be read, as an attribute or a
+keyword argument, by src/penexp or the benchmark in bench/. Names that only
+tests would call belong in tests/oracles.py instead. The package root holds
+its docstring alone, so every object has one name, the one in its module.
 
 numpy is the package's only run-time dependency: scipy is for the tests and
 the benchmark alone.
@@ -22,6 +24,17 @@ from penexp import harness
 # would be an exception to the rule above, and none is needed.
 ALLOWED_UNUSED = set()
 
+# Public class members that only tests read, each kept for the acceptance
+# test that reads it.
+ALLOWED_UNREAD_MEMBERS = {
+    # test_acceptance.py::test_curvature_quadrature_matches_mc_entrywise
+    # builds its equicorrelated covariance with CovarianceModel.explicit
+    "explicit",
+    # test_acceptance.py::test_logistic_curvature_slope_constant checks it
+    # against the analytic max |sig''|
+    "d2_lipschitz",
+}
+
 
 def _defined_name(node):
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -32,10 +45,10 @@ def _defined_name(node):
     return None
 
 
-def _modules():
-    src = os.path.dirname(penexp.__file__)
+def _modules(src=os.path.dirname(penexp.__file__)):
     for fname in sorted(os.listdir(src)):
-        if fname.endswith(".py") and fname != "__init__.py":
+        if fname.endswith(".py") and fname != "__init__.py" and \
+                not fname.startswith("test_"):
             with open(os.path.join(src, fname)) as fh:
                 yield ast.parse(fh.read(), fname)
 
@@ -70,6 +83,47 @@ def test_every_export_has_a_caller_in_the_package():
     # equality also catches an allowlist entry that has gained a caller
     assert unused == ALLOWED_UNUSED, \
         "public but unused in src/penexp: %s" % sorted(unused)
+
+
+def _public_members():
+    """Public methods, properties, class attributes and dataclass fields of
+    the public top-level classes of the package modules."""
+    members = set()
+    for tree in _modules():
+        for top in tree.body:
+            if not isinstance(top, ast.ClassDef) or top.name.startswith("_"):
+                continue
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    members.add(node.name)
+                elif isinstance(node, ast.AnnAssign) and \
+                        isinstance(node.target, ast.Name):
+                    members.add(node.target.id)
+                else:
+                    members.add(_defined_name(node))
+    return {m for m in members if m and not m.startswith("_")}
+
+
+def _read_members():
+    """Attributes and keyword arguments read by the package and by the
+    benchmark's own code (its tests excluded)."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.dirname(penexp.__file__))), "bench")
+    read = set()
+    for tree in list(_modules()) + list(_modules(bench)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.keyword):
+                read.add(node.arg)
+    return read
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    unread = _public_members() - _read_members()
+    # equality also catches an allowlist entry that has gained a reader
+    assert unread == ALLOWED_UNREAD_MEMBERS, \
+        "class members read only by tests: %s" % sorted(unread)
 
 
 def test_package_root_is_its_docstring_alone():

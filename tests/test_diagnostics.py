@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,10 +196,17 @@ def test_debiased_interval_consistency():
     ds = linear_dataset(120, 15, 2, seed=59)
     pen = L1Penalty(0.2)
     fit = fit_penalized(ds, SQ, pen)
-    rep = debiased_estimate(ds, fit.solution, ds.covariance, np.eye(15)[1])
-    assert rep.covered == (rep.ci_low <= rep.target <= rep.ci_high)
-    assert rep.ci_high - rep.ci_low == pytest.approx(2 * 1.96 / np.sqrt(120),
-                                                    rel=1e-12)
+    # the half-width 1.96 sigma/sqrt(n) is 1.96 in t_stat units; a smaller
+    # nominal sigma narrows the interval so that some targets fall outside
+    seen = set()
+    for sd in (1.0, 0.7):
+        for j in range(15):
+            rep = debiased_estimate(replace(ds, noise_sd=sd), fit.solution,
+                                    ds.covariance, np.eye(15)[j])
+            assert abs(abs(rep.t_stat) - 1.96) > 1e-3
+            assert rep.covered == (abs(rep.t_stat) <= 1.96)
+            seen.add(rep.covered)
+    assert seen == {True, False}
     with pytest.raises(ValueError):
         debiased_estimate(ds, fit.solution, ds.covariance, np.zeros(15))
 

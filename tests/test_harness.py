@@ -133,6 +133,18 @@ def test_validate_config_rejections():
     with pytest.raises(ValueError, match="noise_sd > 0"):
         parse_config("experiment = coverage\nnoise_sd = 0\n"
                      "grid = n=50 p=20 s=2\n")
+    # each of these would run every point set-up and then end the run at
+    # its first task, or (infinite noise_sd) run on meaningless data
+    with pytest.raises(ValueError, match="n >= 1"):
+        parse_config("experiment = rates\ngrid = n=0 p=20 s=2\n")
+    with pytest.raises(ValueError, match="l1-ball radius"):
+        parse_config("experiment = rates\npenalty = l1_constrained\n"
+                     "amplitude = 0\ngrid = n=50 p=20 s=2\n")
+    for key, bad in (("xi", "nan"), ("xi", "inf"), ("amplitude", "nan"),
+                     ("amplitude", "inf"), ("noise_sd", "inf")):
+        with pytest.raises(ValueError, match="%s must be" % key):
+            parse_config("experiment = rates\n%s = %s\n"
+                         "grid = n=50 p=20 s=2\n" % (key, bad))
 
 
 def test_task_seed_stable():
@@ -462,6 +474,27 @@ def test_cli_penalty_spec_errors(tmp_path, capsys):
         rc = cli.main(["fit", ds, "--penalty", spec, "--out", out])
         assert rc == 2, spec
         assert "error:" in capsys.readouterr().err
+
+
+def test_cli_refuses_non_finite_penalty_and_tolerance(tmp_path, capsys):
+    # an infinite tolerance certified any iterate; infinite or NaN levels
+    # and radii wrote NaN objectives or failed inside the solver
+    ds = str(tmp_path / "ds")
+    cli.main(["generate", "--n", "40", "--p", "20", "--s", "2",
+              "--seed", "4", "--out", ds])
+    capsys.readouterr()
+    out = tmp_path / "sol"
+    cases = [(["--penalty", spec], "bad penalty spec")
+             for spec in ("l1:inf", "l1:nan", "l1ball:nan", "l1ball:inf",
+                          "group:inf:2", "group:nan:2")]
+    cases += [(["--penalty", "l1:0.3", "--tol", tol], "kkt_tol must be")
+              for tol in ("inf", "nan")]
+    for flags, message in cases:
+        for command in ("fit", "expand"):
+            rc = cli.main([command, ds] + flags + ["--out", str(out)])
+            assert rc == 2, flags
+            assert message in capsys.readouterr().err, flags
+            assert not out.exists()
 
 
 def test_cli_group_fit(tmp_path, capsys):

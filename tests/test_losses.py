@@ -74,10 +74,7 @@ def test_derivatives_match_finite_differences():
 
 def test_loss_constants():
     assert SQUARED.d2_lipschitz == 0.0
-    assert SQUARED.d2_sup == 1.0
     assert LOGISTIC.d2_lipschitz == pytest.approx(1.0 / (6 * np.sqrt(3.0)))
-    # sharp sup of the logistic second derivative is 1/4
-    assert LOGISTIC.d2_sup == 0.25
     with pytest.raises(ValueError):
         losses.get_loss("huber")
 
@@ -177,10 +174,8 @@ def test_logistic_rank_one_k_matches_dense(p, rho):
     assert rel(K.principal(idx), dense[np.ix_(idx, idx)]) <= 1e-12
     eigs = np.linalg.eigvalsh(dense)
     assert K.eig_max == pytest.approx(eigs[-1], rel=1e-12)
-    assert K.eig_min == pytest.approx(eigs[0], rel=1e-12)
     # a step of 1/eig_max is never longer than the dense matrix allows
     assert K.eig_max >= eigs[-1] - np.spacing(eigs[-1])
-    assert K.eig_min <= eigs[0] + np.spacing(eigs[0])
     ratio = generalized_eigh(cov.matrix, dense, eigvals_only=True).max()
     assert losses.norm_ratio_bound(cov, K) == pytest.approx(ratio, rel=1e-12)
 
@@ -287,7 +282,17 @@ def test_curvature_matrix_structure():
     # curvature along the signal is smaller than off-signal (mass away
     # from zero where sigmoid' is largest)
     assert K.matrix[0, 0] < K.matrix[1, 1] < 0.25
-    assert K.eig_min > 0
+    assert np.linalg.eigvalsh(K.matrix).min() > 0
+
+
+def test_rank_one_k_has_no_eig_min():
+    # the pipeline reads eig_min of covariances only; a rank-one K checks
+    # its singularity through relative_bounds
+    cov = model.CovarianceModel.ar1(30, 0.5)
+    K = losses.curvature_matrix(LOGISTIC, cov, model.flat_signal(30, 5, 0.25))
+    with pytest.raises(ValueError, match="relative_bounds"):
+        K.eig_min
+    assert cov.eig_min > 0 and min(K.relative_bounds) > 0
 
 
 def test_curvature_norm_and_factorizations():
@@ -322,8 +327,9 @@ def test_norm_ratio_bound_of_identical_matrices_is_exactly_one():
     # no p x p product or eigendecomposition: 72 MB per I at p = 3000
     tracemalloc.start()
     try:
-        val = losses.norm_ratio_bound(model.CovarianceModel.identity(3000),
-                                      model.CovarianceModel.identity(3000))
+        cov = model.CovarianceModel.identity(3000)
+        K = losses.curvature_matrix(SQUARED, cov, np.zeros(3000))
+        val = losses.norm_ratio_bound(cov, K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -59,7 +59,7 @@ def test_covariance_rejects_bad_input():
 
 def test_group_structure_contiguous():
     gs = model.GroupStructure.contiguous(3, 2)
-    assert gs.p == 6 and gs.M == 3 and gs.d == 2
+    assert gs.M * gs.d == 6 and gs.M == 3 and gs.d == 2
     flat = np.concatenate(gs.groups)
     assert sorted(flat.tolist()) == list(range(6))
 

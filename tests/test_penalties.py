@@ -30,12 +30,14 @@ def test_penalty_value_group():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        L1Penalty(-0.1)
-    with pytest.raises(ValueError):
-        L1BallConstraint(0.0)
-    with pytest.raises(ValueError):
-        GroupPenalty(-1.0, two_groups())
+    for bad in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            L1Penalty(bad)
+        with pytest.raises(ValueError):
+            GroupPenalty(bad, two_groups())
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            L1BallConstraint(bad)
 
 
 def test_soft_threshold_values():

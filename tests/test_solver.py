@@ -24,8 +24,9 @@ def linear_instance(n, p, s, seed, noise_sd=1.0, rho=0.0):
 def test_config_validation():
     with pytest.raises(ValueError):
         solver.SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        solver.SolverConfig(kkt_tol=0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="kkt_tol"):
+            solver.SolverConfig(kkt_tol=bad)
 
 
 def test_unpenalized_matches_least_squares():
@@ -228,16 +229,17 @@ def test_non_convergence_reported():
 
 
 def test_expansion_step_from_top_eigenvalue():
-    # K = I + 9 vv' with v orthogonal to the all-ones vector: lambda_max is
-    # 10, but a power iteration started at the all-ones vector stays in the
-    # eigenvalue-1 space and returns 1, a step ten times too long
+    # K = (I + 9 vv')/10 with v orthogonal to the all-ones vector:
+    # lambda_max is 1, but a power iteration started at the all-ones vector
+    # stays in the eigenvalue-0.1 space and returns 0.1, a step ten times
+    # too long
     p = 20
     v = np.random.default_rng(17).normal(size=p)
     v -= v.mean()
     v /= np.linalg.norm(v)
-    Kmat = np.eye(p) + 9.0 * np.outer(v, v)
-    K = model.CovarianceModel.curvature(Kmat)
-    assert K.eig_max == pytest.approx(10.0, rel=1e-12)
+    Kmat = (np.eye(p) + 9.0 * np.outer(v, v)) / 10.0
+    K = model.CovarianceModel.explicit(Kmat)
+    assert K.eig_max == pytest.approx(1.0, rel=1e-12)
     ds, _ = linear_instance(80, p, 3, seed=17)
     pen = L1Penalty(0.05)
     res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, pen)
