@@ -14,8 +14,9 @@ import numpy as np
 from .model import noise_scale, stream_rng
 
 
-# Numbers drawn per chunk of the Monte Carlo risk: 8 MB of draws.
-MC_CHUNK_ELEMENTS = 1 << 20
+# Numbers drawn per chunk of the Monte Carlo risk: 256 KB of draws, so
+# that a chunk and the prox's output stay in cache.
+MC_CHUNK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -51,9 +52,10 @@ def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
 
     The draws come from stream purpose 4 of seed, in chunks of about
     MC_CHUNK_ELEMENTS numbers. Philox normals come out in sequence, so the
-    chunk size changes neither the draws nor the result. Each chunk is
-    worked in place: the draws become the points, and the fresh array that
-    penalty.prox returns becomes the squared differences.
+    chunk size changes neither the draws nor the result. Every chunk is
+    drawn into one reused buffer and worked in place: the draws become the
+    points, and the fresh array that penalty.prox returns becomes the
+    squared differences.
     """
     beta_star = np.asarray(beta_star, dtype=float)
     n_draws = int(n_draws)
@@ -64,9 +66,10 @@ def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
     vals = np.empty(n_draws)
     done = 0
     chunk = max(1, MC_CHUNK_ELEMENTS // max(beta_star.size, 1))
+    buf = np.empty((min(chunk, n_draws), beta_star.size))
     while done < n_draws:
         m = min(chunk, n_draws - done)
-        pts = rng.standard_normal((m, beta_star.size))
+        pts = rng.standard_normal(out=buf[:m])
         pts *= tau
         pts += beta_star
         sq = penalty.prox(pts)

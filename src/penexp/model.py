@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def sigmoid(u):
@@ -58,11 +59,14 @@ class CovarianceModel:
 
     - The identity stores no p x p array: products, solves and norms act on
       their argument directly, and `matrix` builds I only when asked for.
-    - A dense matrix is eigendecomposed once, at construction, which also
-      validates it. Solves are V (w^{-1} * V'u), two O(p^2) products, and no
-      inverse is built. The symmetric square root (from the eigenpairs, not
-      a Cholesky factor, so ||Sigma^{1/2} u|| norms read the same as in the
-      analysis) is built from the stored eigenpairs on first use.
+    - A dense matrix holds its eigenpairs w (ascending) and V, found once,
+      at construction, which also validates it: by LAPACK's eigh for an
+      explicit matrix, and in closed form for AR(1) with rho != 0 (see
+      _ar1_eigenpairs), in O(p^2). Solves are V (w^{-1} * V'u), two O(p^2)
+      products, and no inverse is built. The symmetric square root (from
+      the eigenpairs, not a Cholesky factor, so ||Sigma^{1/2} u|| norms read
+      the same as in the analysis) is built from the stored eigenpairs on
+      first use.
     - A rank-one update m0 base + c q q' of a covariance base (rank_one; the
       logistic curvature). It holds a reference to base, the scalars m0 and
       c and the vector q: no p x p array of its own and no
@@ -96,16 +100,22 @@ class CovarianceModel:
     @classmethod
     def ar1(cls, p, rho):
         """AR(1) covariance, entry (i, j) = rho^|i-j|."""
-        rho = float(rho)
+        rho, p = float(rho), int(p)
         if not -1.0 < rho < 1.0:
             raise ValueError("ar1 correlation must lie in (-1, 1), got %g" % rho)
-        idx = np.arange(int(p))
-        matrix = rho ** np.abs(idx[:, None] - idx[None, :])
-        return cls._covariance("ar1", rho, matrix)
-
-    @classmethod
-    def explicit(cls, matrix):
-        return cls._covariance("explicit", 0.0, matrix)
+        if p < 1:
+            raise ValueError("need p >= 1")
+        if rho == 0.0 or p == 1:
+            # the identity, stored as nothing; this keeps ar1(0) draws
+            # bit-identical to the identity model's
+            return cls("ar1", p, rho)
+        # row i of the reversed length-p windows of rho^|k - (p-1)|,
+        # k = 0..2p-2, is rho^|i - j|: the Toeplitz matrix without an index
+        # array of its own
+        powers = rho ** np.arange(p, dtype=float)
+        matrix = sliding_window_view(
+            np.concatenate((powers[:0:-1], powers)), p)[::-1]
+        return cls._factored("ar1", rho, matrix, *_ar1_eigenpairs(p, rho))
 
     @classmethod
     def from_spec(cls, spec, p):
@@ -138,7 +148,7 @@ class CovarianceModel:
         return K
 
     @classmethod
-    def _covariance(cls, kind, rho, matrix):
+    def explicit(cls, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("covariance must be a square matrix")
@@ -149,16 +159,19 @@ class CovarianceModel:
         matrix = 0.5 * (matrix + matrix.T)
         p = matrix.shape[0]
         # The exact identity, found without building I to compare with,
-        # stores nothing; this also keeps ar1(0) draws bit-identical to the
-        # identity model.
+        # stores nothing.
         if np.count_nonzero(matrix) == p and np.all(matrix.diagonal() == 1.0):
-            return cls(kind, p, rho)
-        w, vecs = np.linalg.eigh(matrix)
+            return cls("explicit", p, 0.0)
+        return cls._factored("explicit", 0.0, matrix,
+                             *np.linalg.eigh(matrix))
+
+    @classmethod
+    def _factored(cls, kind, rho, matrix, w, vecs):
         if w[0] < 1e-10:
             raise ValueError(
                 "covariance is not positive definite (min eigenvalue %.3e); "
                 "supply a full-rank matrix" % w[0])
-        return cls(kind, p, rho, _readonly(matrix), w, vecs)
+        return cls(kind, matrix.shape[0], rho, _readonly(matrix), w, vecs)
 
     @property
     def is_identity(self):
@@ -261,6 +274,66 @@ class CovarianceModel:
         return float(np.sqrt(max(u @ (self @ u), 0.0)))
 
 
+# Rows of the AR(1) eigenvector matrix built per step of its loop.
+_AR1_ROW_BLOCK = 64
+
+
+def _ar1_eigenpairs(p, rho):
+    """Eigenvalues w, ascending, and orthonormal eigenvectors V (columns)
+    of the AR(1) matrix rho^|i-j|, 0 < |rho| < 1, in closed form.
+
+    Its inverse is tridiagonal (Kac, Murdock and Szego, 1953), so for
+    a = |rho| > 0 the eigenvectors are x_j = sin(j theta + phi), j = 1..p,
+    with phi = atan2(a sin theta, 1 - a cos theta) and eigenvalue
+    (1 - a^2) / ((1 - a)^2 + 4 a sin^2(theta/2)). The two boundary rows
+    hold where (p + 1) theta + 2 phi = k pi, k = 1..p: the left side rises
+    strictly from 0 at theta = 0 to (p + 1) pi at pi, so one vectorised
+    bisection, on its form (p + 1) theta - 2 (pi/2 - phi) = (k - 1) pi that
+    keeps k = 1 free of cancellation, finds all p roots to adjacent floats.
+    The eigenvalue falls as theta grows, so k = p..1 is ascending order.
+
+    The phase j theta + phi = pi (jk mod 2(p + 1)) / (p + 1)
+    + phi (p + 1 - 2j) / (p + 1) is reduced exactly, so its rounding error
+    does not grow with j, and x_{p+1-j} = (-1)^(k+1) x_j fills the lower
+    half of V from the upper. V, built in place in row blocks, is the only
+    p x p array made. For rho < 0 the matrix is D Sigma(a) D with
+    D = diag((-1)^j): the same w, and every second row of V negated.
+    """
+    a = abs(rho)
+    k = np.arange(p, 0, -1, dtype=float)
+    target = (k - 1.0) * np.pi
+    lo, hi = np.zeros(p), np.full(p, np.pi)
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        s = np.sin(0.5 * mid)
+        up = (p + 1) * mid - 2.0 * np.arctan2(
+            (1.0 - a) + 2.0 * a * s * s, a * np.sin(mid)) >= target
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=~up)
+        mid = 0.5 * (lo + hi)
+    theta = hi
+    s2 = np.sin(0.5 * theta) ** 2
+    w = (1.0 - a) * (1.0 + a) / ((1.0 - a) ** 2 + 4.0 * a * s2)
+    phi = np.arctan2(a * np.sin(theta), (1.0 - a) + 2.0 * a * s2)
+    vecs = np.empty((p, p))
+    half = (p + 1) // 2
+    j = np.arange(1, half + 1, dtype=float)
+    for start in range(0, half, _AR1_ROW_BLOCK):
+        rows = vecs[start:min(start + _AR1_ROW_BLOCK, half)]
+        jb = j[start:start + rows.shape[0]]
+        np.multiply.outer(jb, k, out=rows)
+        np.fmod(rows, 2.0 * (p + 1), out=rows)
+        rows *= np.pi / (p + 1)
+        rows += np.multiply.outer((p + 1 - 2.0 * jb) / (p + 1), phi)
+        np.sin(rows, out=rows)
+    np.multiply(vecs[:p - half], np.where(k % 2.0 == 1.0, 1.0, -1.0),
+                out=vecs[::-1][:p - half])
+    vecs /= np.sqrt(np.einsum("ij,ij->j", vecs, vecs))
+    if rho < 0:
+        vecs[1::2] *= -1.0
+    return w, vecs
+
+
 def _secular_max(d, v2, c):
     """Largest eigenvalue of diag(d) + c v v', for ascending d and v2 = v*v:
     eig_max of a rank-one update, the expansion solve's step 1/eig_max.
@@ -273,8 +346,9 @@ def _secular_max(d, v2, c):
     c f(lam) >= 0 at and above the root, so bisection halves the bracket
     until its ends are adjacent floats. The upper end is returned, raised by
     size * eps of its magnitude, the scale of the rounding error of the
-    eigendecomposition it rests on, so that the value bounds the largest
-    eigenvalue of the dense matrix too.
+    eigenpairs it rests on (eigh's, or the AR(1) closed form's, whose
+    eigenvalues lie within 3 eps, relative, of the exact ones), so that the
+    value bounds the largest eigenvalue of the dense matrix too.
     """
     lo, hi = sorted((float(d[-1]), float(d[-1] + c * v2.sum())))
     if c < 0 and d.size > 1:
@@ -389,8 +463,9 @@ def generate_linear(X, beta_star, noise_sd, seed, covariance=None,
     if X.shape[1] != beta_star.size:
         raise ValueError("design has %d columns but beta_star has %d entries"
                          % (X.shape[1], beta_star.size))
-    if not noise_sd >= 0:
-        raise ValueError("noise_sd must be >= 0, got %r" % (noise_sd,))
+    if not 0 <= noise_sd < np.inf:
+        raise ValueError("noise_sd must be >= 0 and finite, got %r"
+                         % (noise_sd,))
     rng = stream_rng(seed, 1)
     eps = float(noise_sd) * rng.standard_normal(X.shape[0])
     y = X @ beta_star + eps

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,23 @@ def test_prox_risk_mc_chunks_match_one_draw(penalty):
     beta = flat_signal(p, 8, 0.5)
     got = prox_risk_mc(penalty, beta, 1.3, 150, n_draws, seed=31)
     assert got == prox_risk_unchunked(penalty, beta, 1.3, 150, n_draws, 31)
+
+
+@pytest.mark.parametrize("penalty", [
+    L1Penalty(0.05), L1BallConstraint(2.5),
+    GroupPenalty(0.08, GroupStructure.contiguous(250, 4))],
+    ids=["l1", "l1_ball", "group"])
+def test_prox_risk_mc_memory_stays_chunk_sized(penalty):
+    # 4000 draws at p = 1000 are 32 MB at once; in chunks of
+    # MC_CHUNK_ELEMENTS numbers the loop's arrays stay near 256 KB each
+    beta = flat_signal(1000, 5, 0.5)
+    tracemalloc.start()
+    try:
+        prox_risk_mc(penalty, beta, 1.0, 2000, 4000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_prox_risk_needs_draws():

@@ -305,10 +305,10 @@ def test_point_setups_start_largest_first(tmp_path, monkeypatch):
     assert [pt["p"] for pt in summary["points"]] == [20, 40, 30, 40]
 
 
-def test_logistic_ar1_point_makes_one_eigendecomposition(tmp_path,
-                                                         monkeypatch):
-    # Sigma's eigh serves the design's square root and every use of the
-    # rank-one K: its eig_max step, its solve and its norms
+def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,
+                                                        monkeypatch):
+    # Sigma's closed-form eigenpairs serve the design's square root and
+    # every use of the rank-one K: its eig_max step, its solve and its norms
     calls = []
     real_eigh = np.linalg.eigh
 
@@ -323,11 +323,11 @@ def test_logistic_ar1_point_makes_one_eigendecomposition(tmp_path,
         grid=(GridPoint(100, 60, 3),), replications=1, threads=1,
         output_dir=str(tmp_path / "ar1"))
     setup = harness._setup_point(cfg, cfg.grid[0], LOGISTIC)
-    assert calls == [(60, 60)]
+    assert calls == []
     rec, _ = harness._run_task(cfg, setup, LOGISTIC, solver.SolverConfig(),
                                0, 0)
     assert rec["exp_converged"] and rec["gap"] > 0
-    assert calls == [(60, 60)]
+    assert calls == []
 
 
 def test_coverage_interval_scales_with_noise_sd(tmp_path):
@@ -452,6 +452,19 @@ def test_cli_generate_refuses_negative_noise_sd(tmp_path, capsys):
     assert rc == 2
     assert "noise_sd must be >= 0" in capsys.readouterr().err
     assert not (out / "meta.json").exists()
+
+
+def test_cli_generate_refuses_non_finite_noise_sd(tmp_path, capsys):
+    # an infinite noise_sd wrote responses of +-inf, and a later fit wrote
+    # Infinity and NaN into solution.json
+    for value in ("inf", "nan"):
+        out = tmp_path / value
+        rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
+                       "--noise-sd", value, "--out", str(out)])
+        assert rc == 2, value
+        assert "noise_sd must be >= 0 and finite" in \
+            capsys.readouterr().err, value
+        assert not out.exists()
 
 
 def test_cli_fit_not_converged_exit(tmp_path, capsys):

@@ -180,6 +180,17 @@ def test_logistic_rank_one_k_matches_dense(p, rho):
     assert losses.norm_ratio_bound(cov, K) == pytest.approx(ratio, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 30, 200, 800])
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.3, 0.5, 0.9, 0.99])
+def test_logistic_k_eig_max_bounds_dense_eigenvalue(p, rho):
+    # on Sigma's closed-form AR(1) eigenpairs too, a step of 1/eig_max is
+    # never longer than the dense matrix allows
+    cov = model.CovarianceModel.ar1(p, rho)
+    K = losses.curvature_matrix(LOGISTIC, cov,
+                                model.flat_signal(p, min(5, p), 0.25))
+    assert K.eig_max >= np.linalg.eigvalsh(K.matrix).max()
+
+
 def test_logistic_k_holds_no_p_by_p_array():
     # Sigma's eigenpairs are all K needs: building it, stepping, solving
     # and bounding the norm ratio allocate O(p) memory beyond Sigma's

@@ -55,6 +55,29 @@ def test_covariance_rejects_bad_input():
     # diagonal above the normalization cap
     with pytest.raises(ValueError):
         model.CovarianceModel.explicit(np.diag([2.0, 1.0]))
+    # the closed-form AR(1) spectrum is refused below the same floor
+    with pytest.raises(ValueError, match="not positive definite"):
+        model.CovarianceModel.ar1(60, 1.0 - 1e-11)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 30, 200])
+@pytest.mark.parametrize("rho", [-0.9, -0.5, 0.3, 0.5, 0.9, 0.99])
+def test_ar1_closed_form_eigenpairs_match_eigh(p, rho):
+    idx = np.arange(p)
+    dense = rho ** np.abs(idx[:, None] - idx[None, :])
+    ref = np.linalg.eigvalsh(dense)
+    w, V = model._ar1_eigenpairs(p, rho)
+    eps = np.finfo(float).eps
+    assert np.all(np.diff(w) > 0)
+    assert np.abs(w - ref).max() <= 1e-13 * ref[-1]
+    assert np.linalg.norm(V.T @ V - np.eye(p), 2) <= 10 * p * eps
+    assert np.linalg.norm(dense @ V - V * w, 2) <= 10 * p * eps * ref[-1]
+    cov = model.CovarianceModel.ar1(p, rho)
+    if p == 1:
+        assert cov.is_identity
+    else:
+        assert np.array_equal(cov.matrix, dense)
+        assert np.array_equal(cov._w, w) and np.array_equal(cov._vecs, V)
 
 
 def test_group_structure_contiguous():
