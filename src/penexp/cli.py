@@ -91,13 +91,8 @@ def _emit(obj, out_dir=None, name=None):
 def _cmd_generate(args):
     cov = model.CovarianceModel.from_spec(args.covariance, args.p)
     beta_star = model.flat_signal(args.p, args.s, args.amplitude)
-    X = model.generate_design(cov, args.n, args.design, args.seed)
-    if args.model == "linear":
-        ds = model.generate_linear(X, beta_star, args.noise_sd, args.seed,
-                                   covariance=cov, design_kind=args.design)
-    else:
-        ds = model.generate_logistic(X, beta_star, args.seed, covariance=cov,
-                                     design_kind=args.design)
+    ds = model.simulate(cov, beta_star, args.n, args.model, args.design,
+                        args.noise_sd, args.seed)
     model.save_dataset(ds, args.out)
     _emit({"out": args.out, "n": ds.n, "p": ds.p, "model": args.model,
            "seed": args.seed})
@@ -137,6 +132,8 @@ def _cmd_risk_identity(args):
     diagnostics.require_risk_identity_data(ds)
     if args.n_mc < 2:
         raise ValueError("--n-mc needs at least 2 draws, got %d" % args.n_mc)
+    if not 0 <= args.t < np.inf:
+        raise ValueError("--t must be >= 0 and finite, got %r" % args.t)
     loss = _loss_for(ds)
     penalty = parse_penalty_spec(args.penalty, ds.p)
     cfg = _solver_config(args)
@@ -166,10 +163,10 @@ def _cmd_experiment(args):
     if args.threads is not None:
         overrides["threads"] = args.threads
     if args.out is not None:
-        overrides["output_dir"] = args.out
+        overrides["out"] = args.out
     cfg = replace(cfg, **overrides)
     summary = harness.run_experiment(cfg)
-    _emit({"out": cfg.output_dir, "records": summary["records"],
+    _emit({"out": cfg.out, "records": summary["records"],
            "failed": summary["failed"],
            "failed_fraction": summary["failed_fraction"],
            "rate_fit": summary["rate_fit"]})

@@ -25,6 +25,7 @@ import ctypes
 import json
 import math
 import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -64,11 +65,13 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment_kind: str
+    """A parsed config: each field is named by its config key."""
+
+    experiment: str
     grid: tuple = ()
-    loss_kind: str = "squared"
-    penalty_kind: str = "l1_penalized"
-    design_kind: str = "gaussian"
+    loss: str = "squared"
+    penalty: str = "l1_penalized"
+    design: str = "gaussian"
     covariance: str = "identity"
     xi: float = 0.5
     noise_sd: float = 1.0
@@ -79,26 +82,11 @@ class ExperimentConfig:
     threads: int = 0
     kkt_tol: float = 1e-8
     max_iters: int = 20000
-    output_dir: str = "out"
+    out: str = "out"
 
 
-_CONFIG_KEYS = {
-    "experiment": ("experiment_kind", str),
-    "loss": ("loss_kind", str),
-    "penalty": ("penalty_kind", str),
-    "design": ("design_kind", str),
-    "covariance": ("covariance", str),
-    "xi": ("xi", float),
-    "noise_sd": ("noise_sd", float),
-    "amplitude": ("amplitude", float),
-    "replications": ("replications", int),
-    "master_seed": ("master_seed", int),
-    "mc_inner": ("mc_inner", int),
-    "threads": ("threads", int),
-    "kkt_tol": ("kkt_tol", float),
-    "max_iters": ("max_iters", int),
-    "out": ("output_dir", str),
-}
+# key -> type of the field it sets, which converts the value
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
 
 
 def parse_config(text):
@@ -116,15 +104,14 @@ def parse_config(text):
         if key == "grid":
             grid.append(_parse_grid_entry(val, lineno))
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in _FIELD_TYPES:
             raise ValueError("line %d: unknown key %r" % (lineno, key))
-        field_name, conv = _CONFIG_KEYS[key]
         try:
-            values[field_name] = conv(val)
+            values[key] = _FIELD_TYPES[key](val)
         except ValueError:
             raise ValueError("line %d: bad value %r for %s"
                              % (lineno, val, key)) from None
-    if "experiment_kind" not in values:
+    if "experiment" not in values:
         raise ValueError("config must set `experiment`")
     cfg = ExperimentConfig(grid=tuple(grid), **values)
     validate_config(cfg)
@@ -148,18 +135,18 @@ def _parse_grid_entry(val, lineno):
 
 
 def validate_config(cfg):
-    if cfg.experiment_kind not in EXPERIMENT_KINDS:
+    if cfg.experiment not in EXPERIMENT_KINDS:
         raise ValueError("unknown experiment kind %r (one of %s)"
-                         % (cfg.experiment_kind, ", ".join(EXPERIMENT_KINDS)))
-    if cfg.penalty_kind not in PENALTY_KINDS:
-        raise ValueError("unknown penalty kind %r" % (cfg.penalty_kind,))
-    loss = get_loss(cfg.loss_kind)
-    if cfg.design_kind not in ("gaussian", "rademacher"):
-        raise ValueError("unknown design kind %r" % (cfg.design_kind,))
-    if cfg.design_kind not in loss.designs:
+                         % (cfg.experiment, ", ".join(EXPERIMENT_KINDS)))
+    if cfg.penalty not in PENALTY_KINDS:
+        raise ValueError("unknown penalty kind %r" % (cfg.penalty,))
+    loss = get_loss(cfg.loss)
+    if cfg.design not in ("gaussian", "rademacher"):
+        raise ValueError("unknown design kind %r" % (cfg.design,))
+    if cfg.design not in loss.designs:
         raise ValueError("%s loss needs a %s design, got %r"
                          % (loss.kind, " or ".join(loss.designs),
-                            cfg.design_kind))
+                            cfg.design))
     model.CovarianceModel.from_spec(cfg.covariance, 2)  # validates the syntax
     if not cfg.grid:
         raise ValueError("at least one grid entry is required")
@@ -169,7 +156,7 @@ def validate_config(cfg):
         raise ValueError("xi must be > 0 and finite")
     if not math.isfinite(cfg.amplitude):
         raise ValueError("amplitude must be finite")
-    if cfg.penalty_kind == "l1_constrained" and cfg.amplitude == 0:
+    if cfg.penalty == "l1_constrained" and cfg.amplitude == 0:
         raise ValueError("l1_constrained runs need amplitude != 0: the "
                          "l1-ball radius is ||beta*||_1")
     if cfg.mc_inner < 2:
@@ -183,21 +170,21 @@ def validate_config(cfg):
         if not (pt.n >= 1 and pt.p > pt.s >= 1):
             raise ValueError("grid point needs n >= 1 and p > s >= 1, got %r"
                              % (pt,))
-        if cfg.penalty_kind == "group_lasso":
+        if cfg.penalty == "group_lasso":
             if pt.M is None or pt.d is None:
                 raise ValueError("group runs need M and d in each grid entry")
             if pt.M * pt.d != pt.p:
                 raise ValueError("grid point needs p = M*d, got %r" % (pt,))
             if not pt.M > pt.s:
                 raise ValueError("grid point needs M > s, got %r" % (pt,))
-    if cfg.experiment_kind == "risk_identity":
-        if (cfg.loss_kind, cfg.covariance, cfg.design_kind) != \
+    if cfg.experiment == "risk_identity":
+        if (cfg.loss, cfg.covariance, cfg.design) != \
                 ("squared", "identity", "gaussian"):
             raise ValueError(
                 "risk_identity runs require squared loss, identity "
                 "covariance and gaussian design")
-    if cfg.experiment_kind == "coverage":
-        if cfg.loss_kind != "squared":
+    if cfg.experiment == "coverage":
+        if cfg.loss != "squared":
             raise ValueError("coverage runs require squared loss "
                              "(linear data)")
         if cfg.noise_sd == 0:
@@ -228,25 +215,25 @@ class _PointSetup:
 def _setup_point(cfg, pt, loss):
     cov = model.CovarianceModel.from_spec(cfg.covariance, pt.p)
     groups = None
-    if cfg.penalty_kind == "group_lasso":
+    if cfg.penalty == "group_lasso":
         groups = model.GroupStructure.contiguous(pt.M, pt.d)
         beta_star = model.flat_signal(pt.p, pt.s * pt.d, cfg.amplitude)
         cone = cones.group_cone(pt.s, groups, cfg.xi)
         r_n = cones.minimax_rate("group", pt.n, s=pt.s, M=pt.M, d=pt.d)
     else:
         beta_star = model.flat_signal(pt.p, pt.s, cfg.amplitude)
-        if cfg.penalty_kind == "l1_constrained":
+        if cfg.penalty == "l1_constrained":
             # Error vectors of the constrained fit satisfy the support
             # inequality, which lands them in the sqrt(4s) cone.
             cone = cones.lasso_cone(4.0 * pt.s)
         else:
             cone = cones.lasso_cone(pt.s * (6.0 + 2.0 / cfg.xi) ** 2)
         r_n = cones.minimax_rate("lasso", pt.n, p=pt.p, s=pt.s)
-    curv = curvature_matrix(loss, cov, beta_star, cfg.design_kind)
+    curv = curvature_matrix(loss, cov, beta_star, cfg.design)
     radius = float(np.abs(beta_star).sum()) \
-        if cfg.penalty_kind == "l1_constrained" else None
+        if cfg.penalty == "l1_constrained" else None
     sbound = None
-    if cfg.experiment_kind == "sparsity_check":
+    if cfg.experiment == "sparsity_check":
         sbound = _sparsity_bound(cfg, pt, cov, curv, groups, cone)
     return _PointSetup(pt, cov, groups, beta_star, curv, cone, r_n, radius,
                        sbound)
@@ -267,11 +254,11 @@ def _sparsity_bound(cfg, pt, cov, curv, groups, cone):
 
 def _make_penalty(cfg, setup, loss, sigma):
     pt = setup.point
-    if cfg.penalty_kind == "l1_penalized":
+    if cfg.penalty == "l1_penalized":
         level = cones.lasso_penalty_level(
             loss, pt.p, pt.s, pt.n, cfg.xi, noise_scale=sigma)
         return L1Penalty(level), level
-    if cfg.penalty_kind == "group_lasso":
+    if cfg.penalty == "group_lasso":
         level = cones.group_penalty_level(
             loss, pt.M, pt.d, pt.s, pt.n, cfg.xi, noise_scale=sigma)
         return GroupPenalty(level, setup.groups), level
@@ -281,17 +268,11 @@ def _make_penalty(cfg, setup, loss, sigma):
 def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     pt = setup.point
     seed = task_seed(cfg.master_seed, point_idx, rep_idx)
-    X = model.generate_design(setup.cov, pt.n, cfg.design_kind, seed)
-    if cfg.loss_kind == "squared":
-        ds = model.generate_linear(X, setup.beta_star, cfg.noise_sd, seed,
-                                   covariance=setup.cov,
-                                   design_kind=cfg.design_kind)
-        sigma = model.noise_scale(ds)
-    else:
-        ds = model.generate_logistic(X, setup.beta_star, seed,
-                                     covariance=setup.cov,
-                                     design_kind=cfg.design_kind)
-        sigma = None
+    linear = cfg.loss == "squared"
+    ds = model.simulate(setup.cov, setup.beta_star, pt.n,
+                        "linear" if linear else "logistic", cfg.design,
+                        cfg.noise_sd, seed)
+    sigma = model.noise_scale(ds) if linear else None
     penalty, level = _make_penalty(cfg, setup, loss, sigma)
 
     rec = {k: None for k in RECORD_FIELDS}
@@ -307,7 +288,7 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     err_est = setup.curv.norm(est.solution - setup.beta_star)
     rec["err_est"] = err_est
 
-    if cfg.experiment_kind == "fit":
+    if cfg.experiment == "fit":
         return rec, timing
 
     exp = solver.fit_expansion(ds, loss, setup.curv, setup.beta_star, penalty,
@@ -321,26 +302,26 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     rec.update(err_exp=err_exp, gap=gap,
                ratio=gap / denom if denom > 0 else None)
 
-    if cfg.experiment_kind == "cone_check":
+    if cfg.experiment == "cone_check":
         in_est = setup.cone.member(est.solution - setup.beta_star)
         in_exp = setup.cone.member(exp.solution - setup.beta_star)
         rec.update(cone_est=in_est, cone_exp=in_exp,
                    cone_both=in_est and in_exp)
-    elif cfg.experiment_kind == "risk_identity":
+    elif cfg.experiment == "risk_identity":
         rep_report = diagnostics.risk_identity_check(
             ds, est.solution, exp.solution, penalty, cfg.mc_inner, seed)
         rec.update(risk_lhs=rep_report.lhs, risk_rhs=rep_report.rhs,
                    risk_mc_se=rep_report.mc_se, risk_ratio=rep_report.ratio,
                    risk_bound=rep_report.bound,
                    risk_ok=rep_report.within_bound)
-    elif cfg.experiment_kind == "coverage":
+    elif cfg.experiment == "coverage":
         a = np.zeros(pt.p)
         a[0] = 1.0
         inf_report = diagnostics.debiased_estimate(ds, est.solution,
                                                    setup.cov, a)
         rec.update(theta_hat=inf_report.theta_hat, target=inf_report.target,
                    covered=inf_report.covered, t_stat=inf_report.t_stat)
-    elif cfg.experiment_kind == "sparsity_check":
+    elif cfg.experiment == "sparsity_check":
         coords, ngroups = diagnostics.sparsity_count(exp.solution,
                                                      setup.groups)
         count = ngroups if setup.groups is not None else coords
@@ -407,7 +388,7 @@ def run_experiment(cfg):
     excluded from all summary statistics.
     """
     validate_config(cfg)
-    loss = get_loss(cfg.loss_kind)
+    loss = get_loss(cfg.loss)
     solver_cfg = solver.SolverConfig(max_iters=cfg.max_iters,
                                      kkt_tol=cfg.kkt_tol)
     tasks = [(pi, ri) for pi in range(len(cfg.grid))
@@ -433,13 +414,13 @@ def run_experiment(cfg):
     records.sort(key=lambda r: (r["point"], r["rep"]))
     timings.sort(key=lambda t: (t["point"], t["rep"]))
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.output_dir, "records.csv"),
+    os.makedirs(cfg.out, exist_ok=True)
+    _write_csv(os.path.join(cfg.out, "records.csv"),
                RECORD_FIELDS, records)
-    _write_csv(os.path.join(cfg.output_dir, "timings.csv"),
+    _write_csv(os.path.join(cfg.out, "timings.csv"),
                TIMING_FIELDS, timings)
     summary = summarize(cfg, records)
-    with open(os.path.join(cfg.output_dir, "summary.json"), "w") as fh:
+    with open(os.path.join(cfg.out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
@@ -526,9 +507,9 @@ def summarize(cfg, records):
     total = len(records)
     failed = sum(1 for r in records if not _certified(r))
     summary = {
-        "experiment": cfg.experiment_kind,
-        "loss": cfg.loss_kind,
-        "penalty": cfg.penalty_kind,
+        "experiment": cfg.experiment,
+        "loss": cfg.loss,
+        "penalty": cfg.penalty,
         "master_seed": cfg.master_seed,
         "replications": cfg.replications,
         "records": total,

@@ -59,9 +59,8 @@ class CovarianceModel:
 
     - The identity stores no p x p array: products, solves and norms act on
       their argument directly, and `matrix` builds I only when asked for.
-    - A dense matrix holds its eigenpairs w (ascending) and V, found once,
-      at construction, which also validates it: by LAPACK's eigh for an
-      explicit matrix, and in closed form for AR(1) with rho != 0 (see
+    - AR(1) with rho != 0 holds the dense matrix and its eigenpairs w
+      (ascending) and V, found once, at construction, in closed form (see
       _ar1_eigenpairs), in O(p^2). Solves are V (w^{-1} * V'u), two O(p^2)
       products, and no inverse is built. The symmetric square root (from
       the eigenpairs, not a Cholesky factor, so ||Sigma^{1/2} u|| norms read
@@ -75,10 +74,9 @@ class CovarianceModel:
       root of the secular equation on base's eigenpairs. `matrix` builds
       the dense matrix on every call.
 
-    Covariances come from identity, ar1 and explicit: diagonal entries must
-    not exceed 1 (normalized features) and the matrix must be positive
-    definite; eig_min serves them alone. A curvature matrix is a covariance
-    itself (squared loss) or comes from rank_one, and must be nonsingular.
+    Covariances come from identity and ar1 and must be positive definite;
+    eig_min serves them alone. A curvature matrix is a covariance itself
+    (squared loss) or comes from rank_one, and must be nonsingular.
     """
 
     kind: str
@@ -115,7 +113,12 @@ class CovarianceModel:
         powers = rho ** np.arange(p, dtype=float)
         matrix = sliding_window_view(
             np.concatenate((powers[:0:-1], powers)), p)[::-1]
-        return cls._factored("ar1", rho, matrix, *_ar1_eigenpairs(p, rho))
+        w, vecs = _ar1_eigenpairs(p, rho)
+        if w[0] < 1e-10:
+            raise ValueError(
+                "covariance is not positive definite (min eigenvalue %.3e); "
+                "supply a full-rank matrix" % w[0])
+        return cls("ar1", p, rho, _readonly(matrix), w, vecs)
 
     @classmethod
     def from_spec(cls, spec, p):
@@ -130,14 +133,12 @@ class CovarianceModel:
     @property
     def spec(self):
         """The from_spec string of an identity or AR(1) covariance."""
-        if self.kind not in ("identity", "ar1"):
-            raise ValueError("a %s matrix has no covariance spec" % self.kind)
         return "identity" if self.kind == "identity" else "ar1:%r" % self.rho
 
     @classmethod
     def rank_one(cls, base, m0, c, q):
         """Curvature matrix m0 base + c q q', a rank-one update of the
-        identity or dense covariance base."""
+        identity or AR(1) covariance base."""
         K = cls("curvature", base.p, 0.0, base=base, _m0=float(m0),
                 _c=float(c), _q=_readonly(np.array(q, dtype=float)))
         low, high = K.relative_bounds
@@ -146,32 +147,6 @@ class CovarianceModel:
                              "eigenvalue relative to the covariance %.3e)"
                              % low)
         return K
-
-    @classmethod
-    def explicit(cls, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        if np.abs(matrix - matrix.T).max() > 1e-10:
-            raise ValueError("covariance must be symmetric")
-        if np.diag(matrix).max() > 1.0 + 1e-12:
-            raise ValueError("diagonal entries must be <= 1 (normalized features)")
-        matrix = 0.5 * (matrix + matrix.T)
-        p = matrix.shape[0]
-        # The exact identity, found without building I to compare with,
-        # stores nothing.
-        if np.count_nonzero(matrix) == p and np.all(matrix.diagonal() == 1.0):
-            return cls("explicit", p, 0.0)
-        return cls._factored("explicit", 0.0, matrix,
-                             *np.linalg.eigh(matrix))
-
-    @classmethod
-    def _factored(cls, kind, rho, matrix, w, vecs):
-        if w[0] < 1e-10:
-            raise ValueError(
-                "covariance is not positive definite (min eigenvalue %.3e); "
-                "supply a full-rank matrix" % w[0])
-        return cls(kind, matrix.shape[0], rho, _readonly(matrix), w, vecs)
 
     @property
     def is_identity(self):
@@ -228,8 +203,10 @@ class CovarianceModel:
             raise ValueError("a rank-one update builds no p x p factor")
         if self.is_identity:
             return self.matrix
-        a = (self._vecs * np.sqrt(self._w)) @ self._vecs.T
-        return _readonly(0.5 * (a + a.T))
+        # B B' with B = V diag(w^{1/4}): numpy runs it as a symmetric
+        # rank-k update, so the root is exactly symmetric
+        b = self._vecs * self._w ** 0.25
+        return _readonly(b @ b.T)
 
     def principal(self, idx):
         """The principal submatrix on the indices idx."""
@@ -346,9 +323,9 @@ def _secular_max(d, v2, c):
     c f(lam) >= 0 at and above the root, so bisection halves the bracket
     until its ends are adjacent floats. The upper end is returned, raised by
     size * eps of its magnitude, the scale of the rounding error of the
-    eigenpairs it rests on (eigh's, or the AR(1) closed form's, whose
-    eigenvalues lie within 3 eps, relative, of the exact ones), so that the
-    value bounds the largest eigenvalue of the dense matrix too.
+    eigenpairs it rests on (the AR(1) closed form's eigenvalues lie within
+    3 eps, relative, of the exact ones), so that the value bounds the
+    largest eigenvalue of the dense matrix too.
     """
     lo, hi = sorted((float(d[-1]), float(d[-1] + c * v2.sum())))
     if c < 0 and d.size > 1:
@@ -389,6 +366,8 @@ def flat_signal(p, s, amplitude=1.0):
     """Coefficient vector with the first s coordinates set to amplitude."""
     if not 0 <= s <= p:
         raise ValueError("need 0 <= s <= p")
+    if not np.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     beta = np.zeros(int(p))
     beta[: int(s)] = float(amplitude)
     return beta
@@ -501,6 +480,18 @@ def generate_logistic(X, beta_star, seed, covariance=None,
     y = (rng.random(X.shape[0]) < p1).astype(float)
     return Dataset(_readonly(X), _readonly(y), "logistic", design_kind,
                    None, None, _readonly(beta_star), covariance, int(seed))
+
+
+def simulate(cov, beta_star, n, model_kind, design_kind, noise_sd, seed):
+    """One dataset: n design rows (generate_design) and their linear or
+    logistic responses, all drawn from seed's streams; noise_sd is read by
+    the linear model alone."""
+    X = generate_design(cov, n, design_kind, seed)
+    if model_kind == "linear":
+        return generate_linear(X, beta_star, noise_sd, seed, cov, design_kind)
+    if model_kind == "logistic":
+        return generate_logistic(X, beta_star, seed, cov, design_kind)
+    raise ValueError("unknown model kind %r" % (model_kind,))
 
 
 def noise_scale(dataset):

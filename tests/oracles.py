@@ -77,7 +77,16 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
         w = loss.d2(0.0, X @ beta_star)
         acc += (X * w[:, None]).T @ X
         done += m
-    return CovarianceModel.explicit(acc / float(n_samples))
+    return dense_covariance(acc / float(n_samples))
+
+
+def dense_covariance(matrix):
+    """A CovarianceModel of a dense symmetric positive-definite matrix, in
+    the form AR(1) takes: the matrix and its eigh eigenpairs."""
+    matrix = 0.5 * (matrix + matrix.T)
+    w, vecs = np.linalg.eigh(matrix)
+    matrix.setflags(write=False)
+    return CovarianceModel("dense", matrix.shape[0], 0.0, matrix, w, vecs)
 
 
 def logistic_curvature_dense(cov, beta_star):

@@ -9,8 +9,8 @@ before looking at its outcome.
 import numpy as np
 import pytest
 
-from oracles import (curvature_matrix_mc, stability_ratio_check,
-                     taylor_remainder_gap)
+from oracles import (curvature_matrix_mc, dense_covariance,
+                     stability_ratio_check, taylor_remainder_gap)
 from penexp import harness
 from penexp.cones import group_penalty_level, lasso_penalty_level
 from penexp.diagnostics import prox_risk_mc
@@ -26,10 +26,10 @@ RATE_GRID = tuple(harness.GridPoint(n, 2 * n, 5) for n in (400, 800, 1600, 3200)
 
 def run(experiment, grid, tmp, **kw):
     cfg = harness.ExperimentConfig(
-        experiment_kind=experiment,
+        experiment=experiment,
         grid=tuple(harness.GridPoint(*g) if isinstance(g, tuple) else g
                    for g in grid),
-        output_dir=str(tmp), **kw)
+        out=str(tmp), **kw)
     return harness.run_experiment(cfg)
 
 
@@ -113,7 +113,7 @@ def test_hundred_random_instances_all_certify_kkt():
 def test_penalized_gap_shrinks_at_squared_rate(tmp_path):
     """Median expansion gap over the grid: ratio to the error shrinks and the
     log-log slope against the rate scale sits near 2."""
-    s = run("rates", RATE_GRID, tmp_path, penalty_kind="l1_penalized",
+    s = run("rates", RATE_GRID, tmp_path, penalty="l1_penalized",
             replications=100, master_seed=1003)
     ratios = [pt["median_ratio"] for pt in s["points"]]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -138,7 +138,7 @@ def test_constrained_gap_rate_in_slow_window(tmp_path):
     magnitude smaller than the error is checked directly: the median ratio
     of gap to error shrinks along the grid and ends below 0.35.
     """
-    s = run("rates", RATE_GRID, tmp_path, penalty_kind="l1_constrained",
+    s = run("rates", RATE_GRID, tmp_path, penalty="l1_constrained",
             replications=100, master_seed=1004)
     ratios = [pt["median_ratio"] for pt in s["points"]]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
@@ -152,7 +152,7 @@ def test_risk_identity_frequencies(tmp_path):
     """Estimation error matches the prox risk, and the deviation bound holds,
     in the required fraction of replications."""
     s = run("risk_identity", [(2000, 1000, 5)], tmp_path,
-            penalty_kind="l1_penalized", replications=200, master_seed=1005,
+            penalty="l1_penalized", replications=200, master_seed=1005,
             mc_inner=4000)
     pt = s["points"][0]
     assert pt["risk_ratio_close_freq"] >= 0.90
@@ -195,7 +195,7 @@ def test_debiased_interval_coverage_near_nominal(tmp_path):
     stays below the interval width; see the harness docs for the knobs.
     """
     s = run("coverage", [(1000, 2000, 5)], tmp_path,
-            penalty_kind="l1_penalized", replications=500, master_seed=1007,
+            penalty="l1_penalized", replications=500, master_seed=1007,
             xi=0.05, amplitude=0.1)
     pt = s["points"][0]
     assert 0.92 <= pt["coverage"] <= 0.975
@@ -204,7 +204,7 @@ def test_debiased_interval_coverage_near_nominal(tmp_path):
 def test_lasso_error_vectors_land_in_cone(tmp_path):
     xi, n, p, s_sp, reps = 0.5, 1000, 1000, 5, 300
     s = run("cone_check", [(n, p, s_sp)], tmp_path,
-            penalty_kind="l1_penalized", xi=xi, replications=reps,
+            penalty="l1_penalized", xi=xi, replications=reps,
             master_seed=1008)
     freq = s["points"][0]["cone_freq"]
     threshold = 1.0 - 2.0 / (xi ** 2 * np.log(p / s_sp) * (p / s_sp) ** xi)
@@ -215,7 +215,7 @@ def test_lasso_error_vectors_land_in_cone(tmp_path):
 def test_group_error_vectors_land_in_cone(tmp_path):
     xi, n, s_sp, M, d, reps = 0.5, 1000, 5, 250, 4, 300
     s = run("cone_check", [(n, M * d, s_sp, M, d)], tmp_path,
-            penalty_kind="group_lasso", xi=xi, replications=reps,
+            penalty="group_lasso", xi=xi, replications=reps,
             master_seed=2008)
     freq = s["points"][0]["cone_freq"]
     threshold = 1.0 - 2.0 / (2.0 * xi ** 2 * np.log(M / s_sp)
@@ -228,7 +228,7 @@ def test_expansion_group_support_stays_bounded(tmp_path):
     """Nonzero-group count of the surrogate solution stays within the
     computed multiple of the true group sparsity."""
     s = run("sparsity_check", [(2000, 800, 5, 200, 4)], tmp_path,
-            penalty_kind="group_lasso", replications=200, master_seed=1009)
+            penalty="group_lasso", replications=200, master_seed=1009)
     assert s["points"][0]["sparsity_freq"] >= 0.90
 
 
@@ -271,8 +271,7 @@ def test_curvature_quadrature_matches_mc_entrywise():
     entrywise relative comparison is meaningful.
     """
     p, rho = 5, 0.5
-    cov = CovarianceModel.explicit((1 - rho) * np.eye(p)
-                                   + rho * np.ones((p, p)))
+    cov = dense_covariance((1 - rho) * np.eye(p) + rho * np.ones((p, p)))
     beta_star = 0.25 * np.ones(p)
     lg = get_loss("logistic")
     K = curvature_matrix(lg, cov, beta_star)
@@ -282,7 +281,7 @@ def test_curvature_quadrature_matches_mc_entrywise():
 
 def test_records_identical_across_thread_counts(tmp_path):
     grid = [(200, 100, 3), (400, 200, 3)]
-    kw = dict(penalty_kind="l1_penalized", replications=8, master_seed=12012)
+    kw = dict(penalty="l1_penalized", replications=8, master_seed=12012)
     run("rates", grid, tmp_path / "a", threads=1, **kw)
     run("rates", grid, tmp_path / "b", threads=3, **kw)
     a = (tmp_path / "a" / "records.csv").read_bytes()
@@ -297,7 +296,7 @@ def test_records_identical_across_blas_and_worker_threads(tmp_path):
     if not harness._openblas_libs():
         pytest.skip("no OpenBLAS mapped into this process")
     grid = [(200, 400, 5), (400, 800, 5), (800, 1600, 5)]
-    kw = dict(loss_kind="logistic", penalty_kind="l1_constrained",
+    kw = dict(loss="logistic", penalty="l1_constrained",
               covariance="ar1:0.5", amplitude=0.25, replications=2,
               master_seed=12021)
     bodies = set()

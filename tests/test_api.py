@@ -16,6 +16,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import penexp
 from penexp import harness
@@ -27,9 +28,6 @@ ALLOWED_UNUSED = set()
 # Public class members that only tests read, each kept for the acceptance
 # test that reads it.
 ALLOWED_UNREAD_MEMBERS = {
-    # test_acceptance.py::test_curvature_quadrature_matches_mc_entrywise
-    # builds its equicorrelated covariance with CovarianceModel.explicit
-    "explicit",
     # test_acceptance.py::test_logistic_curvature_slope_constant checks it
     # against the analytic max |sig''|
     "d2_lipschitz",
@@ -126,6 +124,15 @@ def test_every_class_member_is_read_outside_the_tests():
         "class members read only by tests: %s" % sorted(unread)
 
 
+def test_no_module_calls_eigh():
+    # the identity and AR(1) covariances, and the rank-one curvature built
+    # on them, have their eigenpairs without LAPACK's eigh
+    uses = [node.lineno for tree in _modules() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "eigh"
+            or isinstance(node, ast.alias) and node.name.endswith("eigh")]
+    assert uses == []
+
+
 def test_package_root_is_its_docstring_alone():
     with open(penexp.__file__) as fh:
         body = ast.parse(fh.read()).body
@@ -171,4 +178,4 @@ def test_readme_config_block_lists_every_config_key():
     block = block.split("```ini\n", 1)[1].split("```", 1)[0]
     keys = {line.split("#", 1)[0].partition("=")[0].strip()
             for line in block.splitlines() if "=" in line.split("#", 1)[0]}
-    assert keys == set(harness._CONFIG_KEYS) | {"grid"}
+    assert keys == {f.name for f in fields(harness.ExperimentConfig)}

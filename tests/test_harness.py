@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from penexp import cli, harness, solver
+from penexp import cli, harness, model, solver
 from penexp.cones import minimax_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
                             TIMING_FIELDS, load_records_csv, parse_config,
                             rate_fit, run_experiment, task_seed)
-from penexp.losses import LOGISTIC
+from penexp.losses import LOGISTIC, get_loss
 
 
 CONFIG_TEXT = """\
@@ -34,14 +34,14 @@ out = ignored
 
 def test_parse_config_round_trip():
     cfg = parse_config(CONFIG_TEXT)
-    assert cfg.experiment_kind == "rates"
-    assert cfg.penalty_kind == "l1_penalized"
+    assert cfg.experiment == "rates"
+    assert cfg.penalty == "l1_penalized"
     assert cfg.xi == 0.4
     assert cfg.amplitude == 0.8
     assert cfg.replications == 4
     assert cfg.master_seed == 42
     assert cfg.grid == (GridPoint(60, 30, 2), GridPoint(120, 30, 2))
-    assert cfg.output_dir == "ignored"
+    assert cfg.out == "ignored"
 
 
 def test_parse_config_group_grid():
@@ -95,18 +95,18 @@ def test_threads_zero_starts_one_worker_per_usable_core(tmp_path,
 
 
 def test_validate_config_rejections():
-    base = dict(experiment_kind="rates", grid=(GridPoint(50, 20, 3),))
+    base = dict(experiment="rates", grid=(GridPoint(50, 20, 3),))
     with pytest.raises(ValueError):
         harness.validate_config(ExperimentConfig(**dict(base, xi=0.0)))
     with pytest.raises(ValueError):
         harness.validate_config(ExperimentConfig(**dict(base, replications=0)))
     with pytest.raises(ValueError):
         harness.validate_config(
-            ExperimentConfig(**dict(base, experiment_kind="volume")))
+            ExperimentConfig(**dict(base, experiment="volume")))
     # group runs need matching M*d = p
     with pytest.raises(ValueError):
         harness.validate_config(ExperimentConfig(
-            experiment_kind="rates", penalty_kind="group_lasso",
+            experiment="rates", penalty="group_lasso",
             grid=(GridPoint(50, 20, 3, M=4, d=4),)))
     with pytest.raises(ValueError, match="unknown covariance 'ar2:0.5'"):
         parse_config("experiment = rates\ncovariance = ar2:0.5\n"
@@ -201,11 +201,11 @@ def test_rate_fit_needs_three_points():
 
 
 def run_tiny(tmp_path, name, **overrides):
-    kw = dict(experiment_kind="rates",
+    kw = dict(experiment="rates",
               grid=(GridPoint(60, 30, 2), GridPoint(120, 30, 2),
                     GridPoint(240, 30, 2)),
               replications=4, master_seed=11, threads=1,
-              output_dir=str(tmp_path / name))
+              out=str(tmp_path / name))
     kw.update(overrides)
     cfg = ExperimentConfig(**kw)
     return cfg, run_experiment(cfg)
@@ -318,10 +318,10 @@ def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     cfg = ExperimentConfig(
-        experiment_kind="rates", loss_kind="logistic",
-        penalty_kind="l1_constrained", covariance="ar1:0.5", amplitude=0.25,
+        experiment="rates", loss="logistic",
+        penalty="l1_constrained", covariance="ar1:0.5", amplitude=0.25,
         grid=(GridPoint(100, 60, 3),), replications=1, threads=1,
-        output_dir=str(tmp_path / "ar1"))
+        out=str(tmp_path / "ar1"))
     setup = harness._setup_point(cfg, cfg.grid[0], LOGISTIC)
     assert calls == []
     rec, _ = harness._run_task(cfg, setup, LOGISTIC, solver.SolverConfig(),
@@ -335,9 +335,9 @@ def test_coverage_interval_scales_with_noise_sd(tmp_path):
     # noise, covers about 65 % of the time; 1.96 noise_sd/sqrt(n) covers
     # 95 %, and the t statistics have unit spread
     cfg = ExperimentConfig(
-        experiment_kind="coverage", grid=(GridPoint(400, 800, 5),),
+        experiment="coverage", grid=(GridPoint(400, 800, 5),),
         xi=0.05, amplitude=0.1, noise_sd=2.0, replications=100,
-        master_seed=4242, output_dir=str(tmp_path / "cov"))
+        master_seed=4242, out=str(tmp_path / "cov"))
     summary = run_experiment(cfg)
     assert 0.88 <= summary["points"][0]["coverage"] <= 0.99
     recs = load_records_csv(tmp_path / "cov" / "records.csv")
@@ -384,11 +384,11 @@ def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
         ("same_rn", 1.0, (100, 100, 100), 2),
     ]
     for name, amplitude, sizes, reps in cases:
-        cfg = ExperimentConfig(experiment_kind="rates", amplitude=amplitude,
+        cfg = ExperimentConfig(experiment="rates", amplitude=amplitude,
                                grid=tuple(GridPoint(n, 2 * n, 5)
                                           for n in sizes),
                                replications=reps, master_seed=5, threads=1,
-                               output_dir=str(tmp_path / name))
+                               out=str(tmp_path / name))
         summary = run_experiment(cfg)
         loaded = json.loads((tmp_path / name / "summary.json").read_text(),
                             parse_constant=refuse)
@@ -402,10 +402,10 @@ def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
 
 
 def test_fit_experiment_kind(tmp_path):
-    cfg = ExperimentConfig(experiment_kind="fit",
+    cfg = ExperimentConfig(experiment="fit",
                            grid=(GridPoint(80, 20, 2),),
                            replications=3, master_seed=5, threads=1,
-                           output_dir=str(tmp_path / "fit"))
+                           out=str(tmp_path / "fit"))
     summary = run_experiment(cfg)
     recs = load_records_csv(tmp_path / "fit" / "records.csv")
     assert len(recs) == 3
@@ -465,6 +465,60 @@ def test_cli_generate_refuses_non_finite_noise_sd(tmp_path, capsys):
         assert "noise_sd must be >= 0 and finite" in \
             capsys.readouterr().err, value
         assert not out.exists()
+
+
+def test_cli_generate_refuses_non_finite_amplitude(tmp_path, capsys):
+    # an infinite amplitude wrote NaN responses, and a later fit wrote NaN
+    # into solution.json
+    for value in ("inf", "nan"):
+        out = tmp_path / value
+        rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
+                       "--amplitude", value, "--out", str(out)])
+        assert rc == 2, value
+        assert "amplitude must be finite" in capsys.readouterr().err, value
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("loss, covariance, design", [
+    ("squared", "ar1:0.5", "rademacher"),
+    ("logistic", "ar1:-0.3", "gaussian"),
+])
+def test_cli_generate_writes_the_experiment_task_dataset(
+        tmp_path, capsys, monkeypatch, loss, covariance, design):
+    # generate --seed S and the experiment task whose seed is S draw their
+    # data through one path, so they write the same bytes
+    cfg = ExperimentConfig(
+        experiment="fit", loss=loss, covariance=covariance, design=design,
+        noise_sd=0.7, amplitude=0.3, grid=(GridPoint(40, 12, 2),),
+        replications=2, master_seed=77, threads=1, out=str(tmp_path / "x"))
+    made = []
+    simulate = model.simulate
+
+    def spy(*args):
+        made.append(simulate(*args))
+        return made[-1]
+
+    monkeypatch.setattr(model, "simulate", spy)
+    loss_obj = get_loss(loss)
+    setup = harness._setup_point(cfg, cfg.grid[0], loss_obj)
+    harness._run_task(cfg, setup, loss_obj, solver.SolverConfig(), 0, 1)
+    ds = made[0]
+    seed = task_seed(77, 0, 1)
+    assert ds.seed == seed
+    out = tmp_path / "ds"
+    rc = cli.main(["generate", "--n", "40", "--p", "12", "--s", "2",
+                   "--model", ds.model_kind, "--design", design,
+                   "--covariance", covariance, "--noise-sd", "0.7",
+                   "--amplitude", "0.3", "--seed", str(seed),
+                   "--out", str(out)])
+    assert rc == 0
+    assert (out / "X.bin").read_bytes() == ds.X.astype("<f8").tobytes()
+    assert (out / "y.bin").read_bytes() == ds.y.astype("<f8").tobytes()
+    if ds.noise is None:
+        assert not (out / "eps.bin").exists()
+    else:
+        assert (out / "eps.bin").read_bytes() == \
+            ds.noise.astype("<f8").tobytes()
 
 
 def test_cli_fit_not_converged_exit(tmp_path, capsys):
@@ -570,6 +624,25 @@ def test_cli_risk_identity_refuses_one_draw_before_solving(
                    "--n-mc", "1"])
     assert rc == 2
     assert "--n-mc" in capsys.readouterr().err
+
+
+def test_cli_risk_identity_refuses_bad_t_before_solving(
+        tmp_path, capsys, monkeypatch):
+    # --t -3 reported a negative bound and --t nan a NaN one, with exit 0
+    ds = str(tmp_path / "ds")
+    cli.main(["generate", "--n", "100", "--p", "20", "--s", "2",
+              "--seed", "3", "--out", ds])
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing --t")
+
+    monkeypatch.setattr(solver, "fit_penalized", no_solve)
+    for value in ("-3", "nan", "inf"):
+        rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.1",
+                       "--t", value])
+        assert rc == 2, value
+        assert "--t must be >= 0 and finite" in capsys.readouterr().err
 
 
 def test_cli_experiment_and_rate_fit(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import dense_covariance
 from penexp import model, solver
 from penexp.cones import lasso_penalty_level
 from penexp.losses import LOGISTIC, SQUARED, curvature_matrix
@@ -116,8 +117,8 @@ def test_expansion_matches_coordinate_descent_oracle():
     A = rng.normal(size=(p, p))
     Kmat = A @ A.T / p + 0.5 * np.eye(p)
     scale = np.sqrt(np.max(np.diag(Kmat))) * 1.0001
-    Kmat = Kmat / scale ** 2  # keep diagonal <= 1 so the model accepts it
-    cov = model.CovarianceModel.explicit(Kmat)
+    Kmat = Kmat / scale ** 2  # diagonal <= 1: normalized features
+    cov = dense_covariance(Kmat)
     X = model.generate_design(cov, 40, "gaussian", seed=7)
     beta = model.flat_signal(p, 2)
     ds = model.generate_linear(X, beta, 1.0, seed=7, covariance=cov)
@@ -238,7 +239,7 @@ def test_expansion_step_from_top_eigenvalue():
     v -= v.mean()
     v /= np.linalg.norm(v)
     Kmat = (np.eye(p) + 9.0 * np.outer(v, v)) / 10.0
-    K = model.CovarianceModel.explicit(Kmat)
+    K = dense_covariance(Kmat)
     assert K.eig_max == pytest.approx(1.0, rel=1e-12)
     ds, _ = linear_instance(80, p, 3, seed=17)
     pen = L1Penalty(0.05)
