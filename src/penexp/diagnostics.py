@@ -141,9 +141,9 @@ def debiased_estimate(dataset, beta_hat, cov, a):
         raise ValueError("de-biased intervals need linear data with "
                          "noise_sd > 0, got %r" % (sigma,))
     beta_hat = np.asarray(beta_hat, dtype=float)
-    scale = np.sqrt(float(a @ cov.solve(a)))
-    a = a / scale
-    z_a = dataset.X @ cov.solve(a)
+    x = cov.solve(a)
+    scale = np.sqrt(float(a @ x))
+    a, z_a = a / scale, dataset.X @ (x / scale)
     denom = float(z_a @ z_a)
     resid = dataset.y - dataset.X @ beta_hat
     theta = float(a @ beta_hat + (z_a @ resid) / denom)

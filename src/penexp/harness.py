@@ -106,6 +106,8 @@ def parse_config(text):
             continue
         if key not in _FIELD_TYPES:
             raise ValueError("line %d: unknown key %r" % (lineno, key))
+        if key in values:
+            raise ValueError("line %d: %s set twice" % (lineno, key))
         try:
             values[key] = _FIELD_TYPES[key](val)
         except ValueError:
@@ -127,7 +129,13 @@ def _parse_grid_entry(val, lineno):
         k, _, v = tok.partition("=")
         if k not in ("n", "p", "s", "M", "d"):
             raise ValueError("line %d: unknown grid field %r" % (lineno, k))
-        fields[k] = int(v)
+        if k in fields:
+            raise ValueError("line %d: grid field %r set twice" % (lineno, k))
+        try:
+            fields[k] = int(v)
+        except ValueError:
+            raise ValueError("line %d: grid field %s needs an integer, got "
+                             "%r" % (lineno, k, v)) from None
     for req in ("n", "p", "s"):
         if req not in fields:
             raise ValueError("line %d: grid entry missing %r" % (lineno, req))

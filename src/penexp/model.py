@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def sigmoid(u):
@@ -59,20 +58,19 @@ class CovarianceModel:
 
     - The identity stores no p x p array: products, solves and norms act on
       their argument directly, and `matrix` builds I only when asked for.
-    - AR(1) with rho != 0 holds the dense matrix and its eigenpairs w
-      (ascending) and V, found once, at construction, in closed form (see
-      _ar1_eigenpairs), in O(p^2). Solves are V (w^{-1} * V'u), two O(p^2)
-      products, and no inverse is built. The symmetric square root (from
-      the eigenpairs, not a Cholesky factor, so ||Sigma^{1/2} u|| norms read
-      the same as in the analysis) is built from the stored eigenpairs on
-      first use.
+    - AR(1) with rho != 0 holds its eigenvalues w (ascending, in closed
+      form; see _ar1_eigenpairs) and one p x p factor B = V diag(w^{1/4}),
+      and builds the symmetric root B B' on first use (not a Cholesky
+      factor, so ||Sigma^{1/2} u|| norms read as in the analysis). No dense
+      Sigma is held: products are B (w^{1/2} * B'u), two O(p^2) products,
+      and solves the O(p) tridiagonal stencil of Sigma^{-1}.
     - A rank-one update m0 base + c q q' of a covariance base (rank_one; the
       logistic curvature). It holds a reference to base, the scalars m0 and
       c and the vector q: no p x p array of its own and no
       eigendecomposition. Products are m0 (base u) + c q (q'u), solves are
       Sherman-Morrison on top of base's solve, and eig_max is the largest
-      root of the secular equation on base's eigenpairs. `matrix` builds
-      the dense matrix on every call.
+      root of the secular equation on base's eigenpairs, with
+      V'q = w^{-1/4} (B'q). `matrix` builds the dense matrix on every call.
 
     Covariances come from identity and ar1 and must be positive definite;
     eig_min serves them alone. A curvature matrix is a covariance itself
@@ -82,9 +80,8 @@ class CovarianceModel:
     kind: str
     p: int
     rho: float
-    _matrix: np.ndarray | None = field(default=None, repr=False)
     _w: np.ndarray | None = field(default=None, repr=False)
-    _vecs: np.ndarray | None = field(default=None, repr=False)
+    _factor: np.ndarray | None = field(default=None, repr=False)
     # the covariance a rank-one update is made from, None otherwise
     base: CovarianceModel | None = field(default=None, repr=False)
     _m0: float = 1.0
@@ -103,22 +100,19 @@ class CovarianceModel:
             raise ValueError("ar1 correlation must lie in (-1, 1), got %g" % rho)
         if p < 1:
             raise ValueError("need p >= 1")
+        # every eigenvalue, at any p, lies above this infimum of the spectrum
+        floor = (1.0 - abs(rho)) / (1.0 + abs(rho))
+        if floor < 1e-10:
+            raise ValueError(
+                "covariance is not positive definite: ar1 eigenvalues fall "
+                "to (1 - |rho|)/(1 + |rho|) = %.3e, below 1e-10" % floor)
         if rho == 0.0 or p == 1:
             # the identity, stored as nothing; this keeps ar1(0) draws
             # bit-identical to the identity model's
             return cls("ar1", p, rho)
-        # row i of the reversed length-p windows of rho^|k - (p-1)|,
-        # k = 0..2p-2, is rho^|i - j|: the Toeplitz matrix without an index
-        # array of its own
-        powers = rho ** np.arange(p, dtype=float)
-        matrix = sliding_window_view(
-            np.concatenate((powers[:0:-1], powers)), p)[::-1]
         w, vecs = _ar1_eigenpairs(p, rho)
-        if w[0] < 1e-10:
-            raise ValueError(
-                "covariance is not positive definite (min eigenvalue %.3e); "
-                "supply a full-rank matrix" % w[0])
-        return cls("ar1", p, rho, _readonly(matrix), w, vecs)
+        vecs *= w ** 0.25
+        return cls("ar1", p, rho, w, _readonly(vecs))
 
     @classmethod
     def from_spec(cls, spec, p):
@@ -154,12 +148,12 @@ class CovarianceModel:
 
     @property
     def matrix(self):
-        """The dense matrix; for the identity or a rank-one update, built
-        anew on every call."""
+        """The dense matrix, built anew on every call."""
         if self.base is not None:
             return _readonly(self._m0 * self.base.matrix
                              + self._c * np.outer(self._q, self._q))
-        return _readonly(np.eye(self.p)) if self.is_identity else self._matrix
+        return _readonly(np.eye(self.p) if self.is_identity
+                         else self.principal(np.arange(self.p)))
 
     @cached_property
     def _update_spectrum(self):
@@ -167,7 +161,7 @@ class CovarianceModel:
         # v = V'q, where base = V diag(w) V': D ascending and v * v.
         if self.base.is_identity:
             return np.full(self.p, self._m0), self._q * self._q
-        v = self.base._vecs.T @ self._q
+        v = self.base._w ** -0.25 * (self.base._factor.T @ self._q)
         return self._m0 * self.base._w, v * v
 
     @cached_property
@@ -205,8 +199,7 @@ class CovarianceModel:
             return self.matrix
         # B B' with B = V diag(w^{1/4}): numpy runs it as a symmetric
         # rank-k update, so the root is exactly symmetric
-        b = self._vecs * self._w ** 0.25
-        return _readonly(b @ b.T)
+        return _readonly(self._factor @ self._factor.T)
 
     def principal(self, idx):
         """The principal submatrix on the indices idx."""
@@ -216,7 +209,8 @@ class CovarianceModel:
                 self._c * np.outer(q, q)
         if self.is_identity:
             return np.eye(len(idx))
-        return self._matrix[np.ix_(idx, idx)]
+        d = np.subtract.outer(idx, idx, dtype=float)
+        return np.power(self.rho, np.abs(d, out=d), out=d)
 
     def __matmul__(self, u):
         """The matrix times u, a vector or a matrix of columns."""
@@ -224,7 +218,13 @@ class CovarianceModel:
         if self.base is not None:
             return self._m0 * (self.base @ u) + \
                 np.multiply.outer(self._q, self._c * (self._q @ u))
-        return u if self.is_identity else self._matrix @ u
+        if self.is_identity:
+            return u
+        # Sigma u = B (w^{1/2} * B'u), with B = V diag(w^{1/4})
+        t = self._factor.T @ u
+        h = np.sqrt(self._w)
+        t *= h if t.ndim == 1 else h[:, None]
+        return self._factor @ t
 
     def solve(self, u):
         """The inverse times u, a vector or a matrix of columns."""
@@ -237,9 +237,14 @@ class CovarianceModel:
                 / self._m0
         if self.is_identity:
             return u
-        t = self._vecs.T @ u
-        t /= self._w if t.ndim == 1 else self._w[:, None]
-        return self._vecs @ t
+        # Sigma^{-1} is tridiagonal: ((1 + rho^2) u_i - rho (u_{i-1} +
+        # u_{i+1})) / (1 - rho^2), with 1 for 1 + rho^2 in the end rows
+        rho = self.rho
+        x = (1.0 + rho * rho) * u
+        x[0], x[-1] = u[0], u[-1]
+        x[1:] -= rho * u[:-1]
+        x[:-1] -= rho * u[1:]
+        return x / ((1.0 - rho) * (1.0 + rho))
 
     def sqrt_rows(self, A):
         """A times the square root: each row of A mapped by the root."""

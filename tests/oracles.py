@@ -9,7 +9,7 @@ error cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -80,13 +80,37 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
     return dense_covariance(acc / float(n_samples))
 
 
+@dataclass(frozen=True, eq=False)
+class DenseCovariance(CovarianceModel):
+    """A dense symmetric positive-definite matrix: products, solves and
+    submatrices read the stored matrix; eig_min, eig_max, the square root
+    and rank-one updates on it read eigh's eigenpairs through the
+    CovarianceModel fields w and B = V diag(w^{1/4})."""
+
+    dense: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def matrix(self):
+        return self.dense
+
+    def principal(self, idx):
+        return self.dense[np.ix_(idx, idx)]
+
+    def __matmul__(self, u):
+        return self.dense @ np.asarray(u, dtype=float)
+
+    def solve(self, u):
+        return np.linalg.solve(self.dense, np.asarray(u, dtype=float))
+
+
 def dense_covariance(matrix):
-    """A CovarianceModel of a dense symmetric positive-definite matrix, in
-    the form AR(1) takes: the matrix and its eigh eigenpairs."""
+    """A DenseCovariance of a symmetric positive-definite matrix."""
     matrix = 0.5 * (matrix + matrix.T)
     w, vecs = np.linalg.eigh(matrix)
+    vecs *= w ** 0.25
     matrix.setflags(write=False)
-    return CovarianceModel("dense", matrix.shape[0], 0.0, matrix, w, vecs)
+    return DenseCovariance("dense", matrix.shape[0], 0.0, w, vecs,
+                           dense=matrix)
 
 
 def logistic_curvature_dense(cov, beta_star):

@@ -65,6 +65,38 @@ def test_parse_config_errors():
         parse_config("experiment = rates\nnot a key value line\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("experiment = rates\ngrid = n=4e2 p=800 s=5\n",
+     "line 2: grid field n needs an integer, got '4e2'"),
+    ("experiment = rates\ngrid = n=400 n=800 p=800 s=5\n",
+     "line 2: grid field 'n' set twice"),
+    ("experiment = rates\nloss = squared\nloss = logistic\n"
+     "grid = n=400 p=800 s=5\n", "line 3: loss set twice"),
+])
+def test_parse_errors_name_their_line(tmp_path, capsys, text, message):
+    # a value that is not an integer, and a field or key given twice, where
+    # the last value used to win silently
+    with pytest.raises(ValueError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+    conf = tmp_path / "bad.conf"
+    conf.write_text(text)
+    assert cli.main(["experiment", str(conf)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_parse_config_refuses_ar1_rho_set_up_would_refuse():
+    # its p = 2 build has eigenvalue 1 - rho = 1.5e-10 >= 1e-10, but at
+    # p = 400 the spectrum reaches (1 - rho)/(1 + rho) = 7.5e-11, so the
+    # floor of every p is checked when the config is read
+    with pytest.raises(ValueError, match="not positive definite"):
+        parse_config("experiment = rates\ncovariance = ar1:0.99999999985\n"
+                     "grid = n=200 p=400 s=5\n")
+    assert parse_config("experiment = rates\ncovariance = ar1:0.9999999997\n"
+                        "grid = n=200 p=400 s=5\n").covariance == \
+        "ar1:0.9999999997"
+
+
 def test_parse_config_refuses_removed_keys():
     # the risk bound's t and the CLI's failure fraction are fixed values
     for line in ("t_bound = 2.0", "max_fail_frac = 0.02"):

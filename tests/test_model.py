@@ -1,9 +1,12 @@
 import json
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from penexp import model
+from penexp import losses, model
 
 
 def test_identity_covariance_basic():
@@ -69,7 +72,81 @@ def test_ar1_closed_form_eigenpairs_match_eigh(p, rho):
         assert cov.is_identity
     else:
         assert np.array_equal(cov.matrix, dense)
-        assert np.array_equal(cov._w, w) and np.array_equal(cov._vecs, V)
+        assert np.array_equal(cov._w, w)
+        assert np.array_equal(cov._factor, V * w ** 0.25)
+
+
+# the grid of test_ar1_closed_form_eigenpairs_match_eigh, with p = 65 and
+# 1000 (not multiples of the eigenvector build's block of 64 rows) and
+# rho = 0.999
+AR1_RHOS = [-0.9, -0.5, 0.3, 0.5, 0.9, 0.99, 0.999]
+
+
+@lru_cache(maxsize=1)  # the examples of one (p, rho) share its matrices
+def _ar1_and_dense(p, rho):
+    idx = np.arange(p)
+    return model.CovarianceModel.ar1(p, rho), \
+        rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 30, 65, 200, 1000])
+@pytest.mark.parametrize("rho", AR1_RHOS)
+@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+@given(cols=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_ar1_products_and_solves_match_dense(p, rho, cols, seed):
+    # normwise relative errors: the product against the dense rho^|i-j|
+    # times u, and the solve's backward error |Sigma x - u|
+    cov, dense = _ar1_and_dense(p, rho)
+    u = np.random.default_rng(seed).standard_normal(
+        (p, cols) if cols else p)
+    scale = np.abs(dense).sum(axis=1).max()
+    prod = cov @ u
+    assert prod.shape == u.shape
+    assert np.abs(prod - dense @ u).max() <= \
+        1e-13 * scale * np.abs(u).max()
+    x = cov.solve(u)
+    assert x.shape == u.shape
+    assert np.abs(dense @ x - u).max() <= 1e-13 * scale * np.abs(x).max()
+    idx = np.arange(0, p, 3)
+    assert np.array_equal(cov.principal(idx), dense[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("p, rho", [(2, 0.5), (65, -0.7), (400, 0.5),
+                                    (1000, 0.999)])
+def test_ar1_root_is_the_eigenvector_formula_bitwise(p, rho):
+    # B B' with B = V diag(w^{1/4}), as it was built from the stored
+    # eigenvectors, so that X = Z Sigma^{1/2} keeps its bits
+    w, V = model._ar1_eigenpairs(p, rho)
+    b = V * w ** 0.25
+    assert np.array_equal(model.CovarianceModel.ar1(p, rho).sqrt, b @ b.T)
+
+
+def test_ar1_memory_is_one_factor_and_its_root():
+    p = 1600
+    square, column = 8 * p * p, 8 * p
+    tracemalloc.start()
+    try:
+        cov = model.CovarianceModel.ar1(p, 0.5)
+        held, peak = tracemalloc.get_traced_memory()
+        # the factor B alone is kept; the build's row blocks are 64 x p
+        assert square <= held <= square + 16 * column
+        assert peak <= square + 128 * column
+        tracemalloc.reset_peak()
+        cov.sqrt
+        now, peak = tracemalloc.get_traced_memory()
+        assert square <= now - held <= square + column
+        assert peak - held <= square + column
+        K = losses.curvature_matrix(losses.LOGISTIC, cov,
+                                    model.flat_signal(p, 5, 0.25))
+        u = np.random.default_rng(0).standard_normal(p)
+        K @ u, K.solve(u)  # the operators' cached constants
+        for op in (K.__matmul__, K.solve, cov.__matmul__, cov.solve):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            op(u)
+            assert tracemalloc.get_traced_memory()[1] - base <= 8 * column
+    finally:
+        tracemalloc.stop()
 
 
 def test_group_structure_contiguous():
