@@ -76,19 +76,22 @@ def _write_solve(args, loss, result, name):
         "nnz": int(np.count_nonzero(result.solution)),
         "vector": name + ".bin",
     }
-    _emit(meta, args.out, name + ".json")
+    _emit(meta, os.path.join(args.out, name + ".json"))
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _emit(obj, out_dir=None, name=None):
+def _emit(obj, path=None):
+    """Print obj as JSON and, given a path, write it there too."""
     text = json.dumps(obj, indent=2, sort_keys=True)
     print(text)
-    if out_dir is not None and name is not None:
-        with open(os.path.join(out_dir, name), "w") as fh:
+    if path is not None:
+        with open(path, "w") as fh:
             fh.write(text + "\n")
 
 
 def _cmd_generate(args):
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0, got %d" % args.seed)
     cov = model.CovarianceModel.from_spec(args.covariance, args.p)
     beta_star = model.flat_signal(args.p, args.s, args.amplitude)
     ds = model.simulate(cov, beta_star, args.n, args.model, args.design,
@@ -134,6 +137,8 @@ def _cmd_risk_identity(args):
         raise ValueError("--n-mc needs at least 2 draws, got %d" % args.n_mc)
     if not 0 <= args.t < np.inf:
         raise ValueError("--t must be >= 0 and finite, got %r" % args.t)
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0, got %d" % args.seed)
     loss = _loss_for(ds)
     penalty = parse_penalty_spec(args.penalty, ds.p)
     cfg = _solver_config(args)
@@ -147,10 +152,11 @@ def _cmd_risk_identity(args):
     payload = report.as_dict()
     payload["est_converged"] = est.converged
     payload["exp_converged"] = exp.converged
-    out_dir = args.out
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    _emit(payload, out_dir, "risk_identity.json" if out_dir else None)
+    path = None
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        path = os.path.join(args.out, "risk_identity.json")
+    _emit(payload, path)
     if not (est.converged and exp.converged):
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -180,11 +186,7 @@ def _cmd_rate_fit(args):
     slope, intercept, stderr = harness.rate_fit(records, metric=args.metric)
     payload = {"metric": args.metric, "slope": slope,
                "intercept": intercept, "stderr": stderr}
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(payload, args.out)
     return EXIT_OK
 
 

@@ -2,9 +2,8 @@
 
 The two cone families are the l1-vs-l2 cone {u : ||u||_1 <= sqrt(k)||u||}
 and its blockwise analog for group norms. Each cone class answers what the
-experiments ask of it: membership of an error vector, and a
-restricted-eigenvalue lower bound. Penalty-level formulas and minimax rate
-scales live here too.
+experiments ask of it: membership of an error vector. Penalty-level
+formulas and minimax rate scales live here too.
 """
 
 from __future__ import annotations
@@ -30,10 +29,6 @@ class LassoCone:
         l2 = np.linalg.norm(u)
         return bool(np.abs(u).sum() <= np.sqrt(self.k) * l2 * (1.0 + 1e-9))
 
-    def restricted_eigenvalue(self, cov):
-        """sqrt of the smallest eigenvalue of Sigma: certifies the cone."""
-        return float(np.sqrt(cov.eig_min))
-
 
 @dataclass(frozen=True, eq=False)
 class GroupCone:
@@ -48,8 +43,6 @@ class GroupCone:
         l2 = np.linalg.norm(u)
         norms = np.linalg.norm(self.groups.blocks(u), axis=-1)
         return bool(norms.sum() <= self.c * np.sqrt(self.s) * l2 * (1.0 + 1e-9))
-
-    restricted_eigenvalue = LassoCone.restricted_eigenvalue
 
 
 def lasso_cone(k):

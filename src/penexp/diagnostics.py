@@ -1,5 +1,5 @@
 """Verification quantities: Monte Carlo proximal-map risk and the risk
-identity, de-biased inference, and sparsity counts and constants.
+identity, de-biased inference, and sparsity counts and bounds.
 
 The exact-risk machinery applies under a Gaussian design with identity
 covariance and squared loss; those hypotheses are enforced, not extrapolated.
@@ -165,9 +165,22 @@ def sparsity_count(beta, groups=None):
     return coords, int(nz)
 
 
-def sparsity_constant(c_max, xi, b3, phi):
-    """Support-size multiplier: 1 + C_max {2(3+xi)(1+1/xi)}^2 B3^2 / phi^2."""
-    if min(c_max, xi, b3, phi) <= 0:
-        raise ValueError("all arguments must be > 0")
+def sparsity_bound(s, xi, cov, curvature, groups=None):
+    """Support-size bound s {1 + C_max [2(3+xi)(1+1/xi)]^2 B3^2 / phi^2}.
+
+    C_max is K's largest eigenvalue, or with groups the largest over its
+    diagonal blocks; phi = sqrt(eig_min of Sigma) on either cone; B3, the
+    largest ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2, is exactly 1 when K is
+    Sigma (squared loss) and 1/min(m0, a2) for the rank-one logistic K.
+    """
+    if xi <= 0:
+        raise ValueError("xi must be > 0")
+    if groups is None:
+        c_max = curvature.eig_max
+    else:
+        c_max = max(float(np.linalg.eigvalsh(curvature.principal(g)).max())
+                    for g in groups.groups)
+    phi = np.sqrt(cov.eig_min)
+    b3 = 1.0 if curvature is cov else 1.0 / curvature.relative_bounds[0]
     factor = 2.0 * (3.0 + xi) * (1.0 + 1.0 / xi)
-    return float(1.0 + c_max * factor * factor * b3 * b3 / (phi * phi))
+    return float(1.0 + c_max * factor * factor * b3 * b3 / (phi * phi)) * s

@@ -3,7 +3,7 @@
 Configs are flat key=value text with # comments; one grid entry per `grid`
 line. Each (grid point, replication) task derives its own integer seed from
 (master_seed, point index, rep index), so results do not depend on worker
-count or completion order. Records are sorted by (point, rep) before writing.
+count or completion order. Records are written in (point, rep) order.
 
 The point set-ups and then the tasks run in one thread pool, and every
 mapped OpenBLAS copy is held at one thread while they run: the pool is the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones, diagnostics, model, solver
-from .losses import curvature_matrix, get_loss, norm_ratio_bound
+from .losses import curvature_matrix, get_loss
 from .penalties import GroupPenalty, L1BallConstraint, L1Penalty
 
 EXPERIMENT_KINDS = ("rates", "risk_identity", "coverage", "cone_check",
@@ -160,6 +160,8 @@ def validate_config(cfg):
         raise ValueError("at least one grid entry is required")
     if cfg.replications < 1:
         raise ValueError("replications must be >= 1")
+    if cfg.master_seed < 0:
+        raise ValueError("master_seed must be >= 0, got %d" % cfg.master_seed)
     if not 0 < cfg.xi < math.inf:
         raise ValueError("xi must be > 0 and finite")
     if not math.isfinite(cfg.amplitude):
@@ -242,22 +244,9 @@ def _setup_point(cfg, pt, loss):
         if cfg.penalty == "l1_constrained" else None
     sbound = None
     if cfg.experiment == "sparsity_check":
-        sbound = _sparsity_bound(cfg, pt, cov, curv, groups, cone)
+        sbound = diagnostics.sparsity_bound(pt.s, cfg.xi, cov, curv, groups)
     return _PointSetup(pt, cov, groups, beta_star, curv, cone, r_n, radius,
                        sbound)
-
-
-def _sparsity_bound(cfg, pt, cov, curv, groups, cone):
-    if groups is not None:
-        c_max = max(
-            float(np.linalg.eigvalsh(curv.principal(g)).max())
-            for g in groups.groups)
-    else:
-        c_max = curv.eig_max
-    phi = cone.restricted_eigenvalue(cov)
-    b3 = norm_ratio_bound(cov, curv)
-    c_tilde = diagnostics.sparsity_constant(c_max, cfg.xi, b3, phi)
-    return c_tilde * pt.s
 
 
 def _make_penalty(cfg, setup, loss, sigma):
@@ -417,10 +406,9 @@ def run_experiment(cfg):
                    for i in by_size}
         setups = [pending[i].result() for i in range(len(cfg.grid))]
         results = list(pool.map(work, tasks))
+    # pool.map keeps the task order, which is (point, rep)
     records = [r for r, _ in results]
     timings = [t for _, t in results]
-    records.sort(key=lambda r: (r["point"], r["rep"]))
-    timings.sort(key=lambda t: (t["point"], t["rep"]))
 
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv(os.path.join(cfg.out, "records.csv"),

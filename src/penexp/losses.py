@@ -160,14 +160,3 @@ def curvature_matrix(loss, cov, beta_star, design_kind="gaussian"):
     """
     return loss.curvature(cov, beta_star, design_kind)
 
-
-def norm_ratio_bound(cov, curvature):
-    """Largest value of ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2 over u != 0.
-
-    Exactly 1 when K is Sigma itself, as for the squared loss. For a
-    rank-one update K = m0 Sigma + c q q' (the logistic K, where
-    m0 + c q'Sigma^{-1}q = a2) it is 1/min(m0, a2), in closed form; 4 for
-    the logistic K at beta* = 0, Sigma/4. K must be one of these two."""
-    if curvature is cov:
-        return 1.0
-    return 1.0 / curvature.relative_bounds[0]

@@ -398,6 +398,8 @@ class Dataset:
     seed: int
 
     def __post_init__(self):
+        if self.model_kind not in ("linear", "logistic"):
+            raise ValueError("unknown model kind %r" % (self.model_kind,))
         if self.model_kind == "logistic" and \
                 not np.all((self.y == 0.0) | (self.y == 1.0)):
             raise ValueError("logistic labels must be 0 or 1")
@@ -539,18 +541,26 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
+    """The dataset save_dataset wrote to path; ValueError names a key
+    that its meta.json lacks."""
     with open(os.path.join(path, "meta.json")) as fh:
         meta = json.load(fh)
-    n, p = meta["n"], meta["p"]
-    X = np.fromfile(os.path.join(path, "X.bin"), dtype="<f8").reshape(n, p)
-    y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
-    eps_path = os.path.join(path, "eps.bin")
-    noise = np.fromfile(eps_path, dtype="<f8") if os.path.exists(eps_path) else None
-    spec = meta["covariance"]
-    cov = None if spec is None else CovarianceModel.from_spec(spec, p)
-    return Dataset(_readonly(X), _readonly(y), meta["model_kind"],
-                   meta["design_kind"],
-                   _readonly(noise) if noise is not None else None,
-                   meta["noise_sd"],
-                   _readonly(np.asarray(meta["beta_star"], dtype=float)),
-                   cov, int(meta["seed"]))
+    try:
+        n, p = meta["n"], meta["p"]
+        X = np.fromfile(os.path.join(path, "X.bin"),
+                        dtype="<f8").reshape(n, p)
+        y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
+        eps_path = os.path.join(path, "eps.bin")
+        noise = np.fromfile(eps_path, dtype="<f8") \
+            if os.path.exists(eps_path) else None
+        spec = meta["covariance"]
+        cov = None if spec is None else CovarianceModel.from_spec(spec, p)
+        return Dataset(_readonly(X), _readonly(y), meta["model_kind"],
+                       meta["design_kind"],
+                       _readonly(noise) if noise is not None else None,
+                       meta["noise_sd"],
+                       _readonly(np.asarray(meta["beta_star"], dtype=float)),
+                       cov, int(meta["seed"]))
+    except KeyError as exc:
+        raise ValueError("%s lacks the key %s"
+                         % (os.path.join(path, "meta.json"), exc)) from None

@@ -325,9 +325,10 @@ def complexity_bound(cone, cov):
     """Certified upper bound on the cone's Gaussian complexity.
 
     sqrt(k log(2p/k)) for the lasso cone and sqrt(s d + s log(M/s)) for the
-    group cone, each divided by the cone's restricted eigenvalue.
+    group cone, each divided by the restricted eigenvalue
+    phi = sqrt(eig_min of Sigma), which bounds both cones.
     """
-    phi = cone.restricted_eigenvalue(cov)
+    phi = float(np.sqrt(cov.eig_min))
     if isinstance(cone, LassoCone):
         if not 0 < cone.k <= 2 * cov.p:
             raise ValueError("cone parameter exceeds dimension range")

@@ -5,6 +5,7 @@ from scipy.special import gammaln
 from oracles import _sup_per_draw, complexity_bound, complexity_estimate
 from penexp.cones import (GroupCone, group_cone, group_penalty_level,
                           lasso_cone, lasso_penalty_level, minimax_rate)
+from penexp.diagnostics import sparsity_bound
 from penexp.losses import get_loss
 from penexp.model import CovarianceModel, GroupStructure
 
@@ -208,16 +209,18 @@ def test_per_draw_sup_is_sound():
 
 
 def test_restricted_eigenvalue_identity():
+    # phi = sqrt(eig_min of Sigma) bounds ||u||_Sigma / ||u|| below on the
+    # lasso and group cones alike
     cov = CovarianceModel.identity(9)
-    assert lasso_cone(3).restricted_eigenvalue(cov) == 1.0
+    assert np.sqrt(cov.eig_min) == 1.0
     groups = GroupStructure.contiguous(3, 3)
-    assert GroupCone(1.0, 2, groups).restricted_eigenvalue(cov) == 1.0
+    assert sparsity_bound(2, 1.0, cov, cov, groups) == 2 * 257.0
 
 
 def test_restricted_eigenvalue_ar1_certified():
     p = 10
     cov = CovarianceModel.ar1(p, 0.5)
-    bound = lasso_cone(4).restricted_eigenvalue(cov)
+    bound = np.sqrt(cov.eig_min)
     w = np.linalg.eigvalsh(cov.matrix)
     assert bound == pytest.approx(np.sqrt(w.min()), rel=1e-12)
     # certified lower bound never exceeds the norm along any direction
@@ -245,7 +248,7 @@ def test_complexity_bound_group():
 
 def test_complexity_bound_divides_by_phi():
     cov = CovarianceModel.ar1(30, 0.5)
-    phi = lasso_cone(6).restricted_eigenvalue(cov)
+    phi = np.sqrt(cov.eig_min)
     val = complexity_bound(lasso_cone(6), cov)
     assert val == pytest.approx(np.sqrt(6.0 * np.log(10.0)) / phi, rel=1e-12)
 

@@ -9,7 +9,7 @@ from oracles import (curvature_fluctuations, curvature_lower_bound,
                      prox_risk_unchunked, taylor_remainder_gap)
 from penexp.diagnostics import (MC_CHUNK_ELEMENTS, debiased_estimate,
                                 prox_risk_mc, risk_identity_check,
-                                sparsity_constant, sparsity_count)
+                                sparsity_bound, sparsity_count)
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
                           generate_design, generate_linear, generate_logistic,
@@ -242,15 +242,57 @@ def test_sparsity_count_groups():
 
 
 def test_sparsity_constant_value():
-    assert sparsity_constant(1.0, 1.0, 1.0, 1.0) == 257.0
-    # huge restricted eigenvalue kills the second term
-    assert sparsity_constant(1.0, 1.0, 1.0, 1e9) == pytest.approx(1.0,
-                                                                  abs=1e-12)
-    base = sparsity_constant(1.0, 0.5, 1.0, 1.0)
-    doubled = sparsity_constant(1.0, 0.5, 2.0, 1.0)
+    # identity Sigma = K: C_max = B3 = phi = 1, so at s = 1 the bound is
+    # the constant 1 + {2(3+xi)(1+1/xi)}^2 itself
+    cov = CovarianceModel.identity(4)
+    assert sparsity_bound(1, 1.0, cov, cov) == 257.0
+    # C_max B3^2 / phi^2 = 1e-18 for a curvature far above Sigma: the
+    # second term vanishes
+    far = CovarianceModel.rank_one(cov, 1e18, 0.0, np.zeros(4))
+    assert sparsity_bound(1, 1.0, cov, far) == pytest.approx(1.0, abs=1e-12)
+    # K = I - e1 e1'/2 keeps C_max = 1 and doubles B3 = 1/min(1, 1/2)
+    base = sparsity_bound(1, 0.5, cov, cov)
+    half = CovarianceModel.rank_one(cov, 1.0, -0.5, np.eye(4)[0])
+    doubled = sparsity_bound(1, 0.5, cov, half)
     assert doubled - 1.0 == pytest.approx(4.0 * (base - 1.0), rel=1e-12)
     with pytest.raises(ValueError):
-        sparsity_constant(1.0, 0.0, 1.0, 1.0)
+        sparsity_bound(1, 0.0, cov, cov)
+
+
+def _composed_sparsity_bound(s, xi, cov, K, groups):
+    # The support-size bound written out factor by factor, with the
+    # arithmetic that sparsity_bound must keep bit for bit: C_max, then
+    # phi = sqrt(eig_min), then B3, then the constant times s
+    if groups is not None:
+        c_max = max(
+            float(np.linalg.eigvalsh(K.principal(g)).max())
+            for g in groups.groups)
+    else:
+        c_max = K.eig_max
+    phi = float(np.sqrt(cov.eig_min))
+    b3 = 1.0 if K is cov else 1.0 / K.relative_bounds[0]
+    if min(c_max, xi, b3, phi) <= 0:
+        raise ValueError("all arguments must be > 0")
+    factor = 2.0 * (3.0 + xi) * (1.0 + 1.0 / xi)
+    c_tilde = float(1.0 + c_max * factor * factor * b3 * b3 / (phi * phi))
+    return c_tilde * s
+
+
+@pytest.mark.parametrize("spec", ["identity", "ar1:0.5", "ar1:-0.3"])
+@pytest.mark.parametrize("loss", ["squared", "logistic"])
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("xi", [0.1, 0.5])
+def test_sparsity_bound_matches_the_composed_bound_bitwise(spec, loss,
+                                                           grouped, xi):
+    M, d, s = 8, 3, 3
+    cov = CovarianceModel.from_spec(spec, M * d)
+    beta = flat_signal(M * d, s * d, 0.25)
+    K = curvature_matrix(get_loss(loss), cov, beta)
+    assert (K is cov) == (loss == "squared")
+    groups = GroupStructure.contiguous(M, d) if grouped else None
+    got = sparsity_bound(s, xi, cov, K, groups)
+    assert got == _composed_sparsity_bound(s, xi, cov, K, groups)
+    assert got > s
 
 
 def test_fluctuations_shrink_with_n():

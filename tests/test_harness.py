@@ -161,6 +161,10 @@ def test_validate_config_rejections():
     with pytest.raises(ValueError, match="noise_sd must be >= 0"):
         parse_config("experiment = rates\nnoise_sd = -1\n"
                      "grid = n=50 p=20 s=2\n")
+    # refused when read, not in the first task's seed after every set-up
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        parse_config("experiment = rates\nmaster_seed = -3\n"
+                     "grid = n=50 p=20 s=2\n")
     # a coverage interval is 1.96 noise_sd/sqrt(n) wide
     with pytest.raises(ValueError, match="noise_sd > 0"):
         parse_config("experiment = coverage\nnoise_sd = 0\n"
@@ -477,6 +481,37 @@ def test_cli_generate_fit_expand(tmp_path, capsys):
     assert eta.shape == (30,)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: meta.pop("covariance"), "lacks the key 'covariance'"),
+    (lambda meta: meta.pop("n"), "lacks the key 'n'"),
+    (lambda meta: meta.update(model_kind="poisson"),
+     "unknown model kind 'poisson'"),
+], ids=["no_covariance", "no_n", "unknown_model_kind"])
+def test_cli_fit_refuses_a_malformed_meta_json(tmp_path, capsys, edit,
+                                               message):
+    ds = tmp_path / "ds"
+    cli.main(["generate", "--n", "40", "--p", "10", "--s", "2",
+              "--out", str(ds)])
+    capsys.readouterr()
+    meta = json.loads((ds / "meta.json").read_text())
+    edit(meta)
+    (ds / "meta.json").write_text(json.dumps(meta))
+    rc = cli.main(["fit", str(ds), "--penalty", "l1:0.3",
+                   "--out", str(tmp_path / "sol")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sol").exists()
+
+
+def test_cli_generate_refuses_negative_seed(tmp_path, capsys):
+    out = tmp_path / "ds"
+    rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
+                   "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_generate_refuses_negative_noise_sd(tmp_path, capsys):
     out = tmp_path / "ds"
     rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
@@ -677,6 +712,23 @@ def test_cli_risk_identity_refuses_bad_t_before_solving(
         assert "--t must be >= 0 and finite" in capsys.readouterr().err
 
 
+def test_cli_risk_identity_refuses_negative_seed_before_solving(
+        tmp_path, capsys, monkeypatch):
+    ds = str(tmp_path / "ds")
+    cli.main(["generate", "--n", "100", "--p", "20", "--s", "2",
+              "--seed", "3", "--out", ds])
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing --seed")
+
+    monkeypatch.setattr(solver, "fit_penalized", no_solve)
+    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.1",
+                   "--seed", "-2"])
+    assert rc == 2
+    assert "--seed must be >= 0, got -2" in capsys.readouterr().err
+
+
 def test_cli_experiment_and_rate_fit(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(CONFIG_TEXT.replace("grid = n=120 p=30 s=2",
@@ -687,10 +739,14 @@ def test_cli_experiment_and_rate_fit(tmp_path, capsys):
     assert rc == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["failed"] == 0
-    rc = cli.main(["rate-fit", str(tmp_path / "res" / "records.csv")])
+    fit_path = tmp_path / "fit.json"
+    rc = cli.main(["rate-fit", str(tmp_path / "res" / "records.csv"),
+                   "--out", str(fit_path)])
     assert rc == 0
-    fitted = json.loads(capsys.readouterr().out)
-    assert fitted["slope"] == printed["rate_fit"]["slope"]
+    text = capsys.readouterr().out
+    assert json.loads(text)["slope"] == printed["rate_fit"]["slope"]
+    # the file holds the printed JSON, final newline included
+    assert fit_path.read_text() == text
     # a misspelt metric is named, not reported as too few grid points
     rc = cli.main(["rate-fit", str(tmp_path / "res" / "records.csv"),
                    "--metric", "gaps"])

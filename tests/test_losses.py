@@ -7,7 +7,7 @@ from scipy.linalg import eigh as generalized_eigh
 
 from oracles import (curvature_lower_bound, curvature_matrix_mc,
                      logistic_curvature_dense, stability_ratio_check)
-from penexp import cones, losses, model
+from penexp import diagnostics, losses, model
 from penexp.losses import LOGISTIC, SQUARED
 
 
@@ -138,7 +138,7 @@ def test_squared_identity_pipeline_holds_no_p_by_p_matrix():
         K = losses.curvature_matrix(SQUARED, cov, beta)
         assert K.norm(ds.X[0]) > 0
         assert np.array_equal(cov.principal(np.arange(5)), np.eye(5))
-        assert cones.lasso_cone(5).restricted_eigenvalue(cov) == 1.0
+        assert np.sqrt(cov.eig_min) == 1.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,7 +177,7 @@ def test_logistic_rank_one_k_matches_dense(p, rho):
     # a step of 1/eig_max is never longer than the dense matrix allows
     assert K.eig_max >= eigs[-1] - np.spacing(eigs[-1])
     ratio = generalized_eigh(cov.matrix, dense, eigvals_only=True).max()
-    assert losses.norm_ratio_bound(cov, K) == pytest.approx(ratio, rel=1e-12)
+    assert 1.0 / K.relative_bounds[0] == pytest.approx(ratio, rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 30, 200, 800])
@@ -204,7 +204,7 @@ def test_logistic_k_holds_no_p_by_p_array():
         assert K.eig_max > 0
         assert np.all(np.isfinite(K.solve(u)))
         assert K.norm(u) > 0
-        assert losses.norm_ratio_bound(cov, K) > 1.0
+        assert 1.0 / K.relative_bounds[0] > 1.0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,7 +229,7 @@ def test_logistic_k_at_zero_signal_is_a_quarter_of_sigma(monkeypatch):
     try:
         K = losses.curvature_matrix(LOGISTIC, cov, np.zeros(p))
         eig_max = K.eig_max
-        ratio = losses.norm_ratio_bound(cov, K)
+        ratio = 1.0 / K.relative_bounds[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -317,38 +317,50 @@ def test_curvature_norm_and_factorizations():
     assert np.allclose(K.matrix @ inv, np.eye(5), atol=1e-9)
 
 
+def _bound_with_unit_norm_ratio(cov, xi=1.0):
+    # sparsity_bound at s = 1 and K = Sigma, with B3 = 1 left out
+    factor = 2.0 * (3.0 + xi) * (1.0 + 1.0 / xi)
+    phi = np.sqrt(cov.eig_min)
+    return float(1.0 + cov.eig_max * factor * factor / (phi * phi))
+
+
 def test_norm_ratio_bound():
+    # B3, the largest ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2: exactly 1 for
+    # K = Sigma, and 1/relative_bounds[0] for a rank-one update
     cov = model.CovarianceModel.ar1(4, 0.5)
-    assert losses.norm_ratio_bound(cov, cov) == 1.0
+    assert diagnostics.sparsity_bound(1, 1.0, cov, cov) == \
+        _bound_with_unit_norm_ratio(cov)
     zero = np.zeros(4)
     K_eq = model.CovarianceModel.rank_one(cov, 1.0, 0.0, zero)
-    assert losses.norm_ratio_bound(cov, K_eq) == pytest.approx(1.0, rel=1e-10)
+    assert 1.0 / K_eq.relative_bounds[0] == pytest.approx(1.0, rel=1e-10)
     K_quarter = model.CovarianceModel.rank_one(cov, 0.25, 0.0, zero)
-    assert losses.norm_ratio_bound(cov, K_quarter) == pytest.approx(
+    assert 1.0 / K_quarter.relative_bounds[0] == pytest.approx(
         4.0, rel=1e-10)
     # a rank-one update that lowers the curvature along Sigma^{-1} q
     q = cov @ np.array([1.0, -0.5, 0.0, 2.0])
     K = model.CovarianceModel.rank_one(cov, 0.5, -0.3 / (q @ cov.solve(q)), q)
     ratio = generalized_eigh(cov.matrix, K.matrix, eigvals_only=True).max()
-    assert losses.norm_ratio_bound(cov, K) == pytest.approx(ratio, rel=1e-10)
+    assert 1.0 / K.relative_bounds[0] == pytest.approx(ratio, rel=1e-10)
     assert ratio == pytest.approx(5.0, rel=1e-10)
 
 
 def test_norm_ratio_bound_of_identical_matrices_is_exactly_one():
-    # no p x p product or eigendecomposition: 72 MB per I at p = 3000
+    # no p x p product or eigendecomposition: 72 MB per I at p = 3000.
+    # C_max = phi = 1 on the identity, so B3 = 1 gives exactly 1 + 16^2.
     tracemalloc.start()
     try:
         cov = model.CovarianceModel.identity(3000)
         K = losses.curvature_matrix(SQUARED, cov, np.zeros(3000))
-        val = losses.norm_ratio_bound(cov, K)
+        val = diagnostics.sparsity_bound(1, 1.0, cov, K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert val == 1.0
+    assert val == 257.0
     assert peak < 8e6
     cov = model.CovarianceModel.ar1(30, 0.5)
     K = losses.curvature_matrix(SQUARED, cov, model.flat_signal(30, 2))
-    assert losses.norm_ratio_bound(cov, K) == 1.0
+    assert diagnostics.sparsity_bound(1, 1.0, cov, K) == \
+        _bound_with_unit_norm_ratio(cov)
 
 
 def test_norm_ratio_bound_vs_power_iteration():
@@ -356,7 +368,7 @@ def test_norm_ratio_bound_vs_power_iteration():
     beta = np.zeros(4)
     beta[0] = 1.0
     K = losses.curvature_matrix(LOGISTIC, cov, beta)
-    val = losses.norm_ratio_bound(cov, K)
+    val = 1.0 / K.relative_bounds[0]
     assert val > 1.0
     # independent power iteration on K^{-1/2} Sigma K^{-1/2}, from the
     # dense K
