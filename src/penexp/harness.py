@@ -564,26 +564,18 @@ def rate_fit(records, metric="gap"):
 
 
 def load_records_csv(path):
-    """Read records.csv back into dicts with numbers and flags restored."""
-    out = []
+    """Read records.csv back into dicts, each cell with the type _run_task
+    gave its column: an int, a flag or a float, and None when empty."""
+    ints = {"point", "n", "p", "s", "M", "d", "rep", "seed",
+            "est_iterations", "exp_iterations", "nnz_coords", "nnz_groups"}
+
+    def cell(k, v):
+        if v == "":
+            return None
+        if v in ("true", "false"):
+            return v == "true"
+        return int(v) if k in ints else float(v)
+
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rec = {}
-            for k, v in row.items():
-                if v == "":
-                    rec[k] = None
-                elif v in ("true", "false"):
-                    rec[k] = v == "true"
-                else:
-                    try:
-                        rec[k] = int(v)
-                    except ValueError:
-                        try:
-                            rec[k] = float(v)
-                        except ValueError:
-                            rec[k] = v
-                if k in ("r_n", "penalty_level", "err_est", "err_exp", "gap",
-                         "ratio") and isinstance(rec[k], int):
-                    rec[k] = float(rec[k])
-            out.append(rec)
-    return out
+        return [{k: cell(k, v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]

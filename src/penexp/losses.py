@@ -84,10 +84,11 @@ class LogisticLoss:
             K = m0 Sigma + c q q',  q = Sigma b,  c = (a2 - m0) / v^2,
 
         with m0 = E[sig'(vZ)] and a2 = E[sig'(vZ) Z^2], both by quadrature
-        (node count doubled from 64 until stable). K is returned as a
+        (node count doubled from 64 until stable; a v for which no two
+        rules with finite weights agree is refused). K is returned as a
         rank-one update of cov: it holds no p x p array and makes no
         eigendecomposition of its own, and its products, solves and eig_max
-        come from cov's eigenpairs. At v = 0, K = Sigma/4 is the same
+        come from cov's. At v = 0, K = Sigma/4 is the same
         update with m0 = 1/4 and c = 0, and needs no quadrature. Other
         designs have no closed form and are refused.
         """
@@ -105,7 +106,13 @@ class LogisticLoss:
         def d2(z):
             return self.d2(0.0, v * z)
 
-        m0, a2 = _adaptive_hermite([d2, lambda z: d2(z) * z * z])
+        moments = _adaptive_hermite([d2, lambda z: d2(z) * z * z])
+        if moments is None:
+            raise ValueError(
+                "the logistic curvature quadrature does not converge at "
+                "||Sigma^{1/2} beta*|| = %.4g: no two successive "
+                "Gauss-Hermite rules agree to 1e-13" % v)
+        m0, a2 = moments
         return CovarianceModel.rank_one(cov, m0, (a2 - m0) / v2, q)
 
     def penalty_scale(self, noise_scale):
@@ -131,7 +138,11 @@ def get_loss(kind):
 def _hermite_rule(n_nodes):
     # Probabilists' Gauss-Hermite nodes and weights for E f(Z), Z standard
     # normal: an eigenproblem of size n_nodes, so solved once per count.
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    # None when they overflow, as numpy's weights do from 512 nodes on.
+    with np.errstate(all="ignore"):
+        nodes, weights = np.polynomial.hermite_e.hermegauss(n_nodes)
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        return None
     weights = weights / np.sqrt(2.0 * np.pi)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -140,16 +151,16 @@ def _hermite_rule(n_nodes):
 
 def _adaptive_hermite(funcs):
     # E f(Z) for each f, with the node count doubled from 64 (up to 2048)
-    # until two successive rules agree to 1e-13
+    # until two successive rules agree to 1e-13; None when the rules with
+    # finite weights run out first
     vals, nodes = None, 64
-    while nodes <= 2048:
-        x, w = _hermite_rule(nodes)
-        new = [float(np.sum(w * f(x))) for f in funcs]
+    while nodes <= 2048 and (rule := _hermite_rule(nodes)) is not None:
+        new = [float(np.sum(rule[1] * f(rule[0]))) for f in funcs]
         if vals is not None and all(abs(a - b) <= 1e-13 * max(1.0, abs(b))
                                     for a, b in zip(vals, new)):
             return new
         vals, nodes = new, 2 * nodes
-    return vals
+    return None
 
 
 def curvature_matrix(loss, cov, beta_star, design_kind="gaussian"):

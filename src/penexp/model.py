@@ -68,9 +68,11 @@ class CovarianceModel:
       logistic curvature). It holds a reference to base, the scalars m0 and
       c and the vector q: no p x p array of its own and no
       eigendecomposition. Products are m0 (base u) + c q (q'u), solves are
-      Sherman-Morrison on top of base's solve, and eig_max is the largest
-      root of the secular equation on base's eigenpairs, with
-      V'q = w^{-1/4} (B'q). `matrix` builds the dense matrix on every call.
+      Sherman-Morrison on top of base's solve, and eig_max is Weyl's
+      bound m0 base.eig_max + max(c, 0) |q|^2. For c <= 0, as for the
+      logistic K, it is exact on the identity (p >= 2) and exceeds the
+      largest eigenvalue by at most m0 (w_p - w_{p-1}) on base's
+      eigenvalues w. `matrix` builds the dense matrix on every call.
 
     Covariances come from identity and ar1 and must be positive definite;
     eig_min serves them alone. A curvature matrix is a covariance itself
@@ -135,6 +137,8 @@ class CovarianceModel:
         identity or AR(1) covariance base."""
         K = cls("curvature", base.p, 0.0, base=base, _m0=float(m0),
                 _c=float(c), _q=_readonly(np.array(q, dtype=float)))
+        if not (np.isfinite([K._m0, K._c]).all() and np.isfinite(K._q).all()):
+            raise ValueError("curvature matrix has a non-finite m0, c or q")
         low, high = K.relative_bounds
         if low <= 1e-12 * max(high, 1e-300):
             raise ValueError("curvature matrix is singular (smallest "
@@ -156,15 +160,6 @@ class CovarianceModel:
                          else self.principal(np.arange(self.p)))
 
     @cached_property
-    def _update_spectrum(self):
-        # A rank-one update is V (D + c v v') V' with D = m0 diag(w) and
-        # v = V'q, where base = V diag(w) V': D ascending and v * v.
-        if self.base.is_identity:
-            return np.full(self.p, self._m0), self._q * self._q
-        v = self.base._w ** -0.25 * (self.base._factor.T @ self._q)
-        return self._m0 * self.base._w, v * v
-
-    @cached_property
     def eig_min(self):
         if self.base is not None:
             raise ValueError("a rank-one update has no eig_min; see "
@@ -174,7 +169,11 @@ class CovarianceModel:
     @cached_property
     def eig_max(self):
         if self.base is not None:
-            return _secular_max(*self._update_spectrum, self._c)
+            # Weyl's bound, raised by p eps of its magnitude (the rounding
+            # error of base's eigenvalues) to bound the dense matrix's too
+            hi = self._m0 * self.base.eig_max + max(self._c, 0.0) * \
+                float(self._q @ self._q)
+            return hi + self.p * np.finfo(float).eps * abs(hi)
         return 1.0 if self.is_identity else float(self._w.max())
 
     @cached_property
@@ -314,34 +313,6 @@ def _ar1_eigenpairs(p, rho):
     if rho < 0:
         vecs[1::2] *= -1.0
     return w, vecs
-
-
-def _secular_max(d, v2, c):
-    """Largest eigenvalue of diag(d) + c v v', for ascending d and v2 = v*v:
-    eig_max of a rank-one update, the expansion solve's step 1/eig_max.
-
-    It is the largest root of the secular equation
-    f(lam) = 1 + c sum_i v2_i / (d_i - lam) = 0 (Golub, SIAM Rev. 1973;
-    Bunch, Nielsen and Sorensen, Numer. Math. 1978). It lies between d[-1]
-    and d[-1] + c |v|^2 (Weyl), and for c < 0 above d[-2] (interlacing),
-    so no pole of f falls inside that bracket. f is monotone there, with
-    c f(lam) >= 0 at and above the root, so bisection halves the bracket
-    until its ends are adjacent floats. The upper end is returned, raised by
-    size * eps of its magnitude, the scale of the rounding error of the
-    eigenpairs it rests on (the AR(1) closed form's eigenvalues lie within
-    3 eps, relative, of the exact ones), so that the value bounds the
-    largest eigenvalue of the dense matrix too.
-    """
-    lo, hi = sorted((float(d[-1]), float(d[-1] + c * v2.sum())))
-    if c < 0 and d.size > 1:
-        lo = max(lo, float(d[-2]))
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if c * (1.0 + c * float(np.sum(v2 / (d - mid)))) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi + d.size * np.finfo(float).eps * abs(hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,26 +512,40 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
-    """The dataset save_dataset wrote to path; ValueError names a key
-    that its meta.json lacks."""
-    with open(os.path.join(path, "meta.json")) as fh:
+    """The dataset save_dataset wrote to path; ValueError names a key that
+    its meta.json lacks or holds a value of the wrong type for."""
+    meta_path = os.path.join(path, "meta.json")
+    with open(meta_path) as fh:
         meta = json.load(fh)
-    try:
-        n, p = meta["n"], meta["p"]
-        X = np.fromfile(os.path.join(path, "X.bin"),
-                        dtype="<f8").reshape(n, p)
-        y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
-        eps_path = os.path.join(path, "eps.bin")
-        noise = np.fromfile(eps_path, dtype="<f8") \
-            if os.path.exists(eps_path) else None
-        spec = meta["covariance"]
-        cov = None if spec is None else CovarianceModel.from_spec(spec, p)
-        return Dataset(_readonly(X), _readonly(y), meta["model_kind"],
-                       meta["design_kind"],
-                       _readonly(noise) if noise is not None else None,
-                       meta["noise_sd"],
-                       _readonly(np.asarray(meta["beta_star"], dtype=float)),
-                       cov, int(meta["seed"]))
-    except KeyError as exc:
-        raise ValueError("%s lacks the key %s"
-                         % (os.path.join(path, "meta.json"), exc)) from None
+    if not isinstance(meta, dict):
+        raise ValueError("%s holds no JSON object" % meta_path)
+
+    def typed(value, types):
+        return isinstance(value, types) and not isinstance(value, bool)
+
+    number, none = (int, float), type(None)
+    for key, types in (("n", int), ("p", int), ("seed", int),
+                       ("model_kind", str), ("design_kind", str),
+                       ("covariance", (str, none)), ("beta_star", list),
+                       ("noise_sd", number + (none,))):
+        if key not in meta:
+            raise ValueError("%s lacks the key '%s'" % (meta_path, key))
+        value = meta[key]
+        if not typed(value, types) or key == "beta_star" and \
+                not all(typed(b, number) for b in value):
+            raise ValueError("%s: the key '%s' holds %r, a value of the "
+                             "wrong type" % (meta_path, key, value))
+    n, p = meta["n"], meta["p"]
+    X = np.fromfile(os.path.join(path, "X.bin"), dtype="<f8").reshape(n, p)
+    y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
+    eps_path = os.path.join(path, "eps.bin")
+    noise = np.fromfile(eps_path, dtype="<f8") \
+        if os.path.exists(eps_path) else None
+    spec = meta["covariance"]
+    cov = None if spec is None else CovarianceModel.from_spec(spec, p)
+    return Dataset(_readonly(X), _readonly(y), meta["model_kind"],
+                   meta["design_kind"],
+                   _readonly(noise) if noise is not None else None,
+                   meta["noise_sd"],
+                   _readonly(np.asarray(meta["beta_star"], dtype=float)),
+                   cov, meta["seed"])

@@ -22,8 +22,8 @@ BOUNDARY_TOL = 1e-9
 
 
 def _check_step(step):
-    if step <= 0:
-        raise ValueError("prox step must be > 0")
+    if not step > 0:
+        raise ValueError("prox step must be > 0, got %r" % (step,))
 
 
 def _pair(beta, grad):

@@ -6,7 +6,8 @@ against the population curvature matrix; its minimizer is the first-order
 expansion of the penalized estimator. Both run the same FISTA loop over a
 smooth part seen through an affine image of the iterate (X b for the fit,
 K (b - z) for the surrogate). The fit finds its step by backtracking; the
-surrogate steps by 1/lambda_max(K), taken from the curvature's eig_max.
+surrogate steps by 1/eig_max, the curvature's certified bound on
+lambda_max(K), exact for covariances and for the logistic K on identity Sigma.
 The fit runs that loop on a working set of columns of X, grown until the
 full-gradient KKT residual certifies the whole vector. Both certify
 convergence through the penalty's subdifferential residual, independent of
@@ -242,7 +243,8 @@ def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     The smooth part is seen through u = K (b - z), which is also its
     gradient, so each iteration costs one product with K. passes counts
     those products plus the full passes over X that expansion_center made.
-    The step is the exact 1/lambda_max(K) from curvature.eig_max, and the
+    The step is 1/curvature.eig_max, where eig_max >= lambda_max(K) is
+    exact for covariances and for the logistic K on identity Sigma. The
     solve starts at z, so the identity-curvature case converges in one prox
     step.
     """

@@ -83,9 +83,9 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
 @dataclass(frozen=True, eq=False)
 class DenseCovariance(CovarianceModel):
     """A dense symmetric positive-definite matrix: products, solves and
-    submatrices read the stored matrix; eig_min, eig_max, the square root
-    and rank-one updates on it read eigh's eigenpairs through the
-    CovarianceModel fields w and B = V diag(w^{1/4})."""
+    submatrices read the stored matrix; eig_min, eig_max (which a rank-one
+    update on it reads too) and the square root read eigh's eigenpairs
+    through the CovarianceModel fields w and B = V diag(w^{1/4})."""
 
     dense: np.ndarray | None = field(default=None, repr=False)
 

@@ -168,13 +168,25 @@ def test_logistic_pipeline_imports_no_scipy():
     assert out.stdout.split() == []
 
 
+def _readme():
+    with open(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(penexp.__file__))), "README.md")) as fh:
+        return fh.read()
+
+
+def test_readme_python_example_runs():
+    # a fresh interpreter, as a reader of README would run it
+    code = _readme().split("```python\n", 1)[1].split("```", 1)[0]
+    src = os.path.dirname(os.path.dirname(penexp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_readme_config_block_lists_every_config_key():
     # the ini block under "Experiment configs" is the config reference
-    readme = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.dirname(penexp.__file__))), "README.md")
-    with open(readme) as fh:
-        text = fh.read()
-    block = text.split("## Experiment configs", 1)[1]
+    block = _readme().split("## Experiment configs", 1)[1]
     block = block.split("```ini\n", 1)[1].split("```", 1)[0]
     keys = {line.split("#", 1)[0].partition("=")[0].strip()
             for line in block.splitlines() if "=" in line.split("#", 1)[0]}

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import penexp
 from penexp import cli, harness, model, solver
 from penexp.cones import minimax_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
@@ -247,6 +251,23 @@ def run_tiny(tmp_path, name, **overrides):
     return cfg, run_experiment(cfg)
 
 
+INT_COLUMNS = {"point", "n", "p", "s", "M", "d", "rep", "seed",
+               "est_iterations", "exp_iterations", "nnz_coords",
+               "nnz_groups"}
+FLAG_COLUMNS = {"est_converged", "exp_converged", "cone_est", "cone_exp",
+                "cone_both", "risk_ok", "covered", "sparsity_ok"}
+
+
+def assert_typed_as_written(recs):
+    # each cell comes back with its column's type, an integral float too
+    for rec in recs:
+        assert list(rec) == RECORD_FIELDS
+        for k, v in rec.items():
+            want = int if k in INT_COLUMNS else \
+                bool if k in FLAG_COLUMNS else float
+            assert v is None or type(v) is want, (k, v)
+
+
 def test_run_experiment_outputs(tmp_path):
     cfg, summary = run_tiny(tmp_path, "a")
     out = tmp_path / "a"
@@ -260,7 +281,9 @@ def test_run_experiment_outputs(tmp_path):
     assert [(r["point"], r["rep"]) for r in recs] == \
         sorted((r["point"], r["rep"]) for r in recs)
     assert recs[0]["r_n"] == minimax_rate("lasso", 60, p=30, s=2)
-    assert isinstance(recs[0]["est_converged"], bool)
+    assert_typed_as_written(recs)
+    # the expansion on K = I ends at a zero residual
+    assert any(r["exp_kkt"] == 0.0 for r in recs)
     assert recs[0]["est_time"] if "est_time" in RECORD_FIELDS else True
     # summary.json round trips
     loaded = json.loads((out / "summary.json").read_text())
@@ -344,7 +367,7 @@ def test_point_setups_start_largest_first(tmp_path, monkeypatch):
 def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,
                                                         monkeypatch):
     # Sigma's closed-form eigenpairs serve the design's square root and
-    # every use of the rank-one K: its eig_max step, its solve and its norms
+    # Sigma's eig_max, which the rank-one K's eig_max step reads
     calls = []
     real_eigh = np.linalg.eigh
 
@@ -481,12 +504,27 @@ def test_cli_generate_fit_expand(tmp_path, capsys):
     assert eta.shape == (30,)
 
 
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _with(**items):
+    return lambda meta: dict(meta, **items)
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda meta: meta.pop("covariance"), "lacks the key 'covariance'"),
-    (lambda meta: meta.pop("n"), "lacks the key 'n'"),
-    (lambda meta: meta.update(model_kind="poisson"),
-     "unknown model kind 'poisson'"),
-], ids=["no_covariance", "no_n", "unknown_model_kind"])
+    (_without("covariance"), "lacks the key 'covariance'"),
+    (_without("n"), "lacks the key 'n'"),
+    (_with(model_kind="poisson"), "unknown model kind 'poisson'"),
+    (lambda meta: [1], "holds no JSON object"),
+    (_with(n="40"), "the key 'n' holds '40'"),
+    (_with(p=10.0), "the key 'p' holds 10.0"),
+    (_with(seed=True), "the key 'seed' holds True"),
+    (_with(covariance=5), "the key 'covariance' holds 5"),
+    (_with(beta_star=[None] * 10), "the key 'beta_star'"),
+], ids=["no_covariance", "no_n", "unknown_model_kind", "not_an_object",
+        "n_a_string", "p_a_float", "seed_a_flag", "covariance_a_number",
+        "beta_star_nulls"])
 def test_cli_fit_refuses_a_malformed_meta_json(tmp_path, capsys, edit,
                                                message):
     ds = tmp_path / "ds"
@@ -494,8 +532,7 @@ def test_cli_fit_refuses_a_malformed_meta_json(tmp_path, capsys, edit,
               "--out", str(ds)])
     capsys.readouterr()
     meta = json.loads((ds / "meta.json").read_text())
-    edit(meta)
-    (ds / "meta.json").write_text(json.dumps(meta))
+    (ds / "meta.json").write_text(json.dumps(edit(meta)))
     rc = cli.main(["fit", str(ds), "--penalty", "l1:0.3",
                    "--out", str(tmp_path / "sol")])
     assert rc == 2
@@ -789,6 +826,37 @@ def test_cli_coverage_smoke(tmp_path, capsys):
     recs = load_records_csv(tmp_path / "cov" / "records.csv")
     assert len(recs) == 8
     assert all(r["covered"] in (True, False) for r in recs)
+    assert_typed_as_written(recs)
+    assert all(r["target"] == 1.0 for r in recs)
+
+
+def _penexp_process(*args):
+    # a fresh process with a timeout, so a solve that never ends fails
+    src = os.path.dirname(os.path.dirname(penexp.__file__))
+    return subprocess.run([sys.executable, "-m", "penexp", *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_logistic_signal_beyond_the_quadrature_is_refused(tmp_path, capsys):
+    # ||Sigma^{1/2} beta*|| = sqrt(5) at the default amplitude: no two
+    # Gauss-Hermite rules with finite weights agree there, and the
+    # curvature is refused before any solve
+    named = "||Sigma^{1/2} beta*|| = 2.236"
+    conf = tmp_path / "run.conf"
+    conf.write_text("experiment = rates\nloss = logistic\n"
+                    "replications = 1\nthreads = 1\ngrid = n=200 p=40 s=5\n")
+    out = _penexp_process("experiment", str(conf),
+                          "--out", str(tmp_path / "res"))
+    assert out.returncode == 2 and named in out.stderr
+    ds = str(tmp_path / "ds")
+    with pytest.warns(UserWarning):
+        assert cli.main(["generate", "--model", "logistic", "--n", "200",
+                         "--p", "40", "--s", "5", "--out", ds]) == 0
+    out = _penexp_process("expand", ds, "--penalty", "l1:0.05",
+                          "--out", str(tmp_path / "exp"))
+    assert out.returncode == 2 and named in out.stderr
+    assert not (tmp_path / "exp").exists()
 
 
 def test_cli_usage_error_exit_code():

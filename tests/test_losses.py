@@ -6,7 +6,8 @@ import pytest
 from scipy.linalg import eigh as generalized_eigh
 
 from oracles import (curvature_lower_bound, curvature_matrix_mc,
-                     logistic_curvature_dense, stability_ratio_check)
+                     dense_covariance, logistic_curvature_dense,
+                     stability_ratio_check)
 from penexp import diagnostics, losses, model
 from penexp.losses import LOGISTIC, SQUARED
 
@@ -173,7 +174,9 @@ def test_logistic_rank_one_k_matches_dense(p, rho):
     idx = np.array([0, 3, 4, p - 1])
     assert rel(K.principal(idx), dense[np.ix_(idx, idx)]) <= 1e-12
     eigs = np.linalg.eigvalsh(dense)
-    assert K.eig_max == pytest.approx(eigs[-1], rel=1e-12)
+    # eig_max is Weyl's bound: with c <= 0 it is m0 w_max, raised by p eps
+    eps = np.finfo(float).eps
+    assert eigs[-1] <= K.eig_max <= K._m0 * cov.eig_max * (1.0 + p * eps)
     # a step of 1/eig_max is never longer than the dense matrix allows
     assert K.eig_max >= eigs[-1] - np.spacing(eigs[-1])
     ratio = generalized_eigh(cov.matrix, dense, eigvals_only=True).max()
@@ -191,8 +194,72 @@ def test_logistic_k_eig_max_bounds_dense_eigenvalue(p, rho):
     assert K.eig_max >= np.linalg.eigvalsh(K.matrix).max()
 
 
+def test_logistic_k_has_no_positive_rank_one_term():
+    # sig'(vz) falls as z^2 grows, so by Chebyshev's association
+    # inequality a2 = E sig'(vZ) Z^2 <= E sig'(vZ) = m0 and c <= 0, over the
+    # quadrature's whole range of ||Sigma^{1/2} beta*||
+    cov = model.CovarianceModel.identity(1)
+    norms = np.concatenate([np.logspace(-12, 0, 25), np.linspace(1, 2.02, 52)])
+    for v in norms:
+        K = losses.curvature_matrix(LOGISTIC, cov, np.array([v]))
+        assert K._c <= 0.0 < K._m0
+
+
+def _weyl_bound(K):
+    hi = K._m0 * K.base.eig_max + max(K._c, 0.0) * float(K._q @ K._q)
+    return hi + K.p * np.finfo(float).eps * abs(hi)
+
+
+@pytest.mark.parametrize("p", [2, 30, 200])
+def test_rank_one_eig_max_is_weyls_bound_bitwise(p):
+    beta = model.flat_signal(p, 2, 0.5)
+    for cov in (model.CovarianceModel.identity(p),
+                model.CovarianceModel.ar1(p, 0.5)):
+        K = losses.curvature_matrix(LOGISTIC, cov, beta)
+        assert K._c < 0.0
+        assert K.eig_max.hex() == _weyl_bound(K).hex()
+    # c > 0 on a dense base: the rank-one term counts in full
+    rng = np.random.default_rng(p)
+    A = rng.standard_normal((p, p))
+    base = dense_covariance(A @ A.T / p + np.eye(p))
+    K = model.CovarianceModel.rank_one(base, 0.7, 0.3, rng.standard_normal(p))
+    assert K.eig_max.hex() == _weyl_bound(K).hex()
+    assert K.eig_max >= np.linalg.eigvalsh(K.matrix).max()
+
+
+@pytest.mark.parametrize("p", [2, 3, 300])
+def test_logistic_k_eig_max_on_identity_is_m0_raised_by_p_eps(p):
+    # on identity Sigma with p >= 2, K's largest eigenvalue is m0 itself;
+    # eig_max is m0 raised by p eps, the value the previous bisection
+    # returned from its bracket, closed at m0
+    cov = model.CovarianceModel.identity(p)
+    K = losses.curvature_matrix(LOGISTIC, cov, model.flat_signal(p, 2, 0.5))
+    m0 = K._m0
+    assert K.eig_max.hex() == (m0 + p * np.finfo(float).eps * m0).hex()
+
+
+@pytest.mark.parametrize("m0, c, q", [
+    (float("nan"), -0.1, [1.0, 0.0]),
+    (0.2, float("nan"), [1.0, 0.0]),
+    (0.2, float("inf"), [1.0, 0.0]),
+    (0.2, -0.1, [float("nan"), 0.0]),
+], ids=["m0", "c", "c_inf", "q"])
+def test_rank_one_refuses_non_finite_inputs(m0, c, q):
+    cov = model.CovarianceModel.identity(2)
+    with pytest.raises(ValueError, match="non-finite"):
+        model.CovarianceModel.rank_one(cov, m0, c, q)
+
+
+def test_logistic_k_refuses_a_signal_beyond_the_quadrature():
+    # no two Gauss-Hermite rules with finite weights agree beyond a norm
+    # of about 2.02: refused by name, never returned unconverged
+    cov = model.CovarianceModel.identity(40)
+    with pytest.raises(ValueError, match=r"beta\*\|\| = 2\.236"):
+        losses.curvature_matrix(LOGISTIC, cov, model.flat_signal(40, 5, 1.0))
+
+
 def test_logistic_k_holds_no_p_by_p_array():
-    # Sigma's eigenpairs are all K needs: building it, stepping, solving
+    # Sigma's own operators are all K needs: building it, stepping, solving
     # and bounding the norm ratio allocate O(p) memory beyond Sigma's
     p = 1500
     cov = model.CovarianceModel.ar1(p, 0.5)

@@ -70,8 +70,9 @@ def test_prox_step_scaling(pen):
     # prox of t*h: threshold is t*lambda (the ball projects whatever t is)
     x = np.array([2.0])
     assert pen.prox(x, 2.0)[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        pen.prox(x, 0.0)
+    for step in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="prox step must be > 0"):
+            pen.prox(x, step)
 
 
 @st.composite
