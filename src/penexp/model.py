@@ -513,7 +513,8 @@ def save_dataset(dataset, path):
 
 def load_dataset(path):
     """The dataset save_dataset wrote to path; ValueError names a key that
-    its meta.json lacks or holds a value of the wrong type for."""
+    its meta.json lacks or holds a value of the wrong type or out of range
+    for, or a y.bin or eps.bin whose length is not n."""
     meta_path = os.path.join(path, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
@@ -536,11 +537,24 @@ def load_dataset(path):
             raise ValueError("%s: the key '%s' holds %r, a value of the "
                              "wrong type" % (meta_path, key, value))
     n, p = meta["n"], meta["p"]
+    for key, bad in (("n", n < 1), ("p", p < 1),
+                     ("design_kind", meta["design_kind"] not in
+                      ("gaussian", "rademacher"))):
+        if bad:
+            raise ValueError("%s: the key '%s' holds %r, a value out of "
+                             "range" % (meta_path, key, meta[key]))
+    if len(meta["beta_star"]) != p:
+        raise ValueError("%s: the key 'beta_star' holds %d values, not "
+                         "p = %d" % (meta_path, len(meta["beta_star"]), p))
     X = np.fromfile(os.path.join(path, "X.bin"), dtype="<f8").reshape(n, p)
     y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
     eps_path = os.path.join(path, "eps.bin")
     noise = np.fromfile(eps_path, dtype="<f8") \
         if os.path.exists(eps_path) else None
+    for name, vec in (("y.bin", y), ("eps.bin", noise)):
+        if vec is not None and vec.size != n:
+            raise ValueError("%s holds %d values, not n = %d"
+                             % (os.path.join(path, name), vec.size, n))
     spec = meta["covariance"]
     cov = None if spec is None else CovarianceModel.from_spec(spec, p)
     return Dataset(_readonly(X), _readonly(y), meta["model_kind"],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -117,7 +118,7 @@ def logistic_curvature_dense(cov, beta_star):
     """The logistic K = m0 Sigma + c q q' as a dense array, with q = Sigma
     beta*, v^2 = beta*' q, m0 = E sig'(vZ) and c = (E sig'(vZ) Z^2 - m0)/v^2,
     both expectations by adaptive quadrature (scipy's quad, not the
-    package's Gauss-Hermite rule)."""
+    package's trapezoid rule)."""
     sigma = cov.matrix
     q = sigma @ beta_star
     v = float(np.sqrt(beta_star @ q))
@@ -133,6 +134,22 @@ def logistic_curvature_dense(cov, beta_star):
     m0 = expect(d2)
     a2 = expect(lambda z: d2(z) * z * z)
     return m0 * sigma + ((a2 - m0) / (v * v)) * np.outer(q, q)
+
+
+def logistic_moments_mpmath(v):
+    """(E sig'(vZ), E sig'(vZ) Z^2) for v > 0 by mpmath's adaptive
+    quadrature at 40 digits, with the range split where the peak of
+    sig'(vz) (width 1/v) ends, as floats."""
+    with mpmath.workdps(40):
+        v = mpmath.mpf(v)
+
+        def f(z):
+            e = mpmath.exp(-abs(v * z))
+            return e / (1 + e) ** 2 * mpmath.npdf(z)
+
+        cuts = [-mpmath.inf, -1 / v, 0, 1 / v, mpmath.inf]
+        return (float(mpmath.quad(f, cuts)),
+                float(mpmath.quad(lambda z: f(z) * z * z, cuts)))
 
 
 def prox_risk_quadrature(penalty, beta_star, noise_scale, n):

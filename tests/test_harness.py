@@ -505,26 +505,41 @@ def test_cli_generate_fit_expand(tmp_path, capsys):
 
 
 def _without(key):
-    return lambda meta: {k: v for k, v in meta.items() if k != key}
+    return lambda meta, ds: {k: v for k, v in meta.items() if k != key}
 
 
 def _with(**items):
-    return lambda meta: dict(meta, **items)
+    return lambda meta, ds: dict(meta, **items)
+
+
+def _shortened(name):
+    def edit(meta, ds):
+        (ds / name).write_bytes((ds / name).read_bytes()[:-8])
+        return meta
+    return edit
 
 
 @pytest.mark.parametrize("edit, message", [
     (_without("covariance"), "lacks the key 'covariance'"),
     (_without("n"), "lacks the key 'n'"),
     (_with(model_kind="poisson"), "unknown model kind 'poisson'"),
-    (lambda meta: [1], "holds no JSON object"),
+    (lambda meta, ds: [1], "holds no JSON object"),
     (_with(n="40"), "the key 'n' holds '40'"),
     (_with(p=10.0), "the key 'p' holds 10.0"),
     (_with(seed=True), "the key 'seed' holds True"),
     (_with(covariance=5), "the key 'covariance' holds 5"),
     (_with(beta_star=[None] * 10), "the key 'beta_star'"),
+    (_with(n=-1), "the key 'n' holds -1, a value out of range"),
+    (_with(p=-10), "the key 'p' holds -10, a value out of range"),
+    (_with(design_kind="bogus"), "the key 'design_kind' holds 'bogus'"),
+    (_with(beta_star=[0.0] * 9), "the key 'beta_star' holds 9 values, "
+                                 "not p = 10"),
+    (_shortened("y.bin"), "y.bin holds 39 values, not n = 40"),
+    (_shortened("eps.bin"), "eps.bin holds 39 values, not n = 40"),
 ], ids=["no_covariance", "no_n", "unknown_model_kind", "not_an_object",
         "n_a_string", "p_a_float", "seed_a_flag", "covariance_a_number",
-        "beta_star_nulls"])
+        "beta_star_nulls", "n_negative", "p_negative", "design_kind_unknown",
+        "beta_star_short", "y_short", "eps_short"])
 def test_cli_fit_refuses_a_malformed_meta_json(tmp_path, capsys, edit,
                                                message):
     ds = tmp_path / "ds"
@@ -532,7 +547,7 @@ def test_cli_fit_refuses_a_malformed_meta_json(tmp_path, capsys, edit,
               "--out", str(ds)])
     capsys.readouterr()
     meta = json.loads((ds / "meta.json").read_text())
-    (ds / "meta.json").write_text(json.dumps(edit(meta)))
+    (ds / "meta.json").write_text(json.dumps(edit(meta, ds)))
     rc = cli.main(["fit", str(ds), "--penalty", "l1:0.3",
                    "--out", str(tmp_path / "sol")])
     assert rc == 2
@@ -838,25 +853,28 @@ def _penexp_process(*args):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_logistic_signal_beyond_the_quadrature_is_refused(tmp_path, capsys):
-    # ||Sigma^{1/2} beta*|| = sqrt(5) at the default amplitude: no two
-    # Gauss-Hermite rules with finite weights agree there, and the
-    # curvature is refused before any solve
-    named = "||Sigma^{1/2} beta*|| = 2.236"
+def test_logistic_signal_at_the_default_amplitude_is_certified(tmp_path,
+                                                               capsys):
+    # ||Sigma^{1/2} beta*|| = sqrt(5) at the default amplitude, beyond the
+    # unit ball: the curvature is built and both solves are certified
     conf = tmp_path / "run.conf"
     conf.write_text("experiment = rates\nloss = logistic\n"
                     "replications = 1\nthreads = 1\ngrid = n=200 p=40 s=5\n")
     out = _penexp_process("experiment", str(conf),
                           "--out", str(tmp_path / "res"))
-    assert out.returncode == 2 and named in out.stderr
+    assert out.returncode == 0, out.stderr
+    [rec] = load_records_csv(tmp_path / "res" / "records.csv")
+    assert rec["est_converged"] is True and rec["exp_converged"] is True
+    assert rec["est_kkt"] <= 1e-8 and rec["exp_kkt"] <= 1e-8
     ds = str(tmp_path / "ds")
     with pytest.warns(UserWarning):
         assert cli.main(["generate", "--model", "logistic", "--n", "200",
                          "--p", "40", "--s", "5", "--out", ds]) == 0
     out = _penexp_process("expand", ds, "--penalty", "l1:0.05",
                           "--out", str(tmp_path / "exp"))
-    assert out.returncode == 2 and named in out.stderr
-    assert not (tmp_path / "exp").exists()
+    assert out.returncode == 0, out.stderr
+    info = json.loads((tmp_path / "exp" / "expansion.json").read_text())
+    assert info["converged"] is True
 
 
 def test_cli_usage_error_exit_code():
