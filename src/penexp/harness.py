@@ -10,6 +10,8 @@ mapped OpenBLAS copy is held at one thread while they run: the pool is the
 parallelism, and BLAS helper threads would only take cores from the other
 workers. It also makes the BLAS results, hence the outputs, independent of
 the process's BLAS thread setting. The previous counts come back afterwards.
+No barrier holds the tasks: each waits only for its own point's set-up,
+which was queued ahead of every task and so is running or done by then.
 
 Outputs in the configured directory: records.csv (RFC 4180, fixed header,
 floats at 17 significant digits), timings.csv (wall times, kept out of
@@ -379,7 +381,8 @@ def run_experiment(cfg):
     The point set-ups, largest p first, then the tasks, run in a pool of
     cfg.threads workers (one per usable core for 0), each computing with one
     OpenBLAS thread; the previous OpenBLAS thread counts come back when the
-    run ends or raises.
+    run ends or raises. A set-up or task that raises cancels the queued
+    tasks, and its error propagates before any output is written.
     Returns the summary dict (also written to summary.json). Records from
     non-converged solves stay in records.csv flagged as such but are
     excluded from all summary statistics.
@@ -397,15 +400,18 @@ def run_experiment(cfg):
 
     def work(task):
         pi, ri = task
-        return _run_task(cfg, setups[pi], loss, solver_cfg, pi, ri)
+        return _run_task(cfg, pending[pi].result(), loss, solver_cfg, pi, ri)
 
     with _blas_threads(1), ThreadPoolExecutor(max_workers=workers) as pool:
         # largest p first, so that the costliest set-up never starts last
         by_size = sorted(range(len(cfg.grid)), key=lambda i: -cfg.grid[i].p)
         pending = {i: pool.submit(_setup_point, cfg, cfg.grid[i], loss)
                    for i in by_size}
-        setups = [pending[i].result() for i in range(len(cfg.grid))]
-        results = list(pool.map(work, tasks))
+        try:
+            results = list(pool.map(work, tasks))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     # pool.map keeps the task order, which is (point, rep)
     records = [r for r, _ in results]
     timings = [t for _, t in results]

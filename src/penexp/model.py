@@ -1,7 +1,7 @@
 """Problem instances and synthetic data generation.
 
-Symmetric positive-definite matrices (covariances and curvatures) with
-lazily built factors, group structures, and the two observation models:
+Symmetric positive-definite matrices (covariances and curvatures) as
+structured operators, group structures, and the two observation models:
 Gaussian-noise linear regression and binary labels with the flipped
 convention P(Y=1|x) = 1/(1+exp(x'beta)), under which a large positive index
 x'beta makes the label 1 rare.
@@ -59,10 +59,10 @@ class CovarianceModel:
     - The identity stores no p x p array: products, solves and norms act on
       their argument directly, and `matrix` builds I only when asked for.
     - AR(1) with rho != 0 holds its eigenvalues w (ascending, in closed
-      form; see _ar1_eigenpairs) and one p x p factor B = V diag(w^{1/4}),
-      and builds the symmetric root B B' on first use (not a Cholesky
-      factor, so ||Sigma^{1/2} u|| norms read as in the analysis). No dense
-      Sigma is held: products are B (w^{1/2} * B'u), two O(p^2) products,
+      form; see _ar1_eigenpairs) and one p x p array, the symmetric root
+      R = B B' with B = V diag(w^{1/4}), built at construction (not a
+      Cholesky factor, so ||Sigma^{1/2} u|| norms read as in the analysis).
+      No dense Sigma is held: products are R (R u), two O(p^2) products,
       and solves the O(p) tridiagonal stencil of Sigma^{-1}.
     - A rank-one update m0 base + c q q' of a covariance base (rank_one; the
       logistic curvature). It holds a reference to base, the scalars m0 and
@@ -83,7 +83,7 @@ class CovarianceModel:
     p: int
     rho: float
     _w: np.ndarray | None = field(default=None, repr=False)
-    _factor: np.ndarray | None = field(default=None, repr=False)
+    _root: np.ndarray | None = field(default=None, repr=False)
     # the covariance a rank-one update is made from, None otherwise
     base: CovarianceModel | None = field(default=None, repr=False)
     _m0: float = 1.0
@@ -114,7 +114,9 @@ class CovarianceModel:
             return cls("ar1", p, rho)
         w, vecs = _ar1_eigenpairs(p, rho)
         vecs *= w ** 0.25
-        return cls("ar1", p, rho, w, _readonly(vecs))
+        # B B' with B = V diag(w^{1/4}): numpy runs it as a symmetric
+        # rank-k update, so the root is exactly symmetric
+        return cls("ar1", p, rho, w, _readonly(vecs @ vecs.T))
 
     @classmethod
     def from_spec(cls, spec, p):
@@ -190,15 +192,11 @@ class CovarianceModel:
         a = self._sherman_morrison[1]
         return min(self._m0, a), max(self._m0, a)
 
-    @cached_property
+    @property
     def sqrt(self):
         if self.base is not None:
             raise ValueError("a rank-one update builds no p x p factor")
-        if self.is_identity:
-            return self.matrix
-        # B B' with B = V diag(w^{1/4}): numpy runs it as a symmetric
-        # rank-k update, so the root is exactly symmetric
-        return _readonly(self._factor @ self._factor.T)
+        return self.matrix if self.is_identity else self._root
 
     def principal(self, idx):
         """The principal submatrix on the indices idx."""
@@ -219,11 +217,7 @@ class CovarianceModel:
                 np.multiply.outer(self._q, self._c * (self._q @ u))
         if self.is_identity:
             return u
-        # Sigma u = B (w^{1/2} * B'u), with B = V diag(w^{1/4})
-        t = self._factor.T @ u
-        h = np.sqrt(self._w)
-        t *= h if t.ndim == 1 else h[:, None]
-        return self._factor @ t
+        return self._root @ (self._root @ u)
 
     def solve(self, u):
         """The inverse times u, a vector or a matrix of columns."""
@@ -514,7 +508,7 @@ def save_dataset(dataset, path):
 def load_dataset(path):
     """The dataset save_dataset wrote to path; ValueError names a key that
     its meta.json lacks or holds a value of the wrong type or out of range
-    for, or a y.bin or eps.bin whose length is not n."""
+    for, or an X.bin (n p values), y.bin or eps.bin (n) of another length."""
     meta_path = os.path.join(path, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
@@ -546,19 +540,21 @@ def load_dataset(path):
     if len(meta["beta_star"]) != p:
         raise ValueError("%s: the key 'beta_star' holds %d values, not "
                          "p = %d" % (meta_path, len(meta["beta_star"]), p))
-    X = np.fromfile(os.path.join(path, "X.bin"), dtype="<f8").reshape(n, p)
+    X = np.fromfile(os.path.join(path, "X.bin"), dtype="<f8")
     y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
     eps_path = os.path.join(path, "eps.bin")
     noise = np.fromfile(eps_path, dtype="<f8") \
         if os.path.exists(eps_path) else None
-    for name, vec in (("y.bin", y), ("eps.bin", noise)):
-        if vec is not None and vec.size != n:
-            raise ValueError("%s holds %d values, not n = %d"
-                             % (os.path.join(path, name), vec.size, n))
+    for name, vec, what, want in (("X.bin", X, "n·p", n * p),
+                                  ("y.bin", y, "n", n),
+                                  ("eps.bin", noise, "n", n)):
+        if vec is not None and vec.size != want:
+            raise ValueError("%s holds %d values, not %s = %d" % (
+                os.path.join(path, name), vec.size, what, want))
     spec = meta["covariance"]
     cov = None if spec is None else CovarianceModel.from_spec(spec, p)
-    return Dataset(_readonly(X), _readonly(y), meta["model_kind"],
-                   meta["design_kind"],
+    return Dataset(_readonly(X.reshape(n, p)), _readonly(y),
+                   meta["model_kind"], meta["design_kind"],
                    _readonly(noise) if noise is not None else None,
                    meta["noise_sd"],
                    _readonly(np.asarray(meta["beta_star"], dtype=float)),

@@ -139,7 +139,7 @@ class GroupPenalty:
 
     def value(self, beta):
         blocks = self.groups.blocks(np.asarray(beta, dtype=float))
-        return float(self.level * np.linalg.norm(blocks, axis=-1).sum())
+        return float(self.level * _block_norms(blocks).sum())
 
     def prox(self, x, step=1.0):
         """Shrink each block's norm and keep its direction:
@@ -148,7 +148,7 @@ class GroupPenalty:
         _check_step(step)
         x = np.asarray(x, dtype=float)
         blocks = self.groups.blocks(x)
-        norms = np.linalg.norm(blocks, axis=-1)
+        norms = _block_norms(blocks)
         shrunk = np.maximum(norms - step * self.level, 0.0)
         # Dividing dead blocks by 1 instead of masking them keeps a batch
         # free of boolean gathers; their entries come out as +-0.
@@ -161,11 +161,10 @@ class GroupPenalty:
         level-ball where b_G is 0), one per group."""
         beta, grad = _pair(beta, grad)
         b_blocks = self.groups.blocks(beta)
-        b_norms = np.linalg.norm(b_blocks, axis=-1)
+        b_norms = _block_norms(b_blocks)
         # A zero block has direction 0, so its deviation is ||grad_G||.
         dirs = b_blocks / np.where(b_norms > 0.0, b_norms, 1.0)[..., None]
-        dev = np.linalg.norm(self.groups.blocks(grad) + self.level * dirs,
-                             axis=-1)
+        dev = _block_norms(self.groups.blocks(grad) + self.level * dirs)
         return np.where(b_norms > 0.0, dev, np.maximum(dev - self.level, 0.0))
 
     def residual(self, beta, grad):
@@ -180,6 +179,15 @@ class GroupPenalty:
         kept = GroupStructure.contiguous(units.size, d)
         columns = (units[:, None] * d + np.arange(d)).ravel()
         return GroupPenalty(self.level, kept), columns
+
+
+def _block_norms(blocks):
+    """Norms along the last axis, squares summed in order: np.linalg.norm's
+    bits below 8 entries (it sums pairwise from 8), without its slow reduce."""
+    sq = blocks[..., 0] * blocks[..., 0]
+    for j in range(1, blocks.shape[-1]):
+        sq += blocks[..., j] * blocks[..., j]
+    return np.sqrt(sq, out=sq)
 
 
 def soft_threshold(x, t):

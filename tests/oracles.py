@@ -86,7 +86,7 @@ class DenseCovariance(CovarianceModel):
     """A dense symmetric positive-definite matrix: products, solves and
     submatrices read the stored matrix; eig_min, eig_max (which a rank-one
     update on it reads too) and the square root read eigh's eigenpairs
-    through the CovarianceModel fields w and B = V diag(w^{1/4})."""
+    through the CovarianceModel fields w and R = B B', B = V diag(w^{1/4})."""
 
     dense: np.ndarray | None = field(default=None, repr=False)
 
@@ -110,8 +110,8 @@ def dense_covariance(matrix):
     w, vecs = np.linalg.eigh(matrix)
     vecs *= w ** 0.25
     matrix.setflags(write=False)
-    return DenseCovariance("dense", matrix.shape[0], 0.0, w, vecs,
-                           dense=matrix)
+    return DenseCovariance("dense", matrix.shape[0], 0.0, w,
+                           vecs @ vecs.T, dense=matrix)
 
 
 def logistic_curvature_dense(cov, beta_star):

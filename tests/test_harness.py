@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -364,6 +366,56 @@ def test_point_setups_start_largest_first(tmp_path, monkeypatch):
     assert [pt["p"] for pt in summary["points"]] == [20, 40, 30, 40]
 
 
+def test_a_task_starts_before_a_larger_points_set_up_ends(tmp_path,
+                                                         monkeypatch):
+    # the set-up of p = 40 waits for a task of p = 20; behind a barrier
+    # that holds every task until every set-up is done, it times out
+    started, waited = threading.Event(), []
+    real_setup, real_task = harness._setup_point, harness._run_task
+
+    def setup_spy(cfg, pt, loss):
+        if pt.p == 40:
+            waited.append(started.wait(timeout=30))
+        return real_setup(cfg, pt, loss)
+
+    def task_spy(cfg, setup, *args):
+        if setup.point.p == 20:
+            started.set()
+        return real_task(cfg, setup, *args)
+
+    monkeypatch.setattr(harness, "_setup_point", setup_spy)
+    monkeypatch.setattr(harness, "_run_task", task_spy)
+    _, summary = run_tiny(tmp_path, "overlap", replications=1, threads=2,
+                          grid=(GridPoint(60, 20, 2), GridPoint(60, 40, 2)))
+    assert waited == [True]
+    assert summary["records"] == 2 and summary["failed"] == 0
+
+
+def test_a_failed_set_up_raises_and_writes_nothing(tmp_path, monkeypatch):
+    # point 0's set-up raises; the tasks of point 1, each held for 50 ms,
+    # are cancelled where they wait in the queue
+    real_setup, real_task = harness._setup_point, harness._run_task
+    ran = []
+
+    def setup_spy(cfg, pt, loss):
+        if pt.p == 20:
+            raise RuntimeError("set-up failed")
+        return real_setup(cfg, pt, loss)
+
+    def task_spy(*args):
+        ran.append(args[-1])
+        time.sleep(0.05)
+        return real_task(*args)
+
+    monkeypatch.setattr(harness, "_setup_point", setup_spy)
+    monkeypatch.setattr(harness, "_run_task", task_spy)
+    with pytest.raises(RuntimeError, match="set-up failed"):
+        run_tiny(tmp_path, "broken", threads=2, replications=40,
+                 grid=(GridPoint(60, 20, 2), GridPoint(60, 30, 2)))
+    assert not (tmp_path / "broken").exists()
+    assert len(ran) < 40
+
+
 def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,
                                                         monkeypatch):
     # Sigma's closed-form eigenpairs serve the design's square root and
@@ -536,10 +588,11 @@ def _shortened(name):
                                  "not p = 10"),
     (_shortened("y.bin"), "y.bin holds 39 values, not n = 40"),
     (_shortened("eps.bin"), "eps.bin holds 39 values, not n = 40"),
+    (_shortened("X.bin"), "X.bin holds 399 values, not n·p = 400"),
 ], ids=["no_covariance", "no_n", "unknown_model_kind", "not_an_object",
         "n_a_string", "p_a_float", "seed_a_flag", "covariance_a_number",
         "beta_star_nulls", "n_negative", "p_negative", "design_kind_unknown",
-        "beta_star_short", "y_short", "eps_short"])
+        "beta_star_short", "y_short", "eps_short", "x_short"])
 def test_cli_fit_refuses_a_malformed_meta_json(tmp_path, capsys, edit,
                                                message):
     ds = tmp_path / "ds"

@@ -73,7 +73,8 @@ def test_ar1_closed_form_eigenpairs_match_eigh(p, rho):
     else:
         assert np.array_equal(cov.matrix, dense)
         assert np.array_equal(cov._w, w)
-        assert np.array_equal(cov._factor, V * w ** 0.25)
+        b = V * w ** 0.25
+        assert np.array_equal(cov._root, b @ b.T)
 
 
 # the grid of test_ar1_closed_form_eigenpairs_match_eigh, with p = 65 and
@@ -121,21 +122,21 @@ def test_ar1_root_is_the_eigenvector_formula_bitwise(p, rho):
     assert np.array_equal(model.CovarianceModel.ar1(p, rho).sqrt, b @ b.T)
 
 
-def test_ar1_memory_is_one_factor_and_its_root():
+def test_ar1_memory_is_one_root():
     p = 1600
     square, column = 8 * p * p, 8 * p
     tracemalloc.start()
     try:
         cov = model.CovarianceModel.ar1(p, 0.5)
         held, peak = tracemalloc.get_traced_memory()
-        # the factor B alone is kept; the build's row blocks are 64 x p
+        # the root R alone is kept; the build holds the eigenvectors and R,
+        # and the eigenvectors' row blocks are 64 x p
         assert square <= held <= square + 16 * column
-        assert peak <= square + 128 * column
+        assert peak <= 2 * square + 128 * column
         tracemalloc.reset_peak()
         cov.sqrt
         now, peak = tracemalloc.get_traced_memory()
-        assert square <= now - held <= square + column
-        assert peak - held <= square + column
+        assert now - held < column and peak - held < column
         K = losses.curvature_matrix(losses.LOGISTIC, cov,
                                     model.flat_signal(p, 5, 0.25))
         u = np.random.default_rng(0).standard_normal(p)

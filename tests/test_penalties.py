@@ -54,6 +54,17 @@ def test_prox_l1_exact_zero():
     assert b[2] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("d", range(1, 8))
+def test_block_norms_equal_linalg_norm_bitwise(d):
+    # a batch of blocks with entries over many magnitudes, zeros among them
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((3, 500, d)) * 10.0 ** rng.integers(-8, 9, (
+        3, 500, d))
+    x[0, :50] = 0.0
+    assert np.array_equal(penalties._block_norms(x),
+                          np.linalg.norm(x, axis=-1))
+
+
 def test_prox_group_block_shrinkage():
     pen = GroupPenalty(2.0, two_groups())
     x = np.array([3.0, 4.0, 0.3, 0.4])
