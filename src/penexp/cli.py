@@ -20,7 +20,7 @@ import numpy as np
 
 from . import diagnostics, harness, model, solver
 from .losses import curvature_matrix, get_loss
-from .penalties import GroupPenalty, L1BallConstraint, L1Penalty
+from .penalties import GroupPenalty, L1BallConstraint
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,7 +35,8 @@ def parse_penalty_spec(spec, p):
     kind = parts[0]
     try:
         if kind == "l1" and len(parts) == 2:
-            return L1Penalty(float(parts[1]))
+            return GroupPenalty(float(parts[1]),
+                                model.GroupStructure.contiguous(p, 1))
         if kind == "l1ball" and len(parts) == 2:
             return L1BallConstraint(float(parts[1]))
         if kind == "group" and len(parts) == 3:

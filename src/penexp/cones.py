@@ -41,7 +41,7 @@ class GroupCone:
     def member(self, u):
         u = np.asarray(u, dtype=float)
         l2 = np.linalg.norm(u)
-        norms = np.linalg.norm(self.groups.blocks(u), axis=-1)
+        norms = self.groups.norms(u)
         return bool(norms.sum() <= self.c * np.sqrt(self.s) * l2 * (1.0 + 1e-9))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import cones, diagnostics, model, solver
 from .losses import curvature_matrix, get_loss
-from .penalties import GroupPenalty, L1BallConstraint, L1Penalty
+from .penalties import GroupPenalty, L1BallConstraint
 
 EXPERIMENT_KINDS = ("rates", "risk_identity", "coverage", "cone_check",
                     "sparsity_check", "fit")
@@ -189,6 +189,9 @@ def validate_config(cfg):
                 raise ValueError("grid point needs p = M*d, got %r" % (pt,))
             if not pt.M > pt.s:
                 raise ValueError("grid point needs M > s, got %r" % (pt,))
+        elif pt.M is not None or pt.d is not None:
+            raise ValueError("only group_lasso runs take M and d, got %r"
+                             % (pt,))
     if cfg.experiment == "risk_identity":
         if (cfg.loss, cfg.covariance, cfg.design) != \
                 ("squared", "identity", "gaussian"):
@@ -256,7 +259,8 @@ def _make_penalty(cfg, setup, loss, sigma):
     if cfg.penalty == "l1_penalized":
         level = cones.lasso_penalty_level(
             loss, pt.p, pt.s, pt.n, cfg.xi, noise_scale=sigma)
-        return L1Penalty(level), level
+        singletons = model.GroupStructure.contiguous(pt.p, 1)
+        return GroupPenalty(level, singletons), level
     if cfg.penalty == "group_lasso":
         level = cones.group_penalty_level(
             loss, pt.M, pt.d, pt.s, pt.n, cfg.xi, noise_scale=sigma)

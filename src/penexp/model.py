@@ -92,6 +92,8 @@ class CovarianceModel:
 
     @classmethod
     def identity(cls, p):
+        if int(p) < 1:
+            raise ValueError("need p >= 1")
         return cls("identity", int(p), 0.0)
 
     @classmethod
@@ -312,24 +314,37 @@ def _ar1_eigenpairs(p, rho):
 @dataclass(frozen=True, eq=False)
 class GroupStructure:
     """Partition of {0, ..., p-1} into M consecutive groups of equal size d:
-    group k holds the coordinates k*d, ..., (k+1)*d - 1."""
+    group k holds the coordinates k*d, ..., (k+1)*d - 1. It stores M and d
+    alone; the index arrays in groups are built when first read."""
 
     M: int
     d: int
-    groups: tuple
 
     @classmethod
     def contiguous(cls, M, d):
         """M consecutive blocks of size d."""
-        M, d = int(M), int(d)
-        groups = tuple(_readonly(np.arange(k * d, (k + 1) * d), np.intp)
-                       for k in range(M))
-        return cls(M, d, groups)
+        return cls(int(M), int(d))
+
+    @cached_property
+    def groups(self):
+        """The read-only index array of each group, in order."""
+        return tuple(_readonly(np.arange(k * self.d, (k + 1) * self.d),
+                               np.intp) for k in range(self.M))
 
     def blocks(self, x):
         """x with its last axis split into (M, d): row k of the block axis
         is group k. A view whenever the reshape allows one."""
         return x.reshape(x.shape[:-1] + (self.M, self.d))
+
+    def norms(self, x):
+        """The norm of each group of x along its last axis, squares summed
+        in order: np.linalg.norm's bits for d < 8 (it sums pairwise from
+        8), without its slow reduce."""
+        blocks = self.blocks(x)
+        sq = blocks[..., 0] * blocks[..., 0]
+        for j in range(1, self.d):
+            sq += blocks[..., j] * blocks[..., j]
+        return np.sqrt(sq, out=sq)
 
 
 def flat_signal(p, s, amplitude=1.0):

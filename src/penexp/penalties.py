@@ -1,11 +1,13 @@
 """Penalties h with exact proximal maps and subdifferential certificates.
 
-Each penalty class gives h(b) as value, the proximal map of step*h as prox
-(along the last axis, so on a vector or on each row of a batch, with exact
-zeros, as a fresh array that the caller may overwrite) and the KKT residual
-as residual. For the working-set solver it also scores each unit (a
-coordinate, or a group for the group penalty) by how far it violates the
-KKT condition, and restricts itself to a subset of units.
+GroupPenalty is the group lasso, and with groups of one coordinate the
+penalized lasso; L1BallConstraint is the constrained lasso. Each gives h(b)
+as value, the proximal map of step*h as prox (along the last axis, so on a
+vector or on each row of a batch, with exact zeros, as a fresh array that
+the caller may overwrite) and the KKT residual as residual. For the
+working-set solver it also scores each unit (a group, or a coordinate of
+the ball) by how far it violates the KKT condition, and restricts itself
+to a subset of units.
 """
 
 from __future__ import annotations
@@ -32,45 +34,6 @@ def _pair(beta, grad):
     if beta.shape != grad.shape:
         raise ValueError("beta and grad dimensions differ")
     return beta, grad
-
-
-def _largest(scores):
-    return float(scores.max()) if scores.size else 0.0
-
-
-@dataclass(frozen=True)
-class L1Penalty:
-    """h(b) = level * ||b||_1."""
-
-    level: float
-
-    def __post_init__(self):
-        if not 0 <= self.level < np.inf:
-            raise ValueError("penalty level must be >= 0 and finite")
-
-    def value(self, beta):
-        return float(self.level * np.abs(np.asarray(beta, dtype=float)).sum())
-
-    def prox(self, x, step=1.0):
-        _check_step(step)
-        return soft_threshold(np.asarray(x, dtype=float), step * self.level)
-
-    def scores(self, beta, grad):
-        """Coordinatewise distance of -grad from level * sign(beta) (the
-        interval [-level, level] where beta is 0)."""
-        beta, grad = _pair(beta, grad)
-        return np.where(beta != 0.0,
-                        np.abs(grad + self.level * np.sign(beta)),
-                        np.maximum(np.abs(grad) - self.level, 0.0))
-
-    def residual(self, beta, grad):
-        """The largest score."""
-        return _largest(self.scores(beta, grad))
-
-    def restrict(self, units):
-        """This penalty, acting on the coordinates units, and those
-        coordinates."""
-        return self, np.asarray(units, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -128,7 +91,13 @@ class L1BallConstraint:
 
 @dataclass(frozen=True, eq=False)
 class GroupPenalty:
-    """h(b) = level * sum_k ||b_{G_k}|| over a group partition."""
+    """h(b) = level * sum_k ||b_{G_k}|| over a group partition.
+
+    Singleton groups (GroupStructure.contiguous(p, 1)) give the lasso,
+    level * ||b||_1 (Yuan & Lin, JRSS-B 2006), with soft thresholding's bits
+    while sqrt(x*x) == |x|, i.e. 1e-154 < |x| < 1e154 or x = 0; the prox
+    maps -0.0 to -0.0 where soft thresholding gives +0.0.
+    """
 
     level: float
     groups: object
@@ -138,17 +107,16 @@ class GroupPenalty:
             raise ValueError("penalty level must be >= 0 and finite")
 
     def value(self, beta):
-        blocks = self.groups.blocks(np.asarray(beta, dtype=float))
-        return float(self.level * _block_norms(blocks).sum())
+        norms = self.groups.norms(np.asarray(beta, dtype=float))
+        return float(self.level * norms.sum())
 
     def prox(self, x, step=1.0):
         """Shrink each block's norm and keep its direction:
-        (x_G / ||x_G||) * (||x_G|| - step*level)_+. With singleton groups
-        this reproduces soft thresholding bitwise."""
+        (x_G / ||x_G||) * (||x_G|| - step*level)_+."""
         _check_step(step)
         x = np.asarray(x, dtype=float)
         blocks = self.groups.blocks(x)
-        norms = _block_norms(blocks)
+        norms = self.groups.norms(x)
         shrunk = np.maximum(norms - step * self.level, 0.0)
         # Dividing dead blocks by 1 instead of masking them keeps a batch
         # free of boolean gathers; their entries come out as +-0.
@@ -160,16 +128,17 @@ class GroupPenalty:
         """Blockwise distance of -grad from level * b_G/||b_G|| (the
         level-ball where b_G is 0), one per group."""
         beta, grad = _pair(beta, grad)
-        b_blocks = self.groups.blocks(beta)
-        b_norms = _block_norms(b_blocks)
+        b_norms = self.groups.norms(beta)
         # A zero block has direction 0, so its deviation is ||grad_G||.
-        dirs = b_blocks / np.where(b_norms > 0.0, b_norms, 1.0)[..., None]
-        dev = _block_norms(self.groups.blocks(grad) + self.level * dirs)
+        dirs = self.groups.blocks(beta) / np.where(b_norms > 0.0, b_norms,
+                                                   1.0)[..., None]
+        dev = self.groups.norms(grad + self.level * dirs.reshape(grad.shape))
         return np.where(b_norms > 0.0, dev, np.maximum(dev - self.level, 0.0))
 
     def residual(self, beta, grad):
         """The largest score."""
-        return _largest(self.scores(beta, grad))
+        scores = self.scores(beta, grad)
+        return float(scores.max()) if scores.size else 0.0
 
     def restrict(self, units):
         """This penalty over the groups units, re-indexed onto the
@@ -179,15 +148,6 @@ class GroupPenalty:
         kept = GroupStructure.contiguous(units.size, d)
         columns = (units[:, None] * d + np.arange(d)).ravel()
         return GroupPenalty(self.level, kept), columns
-
-
-def _block_norms(blocks):
-    """Norms along the last axis, squares summed in order: np.linalg.norm's
-    bits below 8 entries (it sums pairwise from 8), without its slow reduce."""
-    sq = blocks[..., 0] * blocks[..., 0]
-    for j in range(1, blocks.shape[-1]):
-        sq += blocks[..., j] * blocks[..., j]
-    return np.sqrt(sq, out=sq)
 
 
 def soft_threshold(x, t):

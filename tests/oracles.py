@@ -16,9 +16,16 @@ import numpy as np
 from scipy.integrate import quad
 
 from penexp.cones import LassoCone
-from penexp.model import CovarianceModel, draw_rows, stream_rng
-from penexp.penalties import L1Penalty, soft_threshold
+from penexp.model import (CovarianceModel, GroupStructure, draw_rows,
+                          stream_rng)
+from penexp.penalties import GroupPenalty, soft_threshold
 from penexp.solver import smooth_gradient
+
+
+def lasso(level, p):
+    """The penalized lasso level * ||b||_1 on R^p: the group penalty with
+    p groups of one coordinate."""
+    return GroupPenalty(level, GroupStructure.contiguous(p, 1))
 
 
 def curvature_lower_bound(loss, tau):
@@ -155,10 +162,11 @@ def logistic_moments_mpmath(v):
 def prox_risk_quadrature(penalty, beta_star, noise_scale, n):
     """Coordinatewise adaptive-quadrature version of prox_risk_mc.
 
-    Exact (to quadrature tolerance) for the l1 penalty, whose prox separates
-    over coordinates; used as an independent oracle against the MC path.
+    Exact (to quadrature tolerance) for the lasso, the group penalty on
+    groups of one coordinate, whose prox separates over coordinates; used as
+    an independent oracle against the MC path.
     """
-    if not isinstance(penalty, L1Penalty):
+    if not (isinstance(penalty, GroupPenalty) and penalty.groups.d == 1):
         raise ValueError("quadrature path covers the l1 penalty only")
     beta_star = np.asarray(beta_star, dtype=float)
     tau = float(noise_scale) / np.sqrt(n)

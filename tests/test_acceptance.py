@@ -9,7 +9,7 @@ before looking at its outcome.
 import numpy as np
 import pytest
 
-from oracles import (curvature_matrix_mc, dense_covariance,
+from oracles import (curvature_matrix_mc, dense_covariance, lasso,
                      stability_ratio_check, taylor_remainder_gap)
 from penexp import harness
 from penexp.cones import group_penalty_level, lasso_penalty_level
@@ -18,7 +18,7 @@ from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           flat_signal, generate_design, generate_linear,
                           generate_logistic, noise_scale, stream_rng)
-from penexp.penalties import GroupPenalty, L1BallConstraint, L1Penalty
+from penexp.penalties import GroupPenalty, L1BallConstraint
 from penexp.solver import fit_expansion, fit_penalized, smooth_gradient
 
 RATE_GRID = tuple(harness.GridPoint(n, 2 * n, 5) for n in (400, 800, 1600, 3200))
@@ -46,7 +46,7 @@ def test_orthonormal_design_fit_matches_soft_threshold():
                  design_kind="gaussian", noise=eps, noise_sd=1.0,
                  beta_star=beta_star, covariance=None, seed=0)
     lam = 0.12
-    fit = fit_penalized(ds, get_loss("squared"), L1Penalty(lam))
+    fit = fit_penalized(ds, get_loss("squared"), lasso(lam, p))
     corr = X.T @ ds.y / n
     closed = np.sign(corr) * np.maximum(np.abs(corr) - lam, 0.0)
     assert fit.converged
@@ -61,7 +61,7 @@ def test_identity_curvature_expansion_is_one_prox_step():
     ds = generate_linear(X, beta_star, 1.0, 72, covariance=cov)
     sq = get_loss("squared")
     K = curvature_matrix(sq, cov, beta_star)
-    pen = L1Penalty(0.15)
+    pen = lasso(0.15, 120)
     eta = fit_expansion(ds, sq, K, beta_star, pen)
     z = beta_star + ds.X.T @ ds.noise / ds.n
     assert eta.converged
@@ -94,8 +94,8 @@ def test_hundred_random_instances_all_certify_kkt():
         loss = get_loss(loss_kind)
         sigma = noise_scale(ds) if loss_kind == "squared" else None
         if pen_kind == "l1":
-            pen = L1Penalty(lasso_penalty_level(loss, p, s, n, 0.5,
-                                                noise_scale=sigma))
+            pen = lasso(lasso_penalty_level(loss, p, s, n, 0.5,
+                                            noise_scale=sigma), p)
         elif pen_kind == "group":
             gr = GroupStructure.contiguous(M, d)
             pen = GroupPenalty(group_penalty_level(loss, M, d, s, n, 0.5,

@@ -150,7 +150,7 @@ beta = model.flat_signal(40, 3, 0.25)
 X = model.generate_design(cov, 200, "gaussian", seed=1)
 ds = model.generate_logistic(X, beta, seed=2, covariance=cov)
 curv = losses.curvature_matrix(losses.LOGISTIC, cov, beta)
-pen = penalties.L1Penalty(0.05)
+pen = penalties.GroupPenalty(0.05, model.GroupStructure.contiguous(40, 1))
 est = solver.fit_penalized(ds, losses.LOGISTIC, pen)
 exp = solver.fit_expansion(ds, losses.LOGISTIC, curv, beta, pen)
 assert est.converged and exp.converged

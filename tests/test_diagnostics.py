@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (curvature_fluctuations, curvature_lower_bound,
-                     empirical_curvature_ratio, prox_risk_quadrature,
+                     empirical_curvature_ratio, lasso, prox_risk_quadrature,
                      prox_risk_unchunked, taylor_remainder_gap)
 from penexp.diagnostics import (MC_CHUNK_ELEMENTS, debiased_estimate,
                                 prox_risk_mc, risk_identity_check,
@@ -14,7 +14,7 @@ from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
                           generate_design, generate_linear, generate_logistic,
                           stream_rng)
-from penexp.penalties import GroupPenalty, L1BallConstraint, L1Penalty
+from penexp.penalties import GroupPenalty, L1BallConstraint
 from penexp.solver import fit_expansion, fit_penalized
 
 
@@ -34,7 +34,7 @@ def linear_dataset(n, p, s, seed, noise_sd=1.0, amplitude=1.0, rho=0.0,
 def test_prox_risk_identity_prox():
     # zero penalty level: prox is the identity, risk is tau^2 * p
     beta = np.array([1.0, -2.0, 0.0, 3.0])
-    risk, se = prox_risk_mc(L1Penalty(0.0), beta, 2.0, n=100, n_draws=40000,
+    risk, se = prox_risk_mc(lasso(0.0, 4), beta, 2.0, n=100, n_draws=40000,
                             seed=11)
     assert abs(risk - 4.0 * 4.0 / 100.0) <= 3.0 * se
 
@@ -42,7 +42,7 @@ def test_prox_risk_identity_prox():
 def test_prox_risk_huge_level():
     # the prox collapses to zero, every draw contributes ||beta*||^2
     beta = np.array([1.0, -2.0, 0.5])
-    risk, se = prox_risk_mc(L1Penalty(1e6), beta, 1.0, n=50, n_draws=200,
+    risk, se = prox_risk_mc(lasso(1e6, 3), beta, 1.0, n=50, n_draws=200,
                             seed=3)
     assert risk == pytest.approx(float(beta @ beta), rel=1e-12)
     assert se == 0.0
@@ -50,7 +50,7 @@ def test_prox_risk_huge_level():
 
 def test_prox_risk_mc_vs_quadrature():
     beta = np.array([1.0, 0.0, 0.0])
-    pen = L1Penalty(0.2)
+    pen = lasso(0.2, 3)
     risk, se = prox_risk_mc(pen, beta, 1.0, n=100, n_draws=1000000, seed=17)
     exact = prox_risk_quadrature(pen, beta, 1.0, n=100)
     assert abs(risk - exact) <= 3.0 * se
@@ -58,7 +58,7 @@ def test_prox_risk_mc_vs_quadrature():
 
 def test_prox_risk_quadrature_zero_tau():
     beta = np.array([2.0, 0.3])
-    pen = L1Penalty(0.5)
+    pen = lasso(0.5, 2)
     val = prox_risk_quadrature(pen, beta, 0.0, n=25)
     # deterministic: distance between beta and its soft threshold
     assert val == pytest.approx(0.5 ** 2 + 0.3 ** 2, rel=1e-12)
@@ -71,7 +71,7 @@ def test_prox_risk_quadrature_l1_only():
 
 
 @pytest.mark.parametrize("penalty", [
-    L1Penalty(0.05), L1BallConstraint(2.5),
+    lasso(0.05, 2000), L1BallConstraint(2.5),
     GroupPenalty(0.08, GroupStructure.contiguous(500, 4))],
     ids=["l1", "l1_ball", "group"])
 def test_prox_risk_mc_chunks_match_one_draw(penalty):
@@ -86,7 +86,7 @@ def test_prox_risk_mc_chunks_match_one_draw(penalty):
 
 
 @pytest.mark.parametrize("penalty", [
-    L1Penalty(0.05), L1BallConstraint(2.5),
+    lasso(0.05, 1000), L1BallConstraint(2.5),
     GroupPenalty(0.08, GroupStructure.contiguous(250, 4))],
     ids=["l1", "l1_ball", "group"])
 def test_prox_risk_mc_memory_stays_chunk_sized(penalty):
@@ -104,7 +104,7 @@ def test_prox_risk_mc_memory_stays_chunk_sized(penalty):
 
 def test_prox_risk_needs_draws():
     with pytest.raises(ValueError):
-        prox_risk_mc(L1Penalty(0.1), np.zeros(3), 1.0, 10, n_draws=1, seed=0)
+        prox_risk_mc(lasso(0.1, 3), np.zeros(3), 1.0, 10, n_draws=1, seed=0)
 
 
 def test_group_prox_risk_blockwise_oracle():
@@ -137,7 +137,7 @@ def test_group_prox_risk_blockwise_oracle():
 
 def test_risk_identity_noiseless():
     ds = linear_dataset(60, 20, 3, seed=41, noise_sd=0.0)
-    rep = risk_identity_check(ds, ds.beta_star, ds.beta_star, L1Penalty(0.0),
+    rep = risk_identity_check(ds, ds.beta_star, ds.beta_star, lasso(0.0, ds.p),
                               n_mc=100, seed=1)
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
@@ -147,7 +147,7 @@ def test_risk_identity_noiseless():
 
 def test_risk_identity_small_run():
     ds = linear_dataset(300, 40, 3, seed=43)
-    pen = L1Penalty(0.25)
+    pen = lasso(0.25, ds.p)
     fit = fit_penalized(ds, SQ, pen)
     K = curvature_matrix(SQ, ds.covariance, ds.beta_star)
     exp = fit_expansion(ds, SQ, K, ds.beta_star, pen)
@@ -164,15 +164,15 @@ def test_risk_identity_refusals():
     beta = flat_signal(10, 2, 0.5)
     logit = generate_logistic(X, beta, seed=6, covariance=cov)
     with pytest.raises(ValueError):
-        risk_identity_check(logit, beta, beta, L1Penalty(0.1), 10, 1)
+        risk_identity_check(logit, beta, beta, lasso(0.1, 10), 10, 1)
 
     ds_ar = linear_dataset(40, 10, 2, seed=7, rho=0.5)
     with pytest.raises(ValueError):
-        risk_identity_check(ds_ar, beta, beta, L1Penalty(0.1), 10, 1)
+        risk_identity_check(ds_ar, beta, beta, lasso(0.1, 10), 10, 1)
 
     ds_rad = linear_dataset(40, 10, 2, seed=8, design_kind="rademacher")
     with pytest.raises(ValueError):
-        risk_identity_check(ds_rad, beta, beta, L1Penalty(0.1), 10, 1)
+        risk_identity_check(ds_rad, beta, beta, lasso(0.1, 10), 10, 1)
 
 
 def test_debiased_at_truth():
@@ -188,7 +188,7 @@ def test_debiased_at_truth():
 
 def test_debiased_scale_invariance():
     ds = linear_dataset(150, 20, 2, seed=53, rho=0.4)
-    pen = L1Penalty(0.3)
+    pen = lasso(0.3, ds.p)
     fit = fit_penalized(ds, SQ, pen)
     a = np.zeros(20)
     a[3] = 1.0
@@ -212,7 +212,7 @@ def test_debiased_score_is_design_column():
 
 def test_debiased_interval_consistency():
     ds = linear_dataset(120, 15, 2, seed=59)
-    pen = L1Penalty(0.2)
+    pen = lasso(0.2, ds.p)
     fit = fit_penalized(ds, SQ, pen)
     # the half-width 1.96 sigma/sqrt(n) is 1.96 in t_stat units; a smaller
     # nominal sigma narrows the interval so that some targets fall outside

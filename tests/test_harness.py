@@ -69,6 +69,12 @@ def test_parse_config_errors():
                      "grid = n=10 p=5 s=1\n")
     with pytest.raises(ValueError):
         parse_config("experiment = rates\nnot a key value line\n")
+    # M and d only describe groups: a lasso run refuses them (3*7 != 40)
+    for penalty, sizes in (("l1_penalized", "M=3 d=7"),
+                           ("l1_constrained", "d=4")):
+        with pytest.raises(ValueError, match="only group_lasso runs take M"):
+            parse_config("experiment = rates\npenalty = %s\n"
+                         "grid = n=100 p=40 s=2 %s\n" % (penalty, sizes))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -624,6 +630,17 @@ def test_cli_generate_refuses_negative_noise_sd(tmp_path, capsys):
     assert rc == 2
     assert "noise_sd must be >= 0" in capsys.readouterr().err
     assert not (out / "meta.json").exists()
+
+
+def test_cli_generate_refuses_empty_design(tmp_path, capsys):
+    # p = 0 used to write a dataset that fit then refused
+    for covariance in ("identity", "ar1:0.5"):
+        out = tmp_path / covariance
+        rc = cli.main(["generate", "--n", "10", "--p", "0", "--s", "0",
+                       "--covariance", covariance, "--out", str(out)])
+        assert rc == 2, covariance
+        assert "need p >= 1" in capsys.readouterr().err, covariance
+        assert not out.exists()
 
 
 def test_cli_generate_refuses_non_finite_noise_sd(tmp_path, capsys):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import lasso
 from penexp.model import GroupStructure
-from penexp import penalties
-from penexp.penalties import (GroupPenalty, L1BallConstraint, L1Penalty,
-                              project_l1_ball, soft_threshold)
+from penexp.penalties import (GroupPenalty, L1BallConstraint, project_l1_ball,
+                              soft_threshold)
 
 
 def two_groups():
@@ -14,8 +14,8 @@ def two_groups():
 
 
 def test_penalty_value_l1():
-    assert L1Penalty(0.5).value(np.array([1.0, -2.0])) == 1.5
-    assert L1Penalty(0.0).value(np.array([9.0])) == 0.0
+    assert lasso(0.5, 2).value(np.array([1.0, -2.0])) == 1.5
+    assert lasso(0.0, 1).value(np.array([9.0])) == 0.0
 
 
 def test_penalty_value_ball():
@@ -32,8 +32,6 @@ def test_penalty_value_group():
 def test_spec_validation():
     for bad in (-0.1, np.inf, np.nan):
         with pytest.raises(ValueError):
-            L1Penalty(bad)
-        with pytest.raises(ValueError):
             GroupPenalty(bad, two_groups())
     for bad in (0.0, np.inf, np.nan):
         with pytest.raises(ValueError):
@@ -49,7 +47,7 @@ def test_soft_threshold_values():
 
 def test_prox_l1_exact_zero():
     x = np.array([0.49, -0.3, 2.0])
-    b = L1Penalty(0.5).prox(x, 1.0)
+    b = lasso(0.5, 3).prox(x, 1.0)
     assert b[0] == 0.0 and b[1] == 0.0
     assert b[2] == pytest.approx(1.5)
 
@@ -61,8 +59,8 @@ def test_block_norms_equal_linalg_norm_bitwise(d):
     x = rng.standard_normal((3, 500, d)) * 10.0 ** rng.integers(-8, 9, (
         3, 500, d))
     x[0, :50] = 0.0
-    assert np.array_equal(penalties._block_norms(x),
-                          np.linalg.norm(x, axis=-1))
+    norms = GroupStructure.contiguous(500, d).norms(x.reshape(3, 500 * d))
+    assert np.array_equal(norms, np.linalg.norm(x, axis=-1))
 
 
 def test_prox_group_block_shrinkage():
@@ -74,8 +72,7 @@ def test_prox_group_block_shrinkage():
 
 
 @pytest.mark.parametrize("pen", [
-    L1Penalty(0.5), L1BallConstraint(1.0),
-    GroupPenalty(0.5, GroupStructure.contiguous(1, 1))],
+    L1BallConstraint(1.0), GroupPenalty(0.5, GroupStructure.contiguous(1, 1))],
     ids=lambda pen: type(pen).__name__)
 def test_prox_step_scaling(pen):
     # prox of t*h: threshold is t*lambda (the ball projects whatever t is)
@@ -91,7 +88,7 @@ def _penalty_batch_step(draw):
     M, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     level = draw(st.floats(0.0, 3.0))
     pen = draw(st.sampled_from([
-        L1Penalty(level), L1BallConstraint(max(level, 0.01)),
+        lasso(level, M * d), L1BallConstraint(max(level, 0.01)),
         GroupPenalty(level, GroupStructure.contiguous(M, d))]))
     rows = draw(st.integers(1, 5))
     X = draw(hnp.arrays(float, (rows, M * d),
@@ -142,7 +139,7 @@ def test_projection_idempotent():
 
 def test_prox_is_lipschitz():
     rng = np.random.default_rng(11)
-    specs = [L1Penalty(0.7), L1BallConstraint(3.0),
+    specs = [lasso(0.7, 12), L1BallConstraint(3.0),
              GroupPenalty(0.5, GroupStructure.contiguous(4, 3))]
     for spec in specs:
         for _ in range(1000):
@@ -154,7 +151,7 @@ def test_prox_is_lipschitz():
 
 def test_prox_optimality_residual():
     rng = np.random.default_rng(13)
-    specs = [L1Penalty(0.7), L1BallConstraint(3.0),
+    specs = [lasso(0.7, 12), L1BallConstraint(3.0),
              GroupPenalty(0.5, GroupStructure.contiguous(4, 3))]
     for spec in specs:
         for _ in range(100):
@@ -166,20 +163,60 @@ def test_prox_optimality_residual():
             assert res <= 1e-10
 
 
+def _wide(rng, shape):
+    # magnitudes from 1e-150 to 1e150, either sign, about a fifth exact 0
+    x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-150, 150, shape)
+    x[rng.random(shape) < 0.2] = 0.0
+    return x
+
+
 def test_group_prox_singletons_equal_soft_threshold():
-    gs = GroupStructure.contiguous(6, 1)
-    pen = GroupPenalty(0.4, gs)
-    x = np.array([1.0, -0.2, 0.5, -3.0, 0.39, 0.41])
-    assert np.array_equal(pen.prox(x, 1.0), soft_threshold(x, 0.4))
+    # groups of one coordinate are the lasso, bit for bit while x*x neither
+    # underflows nor overflows: checked against the lasso's own formulas
+    rng = np.random.default_rng(29)
+    for trial in range(500):
+        p = int(rng.integers(1, 40))
+        level = 0.0 if trial % 5 == 0 else 10.0 ** rng.uniform(-150, 150)
+        step = 10.0 ** rng.uniform(-2, 2)
+        pen = lasso(level, p)
+        for shape in (p, (4, p)):
+            b, g = _wide(rng, shape), _wide(rng, shape)
+            scores = np.where(b != 0.0, np.abs(g + level * np.sign(b)),
+                              np.maximum(np.abs(g) - level, 0.0))
+            soft = np.sign(b) * np.maximum(np.abs(b) - step * level, 0.0)
+            assert pen.value(b) == float(level * np.abs(b).sum())
+            assert pen.scores(b, g).tobytes() == scores.tobytes()
+            assert pen.residual(b, g) == float(scores.max())
+            assert pen.prox(b, step).tobytes() == soft.tobytes()
+    # -0.0 maps to -0.0, where soft thresholding gives +0.0
+    x = np.array([-0.0, 0.0, -0.3, 2.0])
+    assert np.array_equal(lasso(0.5, 4).prox(x), soft_threshold(x, 0.5))
+
+
+def test_singleton_groups_build_no_index_arrays():
+    # the lasso at p = 6400 and its working-set restrictions hold M and d
+    # alone; the index arrays come only when groups is read
+    gs = GroupStructure.contiguous(6400, 1)
+    pen = GroupPenalty(0.1, gs)
+    rng = np.random.default_rng(4)
+    b, g = rng.normal(size=6400), rng.normal(size=6400)
+    sub, cols = pen.restrict(np.arange(0, 6400, 3))
+    for used in (pen, sub):
+        used.value(b[:used.groups.M])
+        used.prox(b[:used.groups.M])
+        used.residual(b[:used.groups.M], g[:used.groups.M])
+    assert "groups" not in vars(gs) and "groups" not in vars(sub.groups)
+    assert cols.tolist() == list(range(0, 6400, 3))
+    assert len(sub.groups.groups) == 2134 and "groups" in vars(sub.groups)
+    assert [k.tolist() for k in gs.groups[:2]] == [[0], [1]]
 
 
 def test_residual_zero_cases():
     lam = 0.8
     grad = np.array([0.5, -0.8, 0.0])
-    assert L1Penalty(lam).residual(np.zeros(3), grad) == 0.0
+    assert lasso(lam, 3).residual(np.zeros(3), grad) == 0.0
     beyond = np.array([0.9, 0.0, 0.0])
-    assert L1Penalty(lam).residual(np.zeros(3),
-                                   beyond) == pytest.approx(0.1)
+    assert lasso(lam, 3).residual(np.zeros(3), beyond) == pytest.approx(0.1)
 
 
 def test_residual_l1_brute_force():
@@ -195,10 +232,10 @@ def test_residual_l1_brute_force():
                 dists.append(abs(grad[j] + lam * np.sign(beta[j])))
             else:
                 dists.append(max(abs(grad[j]) - lam, 0.0))
-        got = L1Penalty(lam).residual(beta, grad)
+        got = lasso(lam, 8).residual(beta, grad)
         assert got == pytest.approx(max(dists), abs=1e-12)
-        assert L1Penalty(lam).scores(beta, grad) == pytest.approx(dists,
-                                                                  abs=1e-12)
+        assert lasso(lam, 8).scores(beta, grad) == pytest.approx(dists,
+                                                                 abs=1e-12)
 
 
 def test_residual_group_brute_force():
@@ -226,19 +263,16 @@ def test_residual_group_brute_force():
             dists, abs=1e-12)
 
 
-@pytest.mark.parametrize("pen", [
-    L1Penalty(0.3), L1BallConstraint(1.5),
-    GroupPenalty(0.3, GroupStructure.contiguous(4, 3))],
-    ids=lambda pen: type(pen).__name__)
-def test_restriction_acts_on_the_kept_units(pen):
+@pytest.mark.parametrize("pen, kept", [
+    (lasso(0.3, 12), [1, 3]), (L1BallConstraint(1.5), [1, 3]),
+    (GroupPenalty(0.3, GroupStructure.contiguous(4, 3)), [3, 4, 5, 9, 10, 11])],
+    ids=["lasso", "L1BallConstraint", "GroupPenalty"])
+def test_restriction_acts_on_the_kept_units(pen, kept):
     # on a vector that is zero outside the kept units, the restricted
     # penalty gives the same value, prox and residual on the sub-vector
     units = np.array([1, 3])
     sub, cols = pen.restrict(units)
-    if isinstance(pen, GroupPenalty):
-        assert cols.tolist() == [3, 4, 5, 9, 10, 11]
-    else:
-        assert cols.tolist() == [1, 3]
+    assert cols.tolist() == kept
     rng = np.random.default_rng(8)
     beta = np.zeros(12)
     beta[cols] = 0.2 * rng.normal(size=cols.size)

@@ -1,16 +1,16 @@
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_covariance
+from oracles import dense_covariance, lasso
 from penexp import model, solver
 from penexp.cones import lasso_penalty_level
 from penexp.losses import LOGISTIC, SQUARED, curvature_matrix
-from penexp.penalties import GroupPenalty, L1BallConstraint, L1Penalty
+from penexp.penalties import GroupPenalty, L1BallConstraint
 
 
 def linear_instance(n, p, s, seed, noise_sd=1.0, rho=0.0):
@@ -33,7 +33,7 @@ def test_config_validation():
 def test_unpenalized_matches_least_squares():
     ds, _ = linear_instance(80, 10, 3, seed=2)
     counted, count = counting(ds)
-    res = solver.fit_penalized(counted, SQUARED, L1Penalty(0.0),
+    res = solver.fit_penalized(counted, SQUARED, lasso(0.0, ds.p),
                                solver.SolverConfig(kkt_tol=1e-11))
     ols, *_ = np.linalg.lstsq(ds.X, ds.y, rcond=None)
     assert res.converged
@@ -46,12 +46,12 @@ def test_unpenalized_matches_least_squares():
 def test_large_penalty_gives_zero():
     ds, _ = linear_instance(60, 20, 3, seed=3)
     lam = np.abs(ds.X.T @ ds.y).max() / ds.n
-    res = solver.fit_penalized(ds, SQUARED, L1Penalty(lam * 1.0001))
+    res = solver.fit_penalized(ds, SQUARED, lasso(lam * 1.0001, ds.p))
     assert res.converged
     assert np.count_nonzero(res.solution) == 0
     # zero satisfies the subgradient condition at this level
     grad = solver.smooth_gradient(ds, SQUARED, np.zeros(20))
-    assert L1Penalty(lam * 1.0001).residual(np.zeros(20), grad) == 0.0
+    assert lasso(lam * 1.0001, ds.p).residual(np.zeros(20), grad) == 0.0
 
 
 def orthonormal_design(n, p, seed):
@@ -67,7 +67,7 @@ def test_orthonormal_design_closed_form():
     beta = model.flat_signal(p, 5)
     ds = model.generate_linear(X, beta, 1.0, seed=4, covariance=cov)
     lam = 0.15
-    res = solver.fit_penalized(ds, SQUARED, L1Penalty(lam))
+    res = solver.fit_penalized(ds, SQUARED, lasso(lam, p))
     from penexp.penalties import soft_threshold
     closed = soft_threshold(ds.X.T @ ds.y / n, lam)
     assert res.converged
@@ -77,7 +77,7 @@ def test_orthonormal_design_closed_form():
 def test_expansion_prox_identity_isotropic():
     ds, cov = linear_instance(150, 60, 4, seed=5)
     K = curvature_matrix(SQUARED, cov, ds.beta_star)
-    pen = L1Penalty(0.2)
+    pen = lasso(0.2, ds.p)
     res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, pen)
     z = ds.beta_star + ds.X.T @ ds.noise / ds.n
     assert res.converged
@@ -87,7 +87,7 @@ def test_expansion_prox_identity_isotropic():
 def test_expansion_without_penalty_returns_center():
     ds, cov = linear_instance(90, 30, 3, seed=6, rho=0.5)
     K = curvature_matrix(SQUARED, cov, ds.beta_star)
-    res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, L1Penalty(0.0))
+    res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, lasso(0.0, ds.p))
     z, _ = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
     assert res.converged
     assert np.abs(res.solution - z).max() < 1e-9
@@ -124,7 +124,7 @@ def test_expansion_matches_coordinate_descent_oracle():
     ds = model.generate_linear(X, beta, 1.0, seed=7, covariance=cov)
     K = curvature_matrix(SQUARED, cov, beta)
     lam = 0.3
-    res = solver.fit_expansion(ds, SQUARED, K, beta, L1Penalty(lam),
+    res = solver.fit_expansion(ds, SQUARED, K, beta, lasso(lam, p),
                                solver.SolverConfig(kkt_tol=1e-12))
     z, _ = solver.expansion_center(ds, SQUARED, K, beta)
     oracle = cd_expansion_oracle(Kmat, z, lam)
@@ -169,15 +169,15 @@ def test_smooth_gradient_finite_differences():
 
 def test_solver_deterministic():
     ds, _ = linear_instance(100, 50, 3, seed=11)
-    a = solver.fit_penalized(ds, SQUARED, L1Penalty(0.1))
-    b = solver.fit_penalized(ds, SQUARED, L1Penalty(0.1))
+    a = solver.fit_penalized(ds, SQUARED, lasso(0.1, ds.p))
+    b = solver.fit_penalized(ds, SQUARED, lasso(0.1, ds.p))
     assert a.solution.tobytes() == b.solution.tobytes()
     assert a.iterations == b.iterations
 
 
 def test_converged_implies_certified():
     ds, _ = linear_instance(120, 60, 4, seed=12, rho=0.4)
-    for pen in (L1Penalty(0.12), L1BallConstraint(3.0),
+    for pen in (lasso(0.12, ds.p), L1BallConstraint(3.0),
                 GroupPenalty(0.15, model.GroupStructure.contiguous(20, 3))):
         res = solver.fit_penalized(ds, SQUARED, pen,
                                    solver.SolverConfig(kkt_tol=1e-9))
@@ -193,10 +193,10 @@ def test_logistic_fit_certified():
     X = model.generate_design(cov, 150, "gaussian", seed=13)
     ds = model.generate_logistic(X, model.flat_signal(30, 3, 0.3), seed=13,
                                  covariance=cov)
-    res = solver.fit_penalized(ds, LOGISTIC, L1Penalty(0.05))
+    res = solver.fit_penalized(ds, LOGISTIC, lasso(0.05, ds.p))
     assert res.converged
     grad = solver.smooth_gradient(ds, LOGISTIC, res.solution)
-    assert L1Penalty(0.05).residual(res.solution, grad) <= 1e-8
+    assert lasso(0.05, ds.p).residual(res.solution, grad) <= 1e-8
 
 
 def test_constrained_solution_feasible():
@@ -210,7 +210,7 @@ def test_constrained_solution_feasible():
 
 def test_objective_close_to_long_run():
     ds, _ = linear_instance(100, 80, 4, seed=15, rho=0.6)
-    pen = L1Penalty(0.08)
+    pen = lasso(0.08, ds.p)
     quick = solver.fit_penalized(ds, SQUARED, pen)
     long = solver.fit_penalized(
         ds, SQUARED, pen, solver.SolverConfig(kkt_tol=1e-13,
@@ -221,7 +221,7 @@ def test_objective_close_to_long_run():
 
 def test_non_convergence_reported():
     ds, _ = linear_instance(60, 30, 3, seed=16)
-    res = solver.fit_penalized(ds, SQUARED, L1Penalty(0.05),
+    res = solver.fit_penalized(ds, SQUARED, lasso(0.05, ds.p),
                                solver.SolverConfig(max_iters=2,
                                                    kkt_tol=1e-14))
     assert not res.converged
@@ -242,7 +242,7 @@ def test_expansion_step_from_top_eigenvalue():
     K = dense_covariance(Kmat)
     assert K.eig_max == pytest.approx(1.0, rel=1e-12)
     ds, _ = linear_instance(80, p, 3, seed=17)
-    pen = L1Penalty(0.05)
+    pen = lasso(0.05, p)
     res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, pen)
     z, _ = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
     assert res.converged
@@ -266,7 +266,7 @@ def test_expansion_general_k_kkt():
     beta = model.flat_signal(25, 3, 0.4)
     ds = model.generate_logistic(X, beta, seed=19, covariance=cov)
     K = curvature_matrix(LOGISTIC, cov, beta)
-    pen = L1Penalty(0.04)
+    pen = lasso(0.04, ds.p)
     res = solver.fit_expansion(ds, LOGISTIC, K, beta, pen)
     assert res.converged
     # KKT of the surrogate: gradient is K (b - z)
@@ -315,7 +315,7 @@ def test_working_set_matches_plain_fista(case):
     # scale sets the penalty from nearly none to nearly all-zero solutions
     g0 = np.abs(solver.smooth_gradient(ds, loss, np.zeros(p)))
     if kind == "l1":
-        pen = L1Penalty(scale * g0.max())
+        pen = lasso(scale * g0.max(), p)
     elif kind == "ball":
         pen = L1BallConstraint(2.0 * scale)
     else:
@@ -341,7 +341,7 @@ def test_working_set_admits_coordinate_outside_first_set():
     beta = np.zeros(p)
     beta[:2] = [2.0, 1.0]
     ds = model.generate_linear(X, beta, 0.5, seed=21, covariance=cov)
-    pen = L1Penalty(0.1)
+    pen = lasso(0.1, p)
     g0 = np.abs(solver.smooth_gradient(ds, SQUARED, np.zeros(p)))
     assert int(np.argmax(g0)) == 0
     with mock.patch.object(solver, "WS_INITIAL", 1):
@@ -353,22 +353,19 @@ def test_working_set_admits_coordinate_outside_first_set():
     assert pen.residual(res.solution, grad) <= 1e-8
 
 
-@dataclass(frozen=True)
-class _NeverCertified(L1Penalty):
-    """The l1 penalty with a residual on the full vector that never meets
-    any tolerance; its restriction to a working set is the plain l1
-    penalty, so every inner solve converges."""
+class _NeverCertified(GroupPenalty):
+    """The lasso with a residual on the full vector that never meets any
+    tolerance; its restriction to a working set is a plain GroupPenalty,
+    so every inner solve converges."""
 
     def residual(self, beta, grad):
         return 1.0
 
-    def restrict(self, units):
-        return L1Penalty(self.level), np.asarray(units, dtype=np.intp)
-
 
 def test_working_set_that_cannot_grow_ends_uncertified():
     ds, _ = linear_instance(80, 40, 3, seed=22)
-    res = solver.fit_penalized(ds, SQUARED, _NeverCertified(0.1))
+    res = solver.fit_penalized(ds, SQUARED, _NeverCertified(
+        0.1, model.GroupStructure.contiguous(ds.p, 1)))
     assert not res.converged
     assert res.kkt_residual == 1.0
     # once an inner solve leaves no unit outside the working set with a
@@ -377,7 +374,7 @@ def test_working_set_that_cannot_grow_ends_uncertified():
     assert res.passes <= 5
     assert res.iterations < 1000
     grad = solver.smooth_gradient(ds, SQUARED, res.solution)
-    assert L1Penalty(0.1).residual(res.solution, grad) <= 1e-8
+    assert lasso(0.1, ds.p).residual(res.solution, grad) <= 1e-8
 
 
 class CountingDesign(np.ndarray):
@@ -410,8 +407,8 @@ def test_rates_shaped_fit_passes_over_x(kind):
     n, p, s = 400, 800, 5
     ds, _ = linear_instance(n, p, s, seed=23)
     if kind == "l1":
-        pen = L1Penalty(lasso_penalty_level(SQUARED, p, s, n, 0.5,
-                                            noise_scale=model.noise_scale(ds)))
+        pen = lasso(lasso_penalty_level(SQUARED, p, s, n, 0.5,
+                                        noise_scale=model.noise_scale(ds)), p)
     else:
         pen = L1BallConstraint(float(np.abs(ds.beta_star).sum()))
     counted, count = counting(ds)
@@ -433,7 +430,7 @@ def test_full_working_set_reuses_inner_gradient(kind):
     ds, _ = linear_instance(n, p, s, seed=24)
     if kind == "l1":
         g0 = solver.smooth_gradient(ds, SQUARED, np.zeros(p))
-        pen = L1Penalty(0.5 * np.abs(g0).min())
+        pen = lasso(0.5 * np.abs(g0).min(), p)
     else:
         pen = L1BallConstraint(float(np.abs(ds.beta_star).sum()))
     fista, inner = solver._fista, []
