@@ -82,8 +82,9 @@ def _write_solve(args, loss, result, name):
 
 
 def _emit(obj, path=None):
-    """Print obj as JSON and, given a path, write it there too."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Print obj as strict JSON, refusing NaN and infinities, and, given a
+    path, write it there too."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     if path is not None:
         with open(path, "w") as fh:

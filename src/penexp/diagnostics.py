@@ -24,7 +24,7 @@ class RiskIdentityReport:
     lhs: float
     rhs: float
     mc_se: float
-    ratio: float
+    ratio: float | None  # lhs / rhs, None when rhs is 0
     bound_noise_term: float
     bound_gap_term: float
     within_bound: bool
@@ -116,11 +116,11 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed, t=2.0):
     rhs = float(np.sqrt(risk))
     # Delta method: s.e. of sqrt(risk).
     mc_se = float(risk_se / (2.0 * rhs)) if rhs > 0 else float(risk_se)
-    ratio = lhs / rhs if rhs > 0 else float("nan")
+    ratio = lhs / rhs if rhs > 0 else None
     noise_term = sigma * (t + 1.0) / np.sqrt(dataset.n)
     gap_term = float(np.linalg.norm(beta_hat - eta))
     within = abs(lhs - rhs) <= noise_term + gap_term
-    return RiskIdentityReport(lhs, rhs, mc_se, float(ratio),
+    return RiskIdentityReport(lhs, rhs, mc_se, ratio,
                               float(noise_term), gap_term, bool(within))
 
 

@@ -54,6 +54,12 @@ RECORD_FIELDS = [
 ]
 TIMING_FIELDS = ["point", "rep", "est_time", "exp_time", "est_passes",
                  "exp_passes"]
+# The records.csv columns rate_fit takes: the measurements, which are
+# neither the identifiers point..seed, r_n itself nor a true/false flag.
+_RATE_METRICS = [f for f in RECORD_FIELDS[RECORD_FIELDS.index("r_n") + 1:]
+                 if f not in ("est_converged", "exp_converged", "cone_est",
+                              "cone_exp", "cone_both", "risk_ok", "covered",
+                              "sparsity_ok")]
 
 
 @dataclass(frozen=True)
@@ -234,16 +240,16 @@ def _setup_point(cfg, pt, loss):
         groups = model.GroupStructure.contiguous(pt.M, pt.d)
         beta_star = model.flat_signal(pt.p, pt.s * pt.d, cfg.amplitude)
         cone = cones.group_cone(pt.s, groups, cfg.xi)
-        r_n = cones.minimax_rate("group", pt.n, s=pt.s, M=pt.M, d=pt.d)
+        r_n = cones.group_rate(pt.n, pt.M, pt.d, pt.s)
     else:
         beta_star = model.flat_signal(pt.p, pt.s, cfg.amplitude)
         if cfg.penalty == "l1_constrained":
             # Error vectors of the constrained fit satisfy the support
             # inequality, which lands them in the sqrt(4s) cone.
-            cone = cones.lasso_cone(4.0 * pt.s)
+            cone = cones.lasso_cone(4.0 * pt.s, pt.p)
         else:
-            cone = cones.lasso_cone(pt.s * (6.0 + 2.0 / cfg.xi) ** 2)
-        r_n = cones.minimax_rate("lasso", pt.n, p=pt.p, s=pt.s)
+            cone = cones.lasso_cone(pt.s * (6.0 + 2.0 / cfg.xi) ** 2, pt.p)
+        r_n = cones.lasso_rate(pt.n, pt.p, pt.s)
     curv = curvature_matrix(loss, cov, beta_star, cfg.design)
     radius = float(np.abs(beta_star).sum()) \
         if cfg.penalty == "l1_constrained" else None
@@ -254,16 +260,16 @@ def _setup_point(cfg, pt, loss):
                        sbound)
 
 
-def _make_penalty(cfg, setup, loss, sigma):
+def _make_penalty(cfg, setup, loss, ds):
     pt = setup.point
     if cfg.penalty == "l1_penalized":
         level = cones.lasso_penalty_level(
-            loss, pt.p, pt.s, pt.n, cfg.xi, noise_scale=sigma)
+            loss.penalty_scale(ds), pt.p, pt.s, pt.n, cfg.xi)
         singletons = model.GroupStructure.contiguous(pt.p, 1)
         return GroupPenalty(level, singletons), level
     if cfg.penalty == "group_lasso":
         level = cones.group_penalty_level(
-            loss, pt.M, pt.d, pt.s, pt.n, cfg.xi, noise_scale=sigma)
+            loss.penalty_scale(ds), pt.M, pt.d, pt.s, pt.n, cfg.xi)
         return GroupPenalty(level, setup.groups), level
     return L1BallConstraint(setup.radius), setup.radius
 
@@ -271,12 +277,10 @@ def _make_penalty(cfg, setup, loss, sigma):
 def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     pt = setup.point
     seed = task_seed(cfg.master_seed, point_idx, rep_idx)
-    linear = cfg.loss == "squared"
     ds = model.simulate(setup.cov, setup.beta_star, pt.n,
-                        "linear" if linear else "logistic", cfg.design,
-                        cfg.noise_sd, seed)
-    sigma = model.noise_scale(ds) if linear else None
-    penalty, level = _make_penalty(cfg, setup, loss, sigma)
+                        "linear" if cfg.loss == "squared" else "logistic",
+                        cfg.design, cfg.noise_sd, seed)
+    penalty, level = _make_penalty(cfg, setup, loss, ds)
 
     rec = {k: None for k in RECORD_FIELDS}
     rec.update(point=point_idx, n=pt.n, p=pt.p, s=pt.s, M=pt.M, d=pt.d,
@@ -536,13 +540,15 @@ def summarize(cfg, records):
 def rate_fit(records, metric="gap"):
     """Least-squares slope of log(median metric) against log(r_n).
 
-    Records from non-converged solves are skipped, and so are grid points
-    whose median is not positive (no logarithm); needs at least 3 grid
-    points left, with at least two distinct r_n (no slope otherwise).
+    metric is a measured records.csv column; an identifier, r_n itself or
+    a true/false flag is refused. Records from non-converged solves are
+    skipped, and so are grid points whose median is not positive (no
+    logarithm); needs at least 3 grid points left, with at least two
+    distinct r_n (no slope otherwise).
     """
-    if metric not in RECORD_FIELDS:
-        raise ValueError("unknown metric %r (not a records.csv column)"
-                         % (metric,))
+    if metric not in _RATE_METRICS:
+        raise ValueError("metric %r is not a measured records.csv column "
+                         "(one of %s)" % (metric, ", ".join(_RATE_METRICS)))
     by_point = {}
     for r in records:
         if not _certified(r):

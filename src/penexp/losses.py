@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import CovarianceModel, sigmoid
+from .model import CovarianceModel, noise_scale, sigmoid
 
 
 class SquaredLoss:
@@ -41,11 +41,9 @@ class SquaredLoss:
         """cov itself, for any design: factorized once for both roles."""
         return cov
 
-    def penalty_scale(self, noise_scale):
-        """The realized noise scale, which the penalty levels require."""
-        if noise_scale is None:
-            raise ValueError("squared loss needs the realized noise scale")
-        return noise_scale
+    def penalty_scale(self, dataset):
+        """dataset's realized noise scale, which the penalty levels use."""
+        return noise_scale(dataset)
 
 
 class LogisticLoss:
@@ -101,7 +99,7 @@ class LogisticLoss:
         m0, a2 = _logistic_moments(np.sqrt(v2))
         return CovarianceModel.rank_one(cov, m0, (a2 - m0) / v2, q)
 
-    def penalty_scale(self, noise_scale):
+    def penalty_scale(self, dataset):
         """The labels' sub-Gaussian scale 1/2, in place of a noise scale."""
         return 0.5
 

@@ -522,8 +522,9 @@ def save_dataset(dataset, path):
 
 def load_dataset(path):
     """The dataset save_dataset wrote to path; ValueError names a key that
-    its meta.json lacks or holds a value of the wrong type or out of range
-    for, or an X.bin (n p values), y.bin or eps.bin (n) of another length."""
+    its meta.json lacks or holds a value of the wrong type, out of range or
+    not finite for, or an X.bin (n p values), y.bin or eps.bin (n) of
+    another length or with a value that is not finite."""
     meta_path = os.path.join(path, "meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
@@ -545,16 +546,25 @@ def load_dataset(path):
                 not all(typed(b, number) for b in value):
             raise ValueError("%s: the key '%s' holds %r, a value of the "
                              "wrong type" % (meta_path, key, value))
-    n, p = meta["n"], meta["p"]
+    n, p, noise_sd = meta["n"], meta["p"], meta["noise_sd"]
     for key, bad in (("n", n < 1), ("p", p < 1),
                      ("design_kind", meta["design_kind"] not in
-                      ("gaussian", "rademacher"))):
+                      ("gaussian", "rademacher")),
+                     ("noise_sd", noise_sd is not None and
+                      not abs(noise_sd) < np.inf)):
         if bad:
             raise ValueError("%s: the key '%s' holds %r, a value out of "
                              "range" % (meta_path, key, meta[key]))
     if len(meta["beta_star"]) != p:
         raise ValueError("%s: the key 'beta_star' holds %d values, not "
                          "p = %d" % (meta_path, len(meta["beta_star"]), p))
+    try:
+        beta_star = np.asarray(meta["beta_star"], dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        beta_star = None
+    if beta_star is None or not np.isfinite(beta_star).all():
+        raise ValueError("%s: the key 'beta_star' holds a value that is not "
+                         "finite" % meta_path)
     X = np.fromfile(os.path.join(path, "X.bin"), dtype="<f8")
     y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
     eps_path = os.path.join(path, "eps.bin")
@@ -563,14 +573,17 @@ def load_dataset(path):
     for name, vec, what, want in (("X.bin", X, "n·p", n * p),
                                   ("y.bin", y, "n", n),
                                   ("eps.bin", noise, "n", n)):
-        if vec is not None and vec.size != want:
+        if vec is None:
+            continue
+        if vec.size != want:
             raise ValueError("%s holds %d values, not %s = %d" % (
                 os.path.join(path, name), vec.size, what, want))
+        if not np.isfinite(vec).all():
+            raise ValueError("%s holds a value that is not finite"
+                             % os.path.join(path, name))
     spec = meta["covariance"]
     cov = None if spec is None else CovarianceModel.from_spec(spec, p)
     return Dataset(_readonly(X.reshape(n, p)), _readonly(y),
                    meta["model_kind"], meta["design_kind"],
                    _readonly(noise) if noise is not None else None,
-                   meta["noise_sd"],
-                   _readonly(np.asarray(meta["beta_star"], dtype=float)),
-                   cov, meta["seed"])
+                   noise_sd, _readonly(beta_star), cov, meta["seed"])

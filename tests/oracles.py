@@ -15,7 +15,6 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from penexp.cones import LassoCone
 from penexp.model import (CovarianceModel, GroupStructure, draw_rows,
                           stream_rng)
 from penexp.penalties import GroupPenalty, soft_threshold
@@ -281,14 +280,11 @@ def empirical_curvature_ratio(dataset, loss, curvature, beta_star, u):
 def _cone_profile(cone, G):
     """Per-draw magnitudes and l1 radius of a cone, for each row g of G.
 
-    The group cone's supremum is the lasso cone's over block norms, so both
-    reduce to _sup_per_draw: |g| with radius sqrt(k) for the lasso cone,
-    the group norms of g with radius c sqrt(s) for the group cone.
+    The cone's supremum is the lasso cone's over group norms, so it reduces
+    to _sup_per_draw: the group norms of g with the cone's radius (|g| with
+    radius sqrt(k) for the lasso cone, whose groups are singletons).
     """
-    if isinstance(cone, LassoCone):
-        return np.abs(G), np.sqrt(cone.k)
-    block = np.linalg.norm(cone.groups.blocks(G), axis=-1)
-    return block, cone.c * np.sqrt(cone.s)
+    return cone.groups.norms(G), cone.radius
 
 
 def _sup_per_draw(A, sqrt_k):
@@ -320,18 +316,17 @@ def _sup_per_draw(A, sqrt_k):
 
 
 def complexity_estimate(cone, cov, n_draws, seed):
-    """Monte Carlo Gaussian complexity of a lasso or group cone, with its
-    standard error.
+    """Monte Carlo Gaussian complexity of a cone, with its standard error.
 
     Each draw's supremum is solved exactly, which needs the identity
-    covariance; use complexity_bound otherwise.
+    covariance; use a complexity bound otherwise.
     """
     n_draws = int(n_draws)
     if n_draws < 2:
         raise ValueError("need at least 2 draws")
     if not cov.is_identity:
         raise ValueError("per-draw maximization is exact only under the "
-                         "identity covariance; use complexity_bound")
+                         "identity covariance; use a complexity bound")
     rng = stream_rng(seed, 3)
     sups = np.empty(n_draws)
     done = 0
@@ -346,19 +341,19 @@ def complexity_estimate(cone, cov, n_draws, seed):
     return est, se
 
 
-def complexity_bound(cone, cov):
-    """Certified upper bound on the cone's Gaussian complexity.
+def lasso_complexity_bound(k, cov):
+    """Certified upper bound sqrt(k log(2p/k)) / phi on the Gaussian
+    complexity of the lasso cone with parameter k, where the restricted
+    eigenvalue phi = sqrt(eig_min of Sigma) bounds every cone."""
+    if not 0 < k <= 2 * cov.p:
+        raise ValueError("cone parameter exceeds dimension range")
+    return float(np.sqrt(k * np.log(2.0 * cov.p / k)) / np.sqrt(cov.eig_min))
 
-    sqrt(k log(2p/k)) for the lasso cone and sqrt(s d + s log(M/s)) for the
-    group cone, each divided by the restricted eigenvalue
-    phi = sqrt(eig_min of Sigma), which bounds both cones.
-    """
-    phi = float(np.sqrt(cov.eig_min))
-    if isinstance(cone, LassoCone):
-        if not 0 < cone.k <= 2 * cov.p:
-            raise ValueError("cone parameter exceeds dimension range")
-        return float(np.sqrt(cone.k * np.log(2.0 * cov.p / cone.k)) / phi)
-    M, d, s = cone.groups.M, cone.groups.d, cone.s
+
+def group_complexity_bound(s, groups, cov):
+    """Certified upper bound sqrt(s d + s log(M/s)) / phi on the Gaussian
+    complexity of the group cone of s active groups."""
+    M, d = groups.M, groups.d
     if not M > s:
         raise ValueError("need more groups than the sparsity level")
-    return float(np.sqrt(s * d + s * np.log(M / s)) / phi)
+    return float(np.sqrt(s * d + s * np.log(M / s)) / np.sqrt(cov.eig_min))

@@ -17,7 +17,7 @@ from penexp.diagnostics import prox_risk_mc
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           flat_signal, generate_design, generate_linear,
-                          generate_logistic, noise_scale, stream_rng)
+                          generate_logistic, stream_rng)
 from penexp.penalties import GroupPenalty, L1BallConstraint
 from penexp.solver import fit_expansion, fit_penalized, smooth_gradient
 
@@ -92,14 +92,13 @@ def test_hundred_random_instances_all_certify_kkt():
             ds = generate_logistic(X, beta_star, int(r.integers(1 << 30)),
                                    covariance=cov)
         loss = get_loss(loss_kind)
-        sigma = noise_scale(ds) if loss_kind == "squared" else None
         if pen_kind == "l1":
-            pen = lasso(lasso_penalty_level(loss, p, s, n, 0.5,
-                                            noise_scale=sigma), p)
+            pen = lasso(lasso_penalty_level(loss.penalty_scale(ds), p, s, n,
+                                            0.5), p)
         elif pen_kind == "group":
             gr = GroupStructure.contiguous(M, d)
-            pen = GroupPenalty(group_penalty_level(loss, M, d, s, n, 0.5,
-                                                   noise_scale=sigma), gr)
+            pen = GroupPenalty(group_penalty_level(loss.penalty_scale(ds), M,
+                                                   d, s, n, 0.5), gr)
         else:
             pen = L1BallConstraint(float(np.abs(beta_star).sum()))
         res = fit_penalized(ds, loss, pen)

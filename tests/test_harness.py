@@ -12,7 +12,7 @@ import pytest
 
 import penexp
 from penexp import cli, harness, model, solver
-from penexp.cones import minimax_rate
+from penexp.cones import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
                             TIMING_FIELDS, load_records_csv, parse_config,
                             rate_fit, run_experiment, task_seed)
@@ -288,7 +288,7 @@ def test_run_experiment_outputs(tmp_path):
     recs = load_records_csv(out / "records.csv")
     assert [(r["point"], r["rep"]) for r in recs] == \
         sorted((r["point"], r["rep"]) for r in recs)
-    assert recs[0]["r_n"] == minimax_rate("lasso", 60, p=30, s=2)
+    assert recs[0]["r_n"] == lasso_rate(60, p=30, s=2)
     assert_typed_as_written(recs)
     # the expansion on K = I ends at a zero residual
     assert any(r["exp_kkt"] == 0.0 for r in recs)
@@ -577,6 +577,15 @@ def _shortened(name):
     return edit
 
 
+def _poisoned(name):
+    def edit(meta, ds):
+        values = np.fromfile(ds / name, dtype="<f8")
+        values[-1] = np.nan
+        values.tofile(ds / name)
+        return meta
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_without("covariance"), "lacks the key 'covariance'"),
     (_without("n"), "lacks the key 'n'"),
@@ -595,10 +604,20 @@ def _shortened(name):
     (_shortened("y.bin"), "y.bin holds 39 values, not n = 40"),
     (_shortened("eps.bin"), "eps.bin holds 39 values, not n = 40"),
     (_shortened("X.bin"), "X.bin holds 399 values, not n·p = 400"),
+    (_with(beta_star=[0.0] * 9 + [math.nan]),
+     "the key 'beta_star' holds a value that is not finite"),
+    (_with(beta_star=[0.0] * 9 + [10 ** 400]),
+     "the key 'beta_star' holds a value that is not finite"),
+    (_with(noise_sd=math.inf), "the key 'noise_sd' holds inf, a value out "
+                               "of range"),
+    (_poisoned("y.bin"), "y.bin holds a value that is not finite"),
+    (_poisoned("eps.bin"), "eps.bin holds a value that is not finite"),
+    (_poisoned("X.bin"), "X.bin holds a value that is not finite"),
 ], ids=["no_covariance", "no_n", "unknown_model_kind", "not_an_object",
         "n_a_string", "p_a_float", "seed_a_flag", "covariance_a_number",
         "beta_star_nulls", "n_negative", "p_negative", "design_kind_unknown",
-        "beta_star_short", "y_short", "eps_short", "x_short"])
+        "beta_star_short", "y_short", "eps_short", "x_short", "beta_star_nan",
+        "beta_star_overflow", "noise_sd_inf", "y_nan", "eps_nan", "x_nan"])
 def test_cli_fit_refuses_a_malformed_meta_json(tmp_path, capsys, edit,
                                                message):
     ds = tmp_path / "ds"
@@ -782,6 +801,25 @@ def test_cli_risk_identity(tmp_path, capsys):
                                             rel=1e-12)
 
 
+def test_cli_risk_identity_writes_strict_json_at_zero_rhs(tmp_path, capsys):
+    # no noise and no penalty: the prox risk, hence rhs, is exactly 0
+    ds = str(tmp_path / "ds")
+    cli.main(["generate", "--n", "100", "--p", "20", "--s", "2",
+              "--noise-sd", "0", "--seed", "4", "--out", ds])
+    capsys.readouterr()
+    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0", "--n-mc", "50",
+                   "--out", str(tmp_path / "rr")])
+    assert rc == 0
+
+    def refuse(name):
+        raise ValueError("not strict JSON: %s" % name)
+
+    text = (tmp_path / "rr" / "risk_identity.json").read_text()
+    report = json.loads(text, parse_constant=refuse)
+    assert report["rhs"] == 0.0
+    assert report["ratio"] is None
+
+
 def test_cli_risk_identity_refuses_logistic_data_before_solving(
         tmp_path, capsys, monkeypatch):
     ds = str(tmp_path / "ds")
@@ -874,6 +912,13 @@ def test_cli_experiment_and_rate_fit(tmp_path, capsys):
                    "--metric", "gaps"])
     assert rc == 2
     assert "'gaps'" in capsys.readouterr().err
+    # an identifier, the rate scale itself or a flag is no measurement
+    for metric in ("seed", "r_n", "est_converged"):
+        rc = cli.main(["rate-fit", str(tmp_path / "res" / "records.csv"),
+                       "--metric", metric, "--out", str(tmp_path / "no.json")])
+        assert rc == 2
+        assert "%r is not a measured" % metric in capsys.readouterr().err
+        assert not (tmp_path / "no.json").exists()
 
 
 def test_cli_experiment_bad_config(tmp_path, capsys):

@@ -407,8 +407,8 @@ def test_rates_shaped_fit_passes_over_x(kind):
     n, p, s = 400, 800, 5
     ds, _ = linear_instance(n, p, s, seed=23)
     if kind == "l1":
-        pen = lasso(lasso_penalty_level(SQUARED, p, s, n, 0.5,
-                                        noise_scale=model.noise_scale(ds)), p)
+        pen = lasso(lasso_penalty_level(SQUARED.penalty_scale(ds), p, s, n,
+                                        0.5), p)
     else:
         pen = L1BallConstraint(float(np.abs(ds.beta_star).sum()))
     counted, count = counting(ds)
