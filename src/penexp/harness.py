@@ -157,8 +157,6 @@ def validate_config(cfg):
     if cfg.penalty not in PENALTY_KINDS:
         raise ValueError("unknown penalty kind %r" % (cfg.penalty,))
     loss = get_loss(cfg.loss)
-    if cfg.design not in ("gaussian", "rademacher"):
-        raise ValueError("unknown design kind %r" % (cfg.design,))
     if cfg.design not in loss.designs:
         raise ValueError("%s loss needs a %s design, got %r"
                          % (loss.kind, " or ".join(loss.designs),
@@ -529,7 +527,8 @@ def summarize(cfg, records):
     }
     try:
         slope, intercept, stderr = rate_fit(records, metric="gap")
-    except ValueError:  # too few grid points, or no spread in r_n
+    except ValueError:
+        # too few grid points, no spread in r_n, or a median not finite
         summary["rate_fit"] = None
     else:
         summary["rate_fit"] = {"metric": "gap", "slope": slope,
@@ -542,8 +541,9 @@ def rate_fit(records, metric="gap"):
 
     metric is a measured records.csv column; an identifier, r_n itself or
     a true/false flag is refused. Records from non-converged solves are
-    skipped, and so are grid points whose median is not positive (no
-    logarithm); needs at least 3 grid points left, with at least two
+    skipped. A grid point whose r_n is not finite and > 0, or whose median
+    is not finite, is refused; one whose median is not positive is skipped
+    (no logarithm). Needs at least 3 grid points left, with at least two
     distinct r_n (no slope otherwise).
     """
     if metric not in _RATE_METRICS:
@@ -557,10 +557,17 @@ def rate_fit(records, metric="gap"):
             continue
         by_point.setdefault(r["point"], []).append(r)
     pairs = []
-    for recs in by_point.values():
+    for point, recs in by_point.items():
+        r_n = recs[0]["r_n"]
+        if r_n is None or not 0 < r_n < math.inf:
+            raise ValueError("grid point %s has r_n = %r; the rate fit "
+                             "needs it finite and > 0" % (point, r_n))
         med = float(np.median([float(r[metric]) for r in recs]))
+        if not math.isfinite(med):
+            raise ValueError("grid point %s has a median %s of %r, which "
+                             "is not finite" % (point, metric, med))
         if med > 0:
-            pairs.append((float(recs[0]["r_n"]), med))
+            pairs.append((float(r_n), med))
     if len(pairs) < 3:
         raise ValueError("rate fit needs at least 3 grid points with a "
                          "positive median")
@@ -581,7 +588,8 @@ def rate_fit(records, metric="gap"):
 
 def load_records_csv(path):
     """Read records.csv back into dicts, each cell with the type _run_task
-    gave its column: an int, a flag or a float, and None when empty."""
+    gave its column: an int, a flag or a float, and None when empty.
+    ValueError names the first RECORD_FIELDS column the header lacks."""
     ints = {"point", "n", "p", "s", "M", "d", "rep", "seed",
             "est_iterations", "exp_iterations", "nnz_coords", "nnz_groups"}
 
@@ -593,5 +601,10 @@ def load_records_csv(path):
         return int(v) if k in ints else float(v)
 
     with open(path, newline="") as fh:
-        return [{k: cell(k, v) for k, v in row.items()}
-                for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        missing = [f for f in RECORD_FIELDS
+                   if f not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError("%s is not a records file: its header lacks "
+                             "the column '%s'" % (path, missing[0]))
+        return [{k: cell(k, v) for k, v in row.items()} for row in reader]

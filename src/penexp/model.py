@@ -157,9 +157,6 @@ class CovarianceModel:
     @property
     def matrix(self):
         """The dense matrix, built anew on every call."""
-        if self.base is not None:
-            return _readonly(self._m0 * self.base.matrix
-                             + self._c * np.outer(self._q, self._q))
         return _readonly(np.eye(self.p) if self.is_identity
                          else self.principal(np.arange(self.p)))
 
@@ -206,10 +203,9 @@ class CovarianceModel:
             q = self._q[idx]
             return self._m0 * self.base.principal(idx) + \
                 self._c * np.outer(q, q)
-        if self.is_identity:
-            return np.eye(len(idx))
         d = np.subtract.outer(idx, idx, dtype=float)
-        return np.power(self.rho, np.abs(d, out=d), out=d)
+        # + 0.0 turns rho = -0.0 into 0.0, whose powers are I's exact bits
+        return np.power(self.rho + 0.0, np.abs(d, out=d), out=d)
 
     def __matmul__(self, u):
         """The matrix times u, a vector or a matrix of columns."""

@@ -163,8 +163,6 @@ def project_l1_ball(x, radius):
     # The relative slack keeps the map idempotent: re-projecting a point
     # whose norm equals the radius up to rounding leaves it untouched.
     inside = a.sum(axis=-1) <= radius * (1.0 + 1e-12)
-    if np.all(inside):
-        return x.copy()
     u = np.sort(a, axis=-1)[..., ::-1]
     css = np.cumsum(u, axis=-1)
     k = np.arange(1, x.shape[-1] + 1)

@@ -89,17 +89,15 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
     iteration applies the image once per sufficient-decrease test, plus
     whatever the gradient costs. With a known Lipschitz constant L the step
     is 1/L, under which the test holds, so the step never shrinks; without
-    one it starts at INITIAL_STEP. The KKT residual is checked at iteration 1
-    and every CHECK_EVERY iterations, and once more at the end if the loop
-    ran out; non-convergence is reported, never raised. passes counts the
-    products with the image's matrix.
+    one it starts at INITIAL_STEP. The KKT residual is checked at iteration 1,
+    every CHECK_EVERY iterations and at the budget's last iteration;
+    non-convergence is reported, never raised. passes counts the products
+    with the image's matrix.
     """
     x_prev, u_prev = x, u_x
     t_mom = 1.0
     step = INITIAL_STEP if smooth.lipschitz is None else 1.0 / smooth.lipschitz
     obj = smooth.value(x, u_x) + penalty.value(x)
-    res = np.inf
-    converged = False
     it = images = grads = 0
     while it < cfg.max_iters:
         it += 1
@@ -126,20 +124,14 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
         x_prev, u_prev = x, u_x
         x, u_x = x_new, u_new
         t_mom = t_next
-        if it == 1 or it % CHECK_EVERY == 0:
+        if it == 1 or it % CHECK_EVERY == 0 or it == cfg.max_iters:
             g_x = smooth.grad(x, u_x)
             res = penalty.residual(x, g_x)
             grads += 1
             if res <= cfg.kkt_tol:
-                converged = True
                 break
-    if not converged:
-        g_x = smooth.grad(x, u_x)
-        res = penalty.residual(x, g_x)
-        grads += 1
-        converged = res <= cfg.kkt_tol
     passes = images + smooth.grad_products * grads
-    return SolverResult(x, obj, float(res), it, converged,
+    return SolverResult(x, obj, float(res), it, res <= cfg.kkt_tol,
                         time.perf_counter() - t0, passes), u_x, g_x
 
 
@@ -184,7 +176,8 @@ def fit_penalized(dataset, loss, penalty, config=None):
             break
         work = grown
         sub, cols = penalty.restrict(work)
-        XW = X if np.array_equal(cols, np.arange(p)) else X[:, cols]
+        full = cols.size == p
+        XW = X if full else X[:, cols]
         smooth = _Smooth(
             image=lambda b: XW @ b,
             value=lambda b, v: float(np.mean(loss.value(y, v))),
@@ -196,9 +189,9 @@ def fit_penalized(dataset, loss, penalty, config=None):
         beta = np.zeros(p)
         beta[cols] = inner.solution
         iterations += inner.iterations
-        if XW.shape[1] == p:
+        if full:
             passes += inner.passes
-        if XW is not X:
+        else:
             grad = None
     objective = float(np.mean(loss.value(y, u))) + penalty.value(beta)
     return SolverResult(beta, objective, float(res), iterations,

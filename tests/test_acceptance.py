@@ -1,9 +1,10 @@
 """Full-size seeded acceptance runs for the whole pipeline.
 
 Everything here runs at realistic problem sizes, so this module is slow
-(roughly ten to fifteen minutes); the per-module unit suites are the fast
-ones. Seeds are fixed once and not tuned: each run below was registered
-before looking at its outcome.
+(its 17 tests took 149.5 s on a 2-core Intel Xeon KVM guest); the
+per-module unit suites are the fast ones, and `-m "not acceptance"` runs
+them alone. Seeds are fixed once and not tuned: each run below was
+registered before looking at its outcome.
 """
 
 import numpy as np
@@ -20,6 +21,8 @@ from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           generate_logistic, stream_rng)
 from penexp.penalties import GroupPenalty, L1BallConstraint
 from penexp.solver import fit_expansion, fit_penalized, smooth_gradient
+
+pytestmark = pytest.mark.acceptance
 
 RATE_GRID = tuple(harness.GridPoint(n, 2 * n, 5) for n in (400, 800, 1600, 3200))
 

@@ -195,6 +195,19 @@ def test_validate_config_rejections():
                          "grid = n=50 p=20 s=2\n" % (key, bad))
 
 
+@pytest.mark.parametrize("loss, designs", [
+    ("squared", "gaussian or rademacher"), ("logistic", "gaussian")])
+def test_unknown_design_refused_by_the_loss(tmp_path, capsys, loss, designs):
+    conf = tmp_path / "bogus.conf"
+    conf.write_text("experiment = rates\nloss = %s\ndesign = bogus\n"
+                    "grid = n=50 p=20 s=2\n" % loss)
+    rc = cli.main(["experiment", str(conf), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "%s loss needs a %s design, got 'bogus'" % (loss, designs) in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_task_seed_stable():
     assert task_seed(7, 0, 0) == task_seed(7, 0, 0)
     seen = {task_seed(7, pi, ri) for pi in range(25) for ri in range(40)}
@@ -246,6 +259,39 @@ def test_rate_fit_needs_three_points():
     recs = synthetic_records([0.3, 0.3, 0.3], lambda r: r * r)
     with pytest.raises(ValueError):
         rate_fit(recs, metric="gap")
+
+
+@pytest.mark.parametrize("r_n", [0.0, -0.2, math.inf, math.nan, None])
+def test_rate_fit_refuses_r_n_not_finite_and_positive(capfd, r_n):
+    recs = synthetic_records([0.5, 0.4, 0.3, 0.2], lambda r: r * r)
+    for r in recs:
+        if r["point"] == 2:
+            r["r_n"] = r_n
+    with pytest.raises(ValueError, match="grid point 2 has r_n = %r; "
+                       % (r_n,)):
+        rate_fit(recs, metric="gap")
+    # refused before a logarithm or a least-squares solve is taken
+    assert "DLASCL" not in "".join(capfd.readouterr())
+
+
+@pytest.mark.parametrize("gap", [math.inf, -math.inf, math.nan])
+def test_rate_fit_refuses_a_median_not_finite(gap):
+    recs = synthetic_records([0.5, 0.4, 0.3, 0.2], lambda r: r * r)
+    for r in recs:
+        if r["point"] == 1:
+            r["gap"] = gap
+    with pytest.raises(ValueError, match="grid point 1 has a median gap of "
+                       "%s, which is not finite" % gap):
+        rate_fit(recs, metric="gap")
+
+
+def test_rate_fit_skips_a_median_not_positive():
+    recs = synthetic_records([0.5, 0.4, 0.3, 0.2], lambda r: r * r)
+    for r in recs:
+        if r["point"] == 3:
+            r["gap"] = 0.0
+    slope, _, _ = rate_fit(recs, metric="gap")
+    assert abs(slope - 2.0) < 1e-12
 
 
 def run_tiny(tmp_path, name, **overrides):
@@ -919,6 +965,25 @@ def test_cli_experiment_and_rate_fit(tmp_path, capsys):
         assert rc == 2
         assert "%r is not a measured" % metric in capsys.readouterr().err
         assert not (tmp_path / "no.json").exists()
+
+
+def test_cli_rate_fit_refuses_a_file_that_is_not_records(tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\r\n1,2\r\n")
+    rc = cli.main(["rate-fit", str(other)])
+    assert rc == 2
+    assert "%s is not a records file: its header lacks the column 'point'" \
+        % other in capsys.readouterr().err
+    # a records file short of one column names that column
+    fields = [f for f in RECORD_FIELDS if f != "est_converged"]
+    short = tmp_path / "short.csv"
+    short.write_text(",".join(fields) + "\r\n")
+    with pytest.raises(ValueError, match="lacks the column 'est_converged'"):
+        load_records_csv(short)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match="lacks the column 'point'"):
+        load_records_csv(empty)
 
 
 def test_cli_experiment_bad_config(tmp_path, capsys):

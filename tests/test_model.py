@@ -9,6 +9,39 @@ from hypothesis import given, settings, strategies as st
 from penexp import losses, model
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("cov", [
+    model.CovarianceModel.identity(7), model.CovarianceModel.ar1(7, 0.0),
+    model.CovarianceModel.ar1(7, -0.0), model.CovarianceModel.ar1(1, 0.6)],
+    ids=["identity", "ar1_0", "ar1_minus_0", "ar1_p1"])
+def test_identity_principal_is_eye_bitwise(cov):
+    assert cov.is_identity
+    for idx in ([0], np.arange(cov.p), [6, 0, 3], [2, 5], []):
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and idx.max() >= cov.p:
+            continue
+        assert same_bits(cov.principal(idx), np.eye(idx.size))
+    assert same_bits(cov.matrix, np.eye(cov.p))
+
+
+@pytest.mark.parametrize("base", [
+    model.CovarianceModel.identity(6), model.CovarianceModel.ar1(6, -0.0),
+    model.CovarianceModel.ar1(6, 0.5), model.CovarianceModel.ar1(6, -0.7)],
+    ids=["identity", "ar1_minus_0", "ar1_0.5", "ar1_-0.7"])
+def test_rank_one_matrix_is_its_formula_bitwise(base):
+    q = np.random.default_rng(8).standard_normal(base.p)
+    q[2] = -0.0
+    m0, c = 0.7, -0.3 / float(q @ base.solve(q))
+    K = model.CovarianceModel.rank_one(base, m0, c, q)
+    assert same_bits(K.matrix, m0 * base.matrix + c * np.outer(q, q))
+    idx = np.array([4, 1, 2])
+    assert same_bits(K.principal(idx), K.matrix[np.ix_(idx, idx)])
+
+
 def test_identity_covariance_basic():
     cov = model.CovarianceModel.identity(5)
     assert cov.p == 5

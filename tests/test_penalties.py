@@ -111,6 +111,19 @@ def test_projection_examples():
     assert np.array_equal(L1BallConstraint(1.0).prox(inside, 1.0), inside)
 
 
+def test_projection_inside_keeps_the_bits_in_a_new_array():
+    x = np.array([0.25, -0.0, -0.5, 0.0, 1e-300])
+    for a in (x, np.stack([x, -x, np.zeros(5)])):
+        out = project_l1_ball(a, 1.0)
+        assert not np.shares_memory(out, a)
+        assert out.shape == a.shape and out.tobytes() == a.tobytes()
+    # rows inside the ball keep their bits beside one that is projected
+    a = np.stack([x, 4.0 * x])
+    out = project_l1_ball(a, 1.0)
+    assert out[0].tobytes() == x.tobytes()
+    assert np.abs(out[1]).sum() == pytest.approx(1.0)
+
+
 def test_projection_against_scalar_equation():
     # solve sum (|x_j| - theta)_+ = R independently and compare
     from scipy.optimize import brentq

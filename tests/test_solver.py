@@ -229,6 +229,35 @@ def test_non_convergence_reported():
     assert res.kkt_residual > 1e-14
 
 
+def counting_residual():
+    """A patch of GroupPenalty.residual that counts its calls."""
+    return mock.patch.object(GroupPenalty, "residual", autospec=True,
+                             side_effect=GroupPenalty.residual)
+
+
+def test_uncertified_budget_checks_kkt_once_per_check_point():
+    # a 10-iteration budget is checked at iterations 1, 5 and 10, and the
+    # last check is the reported residual: no second look at iterate 10
+    cfg = solver.SolverConfig(max_iters=10, kkt_tol=1e-14)
+    cov = model.CovarianceModel.ar1(40, 0.5)
+    X = model.generate_design(cov, 80, "gaussian", seed=3)
+    ds = model.generate_linear(X, model.flat_signal(40, 3), 1.0, 3, cov)
+    pen = lasso(0.05, ds.p)
+    with counting_residual() as residual:
+        res = solver.fit_expansion(ds, SQUARED, cov, ds.beta_star, pen, cfg)
+    assert residual.call_count == 3
+    assert (res.iterations, res.converged) == (10, False)
+    # the penalized fit adds its two outer checks, at 0 and after the solve
+    ds, _ = linear_instance(80, 40, 3, seed=3)
+    with counting_residual() as residual:
+        res = solver.fit_penalized(ds, SQUARED, pen, cfg)
+    assert residual.call_count == 5
+    assert (res.iterations, res.converged) == (10, False)
+    grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+    assert res.kkt_residual == pytest.approx(
+        pen.residual(res.solution, grad), rel=1e-9)
+
+
 def test_expansion_step_from_top_eigenvalue():
     # K = (I + 9 vv')/10 with v orthogonal to the all-ones vector:
     # lambda_max is 1, but a power iteration started at the all-ones vector
