@@ -7,7 +7,7 @@ covariance and squared loss; those hypotheses are enforced, not extrapolated.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +32,6 @@ class RiskIdentityReport:
     @property
     def bound(self):
         return self.bound_noise_term + self.bound_gap_term
-
-    def as_dict(self):
-        d = asdict(self)
-        d["bound"] = self.bound
-        return d
 
 
 @dataclass(frozen=True)
@@ -82,11 +77,14 @@ def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
     return risk, se
 
 
-def require_risk_identity_data(dataset):
-    """Refuse, with ValueError, data the risk identity is not proved for.
+def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed, t=2.0):
+    """Compare the realized estimation error against the prox-risk identity.
 
-    The identity is exact only for linear data from a Gaussian design with
-    identity covariance; callers check this before spending any solve.
+    lhs is ||beta_hat - beta_star||, rhs the root mean prox risk at the
+    realized noise scale, and the finite-sample bound is
+    sigma (t+1)/sqrt(n) + ||beta_hat - eta||. The identity is exact only
+    for linear data from a Gaussian design with identity covariance;
+    anything else is refused with ValueError.
     """
     if dataset.model_kind != "linear":
         raise ValueError("risk identity applies to linear data")
@@ -95,18 +93,6 @@ def require_risk_identity_data(dataset):
     if dataset.covariance is None or not dataset.covariance.is_identity:
         raise ValueError("risk identity requires the identity covariance; "
                          "refusing to extrapolate")
-
-
-def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed, t=2.0):
-    """Compare the realized estimation error against the prox-risk identity.
-
-    lhs is ||beta_hat - beta_star||, rhs the root mean prox risk at the
-    realized noise scale, and the finite-sample bound is
-    sigma (t+1)/sqrt(n) + ||beta_hat - eta||. Requires linear data from a
-    Gaussian design with identity covariance; anything else is refused
-    (see require_risk_identity_data).
-    """
-    require_risk_identity_data(dataset)
     beta_hat = np.asarray(beta_hat, dtype=float)
     eta = np.asarray(eta, dtype=float)
     sigma = noise_scale(dataset)

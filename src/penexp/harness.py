@@ -589,7 +589,9 @@ def rate_fit(records, metric="gap"):
 def load_records_csv(path):
     """Read records.csv back into dicts, each cell with the type _run_task
     gave its column: an int, a flag or a float, and None when empty.
-    ValueError names the first RECORD_FIELDS column the header lacks."""
+    ValueError names the first RECORD_FIELDS column the header lacks, or
+    the line and column of a row shorter or longer than the header or of
+    a cell that does not parse."""
     ints = {"point", "n", "p", "s", "M", "d", "rep", "seed",
             "est_iterations", "exp_iterations", "nnz_coords", "nnz_groups"}
 
@@ -602,9 +604,30 @@ def load_records_csv(path):
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [f for f in RECORD_FIELDS
-                   if f not in (reader.fieldnames or ())]
+        header = reader.fieldnames or ()
+        missing = [f for f in RECORD_FIELDS if f not in header]
         if missing:
             raise ValueError("%s is not a records file: its header lacks "
                              "the column '%s'" % (path, missing[0]))
-        return [{k: cell(k, v) for k, v in row.items()} for row in reader]
+        records = []
+        for row in reader:
+            where = "%s, line %d" % (path, reader.line_num)
+            # DictReader keys cells beyond the header by None, and gives
+            # None to the columns a short row does not reach
+            if None in row:
+                raise ValueError("%s, column %d: the row has more cells "
+                                 "than the header's %d columns"
+                                 % (where, len(header) + 1, len(header)))
+            rec = {}
+            for k, v in row.items():
+                if v is None:
+                    raise ValueError("%s, column '%s': the row ends before "
+                                     "this column" % (where, k))
+                try:
+                    rec[k] = cell(k, v)
+                except ValueError:
+                    raise ValueError("%s, column '%s': %r is not %s" % (
+                        where, k, v,
+                        "an integer" if k in ints else "a number")) from None
+            records.append(rec)
+        return records

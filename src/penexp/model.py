@@ -13,8 +13,6 @@ parallel replications complete.
 
 from __future__ import annotations
 
-import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -129,11 +127,6 @@ class CovarianceModel:
             return cls.ar1(p, float(spec.split(":", 1)[1]))
         raise ValueError("unknown covariance %r (identity or ar1:<rho>)"
                          % (spec,))
-
-    @property
-    def spec(self):
-        """The from_spec string of an identity or AR(1) covariance."""
-        return "identity" if self.kind == "identity" else "ar1:%r" % self.rho
 
     @classmethod
     def rank_one(cls, base, m0, c, q):
@@ -371,7 +364,6 @@ class Dataset:
     noise_sd: float | None
     beta_star: np.ndarray
     covariance: CovarianceModel | None
-    seed: int
 
     def __post_init__(self):
         if self.model_kind not in ("linear", "logistic"):
@@ -433,7 +425,7 @@ def generate_linear(X, beta_star, noise_sd, seed, covariance=None,
     y = X @ beta_star + eps
     return Dataset(_readonly(X), _readonly(y), "linear", design_kind,
                    _readonly(eps), float(noise_sd), _readonly(beta_star),
-                   covariance, int(seed))
+                   covariance)
 
 
 def generate_logistic(X, beta_star, seed, covariance=None,
@@ -462,7 +454,7 @@ def generate_logistic(X, beta_star, seed, covariance=None,
     p1 = sigmoid(-(X @ beta_star))
     y = (rng.random(X.shape[0]) < p1).astype(float)
     return Dataset(_readonly(X), _readonly(y), "logistic", design_kind,
-                   None, None, _readonly(beta_star), covariance, int(seed))
+                   None, None, _readonly(beta_star), covariance)
 
 
 def simulate(cov, beta_star, n, model_kind, design_kind, noise_sd, seed):
@@ -488,98 +480,3 @@ def noise_scale(dataset):
                          "(noise scale is defined for linear data only)")
     eps = dataset.noise
     return float(np.sqrt(np.mean(eps * eps))) if eps.size else 0.0
-
-
-def save_dataset(dataset, path):
-    """Persist a dataset as meta.json plus little-endian float64 binaries.
-
-    The covariance is stored as its from_spec string, so only an identity
-    or AR(1) covariance (or none) can be saved."""
-    cov = dataset.covariance
-    meta = {
-        "n": dataset.n,
-        "p": dataset.p,
-        "model_kind": dataset.model_kind,
-        "design_kind": dataset.design_kind,
-        "seed": dataset.seed,
-        "beta_star": [float(b) for b in dataset.beta_star],
-        "noise_sd": dataset.noise_sd,
-        "covariance": None if cov is None else cov.spec,
-    }
-    os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    dataset.X.astype("<f8").tofile(os.path.join(path, "X.bin"))
-    dataset.y.astype("<f8").tofile(os.path.join(path, "y.bin"))
-    if dataset.noise is not None:
-        dataset.noise.astype("<f8").tofile(os.path.join(path, "eps.bin"))
-
-
-def load_dataset(path):
-    """The dataset save_dataset wrote to path; ValueError names a key that
-    its meta.json lacks or holds a value of the wrong type, out of range or
-    not finite for, or an X.bin (n p values), y.bin or eps.bin (n) of
-    another length or with a value that is not finite."""
-    meta_path = os.path.join(path, "meta.json")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise ValueError("%s holds no JSON object" % meta_path)
-
-    def typed(value, types):
-        return isinstance(value, types) and not isinstance(value, bool)
-
-    number, none = (int, float), type(None)
-    for key, types in (("n", int), ("p", int), ("seed", int),
-                       ("model_kind", str), ("design_kind", str),
-                       ("covariance", (str, none)), ("beta_star", list),
-                       ("noise_sd", number + (none,))):
-        if key not in meta:
-            raise ValueError("%s lacks the key '%s'" % (meta_path, key))
-        value = meta[key]
-        if not typed(value, types) or key == "beta_star" and \
-                not all(typed(b, number) for b in value):
-            raise ValueError("%s: the key '%s' holds %r, a value of the "
-                             "wrong type" % (meta_path, key, value))
-    n, p, noise_sd = meta["n"], meta["p"], meta["noise_sd"]
-    for key, bad in (("n", n < 1), ("p", p < 1),
-                     ("design_kind", meta["design_kind"] not in
-                      ("gaussian", "rademacher")),
-                     ("noise_sd", noise_sd is not None and
-                      not abs(noise_sd) < np.inf)):
-        if bad:
-            raise ValueError("%s: the key '%s' holds %r, a value out of "
-                             "range" % (meta_path, key, meta[key]))
-    if len(meta["beta_star"]) != p:
-        raise ValueError("%s: the key 'beta_star' holds %d values, not "
-                         "p = %d" % (meta_path, len(meta["beta_star"]), p))
-    try:
-        beta_star = np.asarray(meta["beta_star"], dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        beta_star = None
-    if beta_star is None or not np.isfinite(beta_star).all():
-        raise ValueError("%s: the key 'beta_star' holds a value that is not "
-                         "finite" % meta_path)
-    X = np.fromfile(os.path.join(path, "X.bin"), dtype="<f8")
-    y = np.fromfile(os.path.join(path, "y.bin"), dtype="<f8")
-    eps_path = os.path.join(path, "eps.bin")
-    noise = np.fromfile(eps_path, dtype="<f8") \
-        if os.path.exists(eps_path) else None
-    for name, vec, what, want in (("X.bin", X, "n·p", n * p),
-                                  ("y.bin", y, "n", n),
-                                  ("eps.bin", noise, "n", n)):
-        if vec is None:
-            continue
-        if vec.size != want:
-            raise ValueError("%s holds %d values, not %s = %d" % (
-                os.path.join(path, name), vec.size, what, want))
-        if not np.isfinite(vec).all():
-            raise ValueError("%s holds a value that is not finite"
-                             % os.path.join(path, name))
-    spec = meta["covariance"]
-    cov = None if spec is None else CovarianceModel.from_spec(spec, p)
-    return Dataset(_readonly(X.reshape(n, p)), _readonly(y),
-                   meta["model_kind"], meta["design_kind"],
-                   _readonly(noise) if noise is not None else None,
-                   noise_sd, _readonly(beta_star), cov, meta["seed"])

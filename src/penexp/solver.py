@@ -52,7 +52,6 @@ DEFAULT_CONFIG = SolverConfig()
 @dataclass(frozen=True, eq=False)
 class SolverResult:
     solution: np.ndarray
-    objective: float
     kkt_residual: float
     iterations: int
     converged: bool
@@ -131,7 +130,7 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
             if res <= cfg.kkt_tol:
                 break
     passes = images + smooth.grad_products * grads
-    return SolverResult(x, obj, float(res), it, res <= cfg.kkt_tol,
+    return SolverResult(x, float(res), it, res <= cfg.kkt_tol,
                         time.perf_counter() - t0, passes), u_x, g_x
 
 
@@ -193,8 +192,7 @@ def fit_penalized(dataset, loss, penalty, config=None):
             passes += inner.passes
         else:
             grad = None
-    objective = float(np.mean(loss.value(y, u))) + penalty.value(beta)
-    return SolverResult(beta, objective, float(res), iterations,
+    return SolverResult(beta, float(res), iterations,
                         bool(res <= cfg.kkt_tol), time.perf_counter() - t0,
                         passes)
 

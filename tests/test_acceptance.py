@@ -47,7 +47,7 @@ def test_orthonormal_design_fit_matches_soft_threshold():
     eps = rng.standard_normal(n)
     ds = Dataset(X=X, y=X @ beta_star + eps, model_kind="linear",
                  design_kind="gaussian", noise=eps, noise_sd=1.0,
-                 beta_star=beta_star, covariance=None, seed=0)
+                 beta_star=beta_star, covariance=None)
     lam = 0.12
     fit = fit_penalized(ds, get_loss("squared"), lasso(lam, p))
     corr = X.T @ ds.y / n

@@ -12,14 +12,16 @@ numpy is the package's only run-time dependency: scipy is for the tests and
 the benchmark alone.
 """
 
+import argparse
 import ast
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 
 import penexp
-from penexp import harness
+from penexp import cli, harness
 
 # Public names without a caller in the package. Empty: a name listed here
 # would be an exception to the rule above, and none is needed.
@@ -191,3 +193,16 @@ def test_readme_config_block_lists_every_config_key():
     keys = {line.split("#", 1)[0].partition("=")[0].strip()
             for line in block.splitlines() if "=" in line.split("#", 1)[0]}
     assert keys == {f.name for f in fields(harness.ExperimentConfig)}
+
+
+def test_readme_cli_section_lists_every_subcommand():
+    # the "Subcommands:" sentence and the example block under "CLI" name
+    # exactly the subcommands the parser has
+    section = _readme().split("## CLI\n", 1)[1].split("\n## ", 1)[0]
+    sentence = section.split("Subcommands:", 1)[1].split(".", 1)[0]
+    listed = set(re.findall(r"`([a-z-]+)`", sentence))
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = set(re.findall(r"^penexp ([a-z-]+)", block, re.M))
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert listed == shown == set(sub.choices)

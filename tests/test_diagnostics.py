@@ -141,6 +141,8 @@ def test_risk_identity_noiseless():
                               n_mc=100, seed=1)
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
+    # lhs / rhs has no value: no NaN for records.csv or summary.json
+    assert rep.ratio is None
     assert rep.within_bound
     assert rep.bound == rep.bound_noise_term + rep.bound_gap_term
 
@@ -163,15 +165,15 @@ def test_risk_identity_refusals():
     X = generate_design(cov, 40, seed=5)
     beta = flat_signal(10, 2, 0.5)
     logit = generate_logistic(X, beta, seed=6, covariance=cov)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="applies to linear data"):
         risk_identity_check(logit, beta, beta, lasso(0.1, 10), 10, 1)
 
     ds_ar = linear_dataset(40, 10, 2, seed=7, rho=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires the identity covariance"):
         risk_identity_check(ds_ar, beta, beta, lasso(0.1, 10), 10, 1)
 
     ds_rad = linear_dataset(40, 10, 2, seed=8, design_kind="rademacher")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="requires a gaussian design"):
         risk_identity_check(ds_rad, beta, beta, lasso(0.1, 10), 10, 1)
 
 

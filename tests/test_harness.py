@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 import penexp
-from penexp import cli, harness, model, solver
+from penexp import cli, harness, solver
 from penexp.cones import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
                             TIMING_FIELDS, load_records_csv, parse_config,
                             rate_fit, run_experiment, task_seed)
-from penexp.losses import LOGISTIC, get_loss
+from penexp.losses import LOGISTIC
 
 
 CONFIG_TEXT = """\
@@ -155,9 +155,11 @@ def test_validate_config_rejections():
     with pytest.raises(ValueError, match="unknown covariance 'ar2:0.5'"):
         parse_config("experiment = rates\ncovariance = ar2:0.5\n"
                      "grid = n=50 p=20 s=2\n")
-    with pytest.raises(ValueError):
-        parse_config("experiment = risk_identity\ncovariance = ar1:0.5\n"
-                     "grid = n=50 p=20 s=2\n")
+    for line in ("covariance = ar1:0.5", "loss = logistic",
+                 "design = rademacher"):
+        with pytest.raises(ValueError, match="risk_identity runs require"):
+            parse_config("experiment = risk_identity\n%s\n"
+                         "grid = n=50 p=20 s=2\n" % line)
     with pytest.raises(ValueError):
         parse_config("experiment = coverage\nloss = logistic\n"
                      "grid = n=50 p=20 s=2\n")
@@ -183,13 +185,18 @@ def test_validate_config_rejections():
                      "grid = n=50 p=20 s=2\n")
     # each of these would run every point set-up and then end the run at
     # its first task, or (infinite noise_sd) run on meaningless data
-    with pytest.raises(ValueError, match="n >= 1"):
-        parse_config("experiment = rates\ngrid = n=0 p=20 s=2\n")
+    for grid in ("n=0 p=20 s=2", "n=10 p=0 s=0"):
+        with pytest.raises(ValueError, match="n >= 1 and p > s >= 1"):
+            parse_config("experiment = rates\ngrid = %s\n" % grid)
+    with pytest.raises(ValueError, match="mc_inner must be >= 2"):
+        parse_config("experiment = risk_identity\nmc_inner = 1\n"
+                     "grid = n=50 p=20 s=2\n")
     with pytest.raises(ValueError, match="l1-ball radius"):
         parse_config("experiment = rates\npenalty = l1_constrained\n"
                      "amplitude = 0\ngrid = n=50 p=20 s=2\n")
     for key, bad in (("xi", "nan"), ("xi", "inf"), ("amplitude", "nan"),
-                     ("amplitude", "inf"), ("noise_sd", "inf")):
+                     ("amplitude", "inf"), ("noise_sd", "inf"),
+                     ("noise_sd", "nan")):
         with pytest.raises(ValueError, match="%s must be" % key):
             parse_config("experiment = rates\n%s = %s\n"
                          "grid = n=50 p=20 s=2\n" % (key, bad))
@@ -205,6 +212,23 @@ def test_unknown_design_refused_by_the_loss(tmp_path, capsys, loss, designs):
     assert rc == 2
     assert "%s loss needs a %s design, got 'bogus'" % (loss, designs) in \
         capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("kkt_tol = inf", "kkt_tol must be > 0 and finite"),
+    ("kkt_tol = nan", "kkt_tol must be > 0 and finite"),
+    ("kkt_tol = -1", "kkt_tol must be > 0 and finite"),
+    ("max_iters = 0", "max_iters must be >= 1"),
+], ids=["kkt_tol_inf", "kkt_tol_nan", "kkt_tol_negative", "max_iters_zero"])
+def test_experiment_refuses_a_bad_tolerance_or_budget(tmp_path, capsys, line,
+                                                      message):
+    # an infinite tolerance would certify any iterate
+    conf = tmp_path / "bad.conf"
+    conf.write_text("experiment = rates\n%s\ngrid = n=50 p=20 s=2\n" % line)
+    rc = cli.main(["experiment", str(conf), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -580,361 +604,6 @@ def test_fit_experiment_kind(tmp_path):
     assert summary["rate_fit"] is None
 
 
-def test_cli_generate_fit_expand(tmp_path, capsys):
-    ds = str(tmp_path / "ds")
-    rc = cli.main(["generate", "--n", "120", "--p", "30", "--s", "3",
-                   "--seed", "9", "--out", ds])
-    assert rc == 0
-    meta = json.loads(capsys.readouterr().out)
-    assert meta["n"] == 120 and meta["p"] == 30
-
-    sol = str(tmp_path / "sol")
-    rc = cli.main([ "fit", ds, "--penalty", "l1:0.3", "--out", sol])
-    assert rc == 0
-    info = json.loads((tmp_path / "sol" / "solution.json").read_text())
-    assert info["converged"] is True
-    assert info["kkt_residual"] <= 1e-8
-    assert info["passes"] >= 2
-    beta = np.fromfile(tmp_path / "sol" / "solution.bin")
-    assert beta.shape == (30,)
-
-    exp = str(tmp_path / "exp")
-    rc = cli.main(["expand", ds, "--penalty", "l1:0.3", "--out", exp])
-    assert rc == 0
-    info = json.loads((tmp_path / "exp" / "expansion.json").read_text())
-    assert info["converged"] is True
-    assert info["passes"] >= info["iterations"] >= 1
-    eta = np.fromfile(tmp_path / "exp" / "expansion.bin")
-    assert eta.shape == (30,)
-
-
-def _without(key):
-    return lambda meta, ds: {k: v for k, v in meta.items() if k != key}
-
-
-def _with(**items):
-    return lambda meta, ds: dict(meta, **items)
-
-
-def _shortened(name):
-    def edit(meta, ds):
-        (ds / name).write_bytes((ds / name).read_bytes()[:-8])
-        return meta
-    return edit
-
-
-def _poisoned(name):
-    def edit(meta, ds):
-        values = np.fromfile(ds / name, dtype="<f8")
-        values[-1] = np.nan
-        values.tofile(ds / name)
-        return meta
-    return edit
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_without("covariance"), "lacks the key 'covariance'"),
-    (_without("n"), "lacks the key 'n'"),
-    (_with(model_kind="poisson"), "unknown model kind 'poisson'"),
-    (lambda meta, ds: [1], "holds no JSON object"),
-    (_with(n="40"), "the key 'n' holds '40'"),
-    (_with(p=10.0), "the key 'p' holds 10.0"),
-    (_with(seed=True), "the key 'seed' holds True"),
-    (_with(covariance=5), "the key 'covariance' holds 5"),
-    (_with(beta_star=[None] * 10), "the key 'beta_star'"),
-    (_with(n=-1), "the key 'n' holds -1, a value out of range"),
-    (_with(p=-10), "the key 'p' holds -10, a value out of range"),
-    (_with(design_kind="bogus"), "the key 'design_kind' holds 'bogus'"),
-    (_with(beta_star=[0.0] * 9), "the key 'beta_star' holds 9 values, "
-                                 "not p = 10"),
-    (_shortened("y.bin"), "y.bin holds 39 values, not n = 40"),
-    (_shortened("eps.bin"), "eps.bin holds 39 values, not n = 40"),
-    (_shortened("X.bin"), "X.bin holds 399 values, not n·p = 400"),
-    (_with(beta_star=[0.0] * 9 + [math.nan]),
-     "the key 'beta_star' holds a value that is not finite"),
-    (_with(beta_star=[0.0] * 9 + [10 ** 400]),
-     "the key 'beta_star' holds a value that is not finite"),
-    (_with(noise_sd=math.inf), "the key 'noise_sd' holds inf, a value out "
-                               "of range"),
-    (_poisoned("y.bin"), "y.bin holds a value that is not finite"),
-    (_poisoned("eps.bin"), "eps.bin holds a value that is not finite"),
-    (_poisoned("X.bin"), "X.bin holds a value that is not finite"),
-], ids=["no_covariance", "no_n", "unknown_model_kind", "not_an_object",
-        "n_a_string", "p_a_float", "seed_a_flag", "covariance_a_number",
-        "beta_star_nulls", "n_negative", "p_negative", "design_kind_unknown",
-        "beta_star_short", "y_short", "eps_short", "x_short", "beta_star_nan",
-        "beta_star_overflow", "noise_sd_inf", "y_nan", "eps_nan", "x_nan"])
-def test_cli_fit_refuses_a_malformed_meta_json(tmp_path, capsys, edit,
-                                               message):
-    ds = tmp_path / "ds"
-    cli.main(["generate", "--n", "40", "--p", "10", "--s", "2",
-              "--out", str(ds)])
-    capsys.readouterr()
-    meta = json.loads((ds / "meta.json").read_text())
-    (ds / "meta.json").write_text(json.dumps(edit(meta, ds)))
-    rc = cli.main(["fit", str(ds), "--penalty", "l1:0.3",
-                   "--out", str(tmp_path / "sol")])
-    assert rc == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "sol").exists()
-
-
-def test_cli_generate_refuses_negative_seed(tmp_path, capsys):
-    out = tmp_path / "ds"
-    rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
-                   "--seed", "-1", "--out", str(out)])
-    assert rc == 2
-    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_cli_generate_refuses_negative_noise_sd(tmp_path, capsys):
-    out = tmp_path / "ds"
-    rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
-                   "--noise-sd", "-2", "--out", str(out)])
-    assert rc == 2
-    assert "noise_sd must be >= 0" in capsys.readouterr().err
-    assert not (out / "meta.json").exists()
-
-
-def test_cli_generate_refuses_empty_design(tmp_path, capsys):
-    # p = 0 used to write a dataset that fit then refused
-    for covariance in ("identity", "ar1:0.5"):
-        out = tmp_path / covariance
-        rc = cli.main(["generate", "--n", "10", "--p", "0", "--s", "0",
-                       "--covariance", covariance, "--out", str(out)])
-        assert rc == 2, covariance
-        assert "need p >= 1" in capsys.readouterr().err, covariance
-        assert not out.exists()
-
-
-def test_cli_generate_refuses_non_finite_noise_sd(tmp_path, capsys):
-    # an infinite noise_sd wrote responses of +-inf, and a later fit wrote
-    # Infinity and NaN into solution.json
-    for value in ("inf", "nan"):
-        out = tmp_path / value
-        rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
-                       "--noise-sd", value, "--out", str(out)])
-        assert rc == 2, value
-        assert "noise_sd must be >= 0 and finite" in \
-            capsys.readouterr().err, value
-        assert not out.exists()
-
-
-def test_cli_generate_refuses_non_finite_amplitude(tmp_path, capsys):
-    # an infinite amplitude wrote NaN responses, and a later fit wrote NaN
-    # into solution.json
-    for value in ("inf", "nan"):
-        out = tmp_path / value
-        rc = cli.main(["generate", "--n", "20", "--p", "5", "--s", "1",
-                       "--amplitude", value, "--out", str(out)])
-        assert rc == 2, value
-        assert "amplitude must be finite" in capsys.readouterr().err, value
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("loss, covariance, design", [
-    ("squared", "ar1:0.5", "rademacher"),
-    ("logistic", "ar1:-0.3", "gaussian"),
-])
-def test_cli_generate_writes_the_experiment_task_dataset(
-        tmp_path, capsys, monkeypatch, loss, covariance, design):
-    # generate --seed S and the experiment task whose seed is S draw their
-    # data through one path, so they write the same bytes
-    cfg = ExperimentConfig(
-        experiment="fit", loss=loss, covariance=covariance, design=design,
-        noise_sd=0.7, amplitude=0.3, grid=(GridPoint(40, 12, 2),),
-        replications=2, master_seed=77, threads=1, out=str(tmp_path / "x"))
-    made = []
-    simulate = model.simulate
-
-    def spy(*args):
-        made.append(simulate(*args))
-        return made[-1]
-
-    monkeypatch.setattr(model, "simulate", spy)
-    loss_obj = get_loss(loss)
-    setup = harness._setup_point(cfg, cfg.grid[0], loss_obj)
-    harness._run_task(cfg, setup, loss_obj, solver.SolverConfig(), 0, 1)
-    ds = made[0]
-    seed = task_seed(77, 0, 1)
-    assert ds.seed == seed
-    out = tmp_path / "ds"
-    rc = cli.main(["generate", "--n", "40", "--p", "12", "--s", "2",
-                   "--model", ds.model_kind, "--design", design,
-                   "--covariance", covariance, "--noise-sd", "0.7",
-                   "--amplitude", "0.3", "--seed", str(seed),
-                   "--out", str(out)])
-    assert rc == 0
-    assert (out / "X.bin").read_bytes() == ds.X.astype("<f8").tobytes()
-    assert (out / "y.bin").read_bytes() == ds.y.astype("<f8").tobytes()
-    if ds.noise is None:
-        assert not (out / "eps.bin").exists()
-    else:
-        assert (out / "eps.bin").read_bytes() == \
-            ds.noise.astype("<f8").tobytes()
-
-
-def test_cli_fit_not_converged_exit(tmp_path, capsys):
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "60", "--p", "20", "--s", "2",
-              "--seed", "4", "--out", ds])
-    capsys.readouterr()
-    rc = cli.main(["fit", ds, "--penalty", "l1:0.1", "--max-iters", "1",
-                   "--out", str(tmp_path / "sol")])
-    assert rc == 3
-
-
-def test_cli_penalty_spec_errors(tmp_path, capsys):
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "40", "--p", "20", "--s", "2",
-              "--seed", "4", "--out", ds])
-    capsys.readouterr()
-    out = str(tmp_path / "sol")
-    for spec in ("l2:0.3", "l1:-1", "l1ball:0", "group:0.2:7", "l1"):
-        rc = cli.main(["fit", ds, "--penalty", spec, "--out", out])
-        assert rc == 2, spec
-        assert "error:" in capsys.readouterr().err
-
-
-def test_cli_refuses_non_finite_penalty_and_tolerance(tmp_path, capsys):
-    # an infinite tolerance certified any iterate; infinite or NaN levels
-    # and radii wrote NaN objectives or failed inside the solver
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "40", "--p", "20", "--s", "2",
-              "--seed", "4", "--out", ds])
-    capsys.readouterr()
-    out = tmp_path / "sol"
-    cases = [(["--penalty", spec], "bad penalty spec")
-             for spec in ("l1:inf", "l1:nan", "l1ball:nan", "l1ball:inf",
-                          "group:inf:2", "group:nan:2")]
-    cases += [(["--penalty", "l1:0.3", "--tol", tol], "kkt_tol must be")
-              for tol in ("inf", "nan")]
-    for flags, message in cases:
-        for command in ("fit", "expand"):
-            rc = cli.main([command, ds] + flags + ["--out", str(out)])
-            assert rc == 2, flags
-            assert message in capsys.readouterr().err, flags
-            assert not out.exists()
-
-
-def test_cli_group_fit(tmp_path, capsys):
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "80", "--p", "20", "--s", "2",
-              "--seed", "6", "--out", ds])
-    capsys.readouterr()
-    rc = cli.main(["fit", ds, "--penalty", "group:0.2:5",
-                   "--out", str(tmp_path / "sol")])
-    assert rc == 0
-    info = json.loads((tmp_path / "sol" / "solution.json").read_text())
-    assert info["penalty"] == "group:0.2:5"
-
-
-def test_cli_risk_identity(tmp_path, capsys):
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "200", "--p", "30", "--s", "3",
-              "--seed", "13", "--out", ds])
-    capsys.readouterr()
-    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.25",
-                   "--n-mc", "4000", "--seed", "2",
-                   "--out", str(tmp_path / "rr")])
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out)
-    disk = json.loads((tmp_path / "rr" / "risk_identity.json").read_text())
-    assert disk == report
-    assert report["est_converged"] and report["exp_converged"]
-    assert report["ratio"] == pytest.approx(report["lhs"] / report["rhs"],
-                                            rel=1e-12)
-
-
-def test_cli_risk_identity_writes_strict_json_at_zero_rhs(tmp_path, capsys):
-    # no noise and no penalty: the prox risk, hence rhs, is exactly 0
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "100", "--p", "20", "--s", "2",
-              "--noise-sd", "0", "--seed", "4", "--out", ds])
-    capsys.readouterr()
-    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0", "--n-mc", "50",
-                   "--out", str(tmp_path / "rr")])
-    assert rc == 0
-
-    def refuse(name):
-        raise ValueError("not strict JSON: %s" % name)
-
-    text = (tmp_path / "rr" / "risk_identity.json").read_text()
-    report = json.loads(text, parse_constant=refuse)
-    assert report["rhs"] == 0.0
-    assert report["ratio"] is None
-
-
-def test_cli_risk_identity_refuses_logistic_data_before_solving(
-        tmp_path, capsys, monkeypatch):
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--model", "logistic", "--n", "100", "--p", "20",
-              "--s", "2", "--amplitude", "0.5", "--seed", "3", "--out", ds])
-    capsys.readouterr()
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before refusing the data")
-
-    monkeypatch.setattr(solver, "fit_penalized", no_solve)
-    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.1"])
-    assert rc == 2
-    assert "risk identity applies to linear data" in capsys.readouterr().err
-
-
-def test_cli_risk_identity_refuses_one_draw_before_solving(
-        tmp_path, capsys, monkeypatch):
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "100", "--p", "20", "--s", "2",
-              "--seed", "3", "--out", ds])
-    capsys.readouterr()
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before refusing --n-mc")
-
-    monkeypatch.setattr(solver, "fit_penalized", no_solve)
-    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.1",
-                   "--n-mc", "1"])
-    assert rc == 2
-    assert "--n-mc" in capsys.readouterr().err
-
-
-def test_cli_risk_identity_refuses_bad_t_before_solving(
-        tmp_path, capsys, monkeypatch):
-    # --t -3 reported a negative bound and --t nan a NaN one, with exit 0
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "100", "--p", "20", "--s", "2",
-              "--seed", "3", "--out", ds])
-    capsys.readouterr()
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before refusing --t")
-
-    monkeypatch.setattr(solver, "fit_penalized", no_solve)
-    for value in ("-3", "nan", "inf"):
-        rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.1",
-                       "--t", value])
-        assert rc == 2, value
-        assert "--t must be >= 0 and finite" in capsys.readouterr().err
-
-
-def test_cli_risk_identity_refuses_negative_seed_before_solving(
-        tmp_path, capsys, monkeypatch):
-    ds = str(tmp_path / "ds")
-    cli.main(["generate", "--n", "100", "--p", "20", "--s", "2",
-              "--seed", "3", "--out", ds])
-    capsys.readouterr()
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("solved before refusing --seed")
-
-    monkeypatch.setattr(solver, "fit_penalized", no_solve)
-    rc = cli.main(["risk-identity", ds, "--penalty", "l1:0.1",
-                   "--seed", "-2"])
-    assert rc == 2
-    assert "--seed must be >= 0, got -2" in capsys.readouterr().err
-
-
 def test_cli_experiment_and_rate_fit(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(CONFIG_TEXT.replace("grid = n=120 p=30 s=2",
@@ -986,6 +655,31 @@ def test_cli_rate_fit_refuses_a_file_that_is_not_records(tmp_path, capsys):
         load_records_csv(empty)
 
 
+def _records_row(**cells):
+    return ",".join(cells.get(f, "") for f in RECORD_FIELDS)
+
+
+@pytest.mark.parametrize("row, where", [
+    (_records_row()[:-1], "column 'sparsity_ok': the row ends before this "
+                          "column"),
+    (_records_row() + ",", "column %d: the row has more cells than the "
+                           "header's %d columns"
+                           % (len(RECORD_FIELDS) + 1, len(RECORD_FIELDS))),
+    (_records_row(n="x"), "column 'n': 'x' is not an integer"),
+    (_records_row(gap="x"), "column 'gap': 'x' is not a number"),
+], ids=["short_row", "long_row", "int_cell", "float_cell"])
+def test_cli_rate_fit_names_the_line_and_column_of_a_bad_row(tmp_path,
+                                                             capsys, row,
+                                                             where):
+    # the bad row is line 3, after the header and one row of empty cells
+    path = tmp_path / "records.csv"
+    path.write_text("\r\n".join([",".join(RECORD_FIELDS), _records_row(),
+                                  row, ""]))
+    rc = cli.main(["rate-fit", str(path)])
+    assert rc == 2
+    assert "%s, line 3, %s" % (path, where) in capsys.readouterr().err
+
+
 def test_cli_experiment_bad_config(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("experiment = rates\nwat = 1\ngrid = n=10 p=5 s=1\n")
@@ -1025,36 +719,22 @@ def test_cli_coverage_smoke(tmp_path, capsys):
     assert all(r["target"] == 1.0 for r in recs)
 
 
-def _penexp_process(*args):
-    # a fresh process with a timeout, so a solve that never ends fails
-    src = os.path.dirname(os.path.dirname(penexp.__file__))
-    return subprocess.run([sys.executable, "-m", "penexp", *args],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
-
-
-def test_logistic_signal_at_the_default_amplitude_is_certified(tmp_path,
-                                                               capsys):
+def test_logistic_signal_at_the_default_amplitude_is_certified(tmp_path):
     # ||Sigma^{1/2} beta*|| = sqrt(5) at the default amplitude, beyond the
     # unit ball: the curvature is built and both solves are certified
     conf = tmp_path / "run.conf"
     conf.write_text("experiment = rates\nloss = logistic\n"
                     "replications = 1\nthreads = 1\ngrid = n=200 p=40 s=5\n")
-    out = _penexp_process("experiment", str(conf),
-                          "--out", str(tmp_path / "res"))
+    # a fresh process with a timeout, so a solve that never ends fails
+    src = os.path.dirname(os.path.dirname(penexp.__file__))
+    out = subprocess.run([sys.executable, "-m", "penexp", "experiment",
+                          str(conf), "--out", str(tmp_path / "res")],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     [rec] = load_records_csv(tmp_path / "res" / "records.csv")
     assert rec["est_converged"] is True and rec["exp_converged"] is True
     assert rec["est_kkt"] <= 1e-8 and rec["exp_kkt"] <= 1e-8
-    ds = str(tmp_path / "ds")
-    with pytest.warns(UserWarning):
-        assert cli.main(["generate", "--model", "logistic", "--n", "200",
-                         "--p", "40", "--s", "5", "--out", ds]) == 0
-    out = _penexp_process("expand", ds, "--penalty", "l1:0.05",
-                          "--out", str(tmp_path / "exp"))
-    assert out.returncode == 0, out.stderr
-    info = json.loads((tmp_path / "exp" / "expansion.json").read_text())
-    assert info["converged"] is True
 
 
 def test_cli_usage_error_exit_code():

@@ -1,4 +1,3 @@
-import json
 import tracemalloc
 from functools import lru_cache
 
@@ -67,6 +66,9 @@ def test_covariance_from_spec():
             model.CovarianceModel.from_spec(spec, 6)
     with pytest.raises(ValueError):
         model.CovarianceModel.from_spec("ar1:strong", 6)
+    for spec in ("identity", "ar1:0.5"):
+        with pytest.raises(ValueError, match="need p >= 1"):
+            model.CovarianceModel.from_spec(spec, 0)
 
 
 def test_covariance_factorizations_consistent():
@@ -263,7 +265,7 @@ def test_noise_scale_arithmetic():
     ds = model.Dataset(X=ds.X, y=ds.y, model_kind="linear",
                        design_kind="gaussian",
                        noise=np.array([3.0, 4.0]), noise_sd=1.0,
-                       beta_star=ds.beta_star, covariance=cov, seed=0)
+                       beta_star=ds.beta_star, covariance=cov)
     assert model.noise_scale(ds) == pytest.approx(np.sqrt(12.5))
 
 
@@ -332,50 +334,7 @@ def test_bit_reproducibility():
     assert a.X.tobytes() != c.X.tobytes()
 
 
-def test_dataset_persistence_round_trip(tmp_path):
-    cov = model.CovarianceModel.ar1(4, 0.4)
-    beta = model.flat_signal(4, 1)
-    X = model.generate_design(cov, 32, "gaussian", seed=77)
-    ds = model.generate_linear(X, beta, 0.5, seed=77, covariance=cov)
-    model.save_dataset(ds, str(tmp_path / "ds"))
-    back = model.load_dataset(str(tmp_path / "ds"))
-    assert np.array_equal(back.X, ds.X)
-    assert np.array_equal(back.y, ds.y)
-    assert np.array_equal(back.noise, ds.noise)
-    assert np.array_equal(back.beta_star, ds.beta_star)
-    assert back.model_kind == "linear"
-    assert back.seed == 77
-    assert np.array_equal(back.covariance.matrix, cov.matrix)
-
-
-def test_dataset_round_trip_stores_covariance_spec(tmp_path):
-    for cov, spec in ((model.CovarianceModel.ar1(3, 0.4), "ar1:0.4"),
-                      (model.CovarianceModel.identity(3), "identity")):
-        X = model.generate_design(cov, 8, "gaussian", seed=9)
-        ds = model.generate_linear(X, model.flat_signal(3, 1), 1.0, seed=9,
-                                   covariance=cov)
-        path = tmp_path / spec.replace(":", "_")
-        model.save_dataset(ds, str(path))
-        meta = json.loads((path / "meta.json").read_text())
-        assert meta["covariance"] == spec
-        back = model.load_dataset(str(path)).covariance
-        assert (back.kind, back.p) == (cov.kind, cov.p)
-        assert back.rho.hex() == cov.rho.hex()
-
-
-def test_logistic_persistence_round_trip(tmp_path):
-    cov = model.CovarianceModel.identity(3)
-    X = model.generate_design(cov, 16, "gaussian", seed=5)
-    ds = model.generate_logistic(X, model.flat_signal(3, 1, 0.5), seed=5,
-                                 covariance=cov)
-    model.save_dataset(ds, str(tmp_path / "ds"))
-    back = model.load_dataset(str(tmp_path / "ds"))
-    assert np.array_equal(back.y, ds.y)
-    assert back.model_kind == "logistic"
-    assert back.noise is None
-
-
-def test_logistic_dataset_rejects_bad_labels(tmp_path):
+def test_logistic_dataset_rejects_bad_labels():
     cov = model.CovarianceModel.identity(2)
     X = model.generate_design(cov, 6, "gaussian", seed=5)
     ds = model.generate_logistic(X, np.zeros(2), seed=5, covariance=cov)
@@ -384,12 +343,7 @@ def test_logistic_dataset_rejects_bad_labels(tmp_path):
     with pytest.raises(ValueError):
         model.Dataset(X=ds.X, y=y, model_kind="logistic",
                       design_kind="gaussian", noise=None, noise_sd=None,
-                      beta_star=ds.beta_star, covariance=cov, seed=5)
-    # the same check guards datasets read back from disk
-    model.save_dataset(ds, str(tmp_path / "ds"))
-    y.astype("<f8").tofile(str(tmp_path / "ds" / "y.bin"))
-    with pytest.raises(ValueError):
-        model.load_dataset(str(tmp_path / "ds"))
+                      beta_star=ds.beta_star, covariance=cov)
 
 
 def test_stream_rng_streams_are_stable_and_distinct():
