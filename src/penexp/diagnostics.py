@@ -77,14 +77,15 @@ def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
     return risk, se
 
 
-def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed, t=2.0):
+def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
     """Compare the realized estimation error against the prox-risk identity.
 
     lhs is ||beta_hat - beta_star||, rhs the root mean prox risk at the
     realized noise scale, and the finite-sample bound is
-    sigma (t+1)/sqrt(n) + ||beta_hat - eta||. The identity is exact only
-    for linear data from a Gaussian design with identity covariance;
-    anything else is refused with ValueError.
+    3 sigma/sqrt(n) + ||beta_hat - eta||: the paper's sigma (t+1)/sqrt(n)
+    at t = 2. The identity is exact only for linear data from a Gaussian
+    design with identity covariance; anything else is refused with
+    ValueError.
     """
     if dataset.model_kind != "linear":
         raise ValueError("risk identity applies to linear data")
@@ -103,7 +104,7 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed, t=2.0):
     # Delta method: s.e. of sqrt(risk).
     mc_se = float(risk_se / (2.0 * rhs)) if rhs > 0 else float(risk_se)
     ratio = lhs / rhs if rhs > 0 else None
-    noise_term = sigma * (t + 1.0) / np.sqrt(dataset.n)
+    noise_term = 3.0 * sigma / np.sqrt(dataset.n)
     gap_term = float(np.linalg.norm(beta_hat - eta))
     within = abs(lhs - rhs) <= noise_term + gap_term
     return RiskIdentityReport(lhs, rhs, mc_se, ratio,

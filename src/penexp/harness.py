@@ -41,25 +41,25 @@ EXPERIMENT_KINDS = ("rates", "risk_identity", "coverage", "cone_check",
                     "sparsity_check", "fit")
 PENALTY_KINDS = ("l1_penalized", "l1_constrained", "group_lasso")
 
-RECORD_FIELDS = [
-    "point", "n", "p", "s", "M", "d", "rep", "seed", "r_n", "penalty_level",
-    "err_est", "err_exp", "gap", "ratio",
-    "est_iterations", "exp_iterations", "est_kkt", "exp_kkt",
-    "est_converged", "exp_converged",
-    "cone_est", "cone_exp", "cone_both",
-    "risk_lhs", "risk_rhs", "risk_mc_se", "risk_ratio", "risk_bound",
-    "risk_ok",
-    "theta_hat", "target", "covered", "t_stat",
-    "nnz_coords", "nnz_groups", "sparsity_bound", "sparsity_ok",
-]
+# Each records.csv column in header order, with the type of its cells:
+# integers, true/false flags and floats; any cell may be empty (None).
+RECORD_SCHEMA = dict(
+    point=int, n=int, p=int, s=int, M=int, d=int, rep=int, seed=int,
+    r_n=float, penalty_level=float, err_est=float, err_exp=float,
+    gap=float, ratio=float, est_iterations=int, exp_iterations=int,
+    est_kkt=float, exp_kkt=float, est_converged=bool, exp_converged=bool,
+    cone_est=bool, cone_exp=bool, cone_both=bool, risk_lhs=float,
+    risk_rhs=float, risk_mc_se=float, risk_ratio=float, risk_bound=float,
+    risk_ok=bool, theta_hat=float, target=float, covered=bool, t_stat=float,
+    nnz_coords=int, nnz_groups=int, sparsity_bound=float, sparsity_ok=bool,
+)
+RECORD_FIELDS = list(RECORD_SCHEMA)
 TIMING_FIELDS = ["point", "rep", "est_time", "exp_time", "est_passes",
                  "exp_passes"]
 # The records.csv columns rate_fit takes: the measurements, which are
 # neither the identifiers point..seed, r_n itself nor a true/false flag.
 _RATE_METRICS = [f for f in RECORD_FIELDS[RECORD_FIELDS.index("r_n") + 1:]
-                 if f not in ("est_converged", "exp_converged", "cone_est",
-                              "cone_exp", "cone_both", "risk_ok", "covered",
-                              "sparsity_ok")]
+                 if RECORD_SCHEMA[f] is not bool]
 
 
 @dataclass(frozen=True)
@@ -587,20 +587,16 @@ def rate_fit(records, metric="gap"):
 
 
 def load_records_csv(path):
-    """Read records.csv back into dicts, each cell with the type _run_task
-    gave its column: an int, a flag or a float, and None when empty.
-    ValueError names the first RECORD_FIELDS column the header lacks, or
-    the line and column of a row shorter or longer than the header or of
-    a cell that does not parse."""
-    ints = {"point", "n", "p", "s", "M", "d", "rep", "seed",
-            "est_iterations", "exp_iterations", "nnz_coords", "nnz_groups"}
+    """Read records.csv back into dicts, each cell parsed by its column's
+    RECORD_SCHEMA type (a column the schema does not name as a float), and
+    None when empty. ValueError names the first RECORD_FIELDS column the
+    header lacks, or the line and column of a row shorter or longer than
+    the header or of a cell that does not parse as its column's type."""
 
-    def cell(k, v):
+    def cell(kind, v):
         if v == "":
             return None
-        if v in ("true", "false"):
-            return v == "true"
-        return int(v) if k in ints else float(v)
+        return {"true": True, "false": False}[v] if kind is bool else kind(v)
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -623,11 +619,12 @@ def load_records_csv(path):
                 if v is None:
                     raise ValueError("%s, column '%s': the row ends before "
                                      "this column" % (where, k))
+                kind = RECORD_SCHEMA.get(k, float)
                 try:
-                    rec[k] = cell(k, v)
-                except ValueError:
+                    rec[k] = cell(kind, v)
+                except (KeyError, ValueError):
                     raise ValueError("%s, column '%s': %r is not %s" % (
-                        where, k, v,
-                        "an integer" if k in ints else "a number")) from None
+                        where, k, v, {int: "an integer", float: "a number",
+                                      bool: "true or false"}[kind])) from None
             records.append(rec)
         return records

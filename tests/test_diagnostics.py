@@ -227,8 +227,12 @@ def test_debiased_interval_consistency():
             assert rep.covered == (abs(rep.t_stat) <= 1.96)
             seen.add(rep.covered)
     assert seen == {True, False}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction a must be nonzero"):
         debiased_estimate(ds, fit.solution, ds.covariance, np.zeros(15))
+    # the interval's half-width is 1.96 noise_sd/sqrt(n)
+    with pytest.raises(ValueError, match="need linear data with noise_sd > 0"):
+        debiased_estimate(replace(ds, noise_sd=0.0), fit.solution,
+                          ds.covariance, np.eye(15)[0])
 
 
 def test_sparsity_count_plain():

@@ -14,8 +14,9 @@ import penexp
 from penexp import cli, harness, solver
 from penexp.cones import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
-                            TIMING_FIELDS, load_records_csv, parse_config,
-                            rate_fit, run_experiment, task_seed)
+                            RECORD_SCHEMA, TIMING_FIELDS, load_records_csv,
+                            parse_config, rate_fit, run_experiment,
+                            task_seed)
 from penexp.losses import LOGISTIC
 
 
@@ -194,6 +195,18 @@ def test_validate_config_rejections():
     with pytest.raises(ValueError, match="l1-ball radius"):
         parse_config("experiment = rates\npenalty = l1_constrained\n"
                      "amplitude = 0\ngrid = n=50 p=20 s=2\n")
+    for text, message in (
+            ("grid = n=50 p20 s=2", "grid entries look like n=400"),
+            ("grid = p=20 s=2", "grid entry missing 'n'"),
+            ("", "at least one grid entry is required"),
+            ("penalty = ridge\ngrid = n=50 p=20 s=2",
+             "unknown penalty kind 'ridge'"),
+            ("penalty = group_lasso\ngrid = n=50 p=20 s=2",
+             "group runs need M and d in each grid entry"),
+            ("penalty = group_lasso\ngrid = n=50 p=20 s=5 M=5 d=4",
+             "grid point needs M > s")):
+        with pytest.raises(ValueError, match=message):
+            parse_config("experiment = rates\n%s\n" % text)
     for key, bad in (("xi", "nan"), ("xi", "inf"), ("amplitude", "nan"),
                      ("amplitude", "inf"), ("noise_sd", "inf"),
                      ("noise_sd", "nan")):
@@ -329,21 +342,12 @@ def run_tiny(tmp_path, name, **overrides):
     return cfg, run_experiment(cfg)
 
 
-INT_COLUMNS = {"point", "n", "p", "s", "M", "d", "rep", "seed",
-               "est_iterations", "exp_iterations", "nnz_coords",
-               "nnz_groups"}
-FLAG_COLUMNS = {"est_converged", "exp_converged", "cone_est", "cone_exp",
-                "cone_both", "risk_ok", "covered", "sparsity_ok"}
-
-
 def assert_typed_as_written(recs):
     # each cell comes back with its column's type, an integral float too
     for rec in recs:
         assert list(rec) == RECORD_FIELDS
         for k, v in rec.items():
-            want = int if k in INT_COLUMNS else \
-                bool if k in FLAG_COLUMNS else float
-            assert v is None or type(v) is want, (k, v)
+            assert v is None or type(v) is RECORD_SCHEMA[k], (k, v)
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -604,6 +608,68 @@ def test_fit_experiment_kind(tmp_path):
     assert summary["rate_fit"] is None
 
 
+# The columns every kind fills, those every kind but fit adds with its
+# expansion, and those each kind adds on top; group runs also fill M and d.
+FIT_COLUMNS = {"point", "n", "p", "s", "rep", "seed", "r_n",
+               "penalty_level", "err_est", "est_iterations", "est_kkt",
+               "est_converged"}
+EXPANSION_COLUMNS = {"err_exp", "gap", "ratio", "exp_iterations", "exp_kkt",
+                     "exp_converged"}
+KIND_COLUMNS = {
+    "rates": set(), "fit": set(),
+    "cone_check": {"cone_est", "cone_exp", "cone_both"},
+    "risk_identity": {"risk_lhs", "risk_rhs", "risk_mc_se", "risk_ratio",
+                      "risk_bound", "risk_ok"},
+    "coverage": {"theta_hat", "target", "covered", "t_stat"},
+    "sparsity_check": {"nnz_coords", "nnz_groups", "sparsity_bound",
+                       "sparsity_ok"},
+}
+
+
+@pytest.mark.parametrize("penalty", harness.PENALTY_KINDS)
+@pytest.mark.parametrize("kind", harness.EXPERIMENT_KINDS)
+def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
+                                                     kind, penalty):
+    group = penalty == "group_lasso"
+    point = GridPoint(100, 40, 2, M=10, d=4) if group else \
+        GridPoint(100, 40, 2)
+    write_csv = harness._write_csv
+    written = {}
+
+    def keep(path, fields, rows):
+        written[os.path.basename(path)] = rows
+        write_csv(path, fields, rows)
+
+    monkeypatch.setattr(harness, "_write_csv", keep)
+    body = {}
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        run_experiment(ExperimentConfig(
+            experiment=kind, penalty=penalty, grid=(point,), replications=2,
+            master_seed=2027, mc_inner=100, threads=threads, out=str(out)))
+        body[threads] = (out / "records.csv").read_bytes()
+    assert body[1] == body[2]
+    filled = FIT_COLUMNS | KIND_COLUMNS[kind]
+    if kind != "fit":
+        filled |= EXPANSION_COLUMNS
+    if group:
+        filled |= {"M", "d"}
+    else:
+        filled -= {"nnz_groups"}  # there are no groups to count
+    records = written["records.csv"]
+    assert len(records) == 2
+    for rec in records:
+        assert rec["est_converged"] is True
+        assert rec["exp_converged"] is (None if kind == "fit" else True)
+        assert {k for k, v in rec.items() if v is not None} == filled
+    # the tasks give each cell its column's type, and loading it back and
+    # writing it again gives records.csv byte for byte
+    assert_typed_as_written(records)
+    loaded = load_records_csv(tmp_path / "2" / "records.csv")
+    write_csv(tmp_path / "again.csv", RECORD_FIELDS, loaded)
+    assert (tmp_path / "again.csv").read_bytes() == body[2]
+
+
 def test_cli_experiment_and_rate_fit(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(CONFIG_TEXT.replace("grid = n=120 p=30 s=2",
@@ -667,7 +733,13 @@ def _records_row(**cells):
                            % (len(RECORD_FIELDS) + 1, len(RECORD_FIELDS))),
     (_records_row(n="x"), "column 'n': 'x' is not an integer"),
     (_records_row(gap="x"), "column 'gap': 'x' is not a number"),
-], ids=["short_row", "long_row", "int_cell", "float_cell"])
+    # a flag's text in a measurement, or a number in a flag, is no cell of
+    # that column even where it would parse as one
+    (_records_row(gap="true"), "column 'gap': 'true' is not a number"),
+    (_records_row(est_converged="1.0"),
+     "column 'est_converged': '1.0' is not true or false"),
+], ids=["short_row", "long_row", "int_cell", "float_cell", "flag_in_float",
+        "number_in_flag"])
 def test_cli_rate_fit_names_the_line_and_column_of_a_bad_row(tmp_path,
                                                              capsys, row,
                                                              where):

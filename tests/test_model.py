@@ -346,6 +346,38 @@ def test_logistic_dataset_rejects_bad_labels():
                       beta_star=ds.beta_star, covariance=cov)
 
 
+_COV3 = model.CovarianceModel.identity(3)
+_X3 = np.ones((4, 3))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: model.generate_design(_COV3, 0), "need n >= 1"),
+    (lambda: model.generate_linear(_X3, np.ones(4), 1.0, 1),
+     "design has 3 columns but beta_star has 4 entries"),
+    (lambda: model.generate_logistic(_X3, np.ones(2), 1),
+     "design has 3 columns but beta_star has 2 entries"),
+    (lambda: model.generate_linear(_X3, np.ones(3), -1.0, 1),
+     "noise_sd must be >= 0 and finite"),
+    (lambda: model.generate_linear(_X3, np.ones(3), np.inf, 1),
+     "noise_sd must be >= 0 and finite"),
+    (lambda: model.simulate(_COV3, np.ones(3), 4, "poisson", "gaussian",
+                            1.0, 1), "unknown model kind 'poisson'"),
+    (lambda: model.Dataset(X=_X3, y=np.zeros(4), model_kind="poisson",
+                           design_kind="gaussian", noise=None,
+                           noise_sd=None, beta_star=np.ones(3),
+                           covariance=None), "unknown model kind 'poisson'"),
+    (lambda: model.flat_signal(3, 1, np.inf), "amplitude must be finite"),
+    # I - e1 e1' has a zero eigenvalue
+    (lambda: model.CovarianceModel.rank_one(_COV3, 1.0, -1.0, np.eye(3)[0]),
+     "curvature matrix is singular"),
+], ids=["design_n_0", "linear_columns", "logistic_columns",
+        "noise_sd_negative", "noise_sd_inf", "simulate_kind", "dataset_kind",
+        "amplitude_inf", "rank_one_singular"])
+def test_model_refuses_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_stream_rng_streams_are_stable_and_distinct():
     a = model.stream_rng(5, 1).standard_normal(8)
     b = model.stream_rng(5, 1).standard_normal(8)

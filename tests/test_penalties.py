@@ -232,6 +232,11 @@ def test_residual_zero_cases():
     assert lasso(lam, 3).residual(np.zeros(3), beyond) == pytest.approx(0.1)
 
 
+def test_residual_refuses_a_gradient_of_another_length():
+    with pytest.raises(ValueError, match="beta and grad dimensions differ"):
+        GroupPenalty(0.5, two_groups()).residual(np.zeros(4), np.zeros(3))
+
+
 def test_residual_l1_brute_force():
     # coordinatewise distance from -grad to the subdifferential interval
     rng = np.random.default_rng(5)
