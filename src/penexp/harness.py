@@ -27,6 +27,7 @@ import ctypes
 import json
 import math
 import os
+import re
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -591,12 +592,10 @@ def load_records_csv(path):
     RECORD_SCHEMA type (a column the schema does not name as a float), and
     None when empty. ValueError names the first RECORD_FIELDS column the
     header lacks, or the line and column of a row shorter or longer than
-    the header or of a cell that does not parse as its column's type."""
-
-    def cell(kind, v):
-        if v == "":
-            return None
-        return {"true": True, "false": False}[v] if kind is bool else kind(v)
+    the header or of a cell that is not its type's text as written."""
+    # _format_cell's text: flags, str(int) and format(float, ".17g")
+    text = {bool: "true|false", int: "-?[0-9]+",
+            float: r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|nan|-?inf"}
 
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -620,11 +619,11 @@ def load_records_csv(path):
                     raise ValueError("%s, column '%s': the row ends before "
                                      "this column" % (where, k))
                 kind = RECORD_SCHEMA.get(k, float)
-                try:
-                    rec[k] = cell(kind, v)
-                except (KeyError, ValueError):
+                if v and not re.fullmatch(text[kind], v):
                     raise ValueError("%s, column '%s': %r is not %s" % (
                         where, k, v, {int: "an integer", float: "a number",
-                                      bool: "true or false"}[kind])) from None
+                                      bool: "true or false"}[kind]))
+                rec[k] = (None if v == "" else v == "true" if kind is bool
+                          else kind(v))
             records.append(rec)
         return records

@@ -349,18 +349,17 @@ def flat_signal(p, s, amplitude=1.0):
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """One simulated sample, with the noise realization kept for oracle use.
-
-    For linear data y = X beta_star + noise holds exactly as generated.
-    Logistic datasets store no noise vector (labels are 0/1 floats, checked
-    here once so the loss need not rescan them).
+    """One simulated sample, with its score noise e = -l'(y_i, x_i'beta_star)
+    kept for oracle use: the drawn eps of linear data, for which
+    y = X beta_star + noise holds exactly, or P(Y=1|x_i) - y_i for logistic
+    labels (0/1 floats, checked here once so the loss need not rescan them).
     """
 
     X: np.ndarray
     y: np.ndarray
     model_kind: str
     design_kind: str
-    noise: np.ndarray | None
+    noise: np.ndarray
     noise_sd: float | None
     beta_star: np.ndarray
     covariance: CovarianceModel | None
@@ -433,9 +432,9 @@ def generate_logistic(X, beta_star, seed, covariance=None,
     """Binary labels with P(Y=1|x) = 1/(1+exp(x'beta_star)).
 
     Note the flipped convention: the larger x'beta_star, the rarer the label
-    1. Downstream curvature constants assume ||Sigma^{1/2} beta_star|| <= 1;
-    when a covariance is supplied and the bound fails, a warning is issued
-    (generation itself is unaffected).
+    1. The paper's conditions assume ||Sigma^{1/2} beta_star|| <= 1, and
+    the expansion is unverified beyond it: when a covariance is supplied
+    and the bound fails, a warning says so (generation is unaffected).
     """
     X = np.asarray(X, dtype=float)
     beta_star = np.asarray(beta_star, dtype=float)
@@ -446,15 +445,16 @@ def generate_logistic(X, beta_star, seed, covariance=None,
         sig_norm = covariance.norm(beta_star)
         if sig_norm > 1.0 + 1e-9:
             warnings.warn(
-                "||Sigma^{1/2} beta_star|| = %.4f > 1; curvature constants "
-                "derived for the unit ball may not apply" % sig_norm,
+                "||Sigma^{1/2} beta_star|| = %.4f > 1: the paper's "
+                "conditions assume at most 1, and the expansion is "
+                "unverified beyond it" % sig_norm,
                 stacklevel=2)
     rng = stream_rng(seed, 1)
     # P(Y=1) = sigmoid(-x'beta_star) under the flipped convention.
     p1 = sigmoid(-(X @ beta_star))
     y = (rng.random(X.shape[0]) < p1).astype(float)
     return Dataset(_readonly(X), _readonly(y), "logistic", design_kind,
-                   None, None, _readonly(beta_star), covariance)
+                   _readonly(p1 - y), None, _readonly(beta_star), covariance)
 
 
 def simulate(cov, beta_star, n, model_kind, design_kind, noise_sd, seed):
@@ -473,9 +473,10 @@ def noise_scale(dataset):
     """Root mean square of the stored noise realizations.
 
     This is an oracle quantity, available only because the simulation keeps
-    the drawn noise. Raises on logistic data, which stores none.
+    the drawn noise. Raises on logistic data, whose labels have no noise
+    scale.
     """
-    if dataset.noise is None:
+    if dataset.model_kind != "linear":
         raise ValueError("dataset has no stored noise "
                          "(noise scale is defined for linear data only)")
     eps = dataset.noise

@@ -57,7 +57,7 @@ class SolverResult:
     converged: bool
     wall_time: float
     # Full-width products with X (penalized fit), or with K plus the
-    # passes over X of the expansion centre (expansion).
+    # one pass over X of the expansion centre (expansion).
     passes: int
 
 
@@ -134,12 +134,6 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
                         time.perf_counter() - t0, passes), u_x, g_x
 
 
-def smooth_gradient(dataset, loss, beta):
-    """Gradient of the empirical loss average at beta."""
-    u = dataset.X @ np.asarray(beta, dtype=float)
-    return dataset.X.T @ loss.d1(dataset.y, u) / dataset.n
-
-
 def fit_penalized(dataset, loss, penalty, config=None):
     """Solve the penalized problem by working-set FISTA with backtracking.
 
@@ -209,31 +203,31 @@ def _grow(scores, work):
     return np.union1d(work, worst)
 
 
-def expansion_center(dataset, loss, curvature, beta_star):
-    """Point z whose penalized projection under K is the expansion, and the
-    full passes over X it took.
+def expansion_center(dataset, curvature, beta_star):
+    """Point z whose penalized projection under K is the expansion.
 
-    z = beta_star - K^{-1} (average loss score at beta_star). For squared
-    loss on linear data drawn at beta_star, that score is -X'eps/n, from
-    the stored noise: one pass over X. Otherwise it is smooth_gradient's
-    two. For squared loss with identity covariance z is beta_star + X'eps/n,
-    which is what makes the expansion a pure prox evaluation in that case.
+    z = beta_star - K^{-1} g, where g = -X'e/n is the average loss score at
+    beta_star and e the dataset's score noise: one pass over X, for either
+    model. With identity curvature z is beta_star + X'e/n, which is what
+    makes the expansion a pure prox evaluation in that case. The noise was
+    drawn at the dataset's own beta_star, so any other is refused.
     """
     beta_star = np.asarray(beta_star, dtype=float)
-    if dataset.noise is not None and loss.kind == "squared" and \
-            np.array_equal(beta_star, dataset.beta_star):
-        g, passes = -(dataset.X.T @ dataset.noise) / dataset.n, 1
-    else:
-        g, passes = smooth_gradient(dataset, loss, beta_star), 2
-    return beta_star - curvature.solve(g), passes
+    if not np.array_equal(beta_star, dataset.beta_star):
+        raise ValueError("the expansion centre needs the dataset's own "
+                         "beta_star: its score noise was drawn at it")
+    g = -(dataset.X.T @ dataset.noise) / dataset.n
+    return beta_star - curvature.solve(g)
 
 
 def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     """Solve the quadratic surrogate 0.5 ||K^{1/2}(b - z)||^2 + h(b).
 
     The smooth part is seen through u = K (b - z), which is also its
-    gradient, so each iteration costs one product with K. passes counts
-    those products plus the full passes over X that expansion_center made.
+    gradient, so each iteration costs one product with K. The centre z
+    comes from expansion_center, which reads only the dataset: loss is not
+    consulted, and stays a parameter so both solvers take the same
+    arguments. passes counts the products with K plus z's one pass over X.
     The step is 1/curvature.eig_max, where eig_max >= lambda_max(K) is
     exact for covariances and for the logistic K on identity Sigma. The
     solve starts at z, so the identity-curvature case converges in one prox
@@ -241,7 +235,7 @@ def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     """
     cfg = config or DEFAULT_CONFIG
     t0 = time.perf_counter()
-    z, center_passes = expansion_center(dataset, loss, curvature, beta_star)
+    z = expansion_center(dataset, curvature, beta_star)
     smooth = _Smooth(
         image=lambda b: curvature @ (b - z),
         value=lambda b, u: 0.5 * float((b - z) @ u),
@@ -249,4 +243,4 @@ def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
         lipschitz=curvature.eig_max, grad_products=0)
     # the smooth part and its image vanish at z
     res = _fista(smooth, penalty, z.copy(), np.zeros(z.size), cfg, t0)[0]
-    return replace(res, passes=res.passes + center_passes)
+    return replace(res, passes=res.passes + 1)

@@ -18,7 +18,13 @@ from scipy.integrate import quad
 from penexp.model import (CovarianceModel, GroupStructure, draw_rows,
                           stream_rng)
 from penexp.penalties import GroupPenalty, soft_threshold
-from penexp.solver import smooth_gradient
+
+
+def smooth_gradient(dataset, loss, beta):
+    """Gradient of the empirical loss average at beta, from the labels: the
+    loss's score evaluated over X b."""
+    u = dataset.X @ np.asarray(beta, dtype=float)
+    return dataset.X.T @ loss.d1(dataset.y, u) / dataset.n
 
 
 def lasso(level, p):

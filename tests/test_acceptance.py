@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import (curvature_matrix_mc, dense_covariance, lasso,
-                     stability_ratio_check, taylor_remainder_gap)
+                     smooth_gradient, stability_ratio_check,
+                     taylor_remainder_gap)
 from penexp import harness
 from penexp.cones import group_penalty_level, lasso_penalty_level
 from penexp.diagnostics import prox_risk_mc
@@ -20,7 +21,7 @@ from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           flat_signal, generate_design, generate_linear,
                           generate_logistic, stream_rng)
 from penexp.penalties import GroupPenalty, L1BallConstraint
-from penexp.solver import fit_expansion, fit_penalized, smooth_gradient
+from penexp.solver import fit_expansion, fit_penalized
 
 pytestmark = pytest.mark.acceptance
 

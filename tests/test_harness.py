@@ -387,6 +387,21 @@ def test_run_experiment_outputs(tmp_path):
         assert int(row["exp_passes"]) == rec["exp_iterations"] + 1
 
 
+def test_logistic_expansion_makes_one_pass_over_x(tmp_path):
+    # the centre reads the stored score noise, so a logistic expansion makes
+    # one pass over X (X'e) as a squared-loss one does, plus one product
+    # with K per iteration at the exact 1/eig_max of the identity-Sigma K
+    run_tiny(tmp_path, "logistic", loss="logistic",
+             penalty="l1_constrained", amplitude=0.25, replications=2)
+    out = tmp_path / "logistic"
+    recs = load_records_csv(out / "records.csv")
+    with open(out / "timings.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(recs) == 6
+    for rec, row in zip(recs, rows):
+        assert int(row["exp_passes"]) == rec["exp_iterations"] + 1
+
+
 def test_run_experiment_thread_invariance(tmp_path):
     _, s1 = run_tiny(tmp_path, "one", threads=1)
     _, s2 = run_tiny(tmp_path, "two", threads=3)
@@ -738,8 +753,17 @@ def _records_row(**cells):
     (_records_row(gap="true"), "column 'gap': 'true' is not a number"),
     (_records_row(est_converged="1.0"),
      "column 'est_converged': '1.0' is not true or false"),
+    # text that int() or float() reads but the writer never writes
+    (_records_row(point=" 2_0 "), "column 'point': ' 2_0 ' is not an "
+                                  "integer"),
+    (_records_row(n="1_0"), "column 'n': '1_0' is not an integer"),
+    (_records_row(gap="1_0"), "column 'gap': '1_0' is not a number"),
+    (_records_row(gap=" 1e0 "), "column 'gap': ' 1e0 ' is not a number"),
+    (_records_row(gap="infinity"),
+     "column 'gap': 'infinity' is not a number"),
 ], ids=["short_row", "long_row", "int_cell", "float_cell", "flag_in_float",
-        "number_in_flag"])
+        "number_in_flag", "spaced_underscored_int", "underscored_int",
+        "underscored_float", "spaced_exponent", "spelled_infinity"])
 def test_cli_rate_fit_names_the_line_and_column_of_a_bad_row(tmp_path,
                                                              capsys, row,
                                                              where):

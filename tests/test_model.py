@@ -313,9 +313,19 @@ def test_logistic_moment_matches_quadrature():
 def test_logistic_warns_on_large_signal():
     cov = model.CovarianceModel.identity(2)
     X = model.generate_design(cov, 30, "gaussian", seed=10)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="expansion is unverified"):
         model.generate_logistic(X, np.array([3.0, 0.0]), seed=10,
                                 covariance=cov)
+
+
+def test_logistic_noise_is_the_score_noise():
+    # e = -l'(y, x'beta*) row by row, bit for bit
+    cov = model.CovarianceModel.ar1(6, 0.5)
+    X = model.generate_design(cov, 50, "gaussian", seed=12)
+    beta = model.flat_signal(6, 2, 0.5)
+    ds = model.generate_logistic(X, beta, seed=12, covariance=cov)
+    expected = -losses.LOGISTIC.d1(ds.y, ds.X @ beta)
+    assert ds.noise.tobytes() == expected.tobytes()
 
 
 def test_bit_reproducibility():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_covariance, lasso
+from oracles import dense_covariance, lasso, smooth_gradient
 from penexp import model, solver
 from penexp.cones import lasso_penalty_level
 from penexp.losses import LOGISTIC, SQUARED, curvature_matrix
@@ -50,7 +50,7 @@ def test_large_penalty_gives_zero():
     assert res.converged
     assert np.count_nonzero(res.solution) == 0
     # zero satisfies the subgradient condition at this level
-    grad = solver.smooth_gradient(ds, SQUARED, np.zeros(20))
+    grad = smooth_gradient(ds, SQUARED, np.zeros(20))
     assert lasso(lam * 1.0001, ds.p).residual(np.zeros(20), grad) == 0.0
 
 
@@ -88,7 +88,7 @@ def test_expansion_without_penalty_returns_center():
     ds, cov = linear_instance(90, 30, 3, seed=6, rho=0.5)
     K = curvature_matrix(SQUARED, cov, ds.beta_star)
     res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, lasso(0.0, ds.p))
-    z, _ = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
+    z = solver.expansion_center(ds, K, ds.beta_star)
     assert res.converged
     assert np.abs(res.solution - z).max() < 1e-9
 
@@ -126,7 +126,7 @@ def test_expansion_matches_coordinate_descent_oracle():
     lam = 0.3
     res = solver.fit_expansion(ds, SQUARED, K, beta, lasso(lam, p),
                                solver.SolverConfig(kkt_tol=1e-12))
-    z, _ = solver.expansion_center(ds, SQUARED, K, beta)
+    z = solver.expansion_center(ds, K, beta)
     oracle = cd_expansion_oracle(Kmat, z, lam)
 
     def objective(b):
@@ -141,7 +141,7 @@ def test_expansion_matches_coordinate_descent_oracle():
 def test_smooth_gradient_squared_matrix_identity():
     ds, _ = linear_instance(50, 8, 2, seed=8)
     beta = np.linspace(-1, 1, 8)
-    g = solver.smooth_gradient(ds, SQUARED, beta)
+    g = smooth_gradient(ds, SQUARED, beta)
     direct = ds.X.T @ (ds.X @ beta - ds.y) / ds.n
     assert np.abs(g - direct).max() < 1e-12
 
@@ -155,7 +155,7 @@ def test_smooth_gradient_finite_differences():
     h = 1e-5
     for _ in range(10):
         beta = rng.normal(scale=0.5, size=5)
-        g = solver.smooth_gradient(ds, LOGISTIC, beta)
+        g = smooth_gradient(ds, LOGISTIC, beta)
         for j in range(5):
             e = np.zeros(5)
             e[j] = h
@@ -184,7 +184,7 @@ def test_converged_implies_certified():
         assert res.converged
         assert res.kkt_residual <= 1e-9
         # recheck independently of the solver's own bookkeeping
-        grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+        grad = smooth_gradient(ds, SQUARED, res.solution)
         assert pen.residual(res.solution, grad) <= 1e-9
 
 
@@ -195,7 +195,7 @@ def test_logistic_fit_certified():
                                  covariance=cov)
     res = solver.fit_penalized(ds, LOGISTIC, lasso(0.05, ds.p))
     assert res.converged
-    grad = solver.smooth_gradient(ds, LOGISTIC, res.solution)
+    grad = smooth_gradient(ds, LOGISTIC, res.solution)
     assert lasso(0.05, ds.p).residual(res.solution, grad) <= 1e-8
 
 
@@ -260,7 +260,7 @@ def test_uncertified_budget_checks_kkt_once_per_check_point():
         res = solver.fit_penalized(ds, SQUARED, pen, cfg)
     assert residual.call_count == 5
     assert (res.iterations, res.converged) == (10, False)
-    grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+    grad = smooth_gradient(ds, SQUARED, res.solution)
     assert res.kkt_residual == pytest.approx(
         pen.residual(res.solution, grad), rel=1e-9)
 
@@ -280,7 +280,7 @@ def test_expansion_step_from_top_eigenvalue():
     ds, _ = linear_instance(80, p, 3, seed=17)
     pen = lasso(0.05, p)
     res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, pen)
-    z, _ = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
+    z = solver.expansion_center(ds, K, ds.beta_star)
     assert res.converged
     assert np.all(np.isfinite(res.solution))
     assert pen.residual(res.solution, Kmat @ (res.solution - z)) <= 1e-8
@@ -291,9 +291,33 @@ def test_expansion_center_sign_convention():
     # noise average, with a plus sign
     ds, cov = linear_instance(200, 20, 3, seed=18, noise_sd=0.5)
     K = curvature_matrix(SQUARED, cov, ds.beta_star)
-    z, _ = solver.expansion_center(ds, SQUARED, K, ds.beta_star)
+    z = solver.expansion_center(ds, K, ds.beta_star)
     expected = ds.beta_star + ds.X.T @ ds.noise / ds.n
     assert np.abs(z - expected).max() < 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, -0.3])
+def test_expansion_center_from_the_score_noise(rho):
+    # the centre from the stored score noise is bit for bit the one from the
+    # logistic score evaluated over X beta*
+    p = 30
+    cov = (model.CovarianceModel.identity(p) if rho == 0
+           else model.CovarianceModel.ar1(p, rho))
+    X = model.generate_design(cov, 150, "gaussian", seed=27)
+    beta = model.flat_signal(p, 3, 0.4)
+    ds = model.generate_logistic(X, beta, seed=27, covariance=cov)
+    K = curvature_matrix(LOGISTIC, cov, beta)
+    z = solver.expansion_center(ds, K, beta)
+    expected = beta - K.solve(smooth_gradient(ds, LOGISTIC, beta))
+    assert z.tobytes() == expected.tobytes()
+
+
+def test_fit_expansion_refuses_a_foreign_beta_star():
+    # the stored noise was drawn at the dataset's own beta*
+    ds, cov = linear_instance(60, 20, 3, seed=28)
+    with pytest.raises(ValueError, match="dataset's own beta_star"):
+        solver.fit_expansion(ds, SQUARED, cov, np.zeros(ds.p),
+                             lasso(0.1, ds.p))
 
 
 def test_expansion_general_k_kkt():
@@ -306,7 +330,7 @@ def test_expansion_general_k_kkt():
     res = solver.fit_expansion(ds, LOGISTIC, K, beta, pen)
     assert res.converged
     # KKT of the surrogate: gradient is K (b - z)
-    z, _ = solver.expansion_center(ds, LOGISTIC, K, beta)
+    z = solver.expansion_center(ds, K, beta)
     grad = K.matrix @ (res.solution - z)
     assert pen.residual(res.solution, grad) <= 1e-8
 
@@ -349,7 +373,7 @@ def test_working_set_matches_plain_fista(case):
     else:
         ds = model.generate_logistic(X, beta, seed, covariance=cov)
     # scale sets the penalty from nearly none to nearly all-zero solutions
-    g0 = np.abs(solver.smooth_gradient(ds, loss, np.zeros(p)))
+    g0 = np.abs(smooth_gradient(ds, loss, np.zeros(p)))
     if kind == "l1":
         pen = lasso(scale * g0.max(), p)
     elif kind == "ball":
@@ -362,7 +386,7 @@ def test_working_set_matches_plain_fista(case):
         res = solver.fit_penalized(ds, loss, pen, cfg)
     full = plain_fista(ds, loss, pen, cfg)
     assert res.converged and full.converged
-    grad = solver.smooth_gradient(ds, loss, res.solution)
+    grad = smooth_gradient(ds, loss, res.solution)
     assert pen.residual(res.solution, grad) <= 1e-10
     got, want = (objective(ds, loss, pen, r.solution) for r in (res, full))
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
@@ -378,14 +402,14 @@ def test_working_set_admits_coordinate_outside_first_set():
     beta[:2] = [2.0, 1.0]
     ds = model.generate_linear(X, beta, 0.5, seed=21, covariance=cov)
     pen = lasso(0.1, p)
-    g0 = np.abs(solver.smooth_gradient(ds, SQUARED, np.zeros(p)))
+    g0 = np.abs(smooth_gradient(ds, SQUARED, np.zeros(p)))
     assert int(np.argmax(g0)) == 0
     with mock.patch.object(solver, "WS_INITIAL", 1):
         res = solver.fit_penalized(ds, SQUARED, pen)
     assert res.converged
     assert res.solution[1] != 0.0
     assert res.passes >= 3  # one full gradient per round, three rounds
-    grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+    grad = smooth_gradient(ds, SQUARED, res.solution)
     assert pen.residual(res.solution, grad) <= 1e-8
 
 
@@ -409,7 +433,7 @@ def test_working_set_that_cannot_grow_ends_uncertified():
     # until max_iters runs out, one full pass per round
     assert res.passes <= 5
     assert res.iterations < 1000
-    grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+    grad = smooth_gradient(ds, SQUARED, res.solution)
     assert lasso(0.1, ds.p).residual(res.solution, grad) <= 1e-8
 
 
@@ -465,7 +489,7 @@ def test_full_working_set_reuses_inner_gradient(kind):
     n, p, s = 200, 60, 3
     ds, _ = linear_instance(n, p, s, seed=24)
     if kind == "l1":
-        g0 = solver.smooth_gradient(ds, SQUARED, np.zeros(p))
+        g0 = smooth_gradient(ds, SQUARED, np.zeros(p))
         pen = lasso(0.5 * np.abs(g0).min(), p)
     else:
         pen = L1BallConstraint(float(np.abs(ds.beta_star).sum()))
@@ -483,5 +507,5 @@ def test_full_working_set_reuses_inner_gradient(kind):
     assert len(inner) == 1 and inner[0].solution.size == p
     assert res.iterations == inner[0].iterations
     assert res.passes == 1 + inner[0].passes == count[0]
-    grad = solver.smooth_gradient(ds, SQUARED, res.solution)
+    grad = smooth_gradient(ds, SQUARED, res.solution)
     assert res.kkt_residual == pen.residual(res.solution, grad)
