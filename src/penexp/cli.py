@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Subcommands: experiment, rate-fit. Every Monte Carlo experiment, coverage
-runs among them, is a config file run by `experiment`, whose --threads and
---out override the config's threads and out; `rate-fit` fits the log-log
+runs among them, is a config file run by `experiment`, whose --threads
+(default 0, one worker per usable core) and --out (default `out`) say how
+many workers run it and where its files go; `rate-fit` fits the log-log
 rate over the records.csv an experiment wrote. Exit codes: 0 on success,
 2 on invalid configuration or arguments, 3 when more than MAX_FAIL_FRAC of
 an experiment's tasks are uncertified.
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import harness
 
@@ -36,14 +36,8 @@ def _emit(obj, path=None):
 def _cmd_experiment(args):
     with open(args.config) as fh:
         cfg = harness.parse_config(fh.read())
-    overrides = {}
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["out"] = args.out
-    cfg = replace(cfg, **overrides)
-    summary = harness.run_experiment(cfg)
-    _emit({"out": cfg.out, "records": summary["records"],
+    summary = harness.run_experiment(cfg, args.out, args.threads)
+    _emit({"out": args.out, "records": summary["records"],
            "failed": summary["failed"],
            "failed_fraction": summary["failed_fraction"],
            "rate_fit": summary["rate_fit"]})
@@ -70,10 +64,9 @@ def build_parser():
 
     sp = sub.add_parser("experiment", help="run a config-file experiment")
     sp.add_argument("config")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="override threads from the config")
-    sp.add_argument("--out", default=None,
-                    help="override out from the config")
+    sp.add_argument("--threads", type=int, default=0,
+                    help="worker count; 0 = one per usable core")
+    sp.add_argument("--out", default="out", help="output directory")
     sp.set_defaults(func=_cmd_experiment)
 
     sp = sub.add_parser("rate-fit",

@@ -25,13 +25,8 @@ class RiskIdentityReport:
     rhs: float
     mc_se: float
     ratio: float | None  # lhs / rhs, None when rhs is 0
-    bound_noise_term: float
-    bound_gap_term: float
+    bound: float  # 3 sigma/sqrt(n) + ||beta_hat - eta||
     within_bound: bool
-
-    @property
-    def bound(self):
-        return self.bound_noise_term + self.bound_gap_term
 
 
 @dataclass(frozen=True)
@@ -104,11 +99,10 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
     # Delta method: s.e. of sqrt(risk).
     mc_se = float(risk_se / (2.0 * rhs)) if rhs > 0 else float(risk_se)
     ratio = lhs / rhs if rhs > 0 else None
-    noise_term = 3.0 * sigma / np.sqrt(dataset.n)
-    gap_term = float(np.linalg.norm(beta_hat - eta))
-    within = abs(lhs - rhs) <= noise_term + gap_term
-    return RiskIdentityReport(lhs, rhs, mc_se, ratio,
-                              float(noise_term), gap_term, bool(within))
+    bound = float(3.0 * sigma / np.sqrt(dataset.n)) + \
+        float(np.linalg.norm(beta_hat - eta))
+    return RiskIdentityReport(lhs, rhs, mc_se, ratio, bound,
+                              bool(abs(lhs - rhs) <= bound))
 
 
 def debiased_estimate(dataset, beta_hat, cov, a):

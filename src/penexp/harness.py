@@ -1,9 +1,12 @@
 """Experiment configuration, deterministic replication engine, and outputs.
 
 Configs are flat key=value text with # comments; one grid entry per `grid`
-line. Each (grid point, replication) task derives its own integer seed from
-(master_seed, point index, rep index), so results do not depend on worker
-count or completion order. Records are written in (point, rep) order.
+line. An ExperimentConfig describes only what a run computes, and refuses
+an invalid value when it is built; the output directory and the worker
+count are run_experiment's arguments. Each (grid point, replication) task
+derives its own integer seed from (master_seed, point index, rep index), so
+results do not depend on worker count or completion order. Records are
+written in (point, rep) order.
 
 The point set-ups and then the tasks run in one thread pool, and every
 mapped OpenBLAS copy is held at one thread while they run: the pool is the
@@ -13,10 +16,10 @@ the process's BLAS thread setting. The previous counts come back afterwards.
 No barrier holds the tasks: each waits only for its own point's set-up,
 which was queued ahead of every task and so is running or done by then.
 
-Outputs in the configured directory: records.csv (RFC 4180, fixed header,
-floats at 17 significant digits), timings.csv (wall times, kept out of
-records.csv so reruns are byte-identical, and the full passes over X or K
-of each solve) and summary.json.
+Outputs, in the directory given to run_experiment: records.csv (RFC 4180,
+fixed header, floats at 17 significant digits), timings.csv (wall times,
+kept out of records.csv so reruns are byte-identical, and the full passes
+over X or K of each solve) and summary.json.
 """
 
 from __future__ import annotations
@@ -74,7 +77,8 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A parsed config: each field is named by its config key."""
+    """A valid experiment description: each field is named by its config
+    key, and a value out of range raises ValueError when it is built."""
 
     experiment: str
     grid: tuple = ()
@@ -88,10 +92,72 @@ class ExperimentConfig:
     replications: int = 100
     master_seed: int = 1
     mc_inner: int = 2000
-    threads: int = 0
     kkt_tol: float = 1e-8
     max_iters: int = 20000
-    out: str = "out"
+
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENT_KINDS:
+            raise ValueError("unknown experiment kind %r (one of %s)"
+                             % (self.experiment, ", ".join(EXPERIMENT_KINDS)))
+        if self.penalty not in PENALTY_KINDS:
+            raise ValueError("unknown penalty kind %r" % (self.penalty,))
+        loss = get_loss(self.loss)
+        if self.design not in loss.designs:
+            raise ValueError("%s loss needs a %s design, got %r"
+                             % (loss.kind, " or ".join(loss.designs),
+                                self.design))
+        # validates the syntax
+        model.CovarianceModel.from_spec(self.covariance, 2)
+        if not self.grid:
+            raise ValueError("at least one grid entry is required")
+        if self.replications < 1:
+            raise ValueError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0, got %d"
+                             % self.master_seed)
+        if not 0 < self.xi < math.inf:
+            raise ValueError("xi must be > 0 and finite")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("amplitude must be finite")
+        if self.penalty == "l1_constrained" and self.amplitude == 0:
+            raise ValueError("l1_constrained runs need amplitude != 0: the "
+                             "l1-ball radius is ||beta*||_1")
+        if self.mc_inner < 2:
+            raise ValueError("mc_inner must be >= 2")
+        if not 0 <= self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be >= 0 and finite")
+        for pt in self.grid:
+            if not (pt.n >= 1 and pt.p > pt.s >= 1):
+                raise ValueError("grid point needs n >= 1 and p > s >= 1, "
+                                 "got %r" % (pt,))
+            if self.penalty == "group_lasso":
+                if pt.M is None or pt.d is None:
+                    raise ValueError("group runs need M and d in each grid "
+                                     "entry")
+                if pt.M * pt.d != pt.p:
+                    raise ValueError("grid point needs p = M*d, got %r"
+                                     % (pt,))
+                if not pt.M > pt.s:
+                    raise ValueError("grid point needs M > s, got %r" % (pt,))
+            elif pt.M is not None or pt.d is not None:
+                raise ValueError("only group_lasso runs take M and d, got %r"
+                                 % (pt,))
+        if self.experiment == "risk_identity":
+            if (self.loss, self.covariance, self.design) != \
+                    ("squared", "identity", "gaussian"):
+                raise ValueError(
+                    "risk_identity runs require squared loss, identity "
+                    "covariance and gaussian design")
+        if self.experiment == "coverage":
+            if self.loss != "squared":
+                raise ValueError("coverage runs require squared loss "
+                                 "(linear data)")
+            if self.noise_sd == 0:
+                raise ValueError("coverage runs need noise_sd > 0: the "
+                                 "interval half-width is 1.96 "
+                                 "noise_sd/sqrt(n)")
+        # validates the solves' tolerance and iteration budget
+        solver.SolverConfig(self.max_iters, self.kkt_tol)
 
 
 # key -> type of the field it sets, which converts the value
@@ -124,9 +190,7 @@ def parse_config(text):
                              % (lineno, val, key)) from None
     if "experiment" not in values:
         raise ValueError("config must set `experiment`")
-    cfg = ExperimentConfig(grid=tuple(grid), **values)
-    validate_config(cfg)
-    return cfg
+    return ExperimentConfig(grid=tuple(grid), **values)
 
 
 def _parse_grid_entry(val, lineno):
@@ -149,67 +213,6 @@ def _parse_grid_entry(val, lineno):
         if req not in fields:
             raise ValueError("line %d: grid entry missing %r" % (lineno, req))
     return GridPoint(**fields)
-
-
-def validate_config(cfg):
-    if cfg.experiment not in EXPERIMENT_KINDS:
-        raise ValueError("unknown experiment kind %r (one of %s)"
-                         % (cfg.experiment, ", ".join(EXPERIMENT_KINDS)))
-    if cfg.penalty not in PENALTY_KINDS:
-        raise ValueError("unknown penalty kind %r" % (cfg.penalty,))
-    loss = get_loss(cfg.loss)
-    if cfg.design not in loss.designs:
-        raise ValueError("%s loss needs a %s design, got %r"
-                         % (loss.kind, " or ".join(loss.designs),
-                            cfg.design))
-    model.CovarianceModel.from_spec(cfg.covariance, 2)  # validates the syntax
-    if not cfg.grid:
-        raise ValueError("at least one grid entry is required")
-    if cfg.replications < 1:
-        raise ValueError("replications must be >= 1")
-    if cfg.master_seed < 0:
-        raise ValueError("master_seed must be >= 0, got %d" % cfg.master_seed)
-    if not 0 < cfg.xi < math.inf:
-        raise ValueError("xi must be > 0 and finite")
-    if not math.isfinite(cfg.amplitude):
-        raise ValueError("amplitude must be finite")
-    if cfg.penalty == "l1_constrained" and cfg.amplitude == 0:
-        raise ValueError("l1_constrained runs need amplitude != 0: the "
-                         "l1-ball radius is ||beta*||_1")
-    if cfg.mc_inner < 2:
-        raise ValueError("mc_inner must be >= 2")
-    if cfg.threads < 0:
-        raise ValueError("threads must be >= 0 (0 means one worker per "
-                         "usable core)")
-    if not 0 <= cfg.noise_sd < math.inf:
-        raise ValueError("noise_sd must be >= 0 and finite")
-    for pt in cfg.grid:
-        if not (pt.n >= 1 and pt.p > pt.s >= 1):
-            raise ValueError("grid point needs n >= 1 and p > s >= 1, got %r"
-                             % (pt,))
-        if cfg.penalty == "group_lasso":
-            if pt.M is None or pt.d is None:
-                raise ValueError("group runs need M and d in each grid entry")
-            if pt.M * pt.d != pt.p:
-                raise ValueError("grid point needs p = M*d, got %r" % (pt,))
-            if not pt.M > pt.s:
-                raise ValueError("grid point needs M > s, got %r" % (pt,))
-        elif pt.M is not None or pt.d is not None:
-            raise ValueError("only group_lasso runs take M and d, got %r"
-                             % (pt,))
-    if cfg.experiment == "risk_identity":
-        if (cfg.loss, cfg.covariance, cfg.design) != \
-                ("squared", "identity", "gaussian"):
-            raise ValueError(
-                "risk_identity runs require squared loss, identity "
-                "covariance and gaussian design")
-    if cfg.experiment == "coverage":
-        if cfg.loss != "squared":
-            raise ValueError("coverage runs require squared loss "
-                             "(linear data)")
-        if cfg.noise_sd == 0:
-            raise ValueError("coverage runs need noise_sd > 0: the "
-                             "interval half-width is 1.96 noise_sd/sqrt(n)")
 
 
 def task_seed(master_seed, point_idx, rep_idx):
@@ -382,11 +385,12 @@ def _blas_threads(count):
             put(n)
 
 
-def run_experiment(cfg):
-    """Run all (grid point, replication) tasks and write the output files.
+def run_experiment(cfg, out, threads=0):
+    """Run all (grid point, replication) tasks and write the output files
+    into the directory out.
 
     The point set-ups, largest p first, then the tasks, run in a pool of
-    cfg.threads workers (one per usable core for 0), each computing with one
+    `threads` workers (one per usable core for 0), each computing with one
     OpenBLAS thread; the previous OpenBLAS thread counts come back when the
     run ends or raises. A set-up or task that raises cancels the queued
     tasks, and its error propagates before any output is written.
@@ -394,7 +398,9 @@ def run_experiment(cfg):
     non-converged solves stay in records.csv flagged as such but are
     excluded from all summary statistics.
     """
-    validate_config(cfg)
+    if threads < 0:
+        raise ValueError("threads must be >= 0 (0 means one worker per "
+                         "usable core)")
     loss = get_loss(cfg.loss)
     solver_cfg = solver.SolverConfig(max_iters=cfg.max_iters,
                                      kkt_tol=cfg.kkt_tol)
@@ -402,8 +408,8 @@ def run_experiment(cfg):
              for ri in range(cfg.replications)]
     # threads = 0: one worker per core this process may run on
     affinity = getattr(os, "sched_getaffinity", None)
-    workers = cfg.threads or (len(affinity(0)) if affinity
-                              else os.cpu_count() or 1)
+    workers = threads or (len(affinity(0)) if affinity
+                          else os.cpu_count() or 1)
 
     def work(task):
         pi, ri = task
@@ -423,13 +429,11 @@ def run_experiment(cfg):
     records = [r for r, _ in results]
     timings = [t for _, t in results]
 
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_csv(os.path.join(cfg.out, "records.csv"),
-               RECORD_FIELDS, records)
-    _write_csv(os.path.join(cfg.out, "timings.csv"),
-               TIMING_FIELDS, timings)
+    os.makedirs(out, exist_ok=True)
+    _write_csv(os.path.join(out, "records.csv"), RECORD_FIELDS, records)
+    _write_csv(os.path.join(out, "timings.csv"), TIMING_FIELDS, timings)
     summary = summarize(cfg, records)
-    with open(os.path.join(cfg.out, "summary.json"), "w") as fh:
+    with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary

@@ -477,7 +477,6 @@ def noise_scale(dataset):
     scale.
     """
     if dataset.model_kind != "linear":
-        raise ValueError("dataset has no stored noise "
-                         "(noise scale is defined for linear data only)")
+        raise ValueError("noise scale is defined for linear data only")
     eps = dataset.noise
     return float(np.sqrt(np.mean(eps * eps))) if eps.size else 0.0

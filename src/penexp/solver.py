@@ -226,8 +226,9 @@ def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     The smooth part is seen through u = K (b - z), which is also its
     gradient, so each iteration costs one product with K. The centre z
     comes from expansion_center, which reads only the dataset: loss is not
-    consulted, and stays a parameter so both solvers take the same
-    arguments. passes counts the products with K plus z's one pass over X.
+    consulted. It and beta_star stay parameters because the benchmark binds
+    this function's arguments by name and reads both. passes counts the
+    products with K plus z's one pass over X.
     The step is 1/curvature.eig_max, where eig_max >= lambda_max(K) is
     exact for covariances and for the logistic K on identity Sigma. The
     solve starts at z, so the identity-curvature case converges in one prox

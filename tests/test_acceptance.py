@@ -28,13 +28,12 @@ pytestmark = pytest.mark.acceptance
 RATE_GRID = tuple(harness.GridPoint(n, 2 * n, 5) for n in (400, 800, 1600, 3200))
 
 
-def run(experiment, grid, tmp, **kw):
+def run(experiment, grid, tmp, threads=0, **kw):
     cfg = harness.ExperimentConfig(
         experiment=experiment,
         grid=tuple(harness.GridPoint(*g) if isinstance(g, tuple) else g
-                   for g in grid),
-        out=str(tmp), **kw)
-    return harness.run_experiment(cfg)
+                   for g in grid), **kw)
+    return harness.run_experiment(cfg, str(tmp), threads)
 
 
 def test_orthonormal_design_fit_matches_soft_threshold():

@@ -59,8 +59,9 @@ def test_lasso_level_errors():
         lasso_penalty_level(1.0, p=5, s=5, n=100, xi=0.1)
     with pytest.raises(ValueError):
         lasso_penalty_level(1.0, p=50, s=5, n=100, xi=0.0)
-    # squared loss has no scale without a stored noise realization
-    with pytest.raises(ValueError, match="no stored noise"):
+    # the squared loss's scale is the noise scale of linear data
+    with pytest.raises(ValueError,
+                       match="noise scale is defined for linear data only"):
         SQ.penalty_scale(_dataset("logistic"))
 
 

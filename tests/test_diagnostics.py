@@ -144,7 +144,7 @@ def test_risk_identity_noiseless():
     # lhs / rhs has no value: no NaN for records.csv or summary.json
     assert rep.ratio is None
     assert rep.within_bound
-    assert rep.bound == rep.bound_noise_term + rep.bound_gap_term
+    assert rep.bound == 0.0
 
 
 def test_risk_identity_small_run():
@@ -155,6 +155,12 @@ def test_risk_identity_small_run():
     exp = fit_expansion(ds, SQ, K, ds.beta_star, pen)
     rep = risk_identity_check(ds, fit.solution, exp.solution, pen, n_mc=20000, seed=7)
     assert rep.ratio == pytest.approx(rep.lhs / rep.rhs, rel=1e-12)
+    # the paper's sigma (t + 1)/sqrt(n) at t = 2, with the realized sigma,
+    # plus the gap between the estimate and its expansion
+    sigma = np.sqrt(np.mean(ds.noise ** 2))
+    gap = np.linalg.norm(fit.solution - exp.solution)
+    assert rep.bound == pytest.approx(3.0 * sigma / np.sqrt(ds.n) + gap,
+                                      rel=1e-12)
     assert rep.within_bound == (abs(rep.lhs - rep.rhs) <= rep.bound)
     # at these sizes the identity is already fairly tight
     assert 0.5 <= rep.ratio <= 2.0

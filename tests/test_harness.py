@@ -32,10 +32,8 @@ noise_sd = 1.0
 amplitude = 0.8
 replications = 4
 master_seed = 42
-threads = 1
 grid = n=60 p=30 s=2
 grid = n=120 p=30 s=2
-out = ignored
 """
 
 
@@ -48,7 +46,6 @@ def test_parse_config_round_trip():
     assert cfg.replications == 4
     assert cfg.master_seed == 42
     assert cfg.grid == (GridPoint(60, 30, 2), GridPoint(120, 30, 2))
-    assert cfg.out == "ignored"
 
 
 def test_parse_config_group_grid():
@@ -111,8 +108,11 @@ def test_parse_config_refuses_ar1_rho_set_up_would_refuse():
 
 
 def test_parse_config_refuses_removed_keys():
-    # the risk bound's t and the CLI's failure fraction are fixed values
-    for line in ("t_bound = 2.0", "max_fail_frac = 0.02"):
+    # the risk bound's t and the CLI's failure fraction are fixed values;
+    # the worker count and the output directory change nothing computed,
+    # and only the command line sets them
+    for line in ("t_bound = 2.0", "max_fail_frac = 0.02", "threads = 1",
+                 "out = out/"):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config("experiment = rates\n%s\ngrid = n=10 p=5 s=1\n"
                          % line)
@@ -139,20 +139,28 @@ def test_threads_zero_starts_one_worker_per_usable_core(tmp_path,
     assert sizes == [1, 2, 4]
 
 
-def test_validate_config_rejections():
+def test_validate_config_rejections(tmp_path):
+    # an ExperimentConfig checks itself when it is built
     base = dict(experiment="rates", grid=(GridPoint(50, 20, 3),))
-    with pytest.raises(ValueError):
-        harness.validate_config(ExperimentConfig(**dict(base, xi=0.0)))
-    with pytest.raises(ValueError):
-        harness.validate_config(ExperimentConfig(**dict(base, replications=0)))
-    with pytest.raises(ValueError):
-        harness.validate_config(
-            ExperimentConfig(**dict(base, experiment="volume")))
+    with pytest.raises(ValueError, match="xi must be > 0"):
+        ExperimentConfig(**dict(base, xi=0.0))
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        ExperimentConfig(**dict(base, replications=0))
+    with pytest.raises(ValueError, match="unknown experiment kind 'volume'"):
+        ExperimentConfig(**dict(base, experiment="volume"))
     # group runs need matching M*d = p
-    with pytest.raises(ValueError):
-        harness.validate_config(ExperimentConfig(
-            experiment="rates", penalty="group_lasso",
-            grid=(GridPoint(50, 20, 3, M=4, d=4),)))
+    with pytest.raises(ValueError, match="grid point needs p = M\\*d"):
+        ExperimentConfig(experiment="rates", penalty="group_lasso",
+                         grid=(GridPoint(50, 20, 3, M=4, d=4),))
+    # the solves' tolerance and budget, with SolverConfig's messages
+    for key, bad, message in (
+            ("kkt_tol", "inf", "kkt_tol must be > 0 and finite"),
+            ("kkt_tol", "nan", "kkt_tol must be > 0 and finite"),
+            ("kkt_tol", "-1", "kkt_tol must be > 0 and finite"),
+            ("max_iters", "0", "max_iters must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            parse_config("experiment = rates\n%s = %s\n"
+                         "grid = n=50 p=20 s=2\n" % (key, bad))
     with pytest.raises(ValueError, match="unknown covariance 'ar2:0.5'"):
         parse_config("experiment = rates\ncovariance = ar2:0.5\n"
                      "grid = n=50 p=20 s=2\n")
@@ -171,8 +179,8 @@ def test_validate_config_rejections():
                      "design = rademacher\ngrid = n=50 p=20 s=2\n")
     # 0 means one worker per core; a negative count is a mistake
     with pytest.raises(ValueError, match="threads must be >= 0"):
-        parse_config("experiment = rates\nthreads = -3\n"
-                     "grid = n=50 p=20 s=2\n")
+        run_experiment(ExperimentConfig(**base), str(tmp_path / "o"), -3)
+    assert not (tmp_path / "o").exists()
     with pytest.raises(ValueError, match="noise_sd must be >= 0"):
         parse_config("experiment = rates\nnoise_sd = -1\n"
                      "grid = n=50 p=20 s=2\n")
@@ -331,15 +339,14 @@ def test_rate_fit_skips_a_median_not_positive():
     assert abs(slope - 2.0) < 1e-12
 
 
-def run_tiny(tmp_path, name, **overrides):
+def run_tiny(tmp_path, name, threads=1, **overrides):
     kw = dict(experiment="rates",
               grid=(GridPoint(60, 30, 2), GridPoint(120, 30, 2),
                     GridPoint(240, 30, 2)),
-              replications=4, master_seed=11, threads=1,
-              out=str(tmp_path / name))
+              replications=4, master_seed=11)
     kw.update(overrides)
     cfg = ExperimentConfig(**kw)
-    return cfg, run_experiment(cfg)
+    return cfg, run_experiment(cfg, str(tmp_path / name), threads)
 
 
 def assert_typed_as_written(recs):
@@ -526,8 +533,7 @@ def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,
     cfg = ExperimentConfig(
         experiment="rates", loss="logistic",
         penalty="l1_constrained", covariance="ar1:0.5", amplitude=0.25,
-        grid=(GridPoint(100, 60, 3),), replications=1, threads=1,
-        out=str(tmp_path / "ar1"))
+        grid=(GridPoint(100, 60, 3),), replications=1)
     setup = harness._setup_point(cfg, cfg.grid[0], LOGISTIC)
     assert calls == []
     rec, _ = harness._run_task(cfg, setup, LOGISTIC, solver.SolverConfig(),
@@ -543,8 +549,8 @@ def test_coverage_interval_scales_with_noise_sd(tmp_path):
     cfg = ExperimentConfig(
         experiment="coverage", grid=(GridPoint(400, 800, 5),),
         xi=0.05, amplitude=0.1, noise_sd=2.0, replications=100,
-        master_seed=4242, out=str(tmp_path / "cov"))
-    summary = run_experiment(cfg)
+        master_seed=4242)
+    summary = run_experiment(cfg, str(tmp_path / "cov"))
     assert 0.88 <= summary["points"][0]["coverage"] <= 0.99
     recs = load_records_csv(tmp_path / "cov" / "records.csv")
     t_sd = float(np.std([r["t_stat"] for r in recs], ddof=1))
@@ -593,9 +599,8 @@ def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
         cfg = ExperimentConfig(experiment="rates", amplitude=amplitude,
                                grid=tuple(GridPoint(n, 2 * n, 5)
                                           for n in sizes),
-                               replications=reps, master_seed=5, threads=1,
-                               out=str(tmp_path / name))
-        summary = run_experiment(cfg)
+                               replications=reps, master_seed=5)
+        summary = run_experiment(cfg, str(tmp_path / name), threads=1)
         loaded = json.loads((tmp_path / name / "summary.json").read_text(),
                             parse_constant=refuse)
         assert loaded == summary
@@ -610,9 +615,8 @@ def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
 def test_fit_experiment_kind(tmp_path):
     cfg = ExperimentConfig(experiment="fit",
                            grid=(GridPoint(80, 20, 2),),
-                           replications=3, master_seed=5, threads=1,
-                           out=str(tmp_path / "fit"))
-    summary = run_experiment(cfg)
+                           replications=3, master_seed=5)
+    summary = run_experiment(cfg, str(tmp_path / "fit"), threads=1)
     recs = load_records_csv(tmp_path / "fit" / "records.csv")
     assert len(recs) == 3
     for r in recs:
@@ -661,7 +665,7 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
         out = tmp_path / str(threads)
         run_experiment(ExperimentConfig(
             experiment=kind, penalty=penalty, grid=(point,), replications=2,
-            master_seed=2027, mc_inner=100, threads=threads, out=str(out)))
+            master_seed=2027, mc_inner=100), str(out), threads)
         body[threads] = (out / "records.csv").read_bytes()
     assert body[1] == body[2]
     filled = FIT_COLUMNS | KIND_COLUMNS[kind]
@@ -691,7 +695,7 @@ def test_cli_experiment_and_rate_fit(tmp_path, capsys):
                                         "grid = n=120 p=30 s=2\n"
                                         "grid = n=240 p=30 s=2"))
     out = str(tmp_path / "res")
-    rc = cli.main(["experiment", str(conf), "--out", out])
+    rc = cli.main(["experiment", str(conf), "--threads", "1", "--out", out])
     assert rc == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["failed"] == 0
@@ -789,9 +793,10 @@ def test_cli_experiment_bad_config(tmp_path, capsys):
 def test_cli_experiment_failure_exit(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("experiment = rates\nreplications = 2\nmaster_seed = 3\n"
-                    "threads = 1\nmax_iters = 2\nkkt_tol = 1e-13\n"
+                    "max_iters = 2\nkkt_tol = 1e-13\n"
                     "grid = n=40 p=20 s=2\n")
-    rc = cli.main(["experiment", str(conf), "--out", str(tmp_path / "res")])
+    rc = cli.main(["experiment", str(conf), "--threads", "1",
+                   "--out", str(tmp_path / "res")])
     assert rc == 3
     out = json.loads(capsys.readouterr().out)
     assert out["failed_fraction"] > 0.02
@@ -820,11 +825,12 @@ def test_logistic_signal_at_the_default_amplitude_is_certified(tmp_path):
     # unit ball: the curvature is built and both solves are certified
     conf = tmp_path / "run.conf"
     conf.write_text("experiment = rates\nloss = logistic\n"
-                    "replications = 1\nthreads = 1\ngrid = n=200 p=40 s=5\n")
+                    "replications = 1\ngrid = n=200 p=40 s=5\n")
     # a fresh process with a timeout, so a solve that never ends fails
     src = os.path.dirname(os.path.dirname(penexp.__file__))
     out = subprocess.run([sys.executable, "-m", "penexp", "experiment",
-                          str(conf), "--out", str(tmp_path / "res")],
+                          str(conf), "--threads", "1",
+                          "--out", str(tmp_path / "res")],
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
