@@ -1,13 +1,12 @@
 """Verification quantities: Monte Carlo proximal-map risk and the risk
 identity, de-biased inference, and sparsity counts and bounds.
 
+risk_identity_check, debiased_estimate and sparsity_count return the
+records.csv cells they fill, keyed by column.
+
 The exact-risk machinery applies under a Gaussian design with identity
 covariance and squared loss; those hypotheses are enforced, not extrapolated.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,24 +16,6 @@ from .model import noise_scale, stream_rng
 # Numbers drawn per chunk of the Monte Carlo risk: 256 KB of draws, so
 # that a chunk and the prox's output stay in cache.
 MC_CHUNK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class RiskIdentityReport:
-    lhs: float
-    rhs: float
-    mc_se: float
-    ratio: float | None  # lhs / rhs, None when rhs is 0
-    bound: float  # 3 sigma/sqrt(n) + ||beta_hat - eta||
-    within_bound: bool
-
-
-@dataclass(frozen=True)
-class InferenceReport:
-    theta_hat: float
-    target: float
-    covered: bool
-    t_stat: float
 
 
 def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
@@ -75,12 +56,13 @@ def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
 def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
     """Compare the realized estimation error against the prox-risk identity.
 
-    lhs is ||beta_hat - beta_star||, rhs the root mean prox risk at the
-    realized noise scale, and the finite-sample bound is
-    3 sigma/sqrt(n) + ||beta_hat - eta||: the paper's sigma (t+1)/sqrt(n)
-    at t = 2. The identity is exact only for linear data from a Gaussian
-    design with identity covariance; anything else is refused with
-    ValueError.
+    risk_lhs is ||beta_hat - beta_star||, risk_rhs the root mean prox risk
+    at the realized noise scale (Monte Carlo s.e. risk_mc_se), risk_ratio
+    their ratio (None when risk_rhs is 0), and risk_ok whether they differ
+    by at most risk_bound = 3 sigma/sqrt(n) + ||beta_hat - eta||: the
+    paper's sigma (t+1)/sqrt(n) at t = 2. The identity is exact only for
+    linear data from a Gaussian design with identity covariance; anything
+    else is refused with ValueError.
     """
     if dataset.model_kind != "linear":
         raise ValueError("risk identity applies to linear data")
@@ -101,8 +83,9 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
     ratio = lhs / rhs if rhs > 0 else None
     bound = float(3.0 * sigma / np.sqrt(dataset.n)) + \
         float(np.linalg.norm(beta_hat - eta))
-    return RiskIdentityReport(lhs, rhs, mc_se, ratio, bound,
-                              bool(abs(lhs - rhs) <= bound))
+    return dict(risk_lhs=lhs, risk_rhs=rhs, risk_mc_se=mc_se,
+                risk_ratio=ratio, risk_bound=bound,
+                risk_ok=bool(abs(lhs - rhs) <= bound))
 
 
 def debiased_estimate(dataset, beta_hat, cov, a):
@@ -112,7 +95,8 @@ def debiased_estimate(dataset, beta_hat, cov, a):
     it); the correction adds the score-weighted average residual, so the
     estimate's error is about N(0, sigma^2/n), where sigma is the
     generating noise sd of the linear data. The interval half-width is
-    1.96 sigma/sqrt(n), and t_stat is sqrt(n) (theta_hat - target)/sigma.
+    1.96 sigma/sqrt(n): covered says whether it holds the target, and
+    t_stat is sqrt(n) (theta_hat - target)/sigma.
     """
     a = np.asarray(a, dtype=float)
     if not np.any(a != 0.0):
@@ -131,19 +115,20 @@ def debiased_estimate(dataset, beta_hat, cov, a):
     target = float(a @ dataset.beta_star)
     half = 1.96 * sigma / np.sqrt(dataset.n)
     t_stat = float(np.sqrt(dataset.n) * (theta - target) / sigma)
-    return InferenceReport(theta, target,
-                           bool(theta - half <= target <= theta + half),
-                           t_stat)
+    return dict(theta_hat=theta, target=target,
+                covered=bool(theta - half <= target <= theta + half),
+                t_stat=t_stat)
 
 
-def sparsity_count(beta, groups=None):
-    """Exact nonzero counts: (coordinates, groups) or (coordinates, None)."""
+def sparsity_count(beta, bound, groups=None):
+    """Nonzero coordinates and groups (None without groups) of beta, and
+    whether the groups, or without groups the coordinates, are <= bound."""
     beta = np.asarray(beta, dtype=float)
     coords = int(np.count_nonzero(beta))
-    if groups is None:
-        return coords, None
-    nz = np.count_nonzero(np.any(groups.blocks(beta) != 0.0, axis=-1))
-    return coords, int(nz)
+    nz = None if groups is None else int(np.count_nonzero(
+        np.any(groups.blocks(beta) != 0.0, axis=-1)))
+    return dict(nnz_coords=coords, nnz_groups=nz, sparsity_bound=bound,
+                sparsity_ok=(coords if nz is None else nz) <= bound)
 
 
 def sparsity_bound(s, xi, cov, curvature, groups=None):

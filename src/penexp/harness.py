@@ -317,26 +317,15 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
         rec.update(cone_est=in_est, cone_exp=in_exp,
                    cone_both=in_est and in_exp)
     elif cfg.experiment == "risk_identity":
-        rep_report = diagnostics.risk_identity_check(
-            ds, est.solution, exp.solution, penalty, cfg.mc_inner, seed)
-        rec.update(risk_lhs=rep_report.lhs, risk_rhs=rep_report.rhs,
-                   risk_mc_se=rep_report.mc_se, risk_ratio=rep_report.ratio,
-                   risk_bound=rep_report.bound,
-                   risk_ok=rep_report.within_bound)
+        rec.update(diagnostics.risk_identity_check(
+            ds, est.solution, exp.solution, penalty, cfg.mc_inner, seed))
     elif cfg.experiment == "coverage":
-        a = np.zeros(pt.p)
-        a[0] = 1.0
-        inf_report = diagnostics.debiased_estimate(ds, est.solution,
-                                                   setup.cov, a)
-        rec.update(theta_hat=inf_report.theta_hat, target=inf_report.target,
-                   covered=inf_report.covered, t_stat=inf_report.t_stat)
+        # a = e_1: the first coordinate
+        rec.update(diagnostics.debiased_estimate(
+            ds, est.solution, setup.cov, np.eye(1, pt.p)[0]))
     elif cfg.experiment == "sparsity_check":
-        coords, ngroups = diagnostics.sparsity_count(exp.solution,
-                                                     setup.groups)
-        count = ngroups if setup.groups is not None else coords
-        rec.update(nnz_coords=coords, nnz_groups=ngroups,
-                   sparsity_bound=setup.sparsity_bound,
-                   sparsity_ok=count <= setup.sparsity_bound)
+        rec.update(diagnostics.sparsity_count(
+            exp.solution, setup.sparsity_bound, setup.groups))
     return rec, timing
 
 

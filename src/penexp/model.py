@@ -181,14 +181,10 @@ class CovarianceModel:
         """Least and largest u'Mu / u'(base)u over u != 0 of a rank-one
         update M: base^{-1/2} M base^{-1/2} = m0 I + c r r' with
         |r|^2 = q' base^{-1} q, whose eigenvalues are m0 and m0 + c |r|^2."""
+        if self.base is None:
+            raise ValueError("relative_bounds is for rank-one updates alone")
         a = self._sherman_morrison[1]
         return min(self._m0, a), max(self._m0, a)
-
-    @property
-    def sqrt(self):
-        if self.base is not None:
-            raise ValueError("a rank-one update builds no p x p factor")
-        return self.matrix if self.is_identity else self._root
 
     def principal(self, idx):
         """The principal submatrix on the indices idx."""
@@ -232,7 +228,9 @@ class CovarianceModel:
 
     def sqrt_rows(self, A):
         """A times the square root: each row of A mapped by the root."""
-        return A if self.is_identity else A @ self.sqrt
+        if self.base is not None:
+            raise ValueError("a rank-one update builds no p x p factor")
+        return A if self.is_identity else A @ self._root
 
     def norm(self, u):
         """||M^{1/2} u|| for this matrix M; zero only at u = 0."""

@@ -195,6 +195,15 @@ def test_readme_config_block_lists_every_config_key():
     assert keys == {f.name for f in fields(harness.ExperimentConfig)}
 
 
+def test_readme_output_section_lists_every_record_column():
+    # each bullet under "Output files" opens with a backticked list of the
+    # columns it describes; together they are the header, in its order
+    section = _readme().split("## Output files\n", 1)[1].split("\n## ", 1)[0]
+    lists = re.findall(r"^- `([^`]*)`", section, re.M)
+    listed = [c.strip() for cols in lists for c in cols.split(",")]
+    assert listed == harness.RECORD_FIELDS
+
+
 def test_readme_cli_section_lists_every_subcommand():
     # the "Subcommands:" sentence and the example block under "CLI" name
     # exactly the subcommands the parser has

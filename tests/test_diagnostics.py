@@ -139,12 +139,12 @@ def test_risk_identity_noiseless():
     ds = linear_dataset(60, 20, 3, seed=41, noise_sd=0.0)
     rep = risk_identity_check(ds, ds.beta_star, ds.beta_star, lasso(0.0, ds.p),
                               n_mc=100, seed=1)
-    assert rep.lhs == 0.0
-    assert rep.rhs == 0.0
+    assert rep["risk_lhs"] == 0.0
+    assert rep["risk_rhs"] == 0.0
     # lhs / rhs has no value: no NaN for records.csv or summary.json
-    assert rep.ratio is None
-    assert rep.within_bound
-    assert rep.bound == 0.0
+    assert rep["risk_ratio"] is None
+    assert rep["risk_ok"]
+    assert rep["risk_bound"] == 0.0
 
 
 def test_risk_identity_small_run():
@@ -154,16 +154,18 @@ def test_risk_identity_small_run():
     K = curvature_matrix(SQ, ds.covariance, ds.beta_star)
     exp = fit_expansion(ds, SQ, K, ds.beta_star, pen)
     rep = risk_identity_check(ds, fit.solution, exp.solution, pen, n_mc=20000, seed=7)
-    assert rep.ratio == pytest.approx(rep.lhs / rep.rhs, rel=1e-12)
+    assert rep["risk_ratio"] == pytest.approx(
+        rep["risk_lhs"] / rep["risk_rhs"], rel=1e-12)
     # the paper's sigma (t + 1)/sqrt(n) at t = 2, with the realized sigma,
     # plus the gap between the estimate and its expansion
     sigma = np.sqrt(np.mean(ds.noise ** 2))
     gap = np.linalg.norm(fit.solution - exp.solution)
-    assert rep.bound == pytest.approx(3.0 * sigma / np.sqrt(ds.n) + gap,
-                                      rel=1e-12)
-    assert rep.within_bound == (abs(rep.lhs - rep.rhs) <= rep.bound)
+    assert rep["risk_bound"] == pytest.approx(
+        3.0 * sigma / np.sqrt(ds.n) + gap, rel=1e-12)
+    assert rep["risk_ok"] == (
+        abs(rep["risk_lhs"] - rep["risk_rhs"]) <= rep["risk_bound"])
     # at these sizes the identity is already fairly tight
-    assert 0.5 <= rep.ratio <= 2.0
+    assert 0.5 <= rep["risk_ratio"] <= 2.0
 
 
 def test_risk_identity_refusals():
@@ -190,8 +192,10 @@ def test_debiased_at_truth():
     rep = debiased_estimate(ds, ds.beta_star, cov, np.eye(30)[0])
     z_a = ds.X[:, 0]
     expected = float(z_a @ ds.noise) / float(z_a @ z_a)
-    assert rep.theta_hat - rep.target == pytest.approx(expected, abs=1e-14)
-    assert rep.t_stat == pytest.approx(np.sqrt(ds.n) * expected, abs=1e-10)
+    assert rep["theta_hat"] - rep["target"] == pytest.approx(expected,
+                                                            abs=1e-14)
+    assert rep["t_stat"] == pytest.approx(np.sqrt(ds.n) * expected,
+                                          abs=1e-10)
 
 
 def test_debiased_scale_invariance():
@@ -202,9 +206,9 @@ def test_debiased_scale_invariance():
     a[3] = 1.0
     r1 = debiased_estimate(ds, fit.solution, ds.covariance, a)
     r2 = debiased_estimate(ds, fit.solution, ds.covariance, 5.0 * a)
-    assert r1.theta_hat == pytest.approx(r2.theta_hat, rel=1e-12)
-    assert r1.target == pytest.approx(r2.target, rel=1e-12)
-    assert r1.t_stat == pytest.approx(r2.t_stat, rel=1e-9)
+    assert r1["theta_hat"] == pytest.approx(r2["theta_hat"], rel=1e-12)
+    assert r1["target"] == pytest.approx(r2["target"], rel=1e-12)
+    assert r1["t_stat"] == pytest.approx(r2["t_stat"], rel=1e-9)
 
 
 def test_debiased_score_is_design_column():
@@ -213,9 +217,9 @@ def test_debiased_score_is_design_column():
     a = np.zeros(12)
     a[0] = 2.0  # normalization brings this back to e1
     rep = debiased_estimate(ds, np.zeros(12), ds.covariance, a)
-    assert rep.target == ds.beta_star[0]
+    assert rep["target"] == ds.beta_star[0]
     manual = float(ds.X[:, 0] @ ds.y) / float(ds.X[:, 0] @ ds.X[:, 0])
-    assert rep.theta_hat == pytest.approx(manual, rel=1e-12)
+    assert rep["theta_hat"] == pytest.approx(manual, rel=1e-12)
 
 
 def test_debiased_interval_consistency():
@@ -229,9 +233,9 @@ def test_debiased_interval_consistency():
         for j in range(15):
             rep = debiased_estimate(replace(ds, noise_sd=sd), fit.solution,
                                     ds.covariance, np.eye(15)[j])
-            assert abs(abs(rep.t_stat) - 1.96) > 1e-3
-            assert rep.covered == (abs(rep.t_stat) <= 1.96)
-            seen.add(rep.covered)
+            assert abs(abs(rep["t_stat"]) - 1.96) > 1e-3
+            assert rep["covered"] == (abs(rep["t_stat"]) <= 1.96)
+            seen.add(rep["covered"])
     assert seen == {True, False}
     with pytest.raises(ValueError, match="direction a must be nonzero"):
         debiased_estimate(ds, fit.solution, ds.covariance, np.zeros(15))
@@ -241,16 +245,25 @@ def test_debiased_interval_consistency():
                           ds.covariance, np.eye(15)[0])
 
 
+def _counts(beta, bound, groups=None):
+    cells = sparsity_count(np.array(beta), bound, groups)
+    assert cells["sparsity_bound"] == bound
+    return cells["nnz_coords"], cells["nnz_groups"], cells["sparsity_ok"]
+
+
 def test_sparsity_count_plain():
-    assert sparsity_count(np.zeros(4)) == (0, None)
-    assert sparsity_count(np.array([1.0, 0.0, -2.0, 0.0])) == (2, None)
+    assert _counts([0.0] * 4, 1.5) == (0, None, True)
+    assert _counts([1.0, 0.0, -2.0, 0.0], 1.5) == (2, None, False)
+    # the bound itself passes
+    assert _counts([1.0, 0.0, -2.0, 0.0], 2.0) == (2, None, True)
 
 
 def test_sparsity_count_groups():
     groups = GroupStructure.contiguous(2, 2)
-    assert sparsity_count(np.zeros(4), groups) == (0, 0)
-    assert sparsity_count(np.array([1.0, 0.0, 0.0, 2.0]), groups) == (2, 2)
-    assert sparsity_count(np.array([1.0, 0.5, 0.0, 0.0]), groups) == (2, 1)
+    assert _counts([0.0] * 4, 1.0, groups) == (0, 0, True)
+    assert _counts([1.0, 0.0, 0.0, 2.0], 1.0, groups) == (2, 2, False)
+    # groups, not coordinates, are held against the bound
+    assert _counts([1.0, 0.5, 0.0, 0.0], 1.0, groups) == (2, 1, True)
 
 
 def test_sparsity_constant_value():

@@ -372,7 +372,8 @@ def test_curvature_norm_and_factorizations():
     u = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
     direct = np.sqrt(u @ cov.matrix @ u)
     assert K.norm(u) == pytest.approx(direct, rel=1e-12)
-    assert np.allclose(K.sqrt @ K.sqrt, K.matrix, atol=1e-10)
+    root = K.sqrt_rows(np.eye(5))
+    assert np.allclose(root @ root, K.matrix, atol=1e-10)
     inv = K.solve(np.eye(5))
     assert np.allclose(K.matrix @ inv, np.eye(5), atol=1e-9)
 

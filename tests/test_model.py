@@ -45,7 +45,7 @@ def test_identity_covariance_basic():
     cov = model.CovarianceModel.identity(5)
     assert cov.p == 5
     assert np.array_equal(cov.matrix, np.eye(5))
-    assert np.array_equal(cov.sqrt, np.eye(5))
+    assert np.array_equal(cov.sqrt_rows(np.eye(5)), np.eye(5))
     assert np.array_equal(cov.solve(np.eye(5)), np.eye(5))
     assert cov.is_identity
 
@@ -73,11 +73,12 @@ def test_covariance_from_spec():
 
 def test_covariance_factorizations_consistent():
     cov = model.CovarianceModel.ar1(12, 0.7)
-    assert np.allclose(cov.sqrt @ cov.sqrt, cov.matrix, atol=1e-10)
+    root = cov.sqrt_rows(np.eye(12))
+    assert np.allclose(root @ root, cov.matrix, atol=1e-10)
     assert np.allclose(cov.matrix @ cov.solve(np.eye(12)), np.eye(12),
                        atol=1e-10)
     # symmetric square root, not a Cholesky factor
-    assert np.array_equal(cov.sqrt, cov.sqrt.T)
+    assert np.array_equal(root, root.T)
 
 
 def test_covariance_rejects_bad_input():
@@ -154,7 +155,7 @@ def test_ar1_root_is_the_eigenvector_formula_bitwise(p, rho):
     # eigenvectors, so that X = Z Sigma^{1/2} keeps its bits
     w, V = model._ar1_eigenpairs(p, rho)
     b = V * w ** 0.25
-    assert np.array_equal(model.CovarianceModel.ar1(p, rho).sqrt, b @ b.T)
+    assert np.array_equal(model.CovarianceModel.ar1(p, rho)._root, b @ b.T)
 
 
 def test_ar1_memory_is_one_root():
@@ -168,10 +169,6 @@ def test_ar1_memory_is_one_root():
         # and the eigenvectors' row blocks are 64 x p
         assert square <= held <= square + 16 * column
         assert peak <= 2 * square + 128 * column
-        tracemalloc.reset_peak()
-        cov.sqrt
-        now, peak = tracemalloc.get_traced_memory()
-        assert now - held < column and peak - held < column
         K = losses.curvature_matrix(losses.LOGISTIC, cov,
                                     model.flat_signal(p, 5, 0.25))
         u = np.random.default_rng(0).standard_normal(p)
@@ -183,6 +180,22 @@ def test_ar1_memory_is_one_root():
             assert tracemalloc.get_traced_memory()[1] - base <= 8 * column
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cov", [
+    model.CovarianceModel.identity(5), model.CovarianceModel.ar1(5, 0.5)],
+    ids=["identity", "ar1"])
+def test_relative_bounds_is_for_rank_one_updates(cov):
+    # a covariance has eig_min; only a rank-one update has relative_bounds,
+    # and only a covariance has a square root
+    with pytest.raises(ValueError, match="rank-one updates"):
+        cov.relative_bounds
+    K = losses.curvature_matrix(losses.LOGISTIC, cov,
+                                model.flat_signal(5, 2, 0.25))
+    low, high = K.relative_bounds
+    assert 0 < low <= high
+    with pytest.raises(ValueError, match="builds no p x p factor"):
+        K.sqrt_rows(np.eye(5))
 
 
 def test_group_structure_contiguous():
