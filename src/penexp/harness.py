@@ -19,7 +19,8 @@ which was queued ahead of every task and so is running or done by then.
 Outputs, in the directory given to run_experiment: records.csv (RFC 4180,
 fixed header, floats at 17 significant digits), timings.csv (wall times,
 kept out of records.csv so reruns are byte-identical, and the full passes
-over X or K of each solve) and summary.json.
+over X or K of each solve) and summary.json, with the rate fits. Each is
+written to a temporary name and renamed into place, never read back.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import ctypes
 import json
 import math
 import os
-import re
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -382,7 +382,8 @@ def run_experiment(cfg, out, threads=0):
     `threads` workers (one per usable core for 0), each computing with one
     OpenBLAS thread; the previous OpenBLAS thread counts come back when the
     run ends or raises. A set-up or task that raises cancels the queued
-    tasks, and its error propagates before any output is written.
+    tasks, and its error propagates before any output is written; an
+    unusable out raises OSError before any task runs.
     Returns the summary dict (also written to summary.json). Records from
     non-converged solves stay in records.csv flagged as such but are
     excluded from all summary statistics.
@@ -390,6 +391,7 @@ def run_experiment(cfg, out, threads=0):
     if threads < 0:
         raise ValueError("threads must be >= 0 (0 means one worker per "
                          "usable core)")
+    os.makedirs(out, exist_ok=True)
     loss = get_loss(cfg.loss)
     solver_cfg = solver.SolverConfig(max_iters=cfg.max_iters,
                                      kkt_tol=cfg.kkt_tol)
@@ -418,14 +420,27 @@ def run_experiment(cfg, out, threads=0):
     records = [r for r, _ in results]
     timings = [t for _, t in results]
 
-    os.makedirs(out, exist_ok=True)
+    summary = summarize(cfg, records)
+    # strict JSON: a NaN or infinity raises here, before any file is written
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     _write_csv(os.path.join(out, "records.csv"), RECORD_FIELDS, records)
     _write_csv(os.path.join(out, "timings.csv"), TIMING_FIELDS, timings)
-    summary = summarize(cfg, records)
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _replacing(os.path.join(out, "summary.json")) as fh:
+        fh.write(text + "\n")
     return summary
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """Write to a temporary file that replaces path, or is removed on error."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _format_cell(v):
@@ -441,7 +456,7 @@ def _format_cell(v):
 
 
 def _write_csv(path, fields, rows):
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\r\n")
         writer.writerow(fields)
         for row in rows:
@@ -470,7 +485,7 @@ def _certified(record):
 
 
 def summarize(cfg, records):
-    """Medians, quartiles and frequencies per grid point, plus a rate fit."""
+    """Medians, quartiles and frequencies per grid point, plus rate fits."""
     points = []
     for pi, pt in enumerate(cfg.grid):
         recs = [r for r in records if r["point"] == pi]
@@ -508,7 +523,7 @@ def summarize(cfg, records):
 
     total = len(records)
     failed = sum(1 for r in records if not _certified(r))
-    summary = {
+    return {
         "experiment": cfg.experiment,
         "loss": cfg.loss,
         "penalty": cfg.penalty,
@@ -518,16 +533,20 @@ def summarize(cfg, records):
         "failed": failed,
         "failed_fraction": failed / total if total else 0.0,
         "points": points,
+        "rate_fit": _fit_block(records, "gap"),
+        "rate_fits": {m: _fit_block(records, m)
+                      for m in ("err_est", "err_exp")},
     }
+
+
+def _fit_block(records, metric):
     try:
-        slope, intercept, stderr = rate_fit(records, metric="gap")
+        slope, intercept, stderr = rate_fit(records, metric=metric)
     except ValueError:
         # too few grid points, no spread in r_n, or a median not finite
-        summary["rate_fit"] = None
-    else:
-        summary["rate_fit"] = {"metric": "gap", "slope": slope,
-                               "intercept": intercept, "stderr": stderr}
-    return summary
+        return None
+    return {"metric": metric, "slope": slope, "intercept": intercept,
+            "stderr": stderr}
 
 
 def rate_fit(records, metric="gap"):
@@ -578,45 +597,3 @@ def rate_fit(records, metric="gap"):
     sxx = float(((x - x.mean()) ** 2).sum())
     stderr = math.sqrt(sig2 / sxx)
     return slope, intercept, stderr
-
-
-def load_records_csv(path):
-    """Read records.csv back into dicts, each cell parsed by its column's
-    RECORD_SCHEMA type (a column the schema does not name as a float), and
-    None when empty. ValueError names the first RECORD_FIELDS column the
-    header lacks, or the line and column of a row shorter or longer than
-    the header or of a cell that is not its type's text as written."""
-    # _format_cell's text: flags, str(int) and format(float, ".17g")
-    text = {bool: "true|false", int: "-?[0-9]+",
-            float: r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|nan|-?inf"}
-
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or ()
-        missing = [f for f in RECORD_FIELDS if f not in header]
-        if missing:
-            raise ValueError("%s is not a records file: its header lacks "
-                             "the column '%s'" % (path, missing[0]))
-        records = []
-        for row in reader:
-            where = "%s, line %d" % (path, reader.line_num)
-            # DictReader keys cells beyond the header by None, and gives
-            # None to the columns a short row does not reach
-            if None in row:
-                raise ValueError("%s, column %d: the row has more cells "
-                                 "than the header's %d columns"
-                                 % (where, len(header) + 1, len(header)))
-            rec = {}
-            for k, v in row.items():
-                if v is None:
-                    raise ValueError("%s, column '%s': the row ends before "
-                                     "this column" % (where, k))
-                kind = RECORD_SCHEMA.get(k, float)
-                if v and not re.fullmatch(text[kind], v):
-                    raise ValueError("%s, column '%s': %r is not %s" % (
-                        where, k, v, {int: "an integer", float: "a number",
-                                      bool: "true or false"}[kind]))
-                rec[k] = (None if v == "" else v == "true" if kind is bool
-                          else kind(v))
-            records.append(rec)
-        return records

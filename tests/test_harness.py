@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -14,9 +15,8 @@ import penexp
 from penexp import cli, harness, solver
 from penexp.cones import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
-                            RECORD_SCHEMA, TIMING_FIELDS, load_records_csv,
-                            parse_config, rate_fit, run_experiment,
-                            task_seed)
+                            RECORD_SCHEMA, TIMING_FIELDS, parse_config,
+                            rate_fit, run_experiment, task_seed)
 from penexp.losses import LOGISTIC
 
 
@@ -349,6 +349,15 @@ def run_tiny(tmp_path, name, threads=1, **overrides):
     return cfg, run_experiment(cfg, str(tmp_path / name), threads)
 
 
+def read_records(path):
+    """records.csv as dicts, each cell parsed by its RECORD_SCHEMA type and
+    None when empty."""
+    with open(path, newline="") as fh:
+        return [{k: None if v == "" else v == "true"
+                 if RECORD_SCHEMA[k] is bool else RECORD_SCHEMA[k](v)
+                 for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
 def assert_typed_as_written(recs):
     # each cell comes back with its column's type, an integral float too
     for rec in recs:
@@ -366,7 +375,7 @@ def test_run_experiment_outputs(tmp_path):
     assert summary["records"] == 12
     assert summary["failed"] == 0
     # records come back typed and ordered
-    recs = load_records_csv(out / "records.csv")
+    recs = read_records(out / "records.csv")
     assert [(r["point"], r["rep"]) for r in recs] == \
         sorted((r["point"], r["rep"]) for r in recs)
     assert recs[0]["r_n"] == lasso_rate(60, p=30, s=2)
@@ -401,7 +410,7 @@ def test_logistic_expansion_makes_one_pass_over_x(tmp_path):
     run_tiny(tmp_path, "logistic", loss="logistic",
              penalty="l1_constrained", amplitude=0.25, replications=2)
     out = tmp_path / "logistic"
-    recs = load_records_csv(out / "records.csv")
+    recs = read_records(out / "records.csv")
     with open(out / "timings.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(recs) == 6
@@ -514,8 +523,48 @@ def test_a_failed_set_up_raises_and_writes_nothing(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="set-up failed"):
         run_tiny(tmp_path, "broken", threads=2, replications=40,
                  grid=(GridPoint(60, 20, 2), GridPoint(60, 30, 2)))
-    assert not (tmp_path / "broken").exists()
+    # the output directory is made before the pool starts, and stays empty
+    assert list((tmp_path / "broken").iterdir()) == []
     assert len(ran) < 40
+
+
+def test_an_unusable_out_fails_before_any_set_up(tmp_path, monkeypatch,
+                                                  capsys):
+    calls = []
+    monkeypatch.setattr(harness, "_setup_point",
+                        lambda *args: calls.append(args))
+    taken = tmp_path / "file"
+    taken.write_text("not a directory")
+    with pytest.raises(OSError):
+        run_tiny(tmp_path, "file")
+    assert calls == []
+    conf = tmp_path / "run.conf"
+    conf.write_text(CONFIG_TEXT)
+    assert cli.main(["experiment", str(conf), "--out", str(taken)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
+    assert taken.read_text() == "not a directory"
+
+
+def test_a_failed_write_leaves_the_previous_output_whole(tmp_path,
+                                                         monkeypatch):
+    run_tiny(tmp_path, "out")
+    out = tmp_path / "out"
+    before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+    # the records writer raises after a few rows' cells of a rerun
+    format_cell = harness._format_cell
+    cells = []
+
+    def failing(v):
+        cells.append(v)
+        if len(cells) > 3 * len(RECORD_FIELDS):
+            raise RuntimeError("disk full")
+        return format_cell(v)
+
+    monkeypatch.setattr(harness, "_format_cell", failing)
+    with pytest.raises(RuntimeError, match="disk full"):
+        run_tiny(tmp_path, "out", master_seed=12)
+    assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
 
 
 def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,
@@ -552,23 +601,33 @@ def test_coverage_interval_scales_with_noise_sd(tmp_path):
         master_seed=4242)
     summary = run_experiment(cfg, str(tmp_path / "cov"))
     assert 0.88 <= summary["points"][0]["coverage"] <= 0.99
-    recs = load_records_csv(tmp_path / "cov" / "records.csv")
+    recs = read_records(tmp_path / "cov" / "records.csv")
     t_sd = float(np.std([r["t_stat"] for r in recs], ddof=1))
     assert 0.8 <= t_sd <= 1.25
 
 
+def fit_block(recs, metric):
+    slope, intercept, stderr = rate_fit(recs, metric=metric)
+    return {"metric": metric, "slope": slope, "intercept": intercept,
+            "stderr": stderr}
+
+
 def test_rate_fit_matches_csv_round_trip(tmp_path):
+    # summary.json's gap fit (rate_fit) and err_est and err_exp fits
+    # (rate_fits) are rate_fit over the records read back
     cfg, summary = run_tiny(tmp_path, "rt")
-    recs = load_records_csv(tmp_path / "rt" / "records.csv")
-    slope, intercept, stderr = rate_fit(recs, metric="gap")
-    assert slope == summary["rate_fit"]["slope"]
-    assert intercept == summary["rate_fit"]["intercept"]
+    recs = read_records(tmp_path / "rt" / "records.csv")
+    assert summary["rate_fit"] == fit_block(recs, "gap")
+    assert summary["rate_fits"] == {m: fit_block(recs, m)
+                                    for m in ("err_est", "err_exp")}
+    loaded = json.loads((tmp_path / "rt" / "summary.json").read_text())
+    assert loaded == summary
 
 
 def test_run_experiment_records_failures(tmp_path):
     # two iterations rarely reach a 1e-13 tolerance from a zero start
     cfg, summary = run_tiny(tmp_path, "fail", max_iters=2, kkt_tol=1e-13)
-    recs = load_records_csv(tmp_path / "fail" / "records.csv")
+    recs = read_records(tmp_path / "fail" / "records.csv")
     failed = sum(1 for r in recs
                  if not (r["est_converged"] and r["exp_converged"]))
     assert summary["failed"] == failed
@@ -577,6 +636,7 @@ def test_run_experiment_records_failures(tmp_path):
     assert all(r["est_iterations"] <= 2 for r in recs)
     # too few surviving grid points for a rate fit
     assert summary["rate_fit"] is None
+    assert summary["rate_fits"] == {"err_est": None, "err_exp": None}
     dead = {r["point"] for r in recs} - {
         r["point"] for r in recs if r["est_converged"] and r["exp_converged"]}
     for e in summary["points"]:
@@ -614,18 +674,27 @@ def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
 
 def test_fit_experiment_kind(tmp_path):
     cfg = ExperimentConfig(experiment="fit",
-                           grid=(GridPoint(80, 20, 2),),
+                           grid=(GridPoint(80, 20, 2), GridPoint(160, 20, 2),
+                                 GridPoint(320, 20, 2)),
                            replications=3, master_seed=5)
     summary = run_experiment(cfg, str(tmp_path / "fit"), threads=1)
-    recs = load_records_csv(tmp_path / "fit" / "records.csv")
-    assert len(recs) == 3
+    recs = read_records(tmp_path / "fit" / "records.csv")
+    assert len(recs) == 9
     for r in recs:
         assert r["est_converged"] is True
         assert r["exp_converged"] is None  # no expansion in fit runs
         assert r["gap"] is None
-    assert summary["points"][0]["median_err_est"] > 0
+    assert all(e["median_err_est"] > 0 for e in summary["points"])
+    # the fit's error has a rate; there is no expansion to fit
     assert summary["rate_fit"] is None
+    assert summary["rate_fits"] == {"err_est": fit_block(recs, "err_est"),
+                                    "err_exp": None}
 
+
+# _format_cell's text for each cell type: flags, str(int) and
+# format(float, ".17g")
+CELL_TEXT = {bool: "true|false", int: "-?[0-9]+",
+             float: r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|nan|-?inf"}
 
 # The columns every kind fills, those every kind but fit adds with its
 # expansion, and those each kind adds on top; group runs also fill M and d.
@@ -681,11 +750,19 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
         assert rec["est_converged"] is True
         assert rec["exp_converged"] is (None if kind == "fit" else True)
         assert {k for k, v in rec.items() if v is not None} == filled
-    # the tasks give each cell its column's type, and loading it back and
-    # writing it again gives records.csv byte for byte
+    # the tasks give each cell its column's type, each cell's text is its
+    # type's as the writer writes it, and parsing the file and writing it
+    # again gives records.csv byte for byte
     assert_typed_as_written(records)
-    loaded = load_records_csv(tmp_path / "2" / "records.csv")
-    write_csv(tmp_path / "again.csv", RECORD_FIELDS, loaded)
+    with open(tmp_path / "2" / "records.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == RECORD_FIELDS and len(rows) == 2
+    for row in rows:
+        for k, v in zip(header, row):
+            assert v == "" or re.fullmatch(CELL_TEXT[RECORD_SCHEMA[k]], v), \
+                (k, v)
+    loaded = read_records(tmp_path / "2" / "records.csv")
+    write_csv(str(tmp_path / "again.csv"), RECORD_FIELDS, loaded)
     assert (tmp_path / "again.csv").read_bytes() == body[2]
 
 
@@ -699,85 +776,10 @@ def test_cli_experiment_and_rate_fit(tmp_path, capsys):
     assert rc == 0
     printed = json.loads(capsys.readouterr().out)
     assert printed["failed"] == 0
-    fit_path = tmp_path / "fit.json"
-    rc = cli.main(["rate-fit", str(tmp_path / "res" / "records.csv"),
-                   "--out", str(fit_path)])
-    assert rc == 0
-    text = capsys.readouterr().out
-    assert json.loads(text)["slope"] == printed["rate_fit"]["slope"]
-    # the file holds the printed JSON, final newline included
-    assert fit_path.read_text() == text
-    # a misspelt metric is named, not reported as too few grid points
-    rc = cli.main(["rate-fit", str(tmp_path / "res" / "records.csv"),
-                   "--metric", "gaps"])
-    assert rc == 2
-    assert "'gaps'" in capsys.readouterr().err
-    # an identifier, the rate scale itself or a flag is no measurement
-    for metric in ("seed", "r_n", "est_converged"):
-        rc = cli.main(["rate-fit", str(tmp_path / "res" / "records.csv"),
-                       "--metric", metric, "--out", str(tmp_path / "no.json")])
-        assert rc == 2
-        assert "%r is not a measured" % metric in capsys.readouterr().err
-        assert not (tmp_path / "no.json").exists()
-
-
-def test_cli_rate_fit_refuses_a_file_that_is_not_records(tmp_path, capsys):
-    other = tmp_path / "other.csv"
-    other.write_text("a,b\r\n1,2\r\n")
-    rc = cli.main(["rate-fit", str(other)])
-    assert rc == 2
-    assert "%s is not a records file: its header lacks the column 'point'" \
-        % other in capsys.readouterr().err
-    # a records file short of one column names that column
-    fields = [f for f in RECORD_FIELDS if f != "est_converged"]
-    short = tmp_path / "short.csv"
-    short.write_text(",".join(fields) + "\r\n")
-    with pytest.raises(ValueError, match="lacks the column 'est_converged'"):
-        load_records_csv(short)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError, match="lacks the column 'point'"):
-        load_records_csv(empty)
-
-
-def _records_row(**cells):
-    return ",".join(cells.get(f, "") for f in RECORD_FIELDS)
-
-
-@pytest.mark.parametrize("row, where", [
-    (_records_row()[:-1], "column 'sparsity_ok': the row ends before this "
-                          "column"),
-    (_records_row() + ",", "column %d: the row has more cells than the "
-                           "header's %d columns"
-                           % (len(RECORD_FIELDS) + 1, len(RECORD_FIELDS))),
-    (_records_row(n="x"), "column 'n': 'x' is not an integer"),
-    (_records_row(gap="x"), "column 'gap': 'x' is not a number"),
-    # a flag's text in a measurement, or a number in a flag, is no cell of
-    # that column even where it would parse as one
-    (_records_row(gap="true"), "column 'gap': 'true' is not a number"),
-    (_records_row(est_converged="1.0"),
-     "column 'est_converged': '1.0' is not true or false"),
-    # text that int() or float() reads but the writer never writes
-    (_records_row(point=" 2_0 "), "column 'point': ' 2_0 ' is not an "
-                                  "integer"),
-    (_records_row(n="1_0"), "column 'n': '1_0' is not an integer"),
-    (_records_row(gap="1_0"), "column 'gap': '1_0' is not a number"),
-    (_records_row(gap=" 1e0 "), "column 'gap': ' 1e0 ' is not a number"),
-    (_records_row(gap="infinity"),
-     "column 'gap': 'infinity' is not a number"),
-], ids=["short_row", "long_row", "int_cell", "float_cell", "flag_in_float",
-        "number_in_flag", "spaced_underscored_int", "underscored_int",
-        "underscored_float", "spaced_exponent", "spelled_infinity"])
-def test_cli_rate_fit_names_the_line_and_column_of_a_bad_row(tmp_path,
-                                                             capsys, row,
-                                                             where):
-    # the bad row is line 3, after the header and one row of empty cells
-    path = tmp_path / "records.csv"
-    path.write_text("\r\n".join([",".join(RECORD_FIELDS), _records_row(),
-                                  row, ""]))
-    rc = cli.main(["rate-fit", str(path)])
-    assert rc == 2
-    assert "%s, line 3, %s" % (path, where) in capsys.readouterr().err
+    # the printed rate fit is summary.json's
+    summary = json.loads((tmp_path / "res" / "summary.json").read_text())
+    assert printed["rate_fit"] == summary["rate_fit"]
+    assert printed["rate_fit"]["slope"] > 0
 
 
 def test_cli_experiment_bad_config(tmp_path, capsys):
@@ -813,7 +815,7 @@ def test_cli_coverage_smoke(tmp_path, capsys):
     assert out["records"] == 8
     summary = json.loads((tmp_path / "cov" / "summary.json").read_text())
     assert 0.0 <= summary["points"][0]["coverage"] <= 1.0
-    recs = load_records_csv(tmp_path / "cov" / "records.csv")
+    recs = read_records(tmp_path / "cov" / "records.csv")
     assert len(recs) == 8
     assert all(r["covered"] in (True, False) for r in recs)
     assert_typed_as_written(recs)
@@ -834,7 +836,7 @@ def test_logistic_signal_at_the_default_amplitude_is_certified(tmp_path):
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    [rec] = load_records_csv(tmp_path / "res" / "records.csv")
+    [rec] = read_records(tmp_path / "res" / "records.csv")
     assert rec["est_converged"] is True and rec["exp_converged"] is True
     assert rec["est_kkt"] <= 1e-8 and rec["exp_kkt"] <= 1e-8
 
