@@ -88,23 +88,23 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
                 risk_ok=bool(abs(lhs - rhs) <= bound))
 
 
-def debiased_estimate(dataset, beta_hat, cov, a):
+def debiased_estimate(dataset, beta_hat, cov, a, noise_sd):
     """Bias-corrected estimate of a'beta with its fixed-width interval.
 
     a is renormalized so ||Sigma^{-1/2} a|| = 1 (the target rescales with
     it); the correction adds the score-weighted average residual, so the
-    estimate's error is about N(0, sigma^2/n), where sigma is the
-    generating noise sd of the linear data. The interval half-width is
-    1.96 sigma/sqrt(n): covered says whether it holds the target, and
-    t_stat is sqrt(n) (theta_hat - target)/sigma.
+    estimate's error is about N(0, noise_sd^2/n), where noise_sd is the
+    noise sd the linear data were drawn with. The interval half-width is
+    1.96 noise_sd/sqrt(n): covered says whether it holds the target, and
+    t_stat is sqrt(n) (theta_hat - target)/noise_sd.
     """
     a = np.asarray(a, dtype=float)
     if not np.any(a != 0.0):
         raise ValueError("direction a must be nonzero")
-    sigma = dataset.noise_sd
-    if sigma is None or not sigma > 0:
+    if dataset.model_kind != "linear" or not noise_sd > 0:
         raise ValueError("de-biased intervals need linear data with "
-                         "noise_sd > 0, got %r" % (sigma,))
+                         "noise_sd > 0, got %s data with noise_sd %r"
+                         % (dataset.model_kind, noise_sd))
     beta_hat = np.asarray(beta_hat, dtype=float)
     x = cov.solve(a)
     scale = np.sqrt(float(a @ x))
@@ -113,8 +113,8 @@ def debiased_estimate(dataset, beta_hat, cov, a):
     resid = dataset.y - dataset.X @ beta_hat
     theta = float(a @ beta_hat + (z_a @ resid) / denom)
     target = float(a @ dataset.beta_star)
-    half = 1.96 * sigma / np.sqrt(dataset.n)
-    t_stat = float(np.sqrt(dataset.n) * (theta - target) / sigma)
+    half = 1.96 * noise_sd / np.sqrt(dataset.n)
+    t_stat = float(np.sqrt(dataset.n) * (theta - target) / noise_sd)
     return dict(theta_hat=theta, target=target,
                 covered=bool(theta - half <= target <= theta + half),
                 t_stat=t_stat)

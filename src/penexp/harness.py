@@ -279,9 +279,8 @@ def _make_penalty(cfg, setup, loss, ds):
 def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     pt = setup.point
     seed = task_seed(cfg.master_seed, point_idx, rep_idx)
-    ds = model.simulate(setup.cov, setup.beta_star, pt.n,
-                        "linear" if cfg.loss == "squared" else "logistic",
-                        cfg.design, cfg.noise_sd, seed)
+    ds = model.simulate(setup.cov, setup.beta_star, pt.n, loss, cfg.design,
+                        cfg.noise_sd, seed)
     penalty, level = _make_penalty(cfg, setup, loss, ds)
 
     rec = {k: None for k in RECORD_FIELDS}
@@ -322,7 +321,7 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     elif cfg.experiment == "coverage":
         # a = e_1: the first coordinate
         rec.update(diagnostics.debiased_estimate(
-            ds, est.solution, setup.cov, np.eye(1, pt.p)[0]))
+            ds, est.solution, setup.cov, np.eye(1, pt.p)[0], cfg.noise_sd))
     elif cfg.experiment == "sparsity_check":
         rec.update(diagnostics.sparsity_count(
             exp.solution, setup.sparsity_bound, setup.groups))

@@ -1,10 +1,12 @@
-"""Loss functions: each owns its derivatives, constants and curvature matrix.
+"""Loss functions: each owns its observation model, derivatives, constants
+and curvature matrix.
 
 A loss is a margin loss l(y, u) with its first two derivatives in u, the
 Lipschitz constant of l'' (d2_lipschitz), the design kinds its population
 curvature matrix is known for (designs), that curvature matrix, and the
-noise scale the penalty-level formulas use. The two losses are used
-through the singletons SQUARED and LOGISTIC, or get_loss by kind.
+noise scale the penalty-level formulas use. It draws its data's responses
+to an index x'beta_star (responses) from its model (model). The two losses
+are used through the singletons SQUARED and LOGISTIC, or get_loss by kind.
 
 The logistic loss here is the convex negative log-likelihood for labels drawn
 with P(Y=1|x) = 1/(1+exp(x'b)), namely l(y,u) = (y-1)u + log(1+e^u). Its
@@ -15,17 +17,36 @@ minimized; only the convex form is implemented.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
-from .model import CovarianceModel, noise_scale, sigmoid
+from .model import CovarianceModel, noise_scale
+
+
+def sigmoid(u):
+    """The logistic link 1/(1 + e^-u). Below u = -709, e^-u overflows to
+    inf and the link is exactly 0, its limit, so the overflow is silenced."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
 
 
 class SquaredLoss:
     """l(y, u) = (y - u)^2 / 2, whose l'' is 1: K is the covariance itself."""
 
     kind = "squared"
+    model = "linear"
     d2_lipschitz = 0.0
     designs = ("gaussian", "rademacher")
+
+    def responses(self, index, noise_sd, rng):
+        """Linear responses index + eps, eps = noise_sd N(0, 1) from rng,
+        and their score noise eps."""
+        if not 0 <= noise_sd < np.inf:
+            raise ValueError("noise_sd must be >= 0 and finite, got %r"
+                             % (noise_sd,))
+        eps = float(noise_sd) * rng.standard_normal(index.size)
+        return index + eps, eps
 
     def value(self, y, u):
         d = np.asarray(y, dtype=float) - np.asarray(u, dtype=float)
@@ -54,8 +75,17 @@ class LogisticLoss:
     """
 
     kind = "logistic"
+    model = "logistic"
     d2_lipschitz = 1.0 / (6.0 * np.sqrt(3.0))
     designs = ("gaussian",)
+
+    def responses(self, index, noise_sd, rng):
+        """0/1 labels with P(Y=1) = sig(-index), so that a large positive
+        index makes the label 1 rare, drawn from rng, and their score noise
+        P(Y=1) - y; noise_sd is not read."""
+        p1 = sigmoid(-index)
+        y = (rng.random(index.size) < p1).astype(float)
+        return y, p1 - y
 
     def value(self, y, u):
         y = np.asarray(y, dtype=float)
@@ -85,7 +115,9 @@ class LogisticLoss:
         makes no eigendecomposition of its own, and its products, solves
         and eig_max come from cov's. At v = 0, K = Sigma/4 is the same
         update with m0 = 1/4 and c = 0, and needs no quadrature. Other
-        designs have no closed form and are refused.
+        designs have no closed form and are refused. The paper's conditions
+        assume v <= 1, and past it a warning says the expansion is
+        unverified (K is computed all the same).
         """
         if design_kind not in self.designs:
             raise ValueError(
@@ -96,7 +128,14 @@ class LogisticLoss:
         v2 = float(beta_star @ q)
         if v2 <= 1e-24:
             return CovarianceModel.rank_one(cov, 0.25, 0.0, q)
-        m0, a2 = _logistic_moments(np.sqrt(v2))
+        v = np.sqrt(v2)
+        if v > 1.0 + 1e-9:
+            # stacklevel 3 names curvature_matrix's caller
+            warnings.warn(
+                "||Sigma^{1/2} beta_star|| = %.4f > 1: the paper's "
+                "conditions assume at most 1, and the expansion is "
+                "unverified beyond it" % v, stacklevel=3)
+        m0, a2 = _logistic_moments(v)
         return CovarianceModel.rank_one(cov, m0, (a2 - m0) / v2, q)
 
     def penalty_scale(self, dataset):

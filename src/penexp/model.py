@@ -1,10 +1,9 @@
 """Problem instances and synthetic data generation.
 
 Symmetric positive-definite matrices (covariances and curvatures) as
-structured operators, group structures, and the two observation models:
-Gaussian-noise linear regression and binary labels with the flipped
-convention P(Y=1|x) = 1/(1+exp(x'beta)), under which a large positive index
-x'beta makes the label 1 rare.
+structured operators, group structures, designs and datasets. A dataset's
+responses are drawn by its loss (losses), which owns the observation model;
+this module knows no loss and no link.
 
 All generation is driven by counter-based Philox streams keyed by
 (master_seed, stream ids), so draws do not depend on the order in which
@@ -13,18 +12,10 @@ parallel replications complete.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-
-def sigmoid(u):
-    """The logistic link 1/(1 + e^-u). Below u = -709, e^-u overflows to
-    inf and the link is exactly 0, its limit, so the overflow is silenced."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-u))
 
 
 def stream_rng(master_seed, *ids):
@@ -358,7 +349,6 @@ class Dataset:
     model_kind: str
     design_kind: str
     noise: np.ndarray
-    noise_sd: float | None
     beta_star: np.ndarray
     covariance: CovarianceModel | None
 
@@ -402,69 +392,18 @@ def draw_rows(cov, n, design_kind, rng):
     return cov.sqrt_rows(raw)
 
 
-def generate_linear(X, beta_star, noise_sd, seed, covariance=None,
-                    design_kind="gaussian"):
-    """Gaussian-noise linear responses y = X beta_star + eps.
-
-    The noise vector is stored on the Dataset so oracle quantities (realized
-    noise scale, expansion centers) can be computed downstream.
-    """
-    X = np.asarray(X, dtype=float)
+def simulate(cov, beta_star, n, loss, design_kind, noise_sd, seed):
+    """One dataset: n design rows (generate_design, stream 0 of seed) and
+    loss's responses to the index X beta_star (loss.responses, stream 1),
+    whose observation model, loss.model, is the dataset's."""
     beta_star = np.asarray(beta_star, dtype=float)
-    if X.shape[1] != beta_star.size:
+    if beta_star.size != cov.p:
         raise ValueError("design has %d columns but beta_star has %d entries"
-                         % (X.shape[1], beta_star.size))
-    if not 0 <= noise_sd < np.inf:
-        raise ValueError("noise_sd must be >= 0 and finite, got %r"
-                         % (noise_sd,))
-    rng = stream_rng(seed, 1)
-    eps = float(noise_sd) * rng.standard_normal(X.shape[0])
-    y = X @ beta_star + eps
-    return Dataset(_readonly(X), _readonly(y), "linear", design_kind,
-                   _readonly(eps), float(noise_sd), _readonly(beta_star),
-                   covariance)
-
-
-def generate_logistic(X, beta_star, seed, covariance=None,
-                      design_kind="gaussian"):
-    """Binary labels with P(Y=1|x) = 1/(1+exp(x'beta_star)).
-
-    Note the flipped convention: the larger x'beta_star, the rarer the label
-    1. The paper's conditions assume ||Sigma^{1/2} beta_star|| <= 1, and
-    the expansion is unverified beyond it: when a covariance is supplied
-    and the bound fails, a warning says so (generation is unaffected).
-    """
-    X = np.asarray(X, dtype=float)
-    beta_star = np.asarray(beta_star, dtype=float)
-    if X.shape[1] != beta_star.size:
-        raise ValueError("design has %d columns but beta_star has %d entries"
-                         % (X.shape[1], beta_star.size))
-    if covariance is not None:
-        sig_norm = covariance.norm(beta_star)
-        if sig_norm > 1.0 + 1e-9:
-            warnings.warn(
-                "||Sigma^{1/2} beta_star|| = %.4f > 1: the paper's "
-                "conditions assume at most 1, and the expansion is "
-                "unverified beyond it" % sig_norm,
-                stacklevel=2)
-    rng = stream_rng(seed, 1)
-    # P(Y=1) = sigmoid(-x'beta_star) under the flipped convention.
-    p1 = sigmoid(-(X @ beta_star))
-    y = (rng.random(X.shape[0]) < p1).astype(float)
-    return Dataset(_readonly(X), _readonly(y), "logistic", design_kind,
-                   _readonly(p1 - y), None, _readonly(beta_star), covariance)
-
-
-def simulate(cov, beta_star, n, model_kind, design_kind, noise_sd, seed):
-    """One dataset: n design rows (generate_design) and their linear or
-    logistic responses, all drawn from seed's streams; noise_sd is read by
-    the linear model alone."""
+                         % (cov.p, beta_star.size))
     X = generate_design(cov, n, design_kind, seed)
-    if model_kind == "linear":
-        return generate_linear(X, beta_star, noise_sd, seed, cov, design_kind)
-    if model_kind == "logistic":
-        return generate_logistic(X, beta_star, seed, cov, design_kind)
-    raise ValueError("unknown model kind %r" % (model_kind,))
+    y, noise = loss.responses(X @ beta_star, noise_sd, stream_rng(seed, 1))
+    return Dataset(_readonly(X), _readonly(y), loss.model, design_kind,
+                   _readonly(noise), _readonly(beta_star), cov)
 
 
 def noise_scale(dataset):

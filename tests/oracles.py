@@ -15,8 +15,8 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from penexp.model import (CovarianceModel, GroupStructure, draw_rows,
-                          stream_rng)
+from penexp.model import (CovarianceModel, Dataset, GroupStructure,
+                          draw_rows, stream_rng)
 from penexp.penalties import GroupPenalty, soft_threshold
 
 
@@ -25,6 +25,16 @@ def smooth_gradient(dataset, loss, beta):
     loss's score evaluated over X b."""
     u = dataset.X @ np.asarray(beta, dtype=float)
     return dataset.X.T @ loss.d1(dataset.y, u) / dataset.n
+
+
+def make_dataset(X, beta_star, loss, noise_sd, seed, covariance=None,
+                 design_kind="gaussian"):
+    """What model.simulate makes, for a design X of the test's own or a
+    response seed other than the design's: loss's responses to X beta_star,
+    drawn from stream 1 of seed."""
+    y, noise = loss.responses(X @ beta_star, noise_sd, stream_rng(seed, 1))
+    return Dataset(X, y, loss.model, design_kind, noise, beta_star,
+                   covariance)
 
 
 def lasso(level, p):

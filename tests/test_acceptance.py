@@ -11,15 +11,14 @@ import numpy as np
 import pytest
 
 from oracles import (curvature_matrix_mc, dense_covariance, lasso,
-                     smooth_gradient, stability_ratio_check,
+                     make_dataset, smooth_gradient, stability_ratio_check,
                      taylor_remainder_gap)
 from penexp import harness
 from penexp.cones import group_penalty_level, lasso_penalty_level
 from penexp.diagnostics import prox_risk_mc
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, Dataset, GroupStructure,
-                          flat_signal, generate_design, generate_linear,
-                          generate_logistic, stream_rng)
+                          flat_signal, generate_design, simulate, stream_rng)
 from penexp.penalties import GroupPenalty, L1BallConstraint
 from penexp.solver import fit_expansion, fit_penalized
 
@@ -46,8 +45,8 @@ def test_orthonormal_design_fit_matches_soft_threshold():
     beta_star[:4] = [1.0, -0.8, 0.6, 0.4]
     eps = rng.standard_normal(n)
     ds = Dataset(X=X, y=X @ beta_star + eps, model_kind="linear",
-                 design_kind="gaussian", noise=eps, noise_sd=1.0,
-                 beta_star=beta_star, covariance=None)
+                 design_kind="gaussian", noise=eps, beta_star=beta_star,
+                 covariance=None)
     lam = 0.12
     fit = fit_penalized(ds, get_loss("squared"), lasso(lam, p))
     corr = X.T @ ds.y / n
@@ -60,9 +59,9 @@ def test_identity_curvature_expansion_is_one_prox_step():
     """Identity-covariance surrogate: eta = prox at beta* + X'noise/n."""
     cov = CovarianceModel.identity(120)
     beta_star = flat_signal(120, 4, 0.9)
-    X = generate_design(cov, 300, "gaussian", 71)
-    ds = generate_linear(X, beta_star, 1.0, 72, covariance=cov)
     sq = get_loss("squared")
+    X = generate_design(cov, 300, "gaussian", 71)
+    ds = make_dataset(X, beta_star, sq, 1.0, 72, covariance=cov)
     K = curvature_matrix(sq, cov, beta_star)
     pen = lasso(0.15, 120)
     eta = fit_expansion(ds, sq, K, beta_star, pen)
@@ -87,14 +86,10 @@ def test_hundred_random_instances_all_certify_kkt():
         # logistic keeps the signal inside the unit covariance ball
         amp = 0.4 if loss_kind == "logistic" else 1.0
         beta_star = flat_signal(p, s, amp)
-        X = generate_design(cov, n, "gaussian", int(r.integers(1 << 30)))
-        if loss_kind == "squared":
-            ds = generate_linear(X, beta_star, 1.0, int(r.integers(1 << 30)),
-                                 covariance=cov)
-        else:
-            ds = generate_logistic(X, beta_star, int(r.integers(1 << 30)),
-                                   covariance=cov)
         loss = get_loss(loss_kind)
+        X = generate_design(cov, n, "gaussian", int(r.integers(1 << 30)))
+        ds = make_dataset(X, beta_star, loss, 1.0, int(r.integers(1 << 30)),
+                          covariance=cov)
         if pen_kind == "l1":
             pen = lasso(lasso_penalty_level(loss.penalty_scale(ds), p, s, n,
                                             0.5), p)
@@ -249,9 +244,8 @@ def test_logistic_taylor_remainder_within_cubic_bound():
     p = 2
     cov = CovarianceModel.identity(p)
     beta_star = np.array([0.5, -0.3])
-    X = generate_design(cov, 10000, "gaussian", 1010)
-    ds = generate_logistic(X, beta_star, 1010, covariance=cov)
     lg = get_loss("logistic")
+    ds = simulate(cov, beta_star, 10000, lg, "gaussian", 1.0, 1010)
     r = np.random.default_rng(1010)
     for _ in range(3):
         beta = r.uniform(-2.0, 2.0, size=p)

@@ -150,7 +150,8 @@ from penexp import losses, model, penalties, solver
 cov = model.CovarianceModel.ar1(40, 0.5)
 beta = model.flat_signal(40, 3, 0.25)
 X = model.generate_design(cov, 200, "gaussian", seed=1)
-ds = model.generate_logistic(X, beta, seed=2, covariance=cov)
+y, e = losses.LOGISTIC.responses(X @ beta, 1.0, model.stream_rng(2, 1))
+ds = model.Dataset(X, y, "logistic", "gaussian", e, beta, cov)
 curv = losses.curvature_matrix(losses.LOGISTIC, cov, beta)
 pen = penalties.GroupPenalty(0.05, model.GroupStructure.contiguous(40, 1))
 est = solver.fit_penalized(ds, losses.LOGISTIC, pen)

@@ -17,9 +17,9 @@ SQ = get_loss("squared")
 LG = get_loss("logistic")
 
 
-def _dataset(model_kind):
+def _dataset(loss):
     cov = CovarianceModel.identity(4)
-    return simulate(cov, flat_signal(4, 1), 20, model_kind, "gaussian", 2.0,
+    return simulate(cov, flat_signal(4, 1), 20, loss, "gaussian", 2.0,
                     seed=8)
 
 
@@ -29,12 +29,12 @@ def test_lasso_level_squared_value():
     assert abs(lev - 0.17649) < 1e-4
     assert abs(lev - 1.3 * np.sqrt(2.0 * np.log(100.0) / 500.0)) < 1e-15
     # squared loss scales the level by the realized noise scale
-    ds = _dataset("linear")
+    ds = _dataset(SQ)
     assert SQ.penalty_scale(ds) == noise_scale(ds)
 
 
 def test_lasso_level_logistic_value():
-    lev = lasso_penalty_level(LG.penalty_scale(_dataset("logistic")),
+    lev = lasso_penalty_level(LG.penalty_scale(_dataset(LG)),
                               p=1000, s=10, n=500, xi=0.1)
     assert abs(lev - 0.08824) < 1e-4
     # logistic halves the squared-loss level at sigma = 1
@@ -62,7 +62,7 @@ def test_lasso_level_errors():
     # the squared loss's scale is the noise scale of linear data
     with pytest.raises(ValueError,
                        match="noise scale is defined for linear data only"):
-        SQ.penalty_scale(_dataset("logistic"))
+        SQ.penalty_scale(_dataset(LG))
 
 
 def test_group_level_value():

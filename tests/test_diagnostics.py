@@ -1,19 +1,18 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import (curvature_fluctuations, curvature_lower_bound,
-                     empirical_curvature_ratio, lasso, prox_risk_quadrature,
-                     prox_risk_unchunked, taylor_remainder_gap)
+                     empirical_curvature_ratio, lasso, make_dataset,
+                     prox_risk_quadrature, prox_risk_unchunked,
+                     taylor_remainder_gap)
 from penexp.diagnostics import (MC_CHUNK_ELEMENTS, debiased_estimate,
                                 prox_risk_mc, risk_identity_check,
                                 sparsity_bound, sparsity_count)
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
-                          generate_design, generate_linear, generate_logistic,
-                          stream_rng)
+                          generate_design, stream_rng)
 from penexp.penalties import GroupPenalty, L1BallConstraint
 from penexp.solver import fit_expansion, fit_penalized
 
@@ -27,8 +26,8 @@ def linear_dataset(n, p, s, seed, noise_sd=1.0, amplitude=1.0, rho=0.0,
     cov = CovarianceModel.identity(p) if rho == 0.0 else CovarianceModel.ar1(p, rho)
     X = generate_design(cov, n, design_kind=design_kind, seed=seed)
     beta = flat_signal(p, s, amplitude)
-    return generate_linear(X, beta, noise_sd, seed + 1, covariance=cov,
-                           design_kind=design_kind)
+    return make_dataset(X, beta, SQ, noise_sd, seed + 1, covariance=cov,
+                        design_kind=design_kind)
 
 
 def test_prox_risk_identity_prox():
@@ -172,7 +171,7 @@ def test_risk_identity_refusals():
     cov = CovarianceModel.identity(10)
     X = generate_design(cov, 40, seed=5)
     beta = flat_signal(10, 2, 0.5)
-    logit = generate_logistic(X, beta, seed=6, covariance=cov)
+    logit = make_dataset(X, beta, LG, 1.0, 6, covariance=cov)
     with pytest.raises(ValueError, match="applies to linear data"):
         risk_identity_check(logit, beta, beta, lasso(0.1, 10), 10, 1)
 
@@ -189,7 +188,7 @@ def test_debiased_at_truth():
     """With beta_hat = beta*, the error is exactly the score-averaged noise."""
     ds = linear_dataset(200, 30, 3, seed=51)
     cov = ds.covariance
-    rep = debiased_estimate(ds, ds.beta_star, cov, np.eye(30)[0])
+    rep = debiased_estimate(ds, ds.beta_star, cov, np.eye(30)[0], 1.0)
     z_a = ds.X[:, 0]
     expected = float(z_a @ ds.noise) / float(z_a @ z_a)
     assert rep["theta_hat"] - rep["target"] == pytest.approx(expected,
@@ -204,8 +203,8 @@ def test_debiased_scale_invariance():
     fit = fit_penalized(ds, SQ, pen)
     a = np.zeros(20)
     a[3] = 1.0
-    r1 = debiased_estimate(ds, fit.solution, ds.covariance, a)
-    r2 = debiased_estimate(ds, fit.solution, ds.covariance, 5.0 * a)
+    r1 = debiased_estimate(ds, fit.solution, ds.covariance, a, 1.0)
+    r2 = debiased_estimate(ds, fit.solution, ds.covariance, 5.0 * a, 1.0)
     assert r1["theta_hat"] == pytest.approx(r2["theta_hat"], rel=1e-12)
     assert r1["target"] == pytest.approx(r2["target"], rel=1e-12)
     assert r1["t_stat"] == pytest.approx(r2["t_stat"], rel=1e-9)
@@ -216,7 +215,7 @@ def test_debiased_score_is_design_column():
     ds = linear_dataset(100, 12, 2, seed=57)
     a = np.zeros(12)
     a[0] = 2.0  # normalization brings this back to e1
-    rep = debiased_estimate(ds, np.zeros(12), ds.covariance, a)
+    rep = debiased_estimate(ds, np.zeros(12), ds.covariance, a, 1.0)
     assert rep["target"] == ds.beta_star[0]
     manual = float(ds.X[:, 0] @ ds.y) / float(ds.X[:, 0] @ ds.X[:, 0])
     assert rep["theta_hat"] == pytest.approx(manual, rel=1e-12)
@@ -231,18 +230,26 @@ def test_debiased_interval_consistency():
     seen = set()
     for sd in (1.0, 0.7):
         for j in range(15):
-            rep = debiased_estimate(replace(ds, noise_sd=sd), fit.solution,
-                                    ds.covariance, np.eye(15)[j])
+            rep = debiased_estimate(ds, fit.solution, ds.covariance,
+                                    np.eye(15)[j], sd)
             assert abs(abs(rep["t_stat"]) - 1.96) > 1e-3
             assert rep["covered"] == (abs(rep["t_stat"]) <= 1.96)
             seen.add(rep["covered"])
     assert seen == {True, False}
     with pytest.raises(ValueError, match="direction a must be nonzero"):
-        debiased_estimate(ds, fit.solution, ds.covariance, np.zeros(15))
+        debiased_estimate(ds, fit.solution, ds.covariance, np.zeros(15),
+                          1.0)
     # the interval's half-width is 1.96 noise_sd/sqrt(n)
     with pytest.raises(ValueError, match="need linear data with noise_sd > 0"):
-        debiased_estimate(replace(ds, noise_sd=0.0), fit.solution,
-                          ds.covariance, np.eye(15)[0])
+        debiased_estimate(ds, fit.solution, ds.covariance, np.eye(15)[0],
+                          0.0)
+    # and logistic labels have no noise sd
+    logit = make_dataset(ds.X, ds.beta_star, LG, 1.0, 60,
+                         covariance=ds.covariance)
+    with pytest.raises(ValueError, match="need linear data with noise_sd > "
+                       "0, got logistic data"):
+        debiased_estimate(logit, fit.solution, ds.covariance, np.eye(15)[0],
+                          1.0)
 
 
 def _counts(beta, bound, groups=None):
@@ -303,6 +310,7 @@ def _composed_sparsity_bound(s, xi, cov, K, groups):
     return c_tilde * s
 
 
+@pytest.mark.filterwarnings("ignore:.*expansion is unverified")
 @pytest.mark.parametrize("spec", ["identity", "ar1:0.5", "ar1:-0.3"])
 @pytest.mark.parametrize("loss", ["squared", "logistic"])
 @pytest.mark.parametrize("grouped", [False, True])
@@ -383,7 +391,7 @@ def test_taylor_gap_logistic():
     cov = CovarianceModel.identity(5)
     X = generate_design(cov, 30, seed=73)
     beta = flat_signal(5, 2, 0.5)
-    ds = generate_logistic(X, beta, seed=74, covariance=cov)
+    ds = make_dataset(X, beta, LG, 1.0, 74, covariance=cov)
     rng = np.random.default_rng(75)
     for _ in range(3):
         other = beta + 0.5 * rng.standard_normal(5)
@@ -429,7 +437,7 @@ def test_curvature_ratio_logistic_lower_bound():
     rng = np.random.default_rng(81)
     for rep in range(40):
         X = generate_design(cov, 500, seed=4000 + rep)
-        ds = generate_logistic(X, beta, seed=8000 + rep, covariance=cov)
+        ds = make_dataset(X, beta, LG, 1.0, 8000 + rep, covariance=cov)
         u = rng.standard_normal(p)
         u /= K.norm(u) * 1.25  # keep ||u||_K safely inside the unit ball
         ratio, in_ball = empirical_curvature_ratio(ds, LG, K, beta, u)

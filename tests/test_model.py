@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from penexp import losses, model
+from penexp.losses import LOGISTIC, SQUARED
 
 
 def same_bits(a, b):
@@ -249,43 +251,64 @@ def test_rademacher_design():
 
 def test_generate_linear_noiseless():
     cov = model.CovarianceModel.identity(3)
-    X = model.generate_design(cov, 20, "gaussian", seed=1)
     beta = np.array([1.0, -1.0, 0.0])
-    ds = model.generate_linear(X, beta, 0.0, seed=1, covariance=cov)
-    assert np.array_equal(ds.y, X @ beta)
+    ds = model.simulate(cov, beta, 20, SQUARED, "gaussian", 0.0, seed=1)
+    assert ds.model_kind == "linear"
+    assert np.array_equal(ds.y, ds.X @ beta)
     assert model.noise_scale(ds) == 0.0
 
 
 def test_generate_linear_zero_signal():
     cov = model.CovarianceModel.identity(3)
-    X = model.generate_design(cov, 20, "gaussian", seed=2)
-    ds = model.generate_linear(X, np.zeros(3), 1.0, seed=2, covariance=cov)
+    ds = model.simulate(cov, np.zeros(3), 20, SQUARED, "gaussian", 1.0,
+                        seed=2)
     assert np.array_equal(ds.y, ds.noise)
+
+
+# What simulate draws, read from the generators this path replaced: the
+# Philox streams are part of the registered experiments, so these values
+# may never move. Each is drawn with no BLAS: an identity design is the raw
+# normals, eps is noise_sd times them, and 0.5 x_1 is an exact index.
+PINNED_DESIGN = ["-0x1.9908a0f0350c7p-3", "-0x1.c1d818a19fa21p+0",
+                 "-0x1.d0af30f497f55p-6", "0x1.20d7650673294p-2"]
+PINNED_EPS = ["0x1.b96c248aff312p+0", "-0x1.2d3dac882a240p+1",
+              "-0x1.5e650fd5d94f4p-1"]
+PINNED_LABELS = "000001111011001101111101"
+
+
+def test_simulate_draws_are_pinned():
+    cov = model.CovarianceModel.identity(3)
+    X = model.generate_design(cov, 8, "gaussian", 2024)
+    assert [float(v).hex() for v in X.ravel()[[0, 1, 11, 23]]] == \
+        PINNED_DESIGN
+    lin = model.simulate(cov, np.zeros(3), 8, SQUARED, "gaussian", 2.0, 2024)
+    assert lin.X.tobytes() == X.tobytes()
+    assert [float(v).hex() for v in lin.noise[[0, 3, 7]]] == PINNED_EPS
+    logit = model.simulate(cov, np.array([0.5, 0.0, 0.0]), 24, LOGISTIC,
+                           "gaussian", 1.0, 2024)
+    assert "".join(str(int(v)) for v in logit.y) == PINNED_LABELS
 
 
 def test_noise_scale_concentrates():
     cov = model.CovarianceModel.identity(1)
     n = 100000
-    X = model.generate_design(cov, n, "gaussian", seed=4)
-    ds = model.generate_linear(X, np.zeros(1), 1.0, seed=4, covariance=cov)
+    ds = model.simulate(cov, np.zeros(1), n, SQUARED, "gaussian", 1.0,
+                        seed=4)
     assert abs(model.noise_scale(ds) ** 2 - 1.0) < 3 * np.sqrt(2.0 / n)
 
 
 def test_noise_scale_arithmetic():
     cov = model.CovarianceModel.identity(1)
-    X = np.ones((2, 1))
-    ds = model.generate_linear(X, np.zeros(1), 1.0, seed=0, covariance=cov)
-    ds = model.Dataset(X=ds.X, y=ds.y, model_kind="linear",
-                       design_kind="gaussian",
-                       noise=np.array([3.0, 4.0]), noise_sd=1.0,
-                       beta_star=ds.beta_star, covariance=cov)
+    ds = model.Dataset(X=np.ones((2, 1)), y=np.zeros(2), model_kind="linear",
+                       design_kind="gaussian", noise=np.array([3.0, 4.0]),
+                       beta_star=np.zeros(1), covariance=cov)
     assert model.noise_scale(ds) == pytest.approx(np.sqrt(12.5))
 
 
 def test_noise_scale_rejects_logistic():
     cov = model.CovarianceModel.identity(2)
-    X = model.generate_design(cov, 30, "gaussian", seed=6)
-    ds = model.generate_logistic(X, np.zeros(2), seed=6, covariance=cov)
+    ds = model.simulate(cov, np.zeros(2), 30, LOGISTIC, "gaussian", 1.0,
+                        seed=6)
     with pytest.raises(ValueError):
         model.noise_scale(ds)
 
@@ -293,28 +316,28 @@ def test_noise_scale_rejects_logistic():
 def test_logistic_labels_balanced_at_zero_signal():
     cov = model.CovarianceModel.identity(2)
     n = 40000
-    X = model.generate_design(cov, n, "gaussian", seed=7)
-    ds = model.generate_logistic(X, np.zeros(2), seed=7, covariance=cov)
+    ds = model.simulate(cov, np.zeros(2), n, LOGISTIC, "gaussian", 1.0,
+                        seed=7)
+    assert ds.model_kind == "logistic"
     assert set(np.unique(ds.y)) <= {0.0, 1.0}
     assert abs(ds.y.mean() - 0.5) < 3.0 / (2 * np.sqrt(n))
 
 
 def test_logistic_sign_convention():
     # large positive index means label 0 almost surely
-    X = np.full((200, 1), 30.0)
-    ds = model.generate_logistic(X, np.array([1.0]), seed=8)
-    assert ds.y.sum() == 0
-    Xneg = np.full((200, 1), -30.0)
-    ds2 = model.generate_logistic(Xneg, np.array([1.0]), seed=8)
-    assert ds2.y.sum() == 200
+    y, _ = LOGISTIC.responses(np.full(200, 30.0), 1.0, model.stream_rng(8, 1))
+    assert y.sum() == 0
+    y, _ = LOGISTIC.responses(np.full(200, -30.0), 1.0,
+                              model.stream_rng(8, 1))
+    assert y.sum() == 200
 
 
 def test_logistic_moment_matches_quadrature():
     from scipy import integrate
     n = 100000
     cov = model.CovarianceModel.identity(1)
-    X = model.generate_design(cov, n, "gaussian", seed=9)
-    ds = model.generate_logistic(X, np.array([1.0]), seed=9, covariance=cov)
+    ds = model.simulate(cov, np.array([1.0]), n, LOGISTIC, "gaussian", 1.0,
+                        seed=9)
     prod = ds.y * ds.X[:, 0]
     target, _ = integrate.quad(
         lambda x: x / (1.0 + np.exp(x)) * np.exp(-x * x / 2)
@@ -324,20 +347,25 @@ def test_logistic_moment_matches_quadrature():
 
 
 def test_logistic_warns_on_large_signal():
+    # the warning belongs to the curvature, once per grid point; drawing
+    # the labels does not repeat it
     cov = model.CovarianceModel.identity(2)
-    X = model.generate_design(cov, 30, "gaussian", seed=10)
+    beta = np.array([3.0, 0.0])
     with pytest.warns(UserWarning, match="expansion is unverified"):
-        model.generate_logistic(X, np.array([3.0, 0.0]), seed=10,
-                                covariance=cov)
+        losses.curvature_matrix(LOGISTIC, cov, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model.simulate(cov, beta, 30, LOGISTIC, "gaussian", 1.0, seed=10)
+        # inside the unit ball the curvature is silent too
+        losses.curvature_matrix(LOGISTIC, cov, np.array([0.6, 0.8]))
 
 
 def test_logistic_noise_is_the_score_noise():
     # e = -l'(y, x'beta*) row by row, bit for bit
     cov = model.CovarianceModel.ar1(6, 0.5)
-    X = model.generate_design(cov, 50, "gaussian", seed=12)
     beta = model.flat_signal(6, 2, 0.5)
-    ds = model.generate_logistic(X, beta, seed=12, covariance=cov)
-    expected = -losses.LOGISTIC.d1(ds.y, ds.X @ beta)
+    ds = model.simulate(cov, beta, 50, LOGISTIC, "gaussian", 1.0, seed=12)
+    expected = -LOGISTIC.d1(ds.y, ds.X @ beta)
     assert ds.noise.tobytes() == expected.tobytes()
 
 
@@ -346,8 +374,7 @@ def test_bit_reproducibility():
     beta = model.flat_signal(5, 2)
 
     def make(seed):
-        X = model.generate_design(cov, 64, "gaussian", seed)
-        return model.generate_linear(X, beta, 1.0, seed, covariance=cov)
+        return model.simulate(cov, beta, 64, SQUARED, "gaussian", 1.0, seed)
 
     a, b = make(123), make(123)
     assert a.X.tobytes() == b.X.tobytes()
@@ -359,13 +386,13 @@ def test_bit_reproducibility():
 
 def test_logistic_dataset_rejects_bad_labels():
     cov = model.CovarianceModel.identity(2)
-    X = model.generate_design(cov, 6, "gaussian", seed=5)
-    ds = model.generate_logistic(X, np.zeros(2), seed=5, covariance=cov)
+    ds = model.simulate(cov, np.zeros(2), 6, LOGISTIC, "gaussian", 1.0,
+                        seed=5)
     y = ds.y.copy()
     y[0] = 2.0
     with pytest.raises(ValueError):
         model.Dataset(X=ds.X, y=y, model_kind="logistic",
-                      design_kind="gaussian", noise=None, noise_sd=None,
+                      design_kind="gaussian", noise=None,
                       beta_star=ds.beta_star, covariance=cov)
 
 
@@ -375,26 +402,26 @@ _X3 = np.ones((4, 3))
 
 @pytest.mark.parametrize("call, message", [
     (lambda: model.generate_design(_COV3, 0), "need n >= 1"),
-    (lambda: model.generate_linear(_X3, np.ones(4), 1.0, 1),
+    (lambda: model.simulate(_COV3, np.ones(4), 4, SQUARED, "gaussian", 1.0,
+                            1),
      "design has 3 columns but beta_star has 4 entries"),
-    (lambda: model.generate_logistic(_X3, np.ones(2), 1),
+    (lambda: model.simulate(_COV3, np.ones(2), 4, LOGISTIC, "gaussian", 1.0,
+                            1),
      "design has 3 columns but beta_star has 2 entries"),
-    (lambda: model.generate_linear(_X3, np.ones(3), -1.0, 1),
+    (lambda: SQUARED.responses(np.zeros(4), -1.0, model.stream_rng(1, 1)),
      "noise_sd must be >= 0 and finite"),
-    (lambda: model.generate_linear(_X3, np.ones(3), np.inf, 1),
+    (lambda: SQUARED.responses(np.zeros(4), np.inf, model.stream_rng(1, 1)),
      "noise_sd must be >= 0 and finite"),
-    (lambda: model.simulate(_COV3, np.ones(3), 4, "poisson", "gaussian",
-                            1.0, 1), "unknown model kind 'poisson'"),
     (lambda: model.Dataset(X=_X3, y=np.zeros(4), model_kind="poisson",
                            design_kind="gaussian", noise=None,
-                           noise_sd=None, beta_star=np.ones(3),
+                           beta_star=np.ones(3),
                            covariance=None), "unknown model kind 'poisson'"),
     (lambda: model.flat_signal(3, 1, np.inf), "amplitude must be finite"),
     # I - e1 e1' has a zero eigenvalue
     (lambda: model.CovarianceModel.rank_one(_COV3, 1.0, -1.0, np.eye(3)[0]),
      "curvature matrix is singular"),
 ], ids=["design_n_0", "linear_columns", "logistic_columns",
-        "noise_sd_negative", "noise_sd_inf", "simulate_kind", "dataset_kind",
+        "noise_sd_negative", "noise_sd_inf", "dataset_kind",
         "amplitude_inf", "rank_one_singular"])
 def test_model_refuses_bad_input(call, message):
     with pytest.raises(ValueError, match=message):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_covariance, lasso, smooth_gradient
+from oracles import dense_covariance, lasso, make_dataset, smooth_gradient
 from penexp import model, solver
 from penexp.cones import lasso_penalty_level
 from penexp.losses import LOGISTIC, SQUARED, curvature_matrix
@@ -16,9 +16,8 @@ from penexp.penalties import GroupPenalty, L1BallConstraint
 def linear_instance(n, p, s, seed, noise_sd=1.0, rho=0.0):
     cov = (model.CovarianceModel.identity(p) if rho == 0
            else model.CovarianceModel.ar1(p, rho))
-    X = model.generate_design(cov, n, "gaussian", seed)
     beta = model.flat_signal(p, s)
-    ds = model.generate_linear(X, beta, noise_sd, seed, covariance=cov)
+    ds = model.simulate(cov, beta, n, SQUARED, "gaussian", noise_sd, seed)
     return ds, cov
 
 
@@ -65,7 +64,7 @@ def test_orthonormal_design_closed_form():
     X = orthonormal_design(n, p, seed=4)
     cov = model.CovarianceModel.identity(p)
     beta = model.flat_signal(p, 5)
-    ds = model.generate_linear(X, beta, 1.0, seed=4, covariance=cov)
+    ds = make_dataset(X, beta, SQUARED, 1.0, 4, covariance=cov)
     lam = 0.15
     res = solver.fit_penalized(ds, SQUARED, lasso(lam, p))
     from penexp.penalties import soft_threshold
@@ -119,9 +118,8 @@ def test_expansion_matches_coordinate_descent_oracle():
     scale = np.sqrt(np.max(np.diag(Kmat))) * 1.0001
     Kmat = Kmat / scale ** 2  # diagonal <= 1: normalized features
     cov = dense_covariance(Kmat)
-    X = model.generate_design(cov, 40, "gaussian", seed=7)
     beta = model.flat_signal(p, 2)
-    ds = model.generate_linear(X, beta, 1.0, seed=7, covariance=cov)
+    ds = model.simulate(cov, beta, 40, SQUARED, "gaussian", 1.0, seed=7)
     K = curvature_matrix(SQUARED, cov, beta)
     lam = 0.3
     res = solver.fit_expansion(ds, SQUARED, K, beta, lasso(lam, p),
@@ -148,9 +146,8 @@ def test_smooth_gradient_squared_matrix_identity():
 
 def test_smooth_gradient_finite_differences():
     cov = model.CovarianceModel.identity(5)
-    X = model.generate_design(cov, 40, "gaussian", seed=9)
-    ds = model.generate_logistic(X, model.flat_signal(5, 2, 0.4), seed=9,
-                                 covariance=cov)
+    ds = model.simulate(cov, model.flat_signal(5, 2, 0.4), 40, LOGISTIC,
+                        "gaussian", 1.0, seed=9)
     rng = np.random.default_rng(10)
     h = 1e-5
     for _ in range(10):
@@ -190,9 +187,8 @@ def test_converged_implies_certified():
 
 def test_logistic_fit_certified():
     cov = model.CovarianceModel.identity(30)
-    X = model.generate_design(cov, 150, "gaussian", seed=13)
-    ds = model.generate_logistic(X, model.flat_signal(30, 3, 0.3), seed=13,
-                                 covariance=cov)
+    ds = model.simulate(cov, model.flat_signal(30, 3, 0.3), 150, LOGISTIC,
+                        "gaussian", 1.0, seed=13)
     res = solver.fit_penalized(ds, LOGISTIC, lasso(0.05, ds.p))
     assert res.converged
     grad = smooth_gradient(ds, LOGISTIC, res.solution)
@@ -247,8 +243,8 @@ def test_uncertified_budget_checks_kkt_once_per_check_point():
     # last check is the reported residual: no second look at iterate 10
     cfg = solver.SolverConfig(max_iters=10, kkt_tol=1e-14)
     cov = model.CovarianceModel.ar1(40, 0.5)
-    X = model.generate_design(cov, 80, "gaussian", seed=3)
-    ds = model.generate_linear(X, model.flat_signal(40, 3), 1.0, 3, cov)
+    ds = model.simulate(cov, model.flat_signal(40, 3), 80, SQUARED,
+                        "gaussian", 1.0, 3)
     pen = lasso(0.05, ds.p)
     with counting_residual() as residual:
         res = solver.fit_expansion(ds, SQUARED, cov, ds.beta_star, pen, cfg)
@@ -303,9 +299,8 @@ def test_expansion_center_from_the_score_noise(rho):
     p = 30
     cov = (model.CovarianceModel.identity(p) if rho == 0
            else model.CovarianceModel.ar1(p, rho))
-    X = model.generate_design(cov, 150, "gaussian", seed=27)
     beta = model.flat_signal(p, 3, 0.4)
-    ds = model.generate_logistic(X, beta, seed=27, covariance=cov)
+    ds = model.simulate(cov, beta, 150, LOGISTIC, "gaussian", 1.0, seed=27)
     K = curvature_matrix(LOGISTIC, cov, beta)
     z = solver.expansion_center(ds, K, beta)
     expected = beta - K.solve(smooth_gradient(ds, LOGISTIC, beta))
@@ -322,9 +317,8 @@ def test_fit_expansion_refuses_a_foreign_beta_star():
 
 def test_expansion_general_k_kkt():
     cov = model.CovarianceModel.ar1(25, 0.5)
-    X = model.generate_design(cov, 120, "gaussian", seed=19)
     beta = model.flat_signal(25, 3, 0.4)
-    ds = model.generate_logistic(X, beta, seed=19, covariance=cov)
+    ds = model.simulate(cov, beta, 120, LOGISTIC, "gaussian", 1.0, seed=19)
     K = curvature_matrix(LOGISTIC, cov, beta)
     pen = lasso(0.04, ds.p)
     res = solver.fit_expansion(ds, LOGISTIC, K, beta, pen)
@@ -366,12 +360,8 @@ def test_working_set_matches_plain_fista(case):
     loss, kind, d, M, n, seed, ws_initial, scale = case
     p = M * d
     cov = model.CovarianceModel.identity(p)
-    X = model.generate_design(cov, n, "gaussian", seed)
     beta = model.flat_signal(p, min(3, p - 1), 0.4)
-    if loss is SQUARED:
-        ds = model.generate_linear(X, beta, 1.0, seed, covariance=cov)
-    else:
-        ds = model.generate_logistic(X, beta, seed, covariance=cov)
+    ds = model.simulate(cov, beta, n, loss, "gaussian", 1.0, seed)
     # scale sets the penalty from nearly none to nearly all-zero solutions
     g0 = np.abs(smooth_gradient(ds, loss, np.zeros(p)))
     if kind == "l1":
@@ -397,10 +387,9 @@ def test_working_set_admits_coordinate_outside_first_set():
     # unit only the stronger column 0 is in it, and column 1 must enter
     n, p = 200, 30
     cov = model.CovarianceModel.identity(p)
-    X = model.generate_design(cov, n, "gaussian", seed=21)
     beta = np.zeros(p)
     beta[:2] = [2.0, 1.0]
-    ds = model.generate_linear(X, beta, 0.5, seed=21, covariance=cov)
+    ds = model.simulate(cov, beta, n, SQUARED, "gaussian", 0.5, seed=21)
     pen = lasso(0.1, p)
     g0 = np.abs(smooth_gradient(ds, SQUARED, np.zeros(p)))
     assert int(np.argmax(g0)) == 0
