@@ -19,8 +19,10 @@ which was queued ahead of every task and so is running or done by then.
 Outputs, in the directory given to run_experiment: records.csv (RFC 4180,
 fixed header, floats at 17 significant digits), timings.csv (wall times,
 kept out of records.csv so reruns are byte-identical, and the full passes
-over X or K of each solve) and summary.json, with the rate fits. Each is
-written to a temporary name and renamed into place, never read back.
+over X or K of each solve) and summary.json: per grid point the medians,
+quartiles and frequencies of its certified tasks, the totals summed from
+them, and the rate fits through those medians. Each is written to a
+temporary name and renamed into place, never read back.
 """
 
 from __future__ import annotations
@@ -60,10 +62,6 @@ RECORD_SCHEMA = dict(
 RECORD_FIELDS = list(RECORD_SCHEMA)
 TIMING_FIELDS = ["point", "rep", "est_time", "exp_time", "est_passes",
                  "exp_passes"]
-# The records.csv columns rate_fit takes: the measurements, which are
-# neither the identifiers point..seed, r_n itself nor a true/false flag.
-_RATE_METRICS = [f for f in RECORD_FIELDS[RECORD_FIELDS.index("r_n") + 1:]
-                 if RECORD_SCHEMA[f] is not bool]
 
 
 @dataclass(frozen=True)
@@ -463,8 +461,7 @@ def _write_csv(path, fields, rows):
 
 
 def _quantiles(vals):
-    arr = np.sort(np.asarray(vals, dtype=float))
-    q25, q50, q75 = np.quantile(arr, [0.25, 0.5, 0.75])
+    q25, q50, q75 = np.quantile(vals, [0.25, 0.5, 0.75])
     return float(q25), float(q50), float(q75)
 
 
@@ -484,7 +481,8 @@ def _certified(record):
 
 
 def summarize(cfg, records):
-    """Medians, quartiles and frequencies per grid point, plus rate fits."""
+    """Medians, quartiles and frequencies per grid point, and the rate fits
+    through those medians."""
     points = []
     for pi, pt in enumerate(cfg.grid):
         recs = [r for r in records if r["point"] == pi]
@@ -520,8 +518,8 @@ def summarize(cfg, records):
             entry["risk_ratio_close_se"] = se
         points.append(entry)
 
-    total = len(records)
-    failed = sum(1 for r in records if not _certified(r))
+    total = sum(e["replications"] for e in points)
+    failed = sum(e["failed"] for e in points)
     return {
         "experiment": cfg.experiment,
         "loss": cfg.loss,
@@ -532,67 +530,31 @@ def summarize(cfg, records):
         "failed": failed,
         "failed_fraction": failed / total if total else 0.0,
         "points": points,
-        "rate_fit": _fit_block(records, "gap"),
-        "rate_fits": {m: _fit_block(records, m)
-                      for m in ("err_est", "err_exp")},
+        "rate_fit": rate_fit(points, "gap"),
+        "rate_fits": {m: rate_fit(points, m) for m in ("err_est", "err_exp")},
     }
 
 
-def _fit_block(records, metric):
-    try:
-        slope, intercept, stderr = rate_fit(records, metric=metric)
-    except ValueError:
-        # too few grid points, no spread in r_n, or a median not finite
-        return None
-    return {"metric": metric, "slope": slope, "intercept": intercept,
-            "stderr": stderr}
+def rate_fit(points, metric):
+    """Least-squares line through (log r_n, log median metric) of summary
+    point entries, as {metric, slope, intercept, stderr}.
 
-
-def rate_fit(records, metric="gap"):
-    """Least-squares slope of log(median metric) against log(r_n).
-
-    metric is a measured records.csv column; an identifier, r_n itself or
-    a true/false flag is refused. Records from non-converged solves are
-    skipped. A grid point whose r_n is not finite and > 0, or whose median
-    is not finite, is refused; one whose median is not positive is skipped
-    (no logarithm). Needs at least 3 grid points left, with at least two
-    distinct r_n (no slope otherwise).
+    A point without a median of metric (no certified value) or with one
+    that is not positive (no logarithm) is skipped. None when fewer than
+    3 points are left, or when they share one r_n (no slope).
     """
-    if metric not in _RATE_METRICS:
-        raise ValueError("metric %r is not a measured records.csv column "
-                         "(one of %s)" % (metric, ", ".join(_RATE_METRICS)))
-    by_point = {}
-    for r in records:
-        if not _certified(r):
-            continue
-        if r.get(metric) is None:
-            continue
-        by_point.setdefault(r["point"], []).append(r)
-    pairs = []
-    for point, recs in by_point.items():
-        r_n = recs[0]["r_n"]
-        if r_n is None or not 0 < r_n < math.inf:
-            raise ValueError("grid point %s has r_n = %r; the rate fit "
-                             "needs it finite and > 0" % (point, r_n))
-        med = float(np.median([float(r[metric]) for r in recs]))
-        if not math.isfinite(med):
-            raise ValueError("grid point %s has a median %s of %r, which "
-                             "is not finite" % (point, metric, med))
-        if med > 0:
-            pairs.append((float(r_n), med))
+    key = "median_" + metric
+    pairs = [(pt["r_n"], pt[key]) for pt in points if pt.get(key, 0) > 0]
     if len(pairs) < 3:
-        raise ValueError("rate fit needs at least 3 grid points with a "
-                         "positive median")
+        return None
     x = np.log([a for a, _ in pairs])
     if x.min() == x.max():
-        raise ValueError("rate fit needs grid points with distinct r_n")
+        return None
     y = np.log([b for _, b in pairs])
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    slope, intercept = float(coef[0]), float(coef[1])
     resid = y - A @ coef
-    dof = len(pairs) - 2
-    sig2 = float(resid @ resid) / dof if dof > 0 else 0.0
+    sig2 = float(resid @ resid) / (len(pairs) - 2)
     sxx = float(((x - x.mean()) ** 2).sum())
-    stderr = math.sqrt(sig2 / sxx)
-    return slope, intercept, stderr
+    return {"metric": metric, "slope": float(coef[0]),
+            "intercept": float(coef[1]), "stderr": math.sqrt(sig2 / sxx)}

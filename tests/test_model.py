@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings, strategies as st
 
 from penexp import losses, model
@@ -130,7 +131,11 @@ def _ar1_and_dense(p, rho):
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5, 30, 65, 200, 1000])
 @pytest.mark.parametrize("rho", AR1_RHOS)
-@settings(derandomize=True, database=None, max_examples=6, deadline=None)
+# a fixed seed: editing the test does not redraw its examples
+@hypothesis.seed(int("3018592500636016522632191880539121279156"
+                     "9461344283263549018885367720396010237104"
+                     "732649942871977010576259091229311934"))
+@settings(max_examples=6, deadline=None)
 @given(cols=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
 def test_ar1_products_and_solves_match_dense(p, rho, cols, seed):
     # normwise relative errors: the product against the dense rho^|i-j|

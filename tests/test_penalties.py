@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import hypothesis
+from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oracles import lasso
@@ -96,7 +97,10 @@ def _penalty_batch_step(draw):
     return pen, X, draw(st.floats(0.01, 10.0))
 
 
-@settings(derandomize=True, database=None)
+# a fixed seed: editing the test does not redraw its examples
+@hypothesis.seed(int("2338536347602089706214205473159727632559"
+                     "3667774967329938702151238521442825580835"
+                     "841591080488760823665836757989156188"))
 @given(_penalty_batch_step())
 def test_batched_prox_equals_row_by_row(case):
     pen, X, step = case

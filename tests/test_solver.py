@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import hypothesis
 from hypothesis import given, settings, strategies as st
 
 from oracles import dense_covariance, lasso, make_dataset, smooth_gradient
@@ -354,7 +355,11 @@ def _working_set_case(draw):
     return loss, kind, d, M, n, seed, ws_initial, scale
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+# a fixed seed: editing the test does not redraw its examples
+@hypothesis.seed(int("3332849933287289705306557235369809736477"
+                     "9122285558145777150877889382057743028292"
+                     "315233072276912354367636414434977977"))
+@settings(max_examples=60, deadline=None)
 @given(_working_set_case())
 def test_working_set_matches_plain_fista(case):
     loss, kind, d, M, n, seed, ws_initial, scale = case
