@@ -50,8 +50,6 @@ def build_parser():
     sp.add_argument("--threads", type=int, default=0,
                     help="worker count; 0 = one per usable core")
     sp.add_argument("--out", default="out", help="output directory")
-    sp.set_defaults(func=_cmd_experiment)
-
     return parser
 
 
@@ -59,7 +57,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _cmd_experiment(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -35,7 +35,7 @@ def lasso_cone(k, p):
     groups of one coordinate, whose norms are the |u_j|."""
     if k < 1:
         raise ValueError("cone parameter k must be >= 1")
-    return GroupCone(np.sqrt(float(k)), GroupStructure.contiguous(p, 1))
+    return GroupCone(np.sqrt(float(k)), GroupStructure(p, 1))
 
 
 def group_cone(s, groups, xi):

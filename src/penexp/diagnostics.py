@@ -88,15 +88,17 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
                 risk_ok=bool(abs(lhs - rhs) <= bound))
 
 
-def debiased_estimate(dataset, beta_hat, cov, a, noise_sd):
+def debiased_estimate(dataset, beta_hat, a, noise_sd):
     """Bias-corrected estimate of a'beta with its fixed-width interval.
 
-    a is renormalized so ||Sigma^{-1/2} a|| = 1 (the target rescales with
-    it); the correction adds the score-weighted average residual, so the
-    estimate's error is about N(0, noise_sd^2/n), where noise_sd is the
-    noise sd the linear data were drawn with. The interval half-width is
+    a is renormalized so ||Sigma^{-1/2} a|| = 1, with Sigma the covariance
+    the dataset's design was drawn from (the target rescales with it); the
+    correction adds the score-weighted average residual, so the estimate's
+    error is about N(0, noise_sd^2/n), where noise_sd is the noise sd the
+    linear data were drawn with. The interval half-width is
     1.96 noise_sd/sqrt(n): covered says whether it holds the target, and
-    t_stat is sqrt(n) (theta_hat - target)/noise_sd.
+    t_stat is sqrt(n) (theta_hat - target)/noise_sd. A dataset without a
+    covariance is refused with ValueError.
     """
     a = np.asarray(a, dtype=float)
     if not np.any(a != 0.0):
@@ -105,8 +107,11 @@ def debiased_estimate(dataset, beta_hat, cov, a, noise_sd):
         raise ValueError("de-biased intervals need linear data with "
                          "noise_sd > 0, got %s data with noise_sd %r"
                          % (dataset.model_kind, noise_sd))
+    if dataset.covariance is None:
+        raise ValueError("de-biased intervals need the covariance the "
+                         "design was drawn from")
     beta_hat = np.asarray(beta_hat, dtype=float)
-    x = cov.solve(a)
+    x = dataset.covariance.solve(a)
     scale = np.sqrt(float(a @ x))
     a, z_a = a / scale, dataset.X @ (x / scale)
     denom = float(z_a @ z_a)

@@ -17,12 +17,13 @@ No barrier holds the tasks: each waits only for its own point's set-up,
 which was queued ahead of every task and so is running or done by then.
 
 Outputs, in the directory given to run_experiment: records.csv (RFC 4180,
-fixed header, floats at 17 significant digits), timings.csv (wall times,
-kept out of records.csv so reruns are byte-identical, and the full passes
-over X or K of each solve) and summary.json: per grid point the medians,
-quartiles and frequencies of its certified tasks, the totals summed from
-them, and the rate fits through those medians. Each is written to a
-temporary name and renamed into place, never read back.
+fixed header, floats at 17 significant digits), timings.csv (the wall time
+of each solve call on the harness's clock, kept out of records.csv so reruns
+are byte-identical, and the full passes over X or K of each solve) and
+summary.json: per grid point the medians, quartiles and frequencies of its
+certified tasks, the totals summed from them, and the rate fits through
+those medians. Each is written to a temporary name and renamed into place,
+never read back.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import ctypes
 import json
 import math
 import os
+import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -104,8 +106,8 @@ class ExperimentConfig:
             raise ValueError("%s loss needs a %s design, got %r"
                              % (loss.kind, " or ".join(loss.designs),
                                 self.design))
-        # validates the syntax
-        model.CovarianceModel.from_spec(self.covariance, 2)
+        # validates the syntax; p = 2 tells AR(1) with rho != 0 apart
+        cov = model.CovarianceModel.from_spec(self.covariance, 2)
         if not self.grid:
             raise ValueError("at least one grid entry is required")
         if self.replications < 1:
@@ -141,8 +143,8 @@ class ExperimentConfig:
                 raise ValueError("only group_lasso runs take M and d, got %r"
                                  % (pt,))
         if self.experiment == "risk_identity":
-            if (self.loss, self.covariance, self.design) != \
-                    ("squared", "identity", "gaussian"):
+            if (self.loss, cov.is_identity, self.design) != \
+                    ("squared", True, "gaussian"):
                 raise ValueError(
                     "risk_identity runs require squared loss, identity "
                     "covariance and gaussian design")
@@ -229,15 +231,14 @@ class _PointSetup:
     curv: object
     cone: object
     r_n: float
-    radius: float | None
     sparsity_bound: float | None
 
 
-def _setup_point(cfg, pt, loss):
+def _setup_point(cfg, pt):
     cov = model.CovarianceModel.from_spec(cfg.covariance, pt.p)
     groups = None
     if cfg.penalty == "group_lasso":
-        groups = model.GroupStructure.contiguous(pt.M, pt.d)
+        groups = model.GroupStructure(pt.M, pt.d)
         beta_star = model.flat_signal(pt.p, pt.s * pt.d, cfg.amplitude)
         cone = cones.group_cone(pt.s, groups, cfg.xi)
         r_n = cones.group_rate(pt.n, pt.M, pt.d, pt.s)
@@ -250,14 +251,11 @@ def _setup_point(cfg, pt, loss):
         else:
             cone = cones.lasso_cone(pt.s * (6.0 + 2.0 / cfg.xi) ** 2, pt.p)
         r_n = cones.lasso_rate(pt.n, pt.p, pt.s)
-    curv = curvature_matrix(loss, cov, beta_star, cfg.design)
-    radius = float(np.abs(beta_star).sum()) \
-        if cfg.penalty == "l1_constrained" else None
+    curv = curvature_matrix(get_loss(cfg.loss), cov, beta_star, cfg.design)
     sbound = None
     if cfg.experiment == "sparsity_check":
         sbound = diagnostics.sparsity_bound(pt.s, cfg.xi, cov, curv, groups)
-    return _PointSetup(pt, cov, groups, beta_star, curv, cone, r_n, radius,
-                       sbound)
+    return _PointSetup(pt, cov, groups, beta_star, curv, cone, r_n, sbound)
 
 
 def _make_penalty(cfg, setup, loss, ds):
@@ -265,17 +263,19 @@ def _make_penalty(cfg, setup, loss, ds):
     if cfg.penalty == "l1_penalized":
         level = cones.lasso_penalty_level(
             loss.penalty_scale(ds), pt.p, pt.s, pt.n, cfg.xi)
-        singletons = model.GroupStructure.contiguous(pt.p, 1)
-        return GroupPenalty(level, singletons), level
+        return GroupPenalty(level, model.GroupStructure(pt.p, 1)), level
     if cfg.penalty == "group_lasso":
         level = cones.group_penalty_level(
             loss.penalty_scale(ds), pt.M, pt.d, pt.s, pt.n, cfg.xi)
         return GroupPenalty(level, setup.groups), level
-    return L1BallConstraint(setup.radius), setup.radius
+    radius = float(np.abs(setup.beta_star).sum())
+    return L1BallConstraint(radius), radius
 
 
-def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
+def _run_task(cfg, setup, point_idx, rep_idx):
     pt = setup.point
+    loss = get_loss(cfg.loss)
+    solver_cfg = solver.SolverConfig(cfg.max_iters, cfg.kkt_tol)
     seed = task_seed(cfg.master_seed, point_idx, rep_idx)
     ds = model.simulate(setup.cov, setup.beta_star, pt.n, loss, cfg.design,
                         cfg.noise_sd, seed)
@@ -287,21 +287,23 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     timing = {k: None for k in TIMING_FIELDS}
     timing.update(point=point_idx, rep=rep_idx)
 
+    t0 = time.perf_counter()
     est = solver.fit_penalized(ds, loss, penalty, solver_cfg)
+    timing.update(est_time=time.perf_counter() - t0, est_passes=est.passes)
     rec.update(est_iterations=est.iterations, est_kkt=est.kkt_residual,
                est_converged=est.converged)
-    timing.update(est_time=est.wall_time, est_passes=est.passes)
     err_est = setup.curv.norm(est.solution - setup.beta_star)
     rec["err_est"] = err_est
 
     if cfg.experiment == "fit":
         return rec, timing
 
+    t0 = time.perf_counter()
     exp = solver.fit_expansion(ds, loss, setup.curv, setup.beta_star, penalty,
                                solver_cfg)
+    timing.update(exp_time=time.perf_counter() - t0, exp_passes=exp.passes)
     rec.update(exp_iterations=exp.iterations, exp_kkt=exp.kkt_residual,
                exp_converged=exp.converged)
-    timing.update(exp_time=exp.wall_time, exp_passes=exp.passes)
     err_exp = setup.curv.norm(exp.solution - setup.beta_star)
     gap = setup.curv.norm(exp.solution - est.solution)
     denom = err_est + err_exp
@@ -319,7 +321,7 @@ def _run_task(cfg, setup, loss, solver_cfg, point_idx, rep_idx):
     elif cfg.experiment == "coverage":
         # a = e_1: the first coordinate
         rec.update(diagnostics.debiased_estimate(
-            ds, est.solution, setup.cov, np.eye(1, pt.p)[0], cfg.noise_sd))
+            ds, est.solution, np.eye(1, pt.p)[0], cfg.noise_sd))
     elif cfg.experiment == "sparsity_check":
         rec.update(diagnostics.sparsity_count(
             exp.solution, setup.sparsity_bound, setup.groups))
@@ -389,9 +391,6 @@ def run_experiment(cfg, out, threads=0):
         raise ValueError("threads must be >= 0 (0 means one worker per "
                          "usable core)")
     os.makedirs(out, exist_ok=True)
-    loss = get_loss(cfg.loss)
-    solver_cfg = solver.SolverConfig(max_iters=cfg.max_iters,
-                                     kkt_tol=cfg.kkt_tol)
     tasks = [(pi, ri) for pi in range(len(cfg.grid))
              for ri in range(cfg.replications)]
     # threads = 0: one worker per core this process may run on
@@ -401,12 +400,12 @@ def run_experiment(cfg, out, threads=0):
 
     def work(task):
         pi, ri = task
-        return _run_task(cfg, pending[pi].result(), loss, solver_cfg, pi, ri)
+        return _run_task(cfg, pending[pi].result(), pi, ri)
 
     with _blas_threads(1), ThreadPoolExecutor(max_workers=workers) as pool:
         # largest p first, so that the costliest set-up never starts last
         by_size = sorted(range(len(cfg.grid)), key=lambda i: -cfg.grid[i].p)
-        pending = {i: pool.submit(_setup_point, cfg, cfg.grid[i], loss)
+        pending = {i: pool.submit(_setup_point, cfg, cfg.grid[i])
                    for i in by_size}
         try:
             results = list(pool.map(work, tasks))

@@ -298,11 +298,6 @@ class GroupStructure:
     M: int
     d: int
 
-    @classmethod
-    def contiguous(cls, M, d):
-        """M consecutive blocks of size d."""
-        return cls(int(M), int(d))
-
     @cached_property
     def groups(self):
         """The read-only index array of each group, in order."""

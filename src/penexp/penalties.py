@@ -93,7 +93,7 @@ class L1BallConstraint:
 class GroupPenalty:
     """h(b) = level * sum_k ||b_{G_k}|| over a group partition.
 
-    Singleton groups (GroupStructure.contiguous(p, 1)) give the lasso,
+    Singleton groups (GroupStructure(p, 1)) give the lasso,
     level * ||b||_1 (Yuan & Lin, JRSS-B 2006), with soft thresholding's bits
     while sqrt(x*x) == |x|, i.e. 1e-154 < |x| < 1e154 or x = 0; the prox
     maps -0.0 to -0.0 where soft thresholding gives +0.0.
@@ -145,7 +145,7 @@ class GroupPenalty:
         concatenation of their coordinates, and those coordinates."""
         units = np.asarray(units, dtype=np.intp)
         d = self.groups.d
-        kept = GroupStructure.contiguous(units.size, d)
+        kept = GroupStructure(units.size, d)
         columns = (units[:, None] * d + np.arange(d)).ravel()
         return GroupPenalty(self.level, kept), columns
 

@@ -12,12 +12,11 @@ The fit runs that loop on a working set of columns of X, grown until the
 full-gradient KKT residual certifies the whole vector. Both certify
 convergence through the penalty's subdifferential residual, independent of
 the iteration path, and both are deterministic: identical inputs produce
-bit-identical iterates.
+bit-identical results. No solve reads a clock; the caller times it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -55,7 +54,6 @@ class SolverResult:
     kkt_residual: float
     iterations: int
     converged: bool
-    wall_time: float
     # Full-width products with X (penalized fit), or with K plus the
     # one pass over X of the expansion centre (expansion).
     passes: int
@@ -79,7 +77,7 @@ class _Smooth:
     grad_products: int
 
 
-def _fista(smooth, penalty, x, u_x, cfg, t0):
+def _fista(smooth, penalty, x, u_x, cfg):
     """FISTA with backtracking from x, whose image is u_x; returns the
     result, and the image of its solution and the gradient there.
 
@@ -131,7 +129,7 @@ def _fista(smooth, penalty, x, u_x, cfg, t0):
                 break
     passes = images + smooth.grad_products * grads
     return SolverResult(x, float(res), it, res <= cfg.kkt_tol,
-                        time.perf_counter() - t0, passes), u_x, g_x
+                        passes), u_x, g_x
 
 
 def fit_penalized(dataset, loss, penalty, config=None):
@@ -152,7 +150,6 @@ def fit_penalized(dataset, loss, penalty, config=None):
     """
     cfg = config or DEFAULT_CONFIG
     X, y, n, p = dataset.X, dataset.y, dataset.n, dataset.p
-    t0 = time.perf_counter()
     beta, u = np.zeros(p), np.zeros(n)
     work = np.zeros(0, dtype=np.intp)
     iterations = passes = 0
@@ -178,7 +175,7 @@ def fit_penalized(dataset, loss, penalty, config=None):
             lipschitz=None, grad_products=1)
         inner, u, grad = _fista(
             smooth, sub, beta[cols], u,
-            replace(cfg, max_iters=cfg.max_iters - iterations), t0)
+            replace(cfg, max_iters=cfg.max_iters - iterations))
         beta = np.zeros(p)
         beta[cols] = inner.solution
         iterations += inner.iterations
@@ -187,8 +184,7 @@ def fit_penalized(dataset, loss, penalty, config=None):
         else:
             grad = None
     return SolverResult(beta, float(res), iterations,
-                        bool(res <= cfg.kkt_tol), time.perf_counter() - t0,
-                        passes)
+                        bool(res <= cfg.kkt_tol), passes)
 
 
 def _grow(scores, work):
@@ -203,21 +199,16 @@ def _grow(scores, work):
     return np.union1d(work, worst)
 
 
-def expansion_center(dataset, curvature, beta_star):
+def expansion_center(dataset, curvature):
     """Point z whose penalized projection under K is the expansion.
 
     z = beta_star - K^{-1} g, where g = -X'e/n is the average loss score at
-    beta_star and e the dataset's score noise: one pass over X, for either
-    model. With identity curvature z is beta_star + X'e/n, which is what
-    makes the expansion a pure prox evaluation in that case. The noise was
-    drawn at the dataset's own beta_star, so any other is refused.
+    the dataset's beta_star and e its score noise: one pass over X, for
+    either model. With identity curvature z is beta_star + X'e/n, which is
+    what makes the expansion a pure prox evaluation in that case.
     """
-    beta_star = np.asarray(beta_star, dtype=float)
-    if not np.array_equal(beta_star, dataset.beta_star):
-        raise ValueError("the expansion centre needs the dataset's own "
-                         "beta_star: its score noise was drawn at it")
     g = -(dataset.X.T @ dataset.noise) / dataset.n
-    return beta_star - curvature.solve(g)
+    return dataset.beta_star - curvature.solve(g)
 
 
 def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
@@ -226,22 +217,25 @@ def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     The smooth part is seen through u = K (b - z), which is also its
     gradient, so each iteration costs one product with K. The centre z
     comes from expansion_center, which reads only the dataset: loss is not
-    consulted. It and beta_star stay parameters because the benchmark binds
-    this function's arguments by name and reads both. passes counts the
-    products with K plus z's one pass over X.
+    consulted, and a beta_star other than the dataset's, at which its score
+    noise was drawn, is refused. Both stay parameters because the benchmark
+    binds this function's arguments by name and reads both. passes counts
+    the products with K plus z's one pass over X.
     The step is 1/curvature.eig_max, where eig_max >= lambda_max(K) is
     exact for covariances and for the logistic K on identity Sigma. The
     solve starts at z, so the identity-curvature case converges in one prox
     step.
     """
     cfg = config or DEFAULT_CONFIG
-    t0 = time.perf_counter()
-    z = expansion_center(dataset, curvature, beta_star)
+    if not np.array_equal(beta_star, dataset.beta_star):
+        raise ValueError("the expansion centre needs the dataset's own "
+                         "beta_star: its score noise was drawn at it")
+    z = expansion_center(dataset, curvature)
     smooth = _Smooth(
         image=lambda b: curvature @ (b - z),
         value=lambda b, u: 0.5 * float((b - z) @ u),
         grad=lambda b, u: u,
         lipschitz=curvature.eig_max, grad_products=0)
     # the smooth part and its image vanish at z
-    res = _fista(smooth, penalty, z.copy(), np.zeros(z.size), cfg, t0)[0]
+    res = _fista(smooth, penalty, z.copy(), np.zeros(z.size), cfg)[0]
     return replace(res, passes=res.passes + 1)

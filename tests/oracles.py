@@ -40,7 +40,7 @@ def make_dataset(X, beta_star, loss, noise_sd, seed, covariance=None,
 def lasso(level, p):
     """The penalized lasso level * ||b||_1 on R^p: the group penalty with
     p groups of one coordinate."""
-    return GroupPenalty(level, GroupStructure.contiguous(p, 1))
+    return GroupPenalty(level, GroupStructure(p, 1))
 
 
 def curvature_lower_bound(loss, tau):

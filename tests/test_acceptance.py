@@ -94,7 +94,7 @@ def test_hundred_random_instances_all_certify_kkt():
             pen = lasso(lasso_penalty_level(loss.penalty_scale(ds), p, s, n,
                                             0.5), p)
         elif pen_kind == "group":
-            gr = GroupStructure.contiguous(M, d)
+            gr = GroupStructure(M, d)
             pen = GroupPenalty(group_penalty_level(loss.penalty_scale(ds), M,
                                                    d, s, n, 0.5), gr)
         else:
@@ -158,7 +158,7 @@ def test_risk_identity_frequencies(tmp_path):
 
 def test_group_prox_risk_matches_blockwise_oracle():
     """Block shrinkage risk equals the sum of independent per-block risks."""
-    groups = GroupStructure.contiguous(40, 5)
+    groups = GroupStructure(40, 5)
     pen = GroupPenalty(0.2, groups)
     beta = np.zeros(200)
     beta[0:5] = 0.8

@@ -153,7 +153,7 @@ X = model.generate_design(cov, 200, "gaussian", seed=1)
 y, e = losses.LOGISTIC.responses(X @ beta, 1.0, model.stream_rng(2, 1))
 ds = model.Dataset(X, y, "logistic", "gaussian", e, beta, cov)
 curv = losses.curvature_matrix(losses.LOGISTIC, cov, beta)
-pen = penalties.GroupPenalty(0.05, model.GroupStructure.contiguous(40, 1))
+pen = penalties.GroupPenalty(0.05, model.GroupStructure(40, 1))
 est = solver.fit_penalized(ds, losses.LOGISTIC, pen)
 exp = solver.fit_expansion(ds, losses.LOGISTIC, curv, beta, pen)
 assert est.converged and exp.converged

@@ -91,7 +91,7 @@ def test_cone_parameter_validation():
     with pytest.raises(ValueError):
         lasso_cone(0.5, 10)
     with pytest.raises(TypeError):  # c comes from xi, which must be given
-        group_cone(3, GroupStructure.contiguous(4, 2))
+        group_cone(3, GroupStructure(4, 2))
 
 
 def test_member_basis_vector():
@@ -118,7 +118,7 @@ def test_member_sparse_vectors():
 
 
 def test_member_zero_vector():
-    groups = GroupStructure.contiguous(5, 2)
+    groups = GroupStructure(5, 2)
     z = np.zeros(10)
     assert lasso_cone(1, 10).member(z)
     assert GroupCone(np.sqrt(2.0), groups).member(z)
@@ -126,7 +126,7 @@ def test_member_zero_vector():
 
 def test_member_group_supported():
     # s active groups pass with radius sqrt(s)
-    groups = GroupStructure.contiguous(6, 3)
+    groups = GroupStructure(6, 3)
     rng = np.random.default_rng(4)
     for _ in range(50):
         u = np.zeros(18)
@@ -149,7 +149,7 @@ def test_lasso_cone_member_matches_l1_formula_bitwise():
         l1, l2 = np.abs(u).sum(), np.linalg.norm(u)
         if l2 == 0.0:
             continue
-        assert GroupStructure.contiguous(p, 1).norms(u).sum() == l1
+        assert GroupStructure(p, 1).norms(u).sum() == l1
         # l1 / l2 = sqrt(k) t: inside the slack, or beyond it by 1e-10
         t = rng.choice([1.0 - 1e-10, 1.0 + 1e-10]) \
             * rng.choice([1.0, 1.0 + 1e-9])
@@ -197,7 +197,7 @@ def test_complexity_singleton_groups_match_lasso():
     """Size-1 groups collapse the group cone onto a lasso cone."""
     p, s, c = 30, 2, 2.0
     cov = CovarianceModel.identity(p)
-    groups = GroupStructure.contiguous(p, 1)
+    groups = GroupStructure(p, 1)
     g_est, g_se = complexity_estimate(GroupCone(c * np.sqrt(s), groups), cov,
                                       500, seed=17)
     l_est, l_se = complexity_estimate(lasso_cone(c * c * s, p), cov, 500,
@@ -211,7 +211,7 @@ def test_complexity_rejects_correlated_lasso_cone():
     with pytest.raises(ValueError):
         complexity_estimate(lasso_cone(2, 6), cov, 100, seed=1)
     with pytest.raises(ValueError):
-        complexity_estimate(GroupCone(1.0, GroupStructure.contiguous(3, 2)),
+        complexity_estimate(GroupCone(1.0, GroupStructure(3, 2)),
                             cov, 100, seed=1)
 
 
@@ -248,7 +248,7 @@ def test_restricted_eigenvalue_identity():
     # lasso and group cones alike
     cov = CovarianceModel.identity(9)
     assert np.sqrt(cov.eig_min) == 1.0
-    groups = GroupStructure.contiguous(3, 3)
+    groups = GroupStructure(3, 3)
     assert sparsity_bound(2, 1.0, cov, cov, groups) == 2 * 257.0
 
 
@@ -275,7 +275,7 @@ def test_complexity_bound_lasso():
 
 
 def test_complexity_bound_group():
-    groups = GroupStructure.contiguous(50, 3)
+    groups = GroupStructure(50, 3)
     cov = CovarianceModel.identity(150)
     val = group_complexity_bound(4, groups, cov)
     assert val == pytest.approx(np.sqrt(4 * 3 + 4 * np.log(12.5)), rel=1e-12)
@@ -289,7 +289,7 @@ def test_complexity_bound_divides_by_phi():
 
 
 def test_group_cone_default_c():
-    groups = GroupStructure.contiguous(4, 2)
+    groups = GroupStructure(4, 2)
     cone = group_cone(3, groups, 0.5)
     assert cone.radius == pytest.approx(8.0 * np.sqrt(3.0), rel=1e-14)
     assert cone.groups is groups

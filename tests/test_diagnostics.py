@@ -64,14 +64,14 @@ def test_prox_risk_quadrature_zero_tau():
 
 
 def test_prox_risk_quadrature_l1_only():
-    groups = GroupStructure.contiguous(2, 2)
+    groups = GroupStructure(2, 2)
     with pytest.raises(ValueError):
         prox_risk_quadrature(GroupPenalty(0.1, groups), np.zeros(4), 1.0, 10)
 
 
 @pytest.mark.parametrize("penalty", [
     lasso(0.05, 2000), L1BallConstraint(2.5),
-    GroupPenalty(0.08, GroupStructure.contiguous(500, 4))],
+    GroupPenalty(0.08, GroupStructure(500, 4))],
     ids=["l1", "l1_ball", "group"])
 def test_prox_risk_mc_chunks_match_one_draw(penalty):
     # three full chunks and a short fourth; the chunked, in-place loop must
@@ -86,7 +86,7 @@ def test_prox_risk_mc_chunks_match_one_draw(penalty):
 
 @pytest.mark.parametrize("penalty", [
     lasso(0.05, 1000), L1BallConstraint(2.5),
-    GroupPenalty(0.08, GroupStructure.contiguous(250, 4))],
+    GroupPenalty(0.08, GroupStructure(250, 4))],
     ids=["l1", "l1_ball", "group"])
 def test_prox_risk_mc_memory_stays_chunk_sized(penalty):
     # 4000 draws at p = 1000 are 32 MB at once; in chunks of
@@ -108,7 +108,7 @@ def test_prox_risk_needs_draws():
 
 def test_group_prox_risk_blockwise_oracle():
     """Group shrinkage risk equals the sum of independent per-block risks."""
-    groups = GroupStructure.contiguous(5, 3)
+    groups = GroupStructure(5, 3)
     pen = GroupPenalty(0.3, groups)
     beta = np.zeros(15)
     beta[0:3] = 1.0
@@ -187,8 +187,7 @@ def test_risk_identity_refusals():
 def test_debiased_at_truth():
     """With beta_hat = beta*, the error is exactly the score-averaged noise."""
     ds = linear_dataset(200, 30, 3, seed=51)
-    cov = ds.covariance
-    rep = debiased_estimate(ds, ds.beta_star, cov, np.eye(30)[0], 1.0)
+    rep = debiased_estimate(ds, ds.beta_star, np.eye(30)[0], 1.0)
     z_a = ds.X[:, 0]
     expected = float(z_a @ ds.noise) / float(z_a @ z_a)
     assert rep["theta_hat"] - rep["target"] == pytest.approx(expected,
@@ -203,8 +202,8 @@ def test_debiased_scale_invariance():
     fit = fit_penalized(ds, SQ, pen)
     a = np.zeros(20)
     a[3] = 1.0
-    r1 = debiased_estimate(ds, fit.solution, ds.covariance, a, 1.0)
-    r2 = debiased_estimate(ds, fit.solution, ds.covariance, 5.0 * a, 1.0)
+    r1 = debiased_estimate(ds, fit.solution, a, 1.0)
+    r2 = debiased_estimate(ds, fit.solution, 5.0 * a, 1.0)
     assert r1["theta_hat"] == pytest.approx(r2["theta_hat"], rel=1e-12)
     assert r1["target"] == pytest.approx(r2["target"], rel=1e-12)
     assert r1["t_stat"] == pytest.approx(r2["t_stat"], rel=1e-9)
@@ -215,7 +214,7 @@ def test_debiased_score_is_design_column():
     ds = linear_dataset(100, 12, 2, seed=57)
     a = np.zeros(12)
     a[0] = 2.0  # normalization brings this back to e1
-    rep = debiased_estimate(ds, np.zeros(12), ds.covariance, a, 1.0)
+    rep = debiased_estimate(ds, np.zeros(12), a, 1.0)
     assert rep["target"] == ds.beta_star[0]
     manual = float(ds.X[:, 0] @ ds.y) / float(ds.X[:, 0] @ ds.X[:, 0])
     assert rep["theta_hat"] == pytest.approx(manual, rel=1e-12)
@@ -230,26 +229,27 @@ def test_debiased_interval_consistency():
     seen = set()
     for sd in (1.0, 0.7):
         for j in range(15):
-            rep = debiased_estimate(ds, fit.solution, ds.covariance,
-                                    np.eye(15)[j], sd)
+            rep = debiased_estimate(ds, fit.solution, np.eye(15)[j], sd)
             assert abs(abs(rep["t_stat"]) - 1.96) > 1e-3
             assert rep["covered"] == (abs(rep["t_stat"]) <= 1.96)
             seen.add(rep["covered"])
     assert seen == {True, False}
     with pytest.raises(ValueError, match="direction a must be nonzero"):
-        debiased_estimate(ds, fit.solution, ds.covariance, np.zeros(15),
-                          1.0)
+        debiased_estimate(ds, fit.solution, np.zeros(15), 1.0)
     # the interval's half-width is 1.96 noise_sd/sqrt(n)
     with pytest.raises(ValueError, match="need linear data with noise_sd > 0"):
-        debiased_estimate(ds, fit.solution, ds.covariance, np.eye(15)[0],
-                          0.0)
+        debiased_estimate(ds, fit.solution, np.eye(15)[0], 0.0)
     # and logistic labels have no noise sd
     logit = make_dataset(ds.X, ds.beta_star, LG, 1.0, 60,
                          covariance=ds.covariance)
     with pytest.raises(ValueError, match="need linear data with noise_sd > "
                        "0, got logistic data"):
-        debiased_estimate(logit, fit.solution, ds.covariance, np.eye(15)[0],
-                          1.0)
+        debiased_estimate(logit, fit.solution, np.eye(15)[0], 1.0)
+    # the direction is normalized by the Sigma the design was drawn from,
+    # which a dataset built without one does not name
+    bare = make_dataset(ds.X, ds.beta_star, SQ, 1.0, 60)
+    with pytest.raises(ValueError, match="need the covariance"):
+        debiased_estimate(bare, fit.solution, np.eye(15)[0], 1.0)
 
 
 def _counts(beta, bound, groups=None):
@@ -266,7 +266,7 @@ def test_sparsity_count_plain():
 
 
 def test_sparsity_count_groups():
-    groups = GroupStructure.contiguous(2, 2)
+    groups = GroupStructure(2, 2)
     assert _counts([0.0] * 4, 1.0, groups) == (0, 0, True)
     assert _counts([1.0, 0.0, 0.0, 2.0], 1.0, groups) == (2, 2, False)
     # groups, not coordinates, are held against the bound
@@ -322,7 +322,7 @@ def test_sparsity_bound_matches_the_composed_bound_bitwise(spec, loss,
     beta = flat_signal(M * d, s * d, 0.25)
     K = curvature_matrix(get_loss(loss), cov, beta)
     assert (K is cov) == (loss == "squared")
-    groups = GroupStructure.contiguous(M, d) if grouped else None
+    groups = GroupStructure(M, d) if grouped else None
     got = sparsity_bound(s, xi, cov, K, groups)
     assert got == _composed_sparsity_bound(s, xi, cov, K, groups)
     assert got > s

@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 
 import penexp
-from penexp import cli, harness, solver
+from penexp import cli, harness
 from penexp.cones import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
                             RECORD_SCHEMA, TIMING_FIELDS, parse_config,
                             rate_fit, run_experiment, task_seed)
-from penexp.losses import LOGISTIC
 
 
 CONFIG_TEXT = """\
@@ -139,7 +138,7 @@ def test_threads_zero_starts_one_worker_per_usable_core(tmp_path,
     assert sizes == [1, 2, 4]
 
 
-def test_validate_config_rejections(tmp_path):
+def test_experiment_config_rejections(tmp_path):
     # an ExperimentConfig checks itself when it is built
     base = dict(experiment="rates", grid=(GridPoint(50, 20, 3),))
     with pytest.raises(ValueError, match="xi must be > 0"):
@@ -169,6 +168,9 @@ def test_validate_config_rejections(tmp_path):
         with pytest.raises(ValueError, match="risk_identity runs require"):
             parse_config("experiment = risk_identity\n%s\n"
                          "grid = n=50 p=20 s=2\n" % line)
+    # the rule reads the covariance's Sigma, not its spelling
+    assert parse_config("experiment = risk_identity\ncovariance = ar1:0\n"
+                        "grid = n=50 p=20 s=2\n").covariance == "ar1:0"
     with pytest.raises(ValueError):
         parse_config("experiment = coverage\nloss = logistic\n"
                      "grid = n=50 p=20 s=2\n")
@@ -397,6 +399,17 @@ def test_run_experiment_thread_invariance(tmp_path):
     assert s1["rate_fit"]["slope"] == s2["rate_fit"]["slope"]
 
 
+def test_risk_identity_at_ar1_zero_is_the_identity_run(tmp_path):
+    # ar1:0 spells the identity Sigma, so its run writes the same bytes
+    for out, cov in (("identity", "identity"), ("ar1_0", "ar1:0")):
+        run_tiny(tmp_path, out, experiment="risk_identity", covariance=cov,
+                 grid=(GridPoint(200, 100, 2),), replications=2,
+                 mc_inner=100)
+    for name in ("records.csv", "summary.json"):
+        assert (tmp_path / "ar1_0" / name).read_bytes() == \
+            (tmp_path / "identity" / name).read_bytes()
+
+
 def test_run_experiment_pins_blas_and_restores_it(tmp_path, monkeypatch):
     libs = harness._openblas_libs()
     if not libs:
@@ -434,9 +447,9 @@ def test_point_setups_start_largest_first(tmp_path, monkeypatch):
     sizes = []
     real_setup = harness._setup_point
 
-    def spy(cfg, pt, loss):
+    def spy(cfg, pt):
         sizes.append(pt.p)
-        return real_setup(cfg, pt, loss)
+        return real_setup(cfg, pt)
 
     monkeypatch.setattr(harness, "_setup_point", spy)
     _, summary = run_tiny(
@@ -454,10 +467,10 @@ def test_a_task_starts_before_a_larger_points_set_up_ends(tmp_path,
     started, waited = threading.Event(), []
     real_setup, real_task = harness._setup_point, harness._run_task
 
-    def setup_spy(cfg, pt, loss):
+    def setup_spy(cfg, pt):
         if pt.p == 40:
             waited.append(started.wait(timeout=30))
-        return real_setup(cfg, pt, loss)
+        return real_setup(cfg, pt)
 
     def task_spy(cfg, setup, *args):
         if setup.point.p == 20:
@@ -478,10 +491,10 @@ def test_a_failed_set_up_raises_and_writes_nothing(tmp_path, monkeypatch):
     real_setup, real_task = harness._setup_point, harness._run_task
     ran = []
 
-    def setup_spy(cfg, pt, loss):
+    def setup_spy(cfg, pt):
         if pt.p == 20:
             raise RuntimeError("set-up failed")
-        return real_setup(cfg, pt, loss)
+        return real_setup(cfg, pt)
 
     def task_spy(*args):
         ran.append(args[-1])
@@ -553,10 +566,9 @@ def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,
         experiment="rates", loss="logistic",
         penalty="l1_constrained", covariance="ar1:0.5", amplitude=0.25,
         grid=(GridPoint(100, 60, 3),), replications=1)
-    setup = harness._setup_point(cfg, cfg.grid[0], LOGISTIC)
+    setup = harness._setup_point(cfg, cfg.grid[0])
     assert calls == []
-    rec, _ = harness._run_task(cfg, setup, LOGISTIC, solver.SolverConfig(),
-                               0, 0)
+    rec, _ = harness._run_task(cfg, setup, 0, 0)
     assert rec["exp_converged"] and rec["gap"] > 0
     assert calls == []
 
@@ -762,7 +774,7 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
     assert (tmp_path / "again.csv").read_bytes() == body[2]
 
 
-def test_cli_experiment_and_rate_fit(tmp_path, capsys):
+def test_cli_experiment_prints_the_summary_rate_fit(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(CONFIG_TEXT.replace("grid = n=120 p=30 s=2",
                                         "grid = n=120 p=30 s=2\n"

@@ -206,7 +206,7 @@ def test_relative_bounds_is_for_rank_one_updates(cov):
 
 
 def test_group_structure_contiguous():
-    gs = model.GroupStructure.contiguous(3, 2)
+    gs = model.GroupStructure(3, 2)
     assert gs.M * gs.d == 6 and gs.M == 3 and gs.d == 2
     flat = np.concatenate(gs.groups)
     assert sorted(flat.tolist()) == list(range(6))
@@ -254,7 +254,7 @@ def test_rademacher_design():
         model.generate_design(cov, 10, "uniform", seed=3)
 
 
-def test_generate_linear_noiseless():
+def test_simulate_linear_noiseless():
     cov = model.CovarianceModel.identity(3)
     beta = np.array([1.0, -1.0, 0.0])
     ds = model.simulate(cov, beta, 20, SQUARED, "gaussian", 0.0, seed=1)
@@ -263,7 +263,7 @@ def test_generate_linear_noiseless():
     assert model.noise_scale(ds) == 0.0
 
 
-def test_generate_linear_zero_signal():
+def test_simulate_linear_zero_signal():
     cov = model.CovarianceModel.identity(3)
     ds = model.simulate(cov, np.zeros(3), 20, SQUARED, "gaussian", 1.0,
                         seed=2)

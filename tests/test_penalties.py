@@ -11,7 +11,7 @@ from penexp.penalties import (GroupPenalty, L1BallConstraint, project_l1_ball,
 
 
 def two_groups():
-    return GroupStructure.contiguous(2, 2)
+    return GroupStructure(2, 2)
 
 
 def test_penalty_value_l1():
@@ -60,7 +60,7 @@ def test_block_norms_equal_linalg_norm_bitwise(d):
     x = rng.standard_normal((3, 500, d)) * 10.0 ** rng.integers(-8, 9, (
         3, 500, d))
     x[0, :50] = 0.0
-    norms = GroupStructure.contiguous(500, d).norms(x.reshape(3, 500 * d))
+    norms = GroupStructure(500, d).norms(x.reshape(3, 500 * d))
     assert np.array_equal(norms, np.linalg.norm(x, axis=-1))
 
 
@@ -73,7 +73,7 @@ def test_prox_group_block_shrinkage():
 
 
 @pytest.mark.parametrize("pen", [
-    L1BallConstraint(1.0), GroupPenalty(0.5, GroupStructure.contiguous(1, 1))],
+    L1BallConstraint(1.0), GroupPenalty(0.5, GroupStructure(1, 1))],
     ids=lambda pen: type(pen).__name__)
 def test_prox_step_scaling(pen):
     # prox of t*h: threshold is t*lambda (the ball projects whatever t is)
@@ -90,7 +90,7 @@ def _penalty_batch_step(draw):
     level = draw(st.floats(0.0, 3.0))
     pen = draw(st.sampled_from([
         lasso(level, M * d), L1BallConstraint(max(level, 0.01)),
-        GroupPenalty(level, GroupStructure.contiguous(M, d))]))
+        GroupPenalty(level, GroupStructure(M, d))]))
     rows = draw(st.integers(1, 5))
     X = draw(hnp.arrays(float, (rows, M * d),
                         elements=st.floats(-5.0, 5.0, allow_nan=False)))
@@ -157,7 +157,7 @@ def test_projection_idempotent():
 def test_prox_is_lipschitz():
     rng = np.random.default_rng(11)
     specs = [lasso(0.7, 12), L1BallConstraint(3.0),
-             GroupPenalty(0.5, GroupStructure.contiguous(4, 3))]
+             GroupPenalty(0.5, GroupStructure(4, 3))]
     for spec in specs:
         for _ in range(1000):
             x = rng.normal(size=12)
@@ -169,7 +169,7 @@ def test_prox_is_lipschitz():
 def test_prox_optimality_residual():
     rng = np.random.default_rng(13)
     specs = [lasso(0.7, 12), L1BallConstraint(3.0),
-             GroupPenalty(0.5, GroupStructure.contiguous(4, 3))]
+             GroupPenalty(0.5, GroupStructure(4, 3))]
     for spec in specs:
         for _ in range(100):
             t = float(rng.uniform(0.1, 3.0))
@@ -213,7 +213,7 @@ def test_group_prox_singletons_equal_soft_threshold():
 def test_singleton_groups_build_no_index_arrays():
     # the lasso at p = 6400 and its working-set restrictions hold M and d
     # alone; the index arrays come only when groups is read
-    gs = GroupStructure.contiguous(6400, 1)
+    gs = GroupStructure(6400, 1)
     pen = GroupPenalty(0.1, gs)
     rng = np.random.default_rng(4)
     b, g = rng.normal(size=6400), rng.normal(size=6400)
@@ -262,7 +262,7 @@ def test_residual_l1_brute_force():
 
 def test_residual_group_brute_force():
     rng = np.random.default_rng(6)
-    gs = GroupStructure.contiguous(4, 3)
+    gs = GroupStructure(4, 3)
     lam = 0.5
     for _ in range(200):
         beta = rng.normal(size=12)
@@ -287,7 +287,7 @@ def test_residual_group_brute_force():
 
 @pytest.mark.parametrize("pen, kept", [
     (lasso(0.3, 12), [1, 3]), (L1BallConstraint(1.5), [1, 3]),
-    (GroupPenalty(0.3, GroupStructure.contiguous(4, 3)), [3, 4, 5, 9, 10, 11])],
+    (GroupPenalty(0.3, GroupStructure(4, 3)), [3, 4, 5, 9, 10, 11])],
     ids=["lasso", "L1BallConstraint", "GroupPenalty"])
 def test_restriction_acts_on_the_kept_units(pen, kept):
     # on a vector that is zero outside the kept units, the restricted
