@@ -16,14 +16,14 @@ the process's BLAS thread setting. The previous counts come back afterwards.
 No barrier holds the tasks: each waits only for its own point's set-up,
 which was queued ahead of every task and so is running or done by then.
 
-Outputs, in the directory given to run_experiment: records.csv (RFC 4180,
-fixed header, floats at 17 significant digits), timings.csv (the wall time
-of each solve call on the harness's clock, kept out of records.csv so reruns
-are byte-identical, and the full passes over X or K of each solve) and
-summary.json: per grid point the medians, quartiles and frequencies of its
-certified tasks, the totals summed from them, and the rate fits through
-those medians. Each is written to a temporary name and renamed into place,
-never read back.
+Outputs, in the directory given to run_experiment, each CSV cell written by
+its column's type in RECORD_SCHEMA or TIMING_SCHEMA: records.csv (RFC 4180,
+floats at 17 significant digits), timings.csv (each solve call's wall time
+on the harness's clock, kept out of records.csv so reruns are byte-identical,
+and its full passes over X or K) and summary.json: per point the medians,
+quartiles and frequencies of its certified tasks, the totals summed from
+them, and the rate fits through those medians. All three are built, written
+to temporary names and then renamed into place together, never read back.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import ctypes
+import io
 import json
 import math
 import os
@@ -62,8 +63,10 @@ RECORD_SCHEMA = dict(
     nnz_coords=int, nnz_groups=int, sparsity_bound=float, sparsity_ok=bool,
 )
 RECORD_FIELDS = list(RECORD_SCHEMA)
-TIMING_FIELDS = ["point", "rep", "est_time", "exp_time", "est_passes",
-                 "exp_passes"]
+# The timings.csv columns the same way: each solve's wall time and passes.
+TIMING_SCHEMA = dict(point=int, rep=int, est_time=float, exp_time=float,
+                     est_passes=int, exp_passes=int)
+TIMING_FIELDS = list(TIMING_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -281,51 +284,50 @@ def _run_task(cfg, setup, point_idx, rep_idx):
                         cfg.noise_sd, seed)
     penalty, level = _make_penalty(cfg, setup, loss, ds)
 
-    rec = {k: None for k in RECORD_FIELDS}
-    rec.update(point=point_idx, n=pt.n, p=pt.p, s=pt.s, M=pt.M, d=pt.d,
+    # one row holds the cells of both CSV files
+    row = dict.fromkeys(RECORD_SCHEMA | TIMING_SCHEMA)
+    row.update(point=point_idx, n=pt.n, p=pt.p, s=pt.s, M=pt.M, d=pt.d,
                rep=rep_idx, seed=seed, r_n=setup.r_n, penalty_level=level)
-    timing = {k: None for k in TIMING_FIELDS}
-    timing.update(point=point_idx, rep=rep_idx)
 
     t0 = time.perf_counter()
     est = solver.fit_penalized(ds, loss, penalty, solver_cfg)
-    timing.update(est_time=time.perf_counter() - t0, est_passes=est.passes)
-    rec.update(est_iterations=est.iterations, est_kkt=est.kkt_residual,
+    row.update(est_time=time.perf_counter() - t0, est_passes=est.passes,
+               est_iterations=est.iterations, est_kkt=est.kkt_residual,
                est_converged=est.converged)
     err_est = setup.curv.norm(est.solution - setup.beta_star)
-    rec["err_est"] = err_est
+    row["err_est"] = err_est
 
     if cfg.experiment == "fit":
-        return rec, timing
+        return row
 
     t0 = time.perf_counter()
     exp = solver.fit_expansion(ds, loss, setup.curv, setup.beta_star, penalty,
                                solver_cfg)
-    timing.update(exp_time=time.perf_counter() - t0, exp_passes=exp.passes)
-    rec.update(exp_iterations=exp.iterations, exp_kkt=exp.kkt_residual,
+    row.update(exp_time=time.perf_counter() - t0, exp_passes=exp.passes,
+               exp_iterations=exp.iterations, exp_kkt=exp.kkt_residual,
                exp_converged=exp.converged)
     err_exp = setup.curv.norm(exp.solution - setup.beta_star)
     gap = setup.curv.norm(exp.solution - est.solution)
     denom = err_est + err_exp
-    rec.update(err_exp=err_exp, gap=gap,
+    row.update(err_exp=err_exp, gap=gap,
                ratio=gap / denom if denom > 0 else None)
 
     if cfg.experiment == "cone_check":
         in_est = setup.cone.member(est.solution - setup.beta_star)
         in_exp = setup.cone.member(exp.solution - setup.beta_star)
-        rec.update(cone_est=in_est, cone_exp=in_exp,
+        row.update(cone_est=in_est, cone_exp=in_exp,
                    cone_both=in_est and in_exp)
     elif cfg.experiment == "risk_identity":
-        rec.update(diagnostics.risk_identity_check(
+        row.update(diagnostics.risk_identity_check(
             ds, est.solution, exp.solution, penalty, cfg.mc_inner, seed))
     elif cfg.experiment == "coverage":
         # a = e_1: the first coordinate
-        rec.update(diagnostics.debiased_estimate(
+        row.update(diagnostics.debiased_estimate(
             ds, est.solution, np.eye(1, pt.p)[0], cfg.noise_sd))
     elif cfg.experiment == "sparsity_check":
-        rec.update(diagnostics.sparsity_count(
+        row.update(diagnostics.sparsity_count(
             exp.solution, setup.sparsity_bound, setup.groups))
-    return rec, timing
+    return row
 
 
 # Thread-count functions, %s = get or set: numpy's OpenBLAS (64-bit
@@ -408,55 +410,47 @@ def run_experiment(cfg, out, threads=0):
         pending = {i: pool.submit(_setup_point, cfg, cfg.grid[i])
                    for i in by_size}
         try:
-            results = list(pool.map(work, tasks))
+            rows = list(pool.map(work, tasks))
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
     # pool.map keeps the task order, which is (point, rep)
-    records = [r for r, _ in results]
-    timings = [t for _, t in results]
-
-    summary = summarize(cfg, records)
-    # strict JSON: a NaN or infinity raises here, before any file is written
-    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    _write_csv(os.path.join(out, "records.csv"), RECORD_FIELDS, records)
-    _write_csv(os.path.join(out, "timings.csv"), TIMING_FIELDS, timings)
-    with _replacing(os.path.join(out, "summary.json")) as fh:
-        fh.write(text + "\n")
+    summary = summarize(cfg, rows)
+    # every text is built before any file is written: strict JSON raises
+    # on a NaN or infinity here
+    texts = {"records.csv": _csv_text(RECORD_SCHEMA, rows),
+             "timings.csv": _csv_text(TIMING_SCHEMA, rows),
+             "summary.json": json.dumps(summary, indent=2, sort_keys=True,
+                                        allow_nan=False) + "\n"}
+    path = {name: os.path.join(out, name) for name in texts}
+    try:
+        for name, text in texts.items():
+            with open(path[name] + ".tmp", "w", newline="") as fh:
+                fh.write(text)
+        for name in texts:
+            os.replace(path[name] + ".tmp", path[name])
+    finally:
+        for name in texts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path[name] + ".tmp")
     return summary
 
 
-@contextlib.contextmanager
-def _replacing(path):
-    """Write to a temporary file that replaces path, or is removed on error."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+# A cell's text by its column's type; None is the empty cell.
+_CELL_TEXT = {bool: lambda v: "true" if v else "false",
+              int: lambda v: format(v, "d"),
+              float: lambda v: format(v, ".17g")}
 
 
-def _format_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def _write_csv(path, fields, rows):
-    with _replacing(path) as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([_format_cell(row[k]) for k in fields])
+def _csv_text(schema, rows):
+    """RFC 4180 text of rows under schema's columns, each cell written by
+    its column's declared type."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(schema)
+    writer.writerows(["" if row[k] is None else _CELL_TEXT[kind](row[k])
+                      for k, kind in schema.items()] for row in rows)
+    return buf.getvalue()
 
 
 def _quantiles(vals):

@@ -205,6 +205,13 @@ def test_readme_output_section_lists_every_record_column():
     assert listed == harness.RECORD_FIELDS
 
 
+def test_readme_output_section_lists_every_timing_column():
+    # the backticked list after "`timings.csv` (" is that file's header
+    section = _readme().split("## Output files\n", 1)[1].split("\n## ", 1)[0]
+    cols = section.split("`timings.csv` (", 1)[1].split(")", 1)[0]
+    assert re.findall(r"`([^`]*)`", cols) == list(harness.TIMING_SCHEMA)
+
+
 def test_readme_cli_section_lists_every_subcommand():
     # the "Subcommands:" sentence and the example block under "CLI" name
     # exactly the subcommands the parser has

@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import penexp
-from penexp import cli, harness
+from penexp import cli, diagnostics, harness
 from penexp.cones import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
                             RECORD_SCHEMA, TIMING_FIELDS, parse_config,
@@ -529,24 +530,27 @@ def test_an_unusable_out_fails_before_any_set_up(tmp_path, monkeypatch,
     assert taken.read_text() == "not a directory"
 
 
+@pytest.mark.parametrize("name", ["records.csv", "timings.csv",
+                                  "summary.json"])
 def test_a_failed_write_leaves_the_previous_output_whole(tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, name):
     run_tiny(tmp_path, "out")
     out = tmp_path / "out"
     before = {f: (out / f).read_bytes() for f in os.listdir(out)}
-    # the records writer raises after a few rows' cells of a rerun
-    format_cell = harness._format_cell
-    cells = []
+    assert sorted(before) == ["records.csv", "summary.json", "timings.csv"]
+    # a rerun with another seed, whose temporary for name cannot be opened
+    real_open = builtins.open
 
-    def failing(v):
-        cells.append(v)
-        if len(cells) > 3 * len(RECORD_FIELDS):
-            raise RuntimeError("disk full")
-        return format_cell(v)
+    def failing(file, *args, **kwargs):
+        if os.path.basename(os.fspath(file)) == name + ".tmp":
+            raise OSError("disk full")
+        return real_open(file, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "_format_cell", failing)
-    with pytest.raises(RuntimeError, match="disk full"):
+    monkeypatch.setattr(builtins, "open", failing)
+    with pytest.raises(OSError, match="disk full"):
         run_tiny(tmp_path, "out", master_seed=12)
+    monkeypatch.undo()
+    # all three previous files are whole, and no temporary is left
     assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
 
 
@@ -568,7 +572,7 @@ def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,
         grid=(GridPoint(100, 60, 3),), replications=1)
     setup = harness._setup_point(cfg, cfg.grid[0])
     assert calls == []
-    rec, _ = harness._run_task(cfg, setup, 0, 0)
+    rec = harness._run_task(cfg, setup, 0, 0)
     assert rec["exp_converged"] and rec["gap"] > 0
     assert calls == []
 
@@ -699,7 +703,7 @@ def test_fit_experiment_kind(tmp_path):
     assert_fits_match_records(summary, recs)
 
 
-# _format_cell's text for each cell type: flags, str(int) and
+# the writer's text for each cell type: flags, format(int, "d") and
 # format(float, ".17g")
 CELL_TEXT = {bool: "true|false", int: "-?[0-9]+",
              float: r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|nan|-?inf"}
@@ -729,14 +733,15 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
     group = penalty == "group_lasso"
     point = GridPoint(100, 40, 2, M=10, d=4) if group else \
         GridPoint(100, 40, 2)
-    write_csv = harness._write_csv
-    written = {}
+    csv_text = harness._csv_text
+    written = []
 
-    def keep(path, fields, rows):
-        written[os.path.basename(path)] = rows
-        write_csv(path, fields, rows)
+    def keep(schema, rows):
+        if schema is RECORD_SCHEMA:
+            written[:] = [{k: row[k] for k in RECORD_FIELDS} for row in rows]
+        return csv_text(schema, rows)
 
-    monkeypatch.setattr(harness, "_write_csv", keep)
+    monkeypatch.setattr(harness, "_csv_text", keep)
     body = {}
     for threads in (1, 2):
         out = tmp_path / str(threads)
@@ -752,7 +757,7 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
         filled |= {"M", "d"}
     else:
         filled -= {"nnz_groups"}  # there are no groups to count
-    records = written["records.csv"]
+    records = written
     assert len(records) == 2
     for rec in records:
         assert rec["est_converged"] is True
@@ -770,8 +775,27 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
             assert v == "" or re.fullmatch(CELL_TEXT[RECORD_SCHEMA[k]], v), \
                 (k, v)
     loaded = read_records(tmp_path / "2" / "records.csv")
-    write_csv(str(tmp_path / "again.csv"), RECORD_FIELDS, loaded)
-    assert (tmp_path / "again.csv").read_bytes() == body[2]
+    assert csv_text(RECORD_SCHEMA, loaded).encode() == body[2]
+
+
+def test_a_numpy_flag_is_written_by_its_column_type(tmp_path, monkeypatch):
+    # sparsity_ok is declared bool, so a numpy.bool_ cell is written as a
+    # Python bool is (str(np.True_) would write "True")
+    kw = dict(experiment="sparsity_check", grid=(GridPoint(100, 40, 2),),
+              replications=2)
+    run_tiny(tmp_path, "plain", **kw)
+    real_count = diagnostics.sparsity_count
+
+    def numpy_flag(*args):
+        cells = real_count(*args)
+        return dict(cells, sparsity_ok=np.bool_(cells["sparsity_ok"]))
+
+    monkeypatch.setattr(diagnostics, "sparsity_count", numpy_flag)
+    run_tiny(tmp_path, "numpy", **kw)
+    body = (tmp_path / "numpy" / "records.csv").read_bytes()
+    with open(tmp_path / "numpy" / "records.csv", newline="") as fh:
+        assert [r["sparsity_ok"] for r in csv.DictReader(fh)] == ["true"] * 2
+    assert body == (tmp_path / "plain" / "records.csv").read_bytes()
 
 
 def test_cli_experiment_prints_the_summary_rate_fit(tmp_path, capsys):

@@ -39,7 +39,7 @@ def test_logistic_loss_is_convex_form():
         assert LOGISTIC.d2(1.0, u) > 0
 
 
-def test_log1pexp_stable():
+def test_logistic_value_is_stable_far_out():
     # at y = 1 the logistic loss is log(1 + e^u)
     assert LOGISTIC.value(1.0, 0.0) == pytest.approx(np.log(2.0))
     assert LOGISTIC.value(1.0, 1000.0) == pytest.approx(1000.0)
@@ -388,7 +388,7 @@ def _bound_with_unit_norm_ratio(cov, xi=1.0):
     return float(1.0 + cov.eig_max * factor * factor / (phi * phi))
 
 
-def test_norm_ratio_bound():
+def test_sparsity_bound_b3_norm_ratio():
     # B3, the largest ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2: exactly 1 for
     # K = Sigma, and 1/relative_bounds[0] for a rank-one update
     cov = model.CovarianceModel.ar1(4, 0.5)
@@ -408,7 +408,7 @@ def test_norm_ratio_bound():
     assert ratio == pytest.approx(5.0, rel=1e-10)
 
 
-def test_norm_ratio_bound_of_identical_matrices_is_exactly_one():
+def test_sparsity_bound_b3_of_identical_matrices_is_exactly_one():
     # no p x p product or eigendecomposition: 72 MB per I at p = 3000.
     # C_max = phi = 1 on the identity, so B3 = 1 gives exactly 1 + 16^2.
     tracemalloc.start()
@@ -427,7 +427,7 @@ def test_norm_ratio_bound_of_identical_matrices_is_exactly_one():
         _bound_with_unit_norm_ratio(cov)
 
 
-def test_norm_ratio_bound_vs_power_iteration():
+def test_sparsity_bound_b3_vs_power_iteration():
     cov = model.CovarianceModel.identity(4)
     beta = np.zeros(4)
     beta[0] = 1.0
