@@ -4,8 +4,9 @@ identity, de-biased inference, and sparsity counts and bounds.
 risk_identity_check, debiased_estimate and sparsity_count return the
 records.csv cells they fill, keyed by column.
 
-The exact-risk machinery applies under a Gaussian design with identity
-covariance and squared loss; those hypotheses are enforced, not extrapolated.
+The hypotheses of the risk identity and of the interval are each written
+once, in risk_identity_hypotheses and interval_hypotheses: the harness
+refuses a config with them, and the diagnostic each dataset it is given.
 """
 
 import numpy as np
@@ -53,6 +54,26 @@ def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
     return risk, se
 
 
+def risk_identity_hypotheses(model_kind, design, covariance):
+    """Raise ValueError unless the risk identity is exact: linear data
+    (squared loss) from a Gaussian design with identity covariance."""
+    if model_kind != "linear" or design != "gaussian" or \
+            covariance is None or not covariance.is_identity:
+        raise ValueError("the risk identity needs linear data (squared "
+                         "loss), a gaussian design and the identity "
+                         "covariance; refusing to extrapolate")
+
+
+def interval_hypotheses(model_kind, noise_sd):
+    """Raise ValueError unless the de-biased interval applies: linear data
+    (squared loss) drawn with noise_sd > 0, its half-width being
+    1.96 noise_sd/sqrt(n)."""
+    if model_kind != "linear" or not noise_sd > 0:
+        raise ValueError("de-biased intervals need linear data with "
+                         "noise_sd > 0, got %s data with noise_sd %r"
+                         % (model_kind, noise_sd))
+
+
 def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
     """Compare the realized estimation error against the prox-risk identity.
 
@@ -60,17 +81,11 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
     at the realized noise scale (Monte Carlo s.e. risk_mc_se), risk_ratio
     their ratio (None when risk_rhs is 0), and risk_ok whether they differ
     by at most risk_bound = 3 sigma/sqrt(n) + ||beta_hat - eta||: the
-    paper's sigma (t+1)/sqrt(n) at t = 2. The identity is exact only for
-    linear data from a Gaussian design with identity covariance; anything
-    else is refused with ValueError.
+    paper's sigma (t+1)/sqrt(n) at t = 2. A dataset outside
+    risk_identity_hypotheses is refused with its ValueError.
     """
-    if dataset.model_kind != "linear":
-        raise ValueError("risk identity applies to linear data")
-    if dataset.design_kind != "gaussian":
-        raise ValueError("risk identity requires a gaussian design")
-    if dataset.covariance is None or not dataset.covariance.is_identity:
-        raise ValueError("risk identity requires the identity covariance; "
-                         "refusing to extrapolate")
+    risk_identity_hypotheses(dataset.model_kind, dataset.design_kind,
+                             dataset.covariance)
     beta_hat = np.asarray(beta_hat, dtype=float)
     eta = np.asarray(eta, dtype=float)
     sigma = noise_scale(dataset)
@@ -97,16 +112,14 @@ def debiased_estimate(dataset, beta_hat, a, noise_sd):
     error is about N(0, noise_sd^2/n), where noise_sd is the noise sd the
     linear data were drawn with. The interval half-width is
     1.96 noise_sd/sqrt(n): covered says whether it holds the target, and
-    t_stat is sqrt(n) (theta_hat - target)/noise_sd. A dataset without a
-    covariance is refused with ValueError.
+    t_stat is sqrt(n) (theta_hat - target)/noise_sd. A dataset outside
+    interval_hypotheses, or without a covariance, is refused with
+    ValueError.
     """
     a = np.asarray(a, dtype=float)
     if not np.any(a != 0.0):
         raise ValueError("direction a must be nonzero")
-    if dataset.model_kind != "linear" or not noise_sd > 0:
-        raise ValueError("de-biased intervals need linear data with "
-                         "noise_sd > 0, got %s data with noise_sd %r"
-                         % (dataset.model_kind, noise_sd))
+    interval_hypotheses(dataset.model_kind, noise_sd)
     if dataset.covariance is None:
         raise ValueError("de-biased intervals need the covariance the "
                          "design was drawn from")

@@ -47,7 +47,7 @@ from .losses import curvature_matrix, get_loss
 from .penalties import GroupPenalty, L1BallConstraint
 
 EXPERIMENT_KINDS = ("rates", "risk_identity", "coverage", "cone_check",
-                    "sparsity_check", "fit")
+                    "sparsity_check")
 PENALTY_KINDS = ("l1_penalized", "l1_constrained", "group_lasso")
 
 # Each records.csv column in header order, with the type of its cells:
@@ -62,11 +62,9 @@ RECORD_SCHEMA = dict(
     risk_ok=bool, theta_hat=float, target=float, covered=bool, t_stat=float,
     nnz_coords=int, nnz_groups=int, sparsity_bound=float, sparsity_ok=bool,
 )
-RECORD_FIELDS = list(RECORD_SCHEMA)
 # The timings.csv columns the same way: each solve's wall time and passes.
 TIMING_SCHEMA = dict(point=int, rep=int, est_time=float, exp_time=float,
                      est_passes=int, exp_passes=int)
-TIMING_FIELDS = list(TIMING_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -146,19 +144,9 @@ class ExperimentConfig:
                 raise ValueError("only group_lasso runs take M and d, got %r"
                                  % (pt,))
         if self.experiment == "risk_identity":
-            if (self.loss, cov.is_identity, self.design) != \
-                    ("squared", True, "gaussian"):
-                raise ValueError(
-                    "risk_identity runs require squared loss, identity "
-                    "covariance and gaussian design")
+            diagnostics.risk_identity_hypotheses(loss.model, self.design, cov)
         if self.experiment == "coverage":
-            if self.loss != "squared":
-                raise ValueError("coverage runs require squared loss "
-                                 "(linear data)")
-            if self.noise_sd == 0:
-                raise ValueError("coverage runs need noise_sd > 0: the "
-                                 "interval half-width is 1.96 "
-                                 "noise_sd/sqrt(n)")
+            diagnostics.interval_hypotheses(loss.model, self.noise_sd)
         # validates the solves' tolerance and iteration budget
         solver.SolverConfig(self.max_iters, self.kkt_tol)
 
@@ -294,11 +282,6 @@ def _run_task(cfg, setup, point_idx, rep_idx):
     row.update(est_time=time.perf_counter() - t0, est_passes=est.passes,
                est_iterations=est.iterations, est_kkt=est.kkt_residual,
                est_converged=est.converged)
-    err_est = setup.curv.norm(est.solution - setup.beta_star)
-    row["err_est"] = err_est
-
-    if cfg.experiment == "fit":
-        return row
 
     t0 = time.perf_counter()
     exp = solver.fit_expansion(ds, loss, setup.curv, setup.beta_star, penalty,
@@ -306,10 +289,11 @@ def _run_task(cfg, setup, point_idx, rep_idx):
     row.update(exp_time=time.perf_counter() - t0, exp_passes=exp.passes,
                exp_iterations=exp.iterations, exp_kkt=exp.kkt_residual,
                exp_converged=exp.converged)
+    err_est = setup.curv.norm(est.solution - setup.beta_star)
     err_exp = setup.curv.norm(exp.solution - setup.beta_star)
     gap = setup.curv.norm(exp.solution - est.solution)
     denom = err_est + err_exp
-    row.update(err_exp=err_exp, gap=gap,
+    row.update(err_est=err_est, err_exp=err_exp, gap=gap,
                ratio=gap / denom if denom > 0 else None)
 
     if cfg.experiment == "cone_check":
@@ -467,19 +451,13 @@ def _freq(flags):
     return freq, se
 
 
-def _certified(record):
-    """Did every solve of this task (the expansion, when run) converge?"""
-    return record["est_converged"] and (record["exp_converged"] is None
-                                       or record["exp_converged"])
-
-
 def summarize(cfg, records):
     """Medians, quartiles and frequencies per grid point, and the rate fits
     through those medians."""
     points = []
     for pi, pt in enumerate(cfg.grid):
         recs = [r for r in records if r["point"] == pi]
-        good = [r for r in recs if _certified(r)]
+        good = [r for r in recs if r["est_converged"] and r["exp_converged"]]
         entry = {
             "point": pi, "n": pt.n, "p": pt.p, "s": pt.s, "M": pt.M,
             "d": pt.d, "replications": len(recs),
@@ -521,7 +499,7 @@ def summarize(cfg, records):
         "replications": cfg.replications,
         "records": total,
         "failed": failed,
-        "failed_fraction": failed / total if total else 0.0,
+        "failed_fraction": failed / total,
         "points": points,
         "rate_fit": rate_fit(points, "gap"),
         "rate_fits": {m: rate_fit(points, m) for m in ("err_est", "err_exp")},

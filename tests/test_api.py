@@ -1,8 +1,8 @@
 """The package holds only what the package itself uses.
 
-Every public top-level function and class defined in src/penexp must be
-used by code in src/penexp other than its own definition; an import alone
-is not a use. Every public member of those classes (method, property,
+Every public top-level function, class and constant defined in src/penexp
+must be used by code in src/penexp other than its own definition; an import
+alone is not a use. Every public member of those classes (method, property,
 class attribute or dataclass field) must be read, as an attribute or a
 keyword argument, by src/penexp or the benchmark in bench/. Names that only
 tests would call belong in tests/oracles.py instead. The package root holds
@@ -54,10 +54,10 @@ def _modules(src=os.path.dirname(penexp.__file__)):
 
 
 def _public_definitions():
-    """Public top-level functions and classes of the package modules."""
-    return {top.name for tree in _modules() for top in tree.body
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-            and not top.name.startswith("_")}
+    """Public top-level functions, classes and constants (names assigned at
+    module level) of the package modules."""
+    names = {_defined_name(top) for tree in _modules() for top in tree.body}
+    return {name for name in names if name and not name.startswith("_")}
 
 
 def _used_names():
@@ -202,7 +202,7 @@ def test_readme_output_section_lists_every_record_column():
     section = _readme().split("## Output files\n", 1)[1].split("\n## ", 1)[0]
     lists = re.findall(r"^- `([^`]*)`", section, re.M)
     listed = [c.strip() for cols in lists for c in cols.split(",")]
-    assert listed == harness.RECORD_FIELDS
+    assert listed == list(harness.RECORD_SCHEMA)
 
 
 def test_readme_output_section_lists_every_timing_column():

@@ -10,6 +10,7 @@ from oracles import (curvature_fluctuations, curvature_lower_bound,
 from penexp.diagnostics import (MC_CHUNK_ELEMENTS, debiased_estimate,
                                 prox_risk_mc, risk_identity_check,
                                 sparsity_bound, sparsity_count)
+from penexp.harness import parse_config
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
                           generate_design, stream_rng)
@@ -167,21 +168,30 @@ def test_risk_identity_small_run():
     assert 0.5 <= rep["risk_ratio"] <= 2.0
 
 
+def refused_config(lines):
+    """The message a config with these lines is refused with."""
+    with pytest.raises(ValueError) as refusal:
+        parse_config("%s\ngrid = n=50 p=20 s=2\n" % lines)
+    return str(refusal.value)
+
+
 def test_risk_identity_refusals():
+    # each dataset is refused with the message that refuses the config
+    # asking for it: both read risk_identity_hypotheses
     cov = CovarianceModel.identity(10)
     X = generate_design(cov, 40, seed=5)
     beta = flat_signal(10, 2, 0.5)
     logit = make_dataset(X, beta, LG, 1.0, 6, covariance=cov)
-    with pytest.raises(ValueError, match="applies to linear data"):
-        risk_identity_check(logit, beta, beta, lasso(0.1, 10), 10, 1)
-
     ds_ar = linear_dataset(40, 10, 2, seed=7, rho=0.5)
-    with pytest.raises(ValueError, match="requires the identity covariance"):
-        risk_identity_check(ds_ar, beta, beta, lasso(0.1, 10), 10, 1)
-
     ds_rad = linear_dataset(40, 10, 2, seed=8, design_kind="rademacher")
-    with pytest.raises(ValueError, match="requires a gaussian design"):
-        risk_identity_check(ds_rad, beta, beta, lasso(0.1, 10), 10, 1)
+    for ds, line in ((logit, "loss = logistic"),
+                     (ds_ar, "covariance = ar1:0.5"),
+                     (ds_rad, "design = rademacher")):
+        message = refused_config("experiment = risk_identity\n" + line)
+        assert message.startswith("the risk identity needs linear data")
+        with pytest.raises(ValueError) as refusal:
+            risk_identity_check(ds, beta, beta, lasso(0.1, 10), 10, 1)
+        assert str(refusal.value) == message
 
 
 def test_debiased_at_truth():
@@ -236,15 +246,19 @@ def test_debiased_interval_consistency():
     assert seen == {True, False}
     with pytest.raises(ValueError, match="direction a must be nonzero"):
         debiased_estimate(ds, fit.solution, np.zeros(15), 1.0)
-    # the interval's half-width is 1.96 noise_sd/sqrt(n)
-    with pytest.raises(ValueError, match="need linear data with noise_sd > 0"):
-        debiased_estimate(ds, fit.solution, np.eye(15)[0], 0.0)
-    # and logistic labels have no noise sd
+    # the interval's half-width is 1.96 noise_sd/sqrt(n), and logistic
+    # labels have no noise sd; each refusal is the one of the config asking
+    # for it, as both read interval_hypotheses
     logit = make_dataset(ds.X, ds.beta_star, LG, 1.0, 60,
                          covariance=ds.covariance)
-    with pytest.raises(ValueError, match="need linear data with noise_sd > "
-                       "0, got logistic data"):
-        debiased_estimate(logit, fit.solution, np.eye(15)[0], 1.0)
+    for data, sd, line, message in (
+            (ds, 0.0, "noise_sd = 0", "need linear data with noise_sd > 0"),
+            (logit, 1.0, "loss = logistic",
+             "need linear data with noise_sd > 0, got logistic data")):
+        with pytest.raises(ValueError, match=message) as refusal:
+            debiased_estimate(data, fit.solution, np.eye(15)[0], sd)
+        assert str(refusal.value) == \
+            refused_config("experiment = coverage\n" + line)
     # the direction is normalized by the Sigma the design was drawn from,
     # which a dataset built without one does not name
     bare = make_dataset(ds.X, ds.beta_star, SQ, 1.0, 60)

@@ -15,9 +15,9 @@ import pytest
 import penexp
 from penexp import cli, diagnostics, harness
 from penexp.cones import lasso_rate
-from penexp.harness import (ExperimentConfig, GridPoint, RECORD_FIELDS,
-                            RECORD_SCHEMA, TIMING_FIELDS, parse_config,
-                            rate_fit, run_experiment, task_seed)
+from penexp.harness import (ExperimentConfig, GridPoint, RECORD_SCHEMA,
+                            TIMING_SCHEMA, parse_config, rate_fit,
+                            run_experiment, task_seed)
 
 
 CONFIG_TEXT = """\
@@ -148,6 +148,9 @@ def test_experiment_config_rejections(tmp_path):
         ExperimentConfig(**dict(base, replications=0))
     with pytest.raises(ValueError, match="unknown experiment kind 'volume'"):
         ExperimentConfig(**dict(base, experiment="volume"))
+    # every run expands: there is no kind that fits alone
+    with pytest.raises(ValueError, match="unknown experiment kind 'fit'"):
+        ExperimentConfig(**dict(base, experiment="fit"))
     # group runs need matching M*d = p
     with pytest.raises(ValueError, match="grid point needs p = M\\*d"):
         ExperimentConfig(experiment="rates", penalty="group_lasso",
@@ -166,13 +169,13 @@ def test_experiment_config_rejections(tmp_path):
                      "grid = n=50 p=20 s=2\n")
     for line in ("covariance = ar1:0.5", "loss = logistic",
                  "design = rademacher"):
-        with pytest.raises(ValueError, match="risk_identity runs require"):
+        with pytest.raises(ValueError, match="the risk identity needs"):
             parse_config("experiment = risk_identity\n%s\n"
                          "grid = n=50 p=20 s=2\n" % line)
     # the rule reads the covariance's Sigma, not its spelling
     assert parse_config("experiment = risk_identity\ncovariance = ar1:0\n"
                         "grid = n=50 p=20 s=2\n").covariance == "ar1:0"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need linear data"):
         parse_config("experiment = coverage\nloss = logistic\n"
                      "grid = n=50 p=20 s=2\n")
     # the logistic curvature matrix exists in closed form only for a
@@ -334,7 +337,7 @@ def read_records(path):
 def assert_typed_as_written(recs):
     # each cell comes back with its column's type, an integral float too
     for rec in recs:
-        assert list(rec) == RECORD_FIELDS
+        assert list(rec) == list(RECORD_SCHEMA)
         for k, v in rec.items():
             assert v is None or type(v) is RECORD_SCHEMA[k], (k, v)
 
@@ -343,7 +346,7 @@ def test_run_experiment_outputs(tmp_path):
     cfg, summary = run_tiny(tmp_path, "a")
     out = tmp_path / "a"
     body = (out / "records.csv").read_bytes()
-    assert body.startswith((",".join(RECORD_FIELDS) + "\r\n").encode())
+    assert body.startswith((",".join(RECORD_SCHEMA) + "\r\n").encode())
     assert body.count(b"\r\n") == 1 + summary["records"]
     assert summary["records"] == 12
     assert summary["failed"] == 0
@@ -355,14 +358,13 @@ def test_run_experiment_outputs(tmp_path):
     assert_typed_as_written(recs)
     # the expansion on K = I ends at a zero residual
     assert any(r["exp_kkt"] == 0.0 for r in recs)
-    assert recs[0]["est_time"] if "est_time" in RECORD_FIELDS else True
     # summary.json round trips
     loaded = json.loads((out / "summary.json").read_text())
     assert loaded["rate_fit"]["slope"] == summary["rate_fit"]["slope"]
     # timings live in the sidecar, never in records.csv
-    assert "est_time" not in RECORD_FIELDS
+    assert "est_time" not in RECORD_SCHEMA
     tim = (out / "timings.csv").read_text()
-    assert tim.splitlines()[0] == ",".join(TIMING_FIELDS)
+    assert tim.splitlines()[0] == ",".join(TIMING_SCHEMA)
     assert len(tim.splitlines()) == 1 + summary["records"]
     # the expansion steps by the exact 1/eig_max of K = I, so it makes one
     # product with K per iteration, plus the one pass over X (X'eps) of its
@@ -600,7 +602,7 @@ def assert_fits_match_records(summary, recs):
     for metric, fit in fits.items():
         cells = {}
         for r in recs:
-            if r["est_converged"] and r["exp_converged"] is not False \
+            if r["est_converged"] and r["exp_converged"] \
                     and r[metric] is not None:
                 cells.setdefault(r["point"], (r["r_n"], []))[1].append(
                     r[metric])
@@ -683,40 +685,19 @@ def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
             assert all(e["median_gap"] > 0.0 for e in summary["points"])
 
 
-def test_fit_experiment_kind(tmp_path):
-    cfg = ExperimentConfig(experiment="fit",
-                           grid=(GridPoint(80, 20, 2), GridPoint(160, 20, 2),
-                                 GridPoint(320, 20, 2)),
-                           replications=3, master_seed=5)
-    summary = run_experiment(cfg, str(tmp_path / "fit"), threads=1)
-    recs = read_records(tmp_path / "fit" / "records.csv")
-    assert len(recs) == 9
-    for r in recs:
-        assert r["est_converged"] is True
-        assert r["exp_converged"] is None  # no expansion in fit runs
-        assert r["gap"] is None
-    assert all(e["median_err_est"] > 0 for e in summary["points"])
-    # the fit's error has a rate; there is no expansion to fit
-    assert summary["rate_fit"] is None
-    assert summary["rate_fits"]["err_exp"] is None
-    assert summary["rate_fits"]["err_est"] is not None
-    assert_fits_match_records(summary, recs)
-
-
 # the writer's text for each cell type: flags, format(int, "d") and
 # format(float, ".17g")
 CELL_TEXT = {bool: "true|false", int: "-?[0-9]+",
              float: r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|nan|-?inf"}
 
-# The columns every kind fills, those every kind but fit adds with its
-# expansion, and those each kind adds on top; group runs also fill M and d.
-FIT_COLUMNS = {"point", "n", "p", "s", "rep", "seed", "r_n",
-               "penalty_level", "err_est", "est_iterations", "est_kkt",
-               "est_converged"}
-EXPANSION_COLUMNS = {"err_exp", "gap", "ratio", "exp_iterations", "exp_kkt",
-                     "exp_converged"}
+# The columns every kind fills with its fit and expansion, and those each
+# kind adds on top; group runs also fill M and d.
+EVERY_KIND_COLUMNS = {
+    "point", "n", "p", "s", "rep", "seed", "r_n", "penalty_level", "err_est",
+    "err_exp", "gap", "ratio", "est_iterations", "exp_iterations", "est_kkt",
+    "exp_kkt", "est_converged", "exp_converged"}
 KIND_COLUMNS = {
-    "rates": set(), "fit": set(),
+    "rates": set(),
     "cone_check": {"cone_est", "cone_exp", "cone_both"},
     "risk_identity": {"risk_lhs", "risk_rhs", "risk_mc_se", "risk_ratio",
                       "risk_bound", "risk_ok"},
@@ -738,7 +719,7 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
 
     def keep(schema, rows):
         if schema is RECORD_SCHEMA:
-            written[:] = [{k: row[k] for k in RECORD_FIELDS} for row in rows]
+            written[:] = [{k: row[k] for k in RECORD_SCHEMA} for row in rows]
         return csv_text(schema, rows)
 
     monkeypatch.setattr(harness, "_csv_text", keep)
@@ -750,9 +731,7 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
             master_seed=2027, mc_inner=100), str(out), threads)
         body[threads] = (out / "records.csv").read_bytes()
     assert body[1] == body[2]
-    filled = FIT_COLUMNS | KIND_COLUMNS[kind]
-    if kind != "fit":
-        filled |= EXPANSION_COLUMNS
+    filled = EVERY_KIND_COLUMNS | KIND_COLUMNS[kind]
     if group:
         filled |= {"M", "d"}
     else:
@@ -761,7 +740,7 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
     assert len(records) == 2
     for rec in records:
         assert rec["est_converged"] is True
-        assert rec["exp_converged"] is (None if kind == "fit" else True)
+        assert rec["exp_converged"] is True
         assert {k for k, v in rec.items() if v is not None} == filled
     # the tasks give each cell its column's type, each cell's text is its
     # type's as the writer writes it, and parsing the file and writing it
@@ -769,13 +748,18 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
     assert_typed_as_written(records)
     with open(tmp_path / "2" / "records.csv", newline="") as fh:
         header, *rows = csv.reader(fh)
-    assert header == RECORD_FIELDS and len(rows) == 2
+    assert header == list(RECORD_SCHEMA) and len(rows) == 2
     for row in rows:
         for k, v in zip(header, row):
             assert v == "" or re.fullmatch(CELL_TEXT[RECORD_SCHEMA[k]], v), \
                 (k, v)
     loaded = read_records(tmp_path / "2" / "records.csv")
     assert csv_text(RECORD_SCHEMA, loaded).encode() == body[2]
+    # the ratios are their definitions, exactly: %.17g round-trips a double
+    for rec in loaded:
+        assert rec["ratio"] == rec["gap"] / (rec["err_est"] + rec["err_exp"])
+        if kind == "risk_identity":
+            assert rec["risk_ratio"] == rec["risk_lhs"] / rec["risk_rhs"]
 
 
 def test_a_numpy_flag_is_written_by_its_column_type(tmp_path, monkeypatch):
