@@ -1,5 +1,5 @@
-"""Verification quantities: Monte Carlo proximal-map risk and the risk
-identity, de-biased inference, and sparsity counts and bounds.
+"""Verification quantities: the risk identity, de-biased inference, and
+sparsity counts and bounds.
 
 risk_identity_check, debiased_estimate and sparsity_count return the
 records.csv cells they fill, keyed by column.
@@ -11,47 +11,7 @@ refuses a config with them, and the diagnostic each dataset it is given.
 
 import numpy as np
 
-from .model import noise_scale, stream_rng
-
-
-# Numbers drawn per chunk of the Monte Carlo risk: 256 KB of draws, so
-# that a chunk and the prox's output stay in cache.
-MC_CHUNK_ELEMENTS = 1 << 15
-
-
-def prox_risk_mc(penalty, beta_star, noise_scale, n, n_draws, seed):
-    """Monte Carlo E_Z ||b* - prox_h(b* + (sigma/sqrt(n)) Z)||^2 and s.e.
-
-    The draws come from stream purpose 4 of seed, in chunks of about
-    MC_CHUNK_ELEMENTS numbers. Philox normals come out in sequence, so the
-    chunk size changes neither the draws nor the result. Every chunk is
-    drawn into one reused buffer and worked in place: the draws become the
-    points, and the fresh array that penalty.prox returns becomes the
-    squared differences.
-    """
-    beta_star = np.asarray(beta_star, dtype=float)
-    n_draws = int(n_draws)
-    if n_draws < 2:
-        raise ValueError("need at least 2 draws")
-    tau = float(noise_scale) / np.sqrt(n)
-    rng = stream_rng(seed, 4)
-    vals = np.empty(n_draws)
-    done = 0
-    chunk = max(1, MC_CHUNK_ELEMENTS // max(beta_star.size, 1))
-    buf = np.empty((min(chunk, n_draws), beta_star.size))
-    while done < n_draws:
-        m = min(chunk, n_draws - done)
-        pts = rng.standard_normal(out=buf[:m])
-        pts *= tau
-        pts += beta_star
-        sq = penalty.prox(pts)
-        sq -= beta_star
-        sq *= sq
-        vals[done:done + m] = sq.sum(axis=1)
-        done += m
-    risk = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(n_draws))
-    return risk, se
+from .model import noise_scale
 
 
 def risk_identity_hypotheses(model_kind, design, covariance):
@@ -78,10 +38,13 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
     """Compare the realized estimation error against the prox-risk identity.
 
     risk_lhs is ||beta_hat - beta_star||, risk_rhs the root mean prox risk
-    at the realized noise scale (Monte Carlo s.e. risk_mc_se), risk_ratio
-    their ratio (None when risk_rhs is 0), and risk_ok whether they differ
-    by at most risk_bound = 3 sigma/sqrt(n) + ||beta_hat - eta||: the
-    paper's sigma (t+1)/sqrt(n) at t = 2. A dataset outside
+    at the realized noise scale from penalty.prox_risk, with s.e.
+    risk_mc_se: exact for GroupPenalty (the lasso and the group lasso),
+    where risk_mc_se is 0, and from n_mc Monte Carlo draws of stream
+    purpose 4 of seed for the l1 ball. risk_ratio is their ratio (None when
+    risk_rhs is 0), and risk_ok whether they differ by at most
+    risk_bound = 3 sigma/sqrt(n) + ||beta_hat - eta||: the paper's
+    sigma (t+1)/sqrt(n) at t = 2. A dataset outside
     risk_identity_hypotheses is refused with its ValueError.
     """
     risk_identity_hypotheses(dataset.model_kind, dataset.design_kind,
@@ -90,8 +53,8 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
     eta = np.asarray(eta, dtype=float)
     sigma = noise_scale(dataset)
     lhs = float(np.linalg.norm(beta_hat - dataset.beta_star))
-    risk, risk_se = prox_risk_mc(penalty, dataset.beta_star, sigma,
-                                 dataset.n, n_mc, seed)
+    risk, risk_se = penalty.prox_risk(dataset.beta_star, sigma, dataset.n,
+                                      n_mc, seed)
     rhs = float(np.sqrt(risk))
     # Delta method: s.e. of sqrt(risk).
     mc_se = float(risk_se / (2.0 * rhs)) if rhs > 0 else float(risk_se)

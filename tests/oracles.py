@@ -9,6 +9,7 @@ error cones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import mpmath
@@ -175,11 +176,11 @@ def logistic_moments_mpmath(v):
 
 
 def prox_risk_quadrature(penalty, beta_star, noise_scale, n):
-    """Coordinatewise adaptive-quadrature version of prox_risk_mc.
+    """Coordinatewise adaptive-quadrature version of the lasso's prox risk.
 
     Exact (to quadrature tolerance) for the lasso, the group penalty on
     groups of one coordinate, whose prox separates over coordinates; used as
-    an independent oracle against the MC path.
+    an independent oracle against GroupPenalty.prox_risk.
     """
     if not (isinstance(penalty, GroupPenalty) and penalty.groups.d == 1):
         raise ValueError("quadrature path covers the l1 penalty only")
@@ -197,17 +198,74 @@ def prox_risk_quadrature(penalty, beta_star, noise_scale, n):
             d = b - w
             return d * d * np.exp(-0.5 * z * z) / sq2pi
 
-        # Soft-threshold kinks in z; integrate smooth pieces separately.
-        kinks = sorted(((-lam - b) / tau, (lam - b) / tau))
-        pieces = [(-np.inf, kinks[0]), (kinks[0], kinks[1]), (kinks[1], np.inf)]
+        # Smooth pieces between the soft-threshold kinks in z and z = 0,
+        # where the Gaussian's mass is: a semi-infinite piece that starts
+        # at a kink far from 0 would miss it.
+        cuts = [-np.inf] + sorted({(-lam - b) / tau, (lam - b) / tau, 0.0}) \
+            + [np.inf]
         total += sum(quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-11)[0]
-                     for lo, hi in pieces)
+                     for lo, hi in zip(cuts, cuts[1:]))
     return float(total)
 
 
+def lasso_risk_erfc(level, beta_star, noise_scale, n):
+    """The lasso's prox risk in closed form, coordinate by coordinate.
+
+    With tau = noise_scale/sqrt(n), m = |b|/tau and t = level/tau, one
+    coordinate's risk is tau^2 [m^2 + (1 + t^2 - m^2) U - (t - m) phi(t + m)
+    - (t + m) phi(t - m)], U = Phi(m - t) + Phi(-m - t), written with erfc.
+    """
+    tau = float(noise_scale) / np.sqrt(n)
+    t = level / tau
+    total = 0.0
+    for b in np.asarray(beta_star, dtype=float):
+        m = abs(b) / tau
+        u = 0.5 * (math.erfc((t - m) / math.sqrt(2.0))
+                   + math.erfc((t + m) / math.sqrt(2.0)))
+        phi = [math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+               for z in (t + m, t - m)]
+        total += m * m + (1.0 + t * t - m * m) * u - (t - m) * phi[0] \
+            - (t + m) * phi[1]
+    return tau * tau * total
+
+
+def block_risk_mpmath(m, t, d, digits=40):
+    """Mean of block soft thresholding's Stein unbiased risk estimate, in
+    units of tau^2, by mpmath quadrature at the given number of digits.
+
+    The estimate is V - d for V = R^2 <= t^2 and t^2 + d - 2(d - 1) t/R
+    beyond, integrated against the noncentral chi^2_d(m^2) density of V,
+    with extra cut points around the density's bulk.
+    """
+    with mpmath.workdps(digits):
+        m, t, d = mpmath.mpf(m), mpmath.mpf(t), mpmath.mpf(d)
+        lam, t2 = m * m, t * t
+        if lam == 0:
+            def pdf(v):
+                return v ** (d / 2 - 1) * mpmath.exp(-v / 2) / (
+                    2 ** (d / 2) * mpmath.gamma(d / 2))
+        else:
+            def pdf(v):
+                return mpmath.exp(-(v + lam) / 2) / 2 * \
+                    (v / lam) ** (d / 4 - mpmath.mpf(1) / 2) * \
+                    mpmath.besseli(d / 2 - 1, mpmath.sqrt(lam * v))
+        mean, sd = lam + d, mpmath.sqrt(2 * (d + 2 * lam))
+        cuts = sorted({mpmath.mpf(0), t2} | {max(mpmath.mpf(0), mean + c * sd)
+                                              for c in (-12, -4, 0, 4, 12)})
+        below = [c for c in cuts if c <= t2]
+        above = [c for c in cuts if c >= t2] + [mpmath.inf]
+        killed = mpmath.quad(lambda v: (v - d) * pdf(v), below) \
+            if len(below) > 1 else 0
+        kept = mpmath.quad(
+            lambda v: (t2 + d - 2 * (d - 1) * t / mpmath.sqrt(v)) * pdf(v),
+            above)
+        return float(killed + kept)
+
+
 def prox_risk_unchunked(penalty, beta_star, noise_scale, n, n_draws, seed):
-    """prox_risk_mc's estimate and standard error from one (n_draws, p)
-    draw of the same stream, with the arithmetic written out plainly."""
+    """A Monte Carlo prox risk and its standard error from one (n_draws, p)
+    draw of stream purpose 4 of seed, the stream L1BallConstraint.prox_risk
+    draws in chunks, with the arithmetic written out plainly."""
     beta_star = np.asarray(beta_star, dtype=float)
     tau = float(noise_scale) / np.sqrt(n)
     Z = stream_rng(seed, 4).standard_normal((int(n_draws), beta_star.size))

@@ -15,7 +15,6 @@ from oracles import (curvature_matrix_mc, dense_covariance, lasso,
                      taylor_remainder_gap)
 from penexp import harness
 from penexp.cones import group_penalty_level, lasso_penalty_level
-from penexp.diagnostics import prox_risk_mc
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           flat_signal, generate_design, simulate, stream_rng)
@@ -167,7 +166,7 @@ def test_group_prox_risk_matches_blockwise_oracle():
     beta[15:20] = 1.4
     sigma, n = 1.2, 500
     draws = 300000
-    risk, se = prox_risk_mc(pen, beta, sigma, n, n_draws=draws, seed=1006)
+    risk, se = pen.prox_risk(beta, sigma, n, n_draws=draws, seed=1006)
 
     tau = sigma / np.sqrt(n)
     rng = stream_rng(1006, 77)

@@ -311,3 +311,15 @@ def test_minimax_rate_group():
     assert val == pytest.approx(manual, rel=1e-14)
     with pytest.raises(ValueError):
         group_rate(2000, M=5, d=4, s=5)
+
+
+def test_rates_accept_one_active_coordinate_or_group():
+    # s = 1 is the smallest sparsity both rates take
+    assert lasso_rate(100, p=20, s=1) == pytest.approx(
+        np.sqrt(2.0 * np.log(20.0) / 100.0), rel=1e-14)
+    assert group_rate(100, M=5, d=4, s=1) == pytest.approx(
+        np.sqrt((4 + np.log(5.0)) / 100.0), rel=1e-14)
+    for bad in (lambda: lasso_rate(100, p=20, s=0),
+                lambda: group_rate(100, M=5, d=4, s=0)):
+        with pytest.raises(ValueError):
+            bad()

@@ -1,20 +1,21 @@
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import (curvature_fluctuations, curvature_lower_bound,
-                     empirical_curvature_ratio, lasso, make_dataset,
-                     prox_risk_quadrature, prox_risk_unchunked,
-                     taylor_remainder_gap)
-from penexp.diagnostics import (MC_CHUNK_ELEMENTS, debiased_estimate,
-                                prox_risk_mc, risk_identity_check,
+from oracles import (block_risk_mpmath, curvature_fluctuations,
+                     curvature_lower_bound, empirical_curvature_ratio, lasso,
+                     lasso_risk_erfc, make_dataset, prox_risk_quadrature,
+                     prox_risk_unchunked, taylor_remainder_gap)
+from penexp.diagnostics import (debiased_estimate, risk_identity_check,
                                 sparsity_bound, sparsity_count)
 from penexp.harness import parse_config
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
                           generate_design, stream_rng)
-from penexp.penalties import GroupPenalty, L1BallConstraint
+from penexp.penalties import (MC_CHUNK_ELEMENTS, GroupPenalty,
+                              L1BallConstraint)
 from penexp.solver import fit_expansion, fit_penalized
 
 
@@ -34,26 +35,113 @@ def linear_dataset(n, p, s, seed, noise_sd=1.0, amplitude=1.0, rho=0.0,
 def test_prox_risk_identity_prox():
     # zero penalty level: prox is the identity, risk is tau^2 * p
     beta = np.array([1.0, -2.0, 0.0, 3.0])
-    risk, se = prox_risk_mc(lasso(0.0, 4), beta, 2.0, n=100, n_draws=40000,
-                            seed=11)
-    assert abs(risk - 4.0 * 4.0 / 100.0) <= 3.0 * se
+    risk, se = lasso(0.0, 4).prox_risk(beta, 2.0, 100, 40000, 11)
+    assert risk == pytest.approx(4.0 * 4.0 / 100.0, rel=1e-15)
+    assert se == 0.0
 
 
 def test_prox_risk_huge_level():
     # the prox collapses to zero, every draw contributes ||beta*||^2
     beta = np.array([1.0, -2.0, 0.5])
-    risk, se = prox_risk_mc(lasso(1e6, 3), beta, 1.0, n=50, n_draws=200,
-                            seed=3)
+    risk, se = lasso(1e6, 3).prox_risk(beta, 1.0, 50, 200, 3)
     assert risk == pytest.approx(float(beta @ beta), rel=1e-12)
     assert se == 0.0
 
 
-def test_prox_risk_mc_vs_quadrature():
-    beta = np.array([1.0, 0.0, 0.0])
-    pen = lasso(0.2, 3)
-    risk, se = prox_risk_mc(pen, beta, 1.0, n=100, n_draws=1000000, seed=17)
-    exact = prox_risk_quadrature(pen, beta, 1.0, n=100)
-    assert abs(risk - exact) <= 3.0 * se
+@pytest.mark.parametrize("level, beta, sigma, n", [
+    (0.2, [1.0, 0.0, 0.0], 1.0, 100),
+    (0.06, [1.0, 0.0], 1.0, 3200),
+    (0.3, [0.05, -0.2, 0.45, 2.0], 1.5, 40),
+    (0.5, [0.3, -1.0], 2.0, 400)],
+    ids=["weak", "m56", "mixed", "sigma2"])
+def test_prox_risk_lasso_matches_quadrature_and_erfc(level, beta, sigma, n):
+    # the block formula at d = 1 is the lasso's: it draws nothing and
+    # matches both independent routes to 1e-12
+    beta = np.array(beta)
+    pen = lasso(level, beta.size)
+    risk, se = pen.prox_risk(beta, sigma, n, 2, 0)
+    assert se == 0.0
+    for want in (prox_risk_quadrature(pen, beta, sigma, n),
+                 lasso_risk_erfc(level, beta, sigma, n)):
+        assert risk == pytest.approx(want, rel=1e-12)
+
+
+def test_prox_risk_quadrature_pinned_to_erfc_at_large_signal():
+    # beta*_j = 1 at n = 3200, level 0.06: m = |beta*_j|/tau = 56.6, where
+    # one quadrature piece from a kink far left of 0 to +inf misses the
+    # Gaussian's mass near 0; the p = 6400, s = 5 risk is 0.019736
+    pen, beta = lasso(0.06, 2), np.array([1.0, 0.0])
+    want = lasso_risk_erfc(0.06, beta, 1.0, 3200)
+    assert prox_risk_quadrature(pen, beta, 1.0, 3200) == \
+        pytest.approx(want, rel=1e-12)
+    whole = 5 * want + 6395 * lasso_risk_erfc(0.06, [0.0], 1.0, 3200)
+    assert whole == pytest.approx(0.019736, abs=5e-7)
+
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_group_prox_risk_matches_mpmath_sure_integral(d):
+    # one block of norm m tau at level t tau against the same SURE integral
+    # at 40 digits; where the risk is below 1e-8 its terms cancel, and the
+    # 1e-20 absolute floor covers the rounding they leave
+    n, sigma = 100, 1.0
+    tau = sigma / np.sqrt(n)
+    for t in (0.5, 2.0, 8.0):
+        pen = GroupPenalty(t * tau, GroupStructure(1, d))
+        for m in (0.0, 0.5, 3.0, 20.0, 100.0):
+            beta = np.full(d, m * tau / np.sqrt(d))
+            risk, se = pen.prox_risk(beta, sigma, n, 2, 0)
+            want = block_risk_mpmath(m, t, d) * tau * tau
+            assert se == 0.0
+            assert abs(risk - want) <= 1e-12 * want + 1e-20 * tau * tau, \
+                (d, m, t, risk, want)
+
+
+def test_group_prox_risk_far_above_the_level_matches_kummer():
+    # at m = ||b*_G||/tau in the thousands the block is never killed, and
+    # the risk is tau^2 (t^2 + d - 2(d - 1) t E[1/R]) with
+    # E[1/R] = Gamma((d-1)/2) / (sqrt(2) Gamma(d/2)) 1F1(1/2; d/2; -m^2/2);
+    # the Poisson window spans several chunks, whose memory stays bounded
+    n, sigma, t, d = 100, 1.0, 11.0, 4
+    tau = sigma / np.sqrt(n)
+    pen = GroupPenalty(t * tau, GroupStructure(2, d))
+    for m in (5000.0, 20000.0):
+        beta = np.concatenate([np.full(d, m * tau / 2.0), np.zeros(d)])
+        tracemalloc.start()
+        try:
+            risk, se = pen.prox_risk(beta, sigma, n, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with mpmath.workdps(30):
+            half_d = mpmath.mpf(d) / 2
+            inv_r = mpmath.gamma(half_d - 0.5) / (
+                mpmath.sqrt(2) * mpmath.gamma(half_d)) * \
+                mpmath.hyp1f1(0.5, half_d, -mpmath.mpf(m) ** 2 / 2)
+            block = float(t * t + d - 2 * (d - 1) * t * inv_r)
+        null = block_risk_mpmath(0.0, t, d)
+        assert risk == pytest.approx(tau * tau * (block + null), rel=1e-11)
+        assert se == 0.0 and peak < 16e6
+
+
+def test_prox_risk_zero_noise_is_the_prox_distance():
+    # tau = 0: the risk is ||b* - prox(b*)||^2, min(||b*_G||, level)^2 per
+    # block
+    pen = GroupPenalty(0.5, GroupStructure(3, 2))
+    beta = np.array([0.3, 0.0, 3.0, 4.0, 0.0, 0.0])
+    risk, se = pen.prox_risk(beta, 0.0, 10, 2, 0)
+    assert risk == pytest.approx(0.3 ** 2 + 0.5 ** 2, rel=1e-15)
+    assert se == 0.0
+
+
+def test_exact_risk_matches_unchunked_monte_carlo():
+    # 1e5 draws of stream purpose 4 against the exact lasso and group risks
+    for pen, beta in ((lasso(0.15, 30), flat_signal(30, 3, 0.4)),
+                      (GroupPenalty(0.25, GroupStructure(10, 4)),
+                       flat_signal(40, 8, 0.3))):
+        risk, se = pen.prox_risk(beta, 1.2, 60, 2, 0)
+        mc, mc_se = prox_risk_unchunked(pen, beta, 1.2, 60, 100000, 1011)
+        assert se == 0.0
+        assert abs(risk - mc) <= 3.0 * mc_se
 
 
 def test_prox_risk_quadrature_zero_tau():
@@ -70,10 +158,8 @@ def test_prox_risk_quadrature_l1_only():
         prox_risk_quadrature(GroupPenalty(0.1, groups), np.zeros(4), 1.0, 10)
 
 
-@pytest.mark.parametrize("penalty", [
-    lasso(0.05, 2000), L1BallConstraint(2.5),
-    GroupPenalty(0.08, GroupStructure(500, 4))],
-    ids=["l1", "l1_ball", "group"])
+@pytest.mark.parametrize("penalty", [L1BallConstraint(2.5)],
+                         ids=["l1_ball"])
 def test_prox_risk_mc_chunks_match_one_draw(penalty):
     # three full chunks and a short fourth; the chunked, in-place loop must
     # reproduce the one-draw estimate bit for bit
@@ -81,7 +167,7 @@ def test_prox_risk_mc_chunks_match_one_draw(penalty):
     chunk = MC_CHUNK_ELEMENTS // p
     n_draws = 3 * chunk + chunk // 3
     beta = flat_signal(p, 8, 0.5)
-    got = prox_risk_mc(penalty, beta, 1.3, 150, n_draws, seed=31)
+    got = penalty.prox_risk(beta, 1.3, 150, n_draws, seed=31)
     assert got == prox_risk_unchunked(penalty, beta, 1.3, 150, n_draws, 31)
 
 
@@ -91,11 +177,12 @@ def test_prox_risk_mc_chunks_match_one_draw(penalty):
     ids=["l1", "l1_ball", "group"])
 def test_prox_risk_mc_memory_stays_chunk_sized(penalty):
     # 4000 draws at p = 1000 are 32 MB at once; in chunks of
-    # MC_CHUNK_ELEMENTS numbers the loop's arrays stay near 256 KB each
+    # MC_CHUNK_ELEMENTS numbers the ball's loop keeps its arrays near
+    # 256 KB each, and the exact risks draw nothing
     beta = flat_signal(1000, 5, 0.5)
     tracemalloc.start()
     try:
-        prox_risk_mc(penalty, beta, 1.0, 2000, 4000, seed=3)
+        penalty.prox_risk(beta, 1.0, 2000, 4000, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -104,7 +191,8 @@ def test_prox_risk_mc_memory_stays_chunk_sized(penalty):
 
 def test_prox_risk_needs_draws():
     with pytest.raises(ValueError):
-        prox_risk_mc(lasso(0.1, 3), np.zeros(3), 1.0, 10, n_draws=1, seed=0)
+        L1BallConstraint(1.0).prox_risk(np.zeros(3), 1.0, 10, n_draws=1,
+                                        seed=0)
 
 
 def test_group_prox_risk_blockwise_oracle():
@@ -115,7 +203,7 @@ def test_group_prox_risk_blockwise_oracle():
     beta[0:3] = 1.0
     beta[3:6] = -0.5
     sigma, n = 1.0, 64
-    risk, se = prox_risk_mc(pen, beta, sigma, n, n_draws=400000, seed=29)
+    risk, se = pen.prox_risk(beta, sigma, n, n_draws=400000, seed=29)
 
     # independent blockwise MC with its own stream
     tau = sigma / np.sqrt(n)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import penexp
-from penexp import cli, diagnostics, harness
+from penexp import cli, diagnostics, harness, model, penalties
 from penexp.cones import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_SCHEMA,
                             TIMING_SCHEMA, parse_config, rate_fit,
@@ -229,6 +229,25 @@ def test_experiment_config_rejections(tmp_path):
                          "grid = n=50 p=20 s=2\n" % (key, bad))
 
 
+def test_config_boundaries_are_accepted():
+    # the smallest values each check lets through
+    cfg = parse_config("experiment = risk_identity\nmc_inner = 2\n"
+                       "grid = n=50 p=20 s=1\n")
+    assert cfg.mc_inner == 2 and cfg.grid[0].s == 1
+    cfg = parse_config("experiment = rates\npenalty = group_lasso\n"
+                       "grid = n=50 p=20 s=1 M=5 d=4\n")
+    assert cfg.grid[0] == GridPoint(50, 20, 1, M=5, d=4)
+
+
+@pytest.mark.parametrize("sizes", ["M=5", "d=4"])
+def test_group_grid_entry_needs_both_m_and_d(sizes):
+    # either one alone is refused by the check, not by the product M*d
+    with pytest.raises(ValueError,
+                       match="group runs need M and d in each grid entry"):
+        parse_config("experiment = rates\npenalty = group_lasso\n"
+                     "grid = n=50 p=20 s=2 %s\n" % sizes)
+
+
 @pytest.mark.parametrize("loss, designs", [
     ("squared", "gaussian or rademacher"), ("logistic", "gaussian")])
 def test_unknown_design_refused_by_the_loss(tmp_path, capsys, loss, designs):
@@ -411,6 +430,65 @@ def test_risk_identity_at_ar1_zero_is_the_identity_run(tmp_path):
     for name in ("records.csv", "summary.json"):
         assert (tmp_path / "ar1_0" / name).read_bytes() == \
             (tmp_path / "identity" / name).read_bytes()
+
+
+@pytest.mark.parametrize("penalty, point", [
+    ("group_lasso", GridPoint(200, 40, 2, M=10, d=4)),
+    ("l1_penalized", GridPoint(200, 40, 2))])
+def test_exact_risk_runs_draw_no_monte_carlo(tmp_path, monkeypatch,
+                                             penalty, point):
+    # the lasso's and the group lasso's prox risk is exact: mc_inner
+    # changes no byte, risk_mc_se is 0, and stream purpose 4 is never drawn
+    purposes = []
+    real_rng = penalties.stream_rng
+
+    def spy(seed, *ids):
+        purposes.append(ids)
+        return real_rng(seed, *ids)
+
+    monkeypatch.setattr(penalties, "stream_rng", spy)
+    monkeypatch.setattr(model, "stream_rng", spy)
+    for mc_inner in (2, 4000):
+        run_tiny(tmp_path, str(mc_inner), experiment="risk_identity",
+                 penalty=penalty, grid=(point,), replications=2,
+                 mc_inner=mc_inner)
+    assert (tmp_path / "2" / "records.csv").read_bytes() == \
+        (tmp_path / "4000" / "records.csv").read_bytes()
+    assert (4,) not in purposes and (0,) in purposes
+    records = read_records(tmp_path / "2" / "records.csv")
+    assert [r["risk_mc_se"] for r in records] == [0.0, 0.0]
+
+
+# (est_iterations, exp_iterations, est_passes, exp_passes) of each of two
+# replications, read on a 2-core Intel Xeon (KVM guest) with Python 3.11.7,
+# numpy 2.4.6 and its bundled OpenBLAS 0.3.31. Another machine may round
+# differently and stop a solve a check earlier or later. FISTA with its
+# momentum held constant still certifies every solve, but changes the
+# est_iterations of all three.
+SOLVER_COUNTS = {
+    "lasso": (dict(penalty="l1_penalized", master_seed=1012),
+              [(25, 1, 2, 2), (35, 1, 2, 2)]),
+    "ball_ar1": (dict(penalty="l1_constrained", covariance="ar1:0.5",
+                      master_seed=1013),
+                 [(115, 55, 3, 56), (105, 45, 3, 46)]),
+    "logistic": (dict(loss="logistic", penalty="l1_constrained",
+                      amplitude=0.25, master_seed=1014),
+                 [(40, 10, 2, 11), (45, 10, 2, 11)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_COUNTS))
+def test_solver_counters_are_pinned(tmp_path, case):
+    settings, counts = SOLVER_COUNTS[case]
+    run_experiment(ExperimentConfig(
+        experiment="rates", grid=(GridPoint(200, 400, 5),), replications=2,
+        **settings), str(tmp_path), 1)
+    records = read_records(tmp_path / "records.csv")
+    with open(tmp_path / "timings.csv", newline="") as fh:
+        timings = list(csv.DictReader(fh))
+    assert all(r["est_converged"] and r["exp_converged"] for r in records)
+    assert [(r["est_iterations"], r["exp_iterations"], int(t["est_passes"]),
+             int(t["exp_passes"])) for r, t in zip(records, timings)] == counts
 
 
 def test_run_experiment_pins_blas_and_restores_it(tmp_path, monkeypatch):
