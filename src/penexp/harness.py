@@ -6,7 +6,10 @@ an invalid value when it is built; the output directory and the worker
 count are run_experiment's arguments. Each (grid point, replication) task
 derives its own integer seed from (master_seed, point index, rep index), so
 results do not depend on worker count or completion order. Records are
-written in (point, rep) order.
+written in (point, rep) order. Every task fits, expands, and checks both
+error vectors against the point's cone and the expansion's support against
+its bound; `experiment` names the one diagnostic with hypotheses of its own
+that the run adds: none (rates), risk_identity or coverage.
 
 The point set-ups and then the tasks run in one thread pool, and every
 mapped OpenBLAS copy is held at one thread while they run: the pool is the
@@ -46,8 +49,7 @@ from . import cones, diagnostics, model, solver
 from .losses import curvature_matrix, get_loss
 from .penalties import GroupPenalty, L1BallConstraint
 
-EXPERIMENT_KINDS = ("rates", "risk_identity", "coverage", "cone_check",
-                    "sparsity_check")
+EXPERIMENT_KINDS = ("rates", "risk_identity", "coverage")
 PENALTY_KINDS = ("l1_penalized", "l1_constrained", "group_lasso")
 
 # Each records.csv column in header order, with the type of its cells:
@@ -222,7 +224,7 @@ class _PointSetup:
     curv: object
     cone: object
     r_n: float
-    sparsity_bound: float | None
+    sparsity_bound: float
 
 
 def _setup_point(cfg, pt):
@@ -243,9 +245,7 @@ def _setup_point(cfg, pt):
             cone = cones.lasso_cone(pt.s * (6.0 + 2.0 / cfg.xi) ** 2, pt.p)
         r_n = cones.lasso_rate(pt.n, pt.p, pt.s)
     curv = curvature_matrix(get_loss(cfg.loss), cov, beta_star, cfg.design)
-    sbound = None
-    if cfg.experiment == "sparsity_check":
-        sbound = diagnostics.sparsity_bound(pt.s, cfg.xi, cov, curv, groups)
+    sbound = diagnostics.sparsity_bound(pt.s, cfg.xi, cov, curv, groups)
     return _PointSetup(pt, cov, groups, beta_star, curv, cone, r_n, sbound)
 
 
@@ -295,22 +295,20 @@ def _run_task(cfg, setup, point_idx, rep_idx):
     denom = err_est + err_exp
     row.update(err_est=err_est, err_exp=err_exp, gap=gap,
                ratio=gap / denom if denom > 0 else None)
+    in_est = setup.cone.member(est.solution - setup.beta_star)
+    in_exp = setup.cone.member(exp.solution - setup.beta_star)
+    row.update(cone_est=in_est, cone_exp=in_exp, cone_both=in_est and in_exp)
+    row.update(diagnostics.sparsity_count(exp.solution, setup.sparsity_bound,
+                                          setup.groups))
 
-    if cfg.experiment == "cone_check":
-        in_est = setup.cone.member(est.solution - setup.beta_star)
-        in_exp = setup.cone.member(exp.solution - setup.beta_star)
-        row.update(cone_est=in_est, cone_exp=in_exp,
-                   cone_both=in_est and in_exp)
-    elif cfg.experiment == "risk_identity":
+    # the one diagnostic with hypotheses of its own that the config names
+    if cfg.experiment == "risk_identity":
         row.update(diagnostics.risk_identity_check(
             ds, est.solution, exp.solution, penalty, cfg.mc_inner, seed))
     elif cfg.experiment == "coverage":
         # a = e_1: the first coordinate
         row.update(diagnostics.debiased_estimate(
             ds, est.solution, np.eye(1, pt.p)[0], cfg.noise_sd))
-    elif cfg.experiment == "sparsity_check":
-        row.update(diagnostics.sparsity_count(
-            exp.solution, setup.sparsity_bound, setup.groups))
     return row
 
 
@@ -443,12 +441,9 @@ def _quantiles(vals):
 
 
 def _freq(flags):
-    flags = [bool(f) for f in flags]
-    if not flags:
-        return None, None
-    freq = sum(flags) / len(flags)
-    se = math.sqrt(max(freq * (1.0 - freq), 0.0) / len(flags))
-    return freq, se
+    """The share of true flags in a nonempty list, and its binomial s.e."""
+    freq = sum(bool(f) for f in flags) / len(flags)
+    return freq, math.sqrt(freq * (1.0 - freq) / len(flags))
 
 
 def summarize(cfg, records):
@@ -462,7 +457,7 @@ def summarize(cfg, records):
             "point": pi, "n": pt.n, "p": pt.p, "s": pt.s, "M": pt.M,
             "d": pt.d, "replications": len(recs),
             "converged": len(good), "failed": len(recs) - len(good),
-            "r_n": recs[0]["r_n"] if recs else None,
+            "r_n": recs[0]["r_n"],
         }
         for metric in ("err_est", "err_exp", "gap", "ratio"):
             vals = [r[metric] for r in good if r[metric] is not None]
@@ -476,10 +471,8 @@ def summarize(cfg, records):
                                  ("risk_ok", "risk_bound_freq"),
                                  ("sparsity_ok", "sparsity_freq")):
             flags = [r[flag_field] for r in good if r[flag_field] is not None]
-            freq, se = _freq(flags)
-            if freq is not None:
-                entry[name] = freq
-                entry[name + "_se"] = se
+            if flags:
+                entry[name], entry[name + "_se"] = _freq(flags)
         ratios = [r["risk_ratio"] for r in good
                   if r["risk_ratio"] is not None]
         if ratios:

@@ -199,7 +199,7 @@ def test_debiased_interval_coverage_near_nominal(tmp_path):
 
 def test_lasso_error_vectors_land_in_cone(tmp_path):
     xi, n, p, s_sp, reps = 0.5, 1000, 1000, 5, 300
-    s = run("cone_check", [(n, p, s_sp)], tmp_path,
+    s = run("rates", [(n, p, s_sp)], tmp_path,
             penalty="l1_penalized", xi=xi, replications=reps,
             master_seed=1008)
     freq = s["points"][0]["cone_freq"]
@@ -210,7 +210,7 @@ def test_lasso_error_vectors_land_in_cone(tmp_path):
 
 def test_group_error_vectors_land_in_cone(tmp_path):
     xi, n, s_sp, M, d, reps = 0.5, 1000, 5, 250, 4, 300
-    s = run("cone_check", [(n, M * d, s_sp, M, d)], tmp_path,
+    s = run("rates", [(n, M * d, s_sp, M, d)], tmp_path,
             penalty="group_lasso", xi=xi, replications=reps,
             master_seed=2008)
     freq = s["points"][0]["cone_freq"]
@@ -223,7 +223,7 @@ def test_group_error_vectors_land_in_cone(tmp_path):
 def test_expansion_group_support_stays_bounded(tmp_path):
     """Nonzero-group count of the surrogate solution stays within the
     computed multiple of the true group sparsity."""
-    s = run("sparsity_check", [(2000, 800, 5, 200, 4)], tmp_path,
+    s = run("rates", [(2000, 800, 5, 200, 4)], tmp_path,
             penalty="group_lasso", replications=200, master_seed=1009)
     assert s["points"][0]["sparsity_freq"] >= 0.90
 

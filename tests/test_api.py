@@ -196,6 +196,19 @@ def test_readme_config_block_lists_every_config_key():
     assert keys == {f.name for f in fields(harness.ExperimentConfig)}
 
 
+def test_readme_config_block_lists_every_kind_in_order():
+    # the comments on the experiment and penalty lines are the kinds the
+    # config accepts, in the order the code lists them
+    block = _readme().split("## Experiment configs", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    comments = {line.partition("=")[0].strip(): line.split("#", 1)[1]
+                for line in block.splitlines() if "#" in line}
+    for key, kinds in (("experiment", harness.EXPERIMENT_KINDS),
+                       ("penalty", harness.PENALTY_KINDS)):
+        listed = [k.strip() for k in comments[key].split("|")]
+        assert listed == list(kinds), key
+
+
 def test_readme_output_section_lists_every_record_column():
     # each bullet under "Output files" opens with a backticked list of the
     # columns it describes; together they are the header, in its order

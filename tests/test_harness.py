@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import penexp
-from penexp import cli, diagnostics, harness, model, penalties
+from oracles import (block_risk_mpmath, dense_covariance, lasso_risk_erfc,
+                     logistic_curvature_dense, prox_risk_unchunked)
+from penexp import cli, diagnostics, harness, model, penalties, solver
 from penexp.cones import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_SCHEMA,
                             TIMING_SCHEMA, parse_config, rate_fit,
@@ -49,7 +51,7 @@ def test_parse_config_round_trip():
 
 
 def test_parse_config_group_grid():
-    text = ("experiment = sparsity_check\npenalty = group_lasso\n"
+    text = ("experiment = rates\npenalty = group_lasso\n"
             "grid = n=100 p=24 s=2 M=6 d=4\n")
     cfg = parse_config(text)
     assert cfg.grid[0].M == 6 and cfg.grid[0].d == 4
@@ -148,9 +150,12 @@ def test_experiment_config_rejections(tmp_path):
         ExperimentConfig(**dict(base, replications=0))
     with pytest.raises(ValueError, match="unknown experiment kind 'volume'"):
         ExperimentConfig(**dict(base, experiment="volume"))
-    # every run expands: there is no kind that fits alone
-    with pytest.raises(ValueError, match="unknown experiment kind 'fit'"):
-        ExperimentConfig(**dict(base, experiment="fit"))
+    # every run expands, and checks the cone and the support bound: no
+    # kind fits alone or adds a check that has no hypotheses of its own
+    for kind in ("fit", "cone_check", "sparsity_check"):
+        with pytest.raises(ValueError,
+                           match="unknown experiment kind '%s'" % kind):
+            ExperimentConfig(**dict(base, experiment=kind))
     # group runs need matching M*d = p
     with pytest.raises(ValueError, match="grid point needs p = M\\*d"):
         ExperimentConfig(experiment="rates", penalty="group_lasso",
@@ -768,20 +773,19 @@ def test_summary_is_strict_json_when_gaps_vanish(tmp_path):
 CELL_TEXT = {bool: "true|false", int: "-?[0-9]+",
              float: r"-?[0-9]+(\.[0-9]+)?(e[-+][0-9]+)?|nan|-?inf"}
 
-# The columns every kind fills with its fit and expansion, and those each
-# kind adds on top; group runs also fill M and d.
+# The columns every kind fills with its fit, its expansion, the cone and
+# the support bound, and those each kind adds on top; group runs also fill
+# M, d and nnz_groups.
 EVERY_KIND_COLUMNS = {
     "point", "n", "p", "s", "rep", "seed", "r_n", "penalty_level", "err_est",
     "err_exp", "gap", "ratio", "est_iterations", "exp_iterations", "est_kkt",
-    "exp_kkt", "est_converged", "exp_converged"}
+    "exp_kkt", "est_converged", "exp_converged", "cone_est", "cone_exp",
+    "cone_both", "nnz_coords", "nnz_groups", "sparsity_bound", "sparsity_ok"}
 KIND_COLUMNS = {
     "rates": set(),
-    "cone_check": {"cone_est", "cone_exp", "cone_both"},
     "risk_identity": {"risk_lhs", "risk_rhs", "risk_mc_se", "risk_ratio",
                       "risk_bound", "risk_ok"},
     "coverage": {"theta_hat", "target", "covered", "t_stat"},
-    "sparsity_check": {"nnz_coords", "nnz_groups", "sparsity_bound",
-                       "sparsity_ok"},
 }
 
 
@@ -840,10 +844,167 @@ def test_each_kind_fills_its_columns_and_round_trips(tmp_path, monkeypatch,
             assert rec["risk_ratio"] == rec["risk_lhs"] / rec["risk_rhs"]
 
 
+# One config per kind, penalty and loss the kind allows: squared loss on
+# AR(1) Sigma, except that the risk identity needs the identity, and
+# logistic loss on the identity inside the unit ball (v = 0.99 and 0.49),
+# with n large enough for every fit to leave zero.
+ORACLE_CASES = [
+    (kind, penalty, loss) for kind in harness.EXPERIMENT_KINDS
+    for penalty in harness.PENALTY_KINDS for loss in ("squared", "logistic")
+    if loss == "squared" or kind not in ("risk_identity", "coverage")]
+
+
+def oracle_cells(cfg, pi, ri, ds, penalty, est, exp):
+    """Every records.csv cell of one task, recomputed from its definition
+    with dense matrices and tests/oracles.py; the risk cells only where the
+    risk identity's hypotheses hold, the interval's only on linear data."""
+    pt = cfg.grid[pi]
+    group = cfg.penalty == "group_lasso"
+    b_star, b_hat, eta = ds.beta_star, est.solution, exp.solution
+    sigma = dense_covariance(ds.covariance.matrix)
+    K = sigma.matrix if cfg.loss == "squared" else \
+        logistic_curvature_dense(ds.covariance, b_star)
+    sig_hat = float(np.sqrt(np.mean(ds.noise ** 2))) \
+        if cfg.loss == "squared" else 0.5
+
+    def knorm(u):
+        return math.sqrt(u @ K @ u)
+
+    seed = int(np.random.SeedSequence((cfg.master_seed, pi, ri))
+               .generate_state(1, np.uint64)[0])
+    cells = dict(point=pi, n=pt.n, p=pt.p, s=pt.s, M=pt.M, d=pt.d, rep=ri,
+                 seed=seed, est_iterations=est.iterations,
+                 exp_iterations=exp.iterations, est_kkt=est.kkt_residual,
+                 exp_kkt=exp.kkt_residual, est_converged=est.converged,
+                 exp_converged=exp.converged)
+    # the rate scale, the penalty level and the cone's radius of each penalty
+    if group:
+        d = pt.d
+        cells["r_n"] = math.sqrt((pt.s * d + pt.s * math.log(pt.M / pt.s))
+                                 / pt.n)
+        cells["penalty_level"] = sig_hat * (1 + cfg.xi) * (
+            math.sqrt(d) + (1 + 2 * cfg.xi) * math.sqrt(
+                2 * math.log(pt.M / pt.s))) / math.sqrt(pt.n)
+        radius = (2 + 3 / cfg.xi) * math.sqrt(pt.s)
+    else:
+        d = 1
+        cells["r_n"] = math.sqrt(2 * pt.s * math.log(pt.p / pt.s) / pt.n)
+        if cfg.penalty == "l1_penalized":
+            cells["penalty_level"] = sig_hat * (1 + 3 * cfg.xi) * math.sqrt(
+                2 * math.log(pt.p / pt.s) / pt.n)
+            radius = (6 + 2 / cfg.xi) * math.sqrt(pt.s)
+        else:
+            cells["penalty_level"] = float(np.abs(b_star).sum())
+            radius = 2 * math.sqrt(pt.s)
+    err_est, err_exp = knorm(b_hat - b_star), knorm(eta - b_star)
+    cells.update(err_est=err_est, err_exp=err_exp, gap=knorm(eta - b_hat))
+    if err_est + err_exp > 0:
+        cells["ratio"] = cells["gap"] / (err_est + err_exp)
+
+    def in_cone(u):
+        return bool(np.linalg.norm(u.reshape(-1, d), axis=1).sum()
+                    <= radius * np.linalg.norm(u))
+
+    cells.update(cone_est=in_cone(b_hat - b_star),
+                 cone_exp=in_cone(eta - b_star))
+    cells["cone_both"] = cells["cone_est"] and cells["cone_exp"]
+    # the support bound s {1 + C_max [2(3+xi)(1+1/xi)]^2 B3^2/phi^2}
+    blocks = [K[g:g + d, g:g + d] for g in range(0, pt.p, d)] if group \
+        else [K]
+    c_max = max(np.linalg.eigvalsh(b).max() for b in blocks)
+    b3 = np.linalg.eigvals(np.linalg.solve(K, sigma.matrix)).real.max()
+    factor = 2 * (3 + cfg.xi) * (1 + 1 / cfg.xi)
+    bound = pt.s * (1 + c_max * factor ** 2 * b3 ** 2
+                    / np.linalg.eigvalsh(sigma.matrix).min())
+    nz = np.any(eta.reshape(-1, d) != 0, axis=1)
+    cells.update(nnz_coords=int(np.count_nonzero(eta)),
+                 nnz_groups=int(nz.sum()) if group else None,
+                 sparsity_bound=bound,
+                 sparsity_ok=bool(nz.sum() <= bound))
+    if cfg.loss == "squared" and cfg.covariance == "identity":
+        if cfg.penalty == "l1_penalized":
+            risk = lasso_risk_erfc(penalty.level, b_star, sig_hat, pt.n)
+            risk_se = 0.0
+        elif group:
+            tau = sig_hat / math.sqrt(pt.n)
+            norms = np.linalg.norm(b_star.reshape(-1, d), axis=1)
+            risk = tau * tau * sum(
+                count * block_risk_mpmath(m / tau, penalty.level / tau, d)
+                for m, count in zip(*np.unique(norms, return_counts=True)))
+            risk_se = 0.0
+        else:
+            risk, risk_se = prox_risk_unchunked(penalty, b_star, sig_hat,
+                                                pt.n, cfg.mc_inner, seed)
+        lhs, rhs = float(np.linalg.norm(b_hat - b_star)), math.sqrt(risk)
+        bound = 3 * sig_hat / math.sqrt(pt.n) + np.linalg.norm(b_hat - eta)
+        cells.update(risk_lhs=lhs, risk_rhs=rhs,
+                     risk_mc_se=risk_se / (2 * rhs), risk_ratio=lhs / rhs,
+                     risk_bound=bound, risk_ok=bool(abs(lhs - rhs) <= bound))
+    if cfg.loss == "squared":
+        # a = e_1 normalized to ||Sigma^{-1/2} a|| = 1, and its score z_a
+        x = np.linalg.solve(sigma.matrix, np.eye(1, pt.p)[0])
+        a, z_a = np.eye(1, pt.p)[0] / math.sqrt(x[0]), \
+            ds.X @ x / math.sqrt(x[0])
+        theta = a @ b_hat + z_a @ (ds.y - ds.X @ b_hat) / (z_a @ z_a)
+        half = 1.96 * cfg.noise_sd / math.sqrt(pt.n)
+        target = a @ b_star
+        cells.update(theta_hat=theta, target=target,
+                     covered=bool(abs(theta - target) <= half),
+                     t_stat=math.sqrt(pt.n) * (theta - target)
+                     / cfg.noise_sd)
+    return cells
+
+
+@pytest.mark.parametrize("kind, penalty, loss", ORACLE_CASES)
+def test_every_filled_cell_is_its_definition(tmp_path, monkeypatch, kind,
+                                             penalty, loss):
+    # keep each task's data, penalty, fit and expansion, in task order
+    solves = {"fit": [], "expansion": []}
+
+    def keeping(name, solve):
+        def run(*args):
+            result = solve(*args)
+            solves[name].append((args[0], args[-2], result))
+            return result
+        return run
+
+    monkeypatch.setattr(solver, "fit_penalized",
+                        keeping("fit", solver.fit_penalized))
+    monkeypatch.setattr(solver, "fit_expansion",
+                        keeping("expansion", solver.fit_expansion))
+    group = penalty == "group_lasso"
+    n = 200 if loss == "squared" else 1600
+    cfg = ExperimentConfig(
+        experiment=kind, penalty=penalty, loss=loss, replications=2,
+        grid=(GridPoint(n, 40, 2, M=10, d=4) if group
+              else GridPoint(n, 40, 2),),
+        covariance="identity" if loss == "logistic" or
+        kind == "risk_identity" else "ar1:0.5",
+        amplitude=1.0 if loss == "squared" else 0.35 if group else 0.7,
+        master_seed=2031,
+        mc_inner=100)
+    run_experiment(cfg, str(tmp_path), 1)
+    records = read_records(tmp_path / "records.csv")
+    assert len(records) == len(solves["fit"]) == len(solves["expansion"]) \
+        == 2
+    for rec, (ds, pen, est), (ds_exp, _, exp) in zip(
+            records, solves["fit"], solves["expansion"]):
+        assert ds_exp is ds
+        want = oracle_cells(cfg, rec["point"], rec["rep"], ds, pen, est, exp)
+        for k, v in rec.items():
+            if v is None:
+                continue
+            assert k in want, k
+            if RECORD_SCHEMA[k] is float:
+                assert v == pytest.approx(want[k], rel=1e-12, abs=1e-300), k
+            else:
+                assert v == want[k], k
+
+
 def test_a_numpy_flag_is_written_by_its_column_type(tmp_path, monkeypatch):
     # sparsity_ok is declared bool, so a numpy.bool_ cell is written as a
     # Python bool is (str(np.True_) would write "True")
-    kw = dict(experiment="sparsity_check", grid=(GridPoint(100, 40, 2),),
+    kw = dict(experiment="rates", grid=(GridPoint(100, 40, 2),),
               replications=2)
     run_tiny(tmp_path, "plain", **kw)
     real_count = diagnostics.sparsity_count
