@@ -18,7 +18,7 @@ def risk_identity_hypotheses(model_kind, design, covariance):
     """Raise ValueError unless the risk identity is exact: linear data
     (squared loss) from a Gaussian design with identity covariance."""
     if model_kind != "linear" or design != "gaussian" or \
-            covariance is None or not covariance.is_identity:
+            not covariance.is_identity:
         raise ValueError("the risk identity needs linear data (squared "
                          "loss), a gaussian design and the identity "
                          "covariance; refusing to extrapolate")
@@ -69,23 +69,17 @@ def risk_identity_check(dataset, beta_hat, eta, penalty, n_mc, seed):
 def debiased_estimate(dataset, beta_hat, a, noise_sd):
     """Bias-corrected estimate of a'beta with its fixed-width interval.
 
-    a is renormalized so ||Sigma^{-1/2} a|| = 1, with Sigma the covariance
-    the dataset's design was drawn from (the target rescales with it); the
-    correction adds the score-weighted average residual, so the estimate's
-    error is about N(0, noise_sd^2/n), where noise_sd is the noise sd the
-    linear data were drawn with. The interval half-width is
+    A nonzero a is renormalized so ||Sigma^{-1/2} a|| = 1, with Sigma the
+    covariance the dataset's design was drawn from (the target rescales
+    with it); the correction adds the score-weighted average residual, so
+    the estimate's error is about N(0, noise_sd^2/n), where noise_sd is the
+    noise sd the linear data were drawn with. The interval half-width is
     1.96 noise_sd/sqrt(n): covered says whether it holds the target, and
     t_stat is sqrt(n) (theta_hat - target)/noise_sd. A dataset outside
-    interval_hypotheses, or without a covariance, is refused with
-    ValueError.
+    interval_hypotheses is refused with ValueError.
     """
     a = np.asarray(a, dtype=float)
-    if not np.any(a != 0.0):
-        raise ValueError("direction a must be nonzero")
     interval_hypotheses(dataset.model_kind, noise_sd)
-    if dataset.covariance is None:
-        raise ValueError("de-biased intervals need the covariance the "
-                         "design was drawn from")
     beta_hat = np.asarray(beta_hat, dtype=float)
     x = dataset.covariance.solve(a)
     scale = np.sqrt(float(a @ x))
@@ -119,9 +113,8 @@ def sparsity_bound(s, xi, cov, curvature, groups=None):
     diagonal blocks; phi = sqrt(eig_min of Sigma) on either cone; B3, the
     largest ||Sigma^{1/2} u||^2 / ||K^{1/2} u||^2, is exactly 1 when K is
     Sigma (squared loss) and 1/min(m0, a2) for the rank-one logistic K.
+    It is defined for xi > 0.
     """
-    if xi <= 0:
-        raise ValueError("xi must be > 0")
     if groups is None:
         c_max = curvature.eig_max
     else:

@@ -81,7 +81,9 @@ class GridPoint:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A valid experiment description: each field is named by its config
-    key, and a value out of range raises ValueError when it is built."""
+    key, and a value out of range raises ValueError when it is built. This
+    is the one check of every value a run uses: the library does not
+    repeat it."""
 
     experiment: str
     grid: tuple = ()

@@ -41,10 +41,7 @@ class SquaredLoss:
 
     def responses(self, index, noise_sd, rng):
         """Linear responses index + eps, eps = noise_sd N(0, 1) from rng,
-        and their score noise eps."""
-        if not 0 <= noise_sd < np.inf:
-            raise ValueError("noise_sd must be >= 0 and finite, got %r"
-                             % (noise_sd,))
+        and their score noise eps; noise_sd >= 0 and finite."""
         eps = float(noise_sd) * rng.standard_normal(index.size)
         return index + eps, eps
 
@@ -115,14 +112,11 @@ class LogisticLoss:
         makes no eigendecomposition of its own, and its products, solves
         and eig_max come from cov's. At v = 0, K = Sigma/4 is the same
         update with m0 = 1/4 and c = 0, and needs no quadrature. Other
-        designs have no closed form and are refused. The paper's conditions
+        designs have no closed form, and design_kind is not read: designs
+        names the one this K is for. The paper's conditions
         assume v <= 1, and past it a warning says the expansion is
         unverified (K is computed all the same).
         """
-        if design_kind not in self.designs:
-            raise ValueError(
-                "the logistic curvature matrix has a closed form only for a "
-                "gaussian design, not %r" % (design_kind,))
         beta_star = np.asarray(beta_star, dtype=float)
         q = cov @ beta_star
         v2 = float(beta_star @ q)
@@ -174,7 +168,7 @@ def curvature_matrix(loss, cov, beta_star, design_kind="gaussian"):
     """Population curvature matrix of loss for a design with covariance cov.
 
     Squared loss returns cov itself; logistic loss integrates by a trapezoid
-    rule and accepts only a Gaussian design.
+    rule, for the Gaussian design its designs name.
     """
     return loss.curvature(cov, beta_star, design_kind)
 

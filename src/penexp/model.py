@@ -3,7 +3,8 @@
 Symmetric positive-definite matrices (covariances and curvatures) as
 structured operators, group structures, designs and datasets. A dataset's
 responses are drawn by its loss (losses), which owns the observation model;
-this module knows no loss and no link.
+this module knows no loss and no link. Its inputs are checked once, by
+harness.ExperimentConfig; the matrices guard only their own forms.
 
 All generation is driven by counter-based Philox streams keyed by
 (master_seed, stream ids), so draws do not depend on the order in which
@@ -81,8 +82,6 @@ class CovarianceModel:
 
     @classmethod
     def identity(cls, p):
-        if int(p) < 1:
-            raise ValueError("need p >= 1")
         return cls("identity", int(p), 0.0)
 
     @classmethod
@@ -91,8 +90,6 @@ class CovarianceModel:
         rho, p = float(rho), int(p)
         if not -1.0 < rho < 1.0:
             raise ValueError("ar1 correlation must lie in (-1, 1), got %g" % rho)
-        if p < 1:
-            raise ValueError("need p >= 1")
         # every eigenvalue, at any p, lies above this infimum of the spectrum
         floor = (1.0 - abs(rho)) / (1.0 + abs(rho))
         if floor < 1e-10:
@@ -321,11 +318,8 @@ class GroupStructure:
 
 
 def flat_signal(p, s, amplitude=1.0):
-    """Coefficient vector with the first s coordinates set to amplitude."""
-    if not 0 <= s <= p:
-        raise ValueError("need 0 <= s <= p")
-    if not np.isfinite(amplitude):
-        raise ValueError("amplitude must be finite")
+    """Coefficient vector with the first s <= p coordinates set to
+    amplitude."""
     beta = np.zeros(int(p))
     beta[: int(s)] = float(amplitude)
     return beta
@@ -336,7 +330,8 @@ class Dataset:
     """One simulated sample, with its score noise e = -l'(y_i, x_i'beta_star)
     kept for oracle use: the drawn eps of linear data, for which
     y = X beta_star + noise holds exactly, or P(Y=1|x_i) - y_i for logistic
-    labels (0/1 floats, checked here once so the loss need not rescan them).
+    labels (the 0/1 floats LogisticLoss.responses draws). model_kind is
+    the loss's model, "linear" or "logistic".
     """
 
     X: np.ndarray
@@ -346,13 +341,6 @@ class Dataset:
     noise: np.ndarray
     beta_star: np.ndarray
     covariance: CovarianceModel | None
-
-    def __post_init__(self):
-        if self.model_kind not in ("linear", "logistic"):
-            raise ValueError("unknown model kind %r" % (self.model_kind,))
-        if self.model_kind == "logistic" and \
-                not np.all((self.y == 0.0) | (self.y == 1.0)):
-            raise ValueError("logistic labels must be 0 or 1")
 
     @property
     def n(self):
@@ -364,16 +352,13 @@ class Dataset:
 
 
 def generate_design(cov, n, design_kind="gaussian", seed=0):
-    """Draw n iid rows with covariance cov.
+    """Draw n >= 1 iid rows with covariance cov, from stream 0 of seed.
 
     Gaussian rows are Sigma^{1/2} times standard normals; rademacher rows are
     Sigma^{1/2} times iid signs. Both are sub-Gaussian with respect to their
     covariance with constant L = 1, the L of the penalty-level formulas.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return draw_rows(cov, n, design_kind, stream_rng(seed, 0))
+    return draw_rows(cov, int(n), design_kind, stream_rng(seed, 0))
 
 
 def draw_rows(cov, n, design_kind, rng):
@@ -390,11 +375,9 @@ def draw_rows(cov, n, design_kind, rng):
 def simulate(cov, beta_star, n, loss, design_kind, noise_sd, seed):
     """One dataset: n design rows (generate_design, stream 0 of seed) and
     loss's responses to the index X beta_star (loss.responses, stream 1),
-    whose observation model, loss.model, is the dataset's."""
+    whose observation model, loss.model, is the dataset's. beta_star has
+    cov.p entries."""
     beta_star = np.asarray(beta_star, dtype=float)
-    if beta_star.size != cov.p:
-        raise ValueError("design has %d columns but beta_star has %d entries"
-                         % (cov.p, beta_star.size))
     X = generate_design(cov, n, design_kind, seed)
     y, noise = loss.responses(X @ beta_star, noise_sd, stream_rng(seed, 1))
     return Dataset(_readonly(X), _readonly(y), loss.model, design_kind,
@@ -402,13 +385,11 @@ def simulate(cov, beta_star, n, loss, design_kind, noise_sd, seed):
 
 
 def noise_scale(dataset):
-    """Root mean square of the stored noise realizations.
+    """Root mean square of the stored noise realizations of linear data.
 
     This is an oracle quantity, available only because the simulation keeps
-    the drawn noise. Raises on logistic data, whose labels have no noise
-    scale.
+    the drawn noise. Its callers read it for linear data alone: logistic
+    labels have no noise scale.
     """
-    if dataset.model_kind != "linear":
-        raise ValueError("noise scale is defined for linear data only")
     eps = dataset.noise
     return float(np.sqrt(np.mean(eps * eps))) if eps.size else 0.0

@@ -99,7 +99,7 @@ class L1BallConstraint:
     def prox_risk(self, beta_star, noise_scale, n, n_draws, seed):
         """Monte Carlo E_Z ||b* - prox(b* + (sigma/sqrt(n)) Z)||^2 and its s.e.
 
-        The n_draws draws come from stream purpose 4 of seed, in chunks of
+        The n_draws >= 2 draws come from stream purpose 4 of seed, in chunks of
         about MC_CHUNK_ELEMENTS numbers. Philox normals come out in
         sequence, so the chunk size changes neither the draws nor the
         result. Every chunk is drawn into one reused buffer and worked in
@@ -108,8 +108,6 @@ class L1BallConstraint:
         """
         beta_star = np.asarray(beta_star, dtype=float)
         n_draws = int(n_draws)
-        if n_draws < 2:
-            raise ValueError("need at least 2 draws")
         tau = float(noise_scale) / np.sqrt(n)
         rng = stream_rng(seed, 4)
         vals = np.empty(n_draws)

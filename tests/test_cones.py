@@ -54,17 +54,6 @@ def test_lasso_level_scales():
     assert a == pytest.approx(2.0 * b, rel=1e-12)
 
 
-def test_lasso_level_errors():
-    with pytest.raises(ValueError):
-        lasso_penalty_level(1.0, p=5, s=5, n=100, xi=0.1)
-    with pytest.raises(ValueError):
-        lasso_penalty_level(1.0, p=50, s=5, n=100, xi=0.0)
-    # the squared loss's scale is the noise scale of linear data
-    with pytest.raises(ValueError,
-                       match="noise scale is defined for linear data only"):
-        SQ.penalty_scale(_dataset(LG))
-
-
 def test_group_level_value():
     lev = group_penalty_level(1.0, M=100, d=4, s=5, n=400, xi=0.1)
     assert abs(lev - 0.2716) < 1e-4
@@ -78,18 +67,7 @@ def test_group_level_near_equal_counts():
     assert lev == pytest.approx(1.1 * 2.0 / 20.0, rel=0.03)
 
 
-def test_group_level_errors():
-    with pytest.raises(ValueError):
-        group_penalty_level(1.0, M=5, d=2, s=5, n=100, xi=0.1)
-    with pytest.raises(ValueError):
-        group_penalty_level(1.0, M=10, d=0, s=5, n=100, xi=0.1)
-    with pytest.raises(ValueError):
-        group_penalty_level(1.0, M=10, d=2, s=5, n=100, xi=-0.2)
-
-
 def test_cone_parameter_validation():
-    with pytest.raises(ValueError):
-        lasso_cone(0.5, 10)
     with pytest.raises(TypeError):  # c comes from xi, which must be given
         group_cone(3, GroupStructure(4, 2))
 
@@ -301,16 +279,12 @@ def test_minimax_rate_lasso():
     val = lasso_rate(400, p=800, s=5)
     assert val == pytest.approx(np.sqrt(2.0 * 5 * np.log(160.0) / 400.0),
                                 rel=1e-14)
-    with pytest.raises(ValueError):
-        lasso_rate(400, p=5, s=5)
 
 
 def test_minimax_rate_group():
     val = group_rate(2000, M=200, d=4, s=5)
     manual = np.sqrt((5 * 4 + 5 * np.log(40.0)) / 2000.0)
     assert val == pytest.approx(manual, rel=1e-14)
-    with pytest.raises(ValueError):
-        group_rate(2000, M=5, d=4, s=5)
 
 
 def test_rates_accept_one_active_coordinate_or_group():
@@ -319,7 +293,3 @@ def test_rates_accept_one_active_coordinate_or_group():
         np.sqrt(2.0 * np.log(20.0) / 100.0), rel=1e-14)
     assert group_rate(100, M=5, d=4, s=1) == pytest.approx(
         np.sqrt((4 + np.log(5.0)) / 100.0), rel=1e-14)
-    for bad in (lambda: lasso_rate(100, p=20, s=0),
-                lambda: group_rate(100, M=5, d=4, s=0)):
-        with pytest.raises(ValueError):
-            bad()

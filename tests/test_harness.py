@@ -184,7 +184,7 @@ def test_experiment_config_rejections(tmp_path):
         parse_config("experiment = coverage\nloss = logistic\n"
                      "grid = n=50 p=20 s=2\n")
     # the logistic curvature matrix exists in closed form only for a
-    # gaussian design, so set-up would refuse this run after parsing
+    # gaussian design, and set-up computes it without asking again
     with pytest.raises(ValueError, match="gaussian"):
         parse_config("experiment = rates\nloss = logistic\n"
                      "design = rademacher\ngrid = n=50 p=20 s=2\n")
@@ -203,11 +203,15 @@ def test_experiment_config_rejections(tmp_path):
     with pytest.raises(ValueError, match="noise_sd > 0"):
         parse_config("experiment = coverage\nnoise_sd = 0\n"
                      "grid = n=50 p=20 s=2\n")
-    # each of these would run every point set-up and then end the run at
-    # its first task, or (infinite noise_sd) run on meaningless data
-    for grid in ("n=0 p=20 s=2", "n=10 p=0 s=0"):
+    # the config is the one check of the sizes, the signal and the noise:
+    # the rates, levels, cones, draws and MC risk take them unchecked
+    for grid in ("n=0 p=20 s=2", "n=10 p=0 s=0", "n=50 p=20 s=0",
+                 "n=50 p=20 s=20"):
         with pytest.raises(ValueError, match="n >= 1 and p > s >= 1"):
             parse_config("experiment = rates\ngrid = %s\n" % grid)
+    with pytest.raises(ValueError, match="xi must be > 0"):
+        parse_config("experiment = rates\nxi = -0.2\n"
+                     "grid = n=50 p=20 s=2\n")
     with pytest.raises(ValueError, match="mc_inner must be >= 2"):
         parse_config("experiment = risk_identity\nmc_inner = 1\n"
                      "grid = n=50 p=20 s=2\n")
@@ -220,10 +224,14 @@ def test_experiment_config_rejections(tmp_path):
             ("", "at least one grid entry is required"),
             ("penalty = ridge\ngrid = n=50 p=20 s=2",
              "unknown penalty kind 'ridge'"),
+            ("loss = poisson\ngrid = n=50 p=20 s=2",
+             "unknown loss kind 'poisson'"),
             ("penalty = group_lasso\ngrid = n=50 p=20 s=2",
              "group runs need M and d in each grid entry"),
             ("penalty = group_lasso\ngrid = n=50 p=20 s=5 M=5 d=4",
-             "grid point needs M > s")):
+             "grid point needs M > s"),
+            ("penalty = group_lasso\ngrid = n=50 p=20 s=2 M=5 d=0",
+             "grid point needs p = M\\*d")):
         with pytest.raises(ValueError, match=message):
             parse_config("experiment = rates\n%s\n" % text)
     for key, bad in (("xi", "nan"), ("xi", "inf"), ("amplitude", "nan"),
@@ -637,6 +645,23 @@ def test_a_failed_write_leaves_the_previous_output_whole(tmp_path,
     monkeypatch.undo()
     # all three previous files are whole, and no temporary is left
     assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
+
+
+@pytest.mark.parametrize("penalty, radius, layout", [
+    ("l1_penalized", lambda xi, s: (6 + 2 / xi) * math.sqrt(s), (24, 1)),
+    ("l1_constrained", lambda xi, s: 2 * math.sqrt(s), (24, 1)),
+    ("group_lasso", lambda xi, s: (2 + 3 / xi) * math.sqrt(s), (6, 4))],
+    ids=["l1_penalized", "l1_constrained", "group_lasso"])
+def test_setup_gives_each_penalty_the_papers_cone(penalty, radius, layout):
+    # the radius is no records.csv column, and a cone flag moves only when
+    # an error vector falls between the right radius and a wrong one
+    pt = GridPoint(50, 24, 3, *(layout if penalty == "group_lasso" else ()))
+    for xi in (0.1, 0.5, 2.0):
+        cfg = ExperimentConfig(experiment="rates", penalty=penalty, xi=xi,
+                               grid=(pt,))
+        cone = harness._setup_point(cfg, pt).cone
+        assert cone.radius == pytest.approx(radius(xi, pt.s), rel=1e-15)
+        assert (cone.groups.M, cone.groups.d) == layout
 
 
 def test_logistic_ar1_point_makes_no_eigendecomposition(tmp_path,

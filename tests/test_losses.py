@@ -328,13 +328,6 @@ def test_curvature_matrix_zero_signal():
     assert np.allclose(K.matrix, 0.25 * cov.matrix, atol=1e-14)
 
 
-def test_curvature_matrix_rejects_non_gaussian_design():
-    cov = model.CovarianceModel.identity(3)
-    with pytest.raises(ValueError):
-        losses.curvature_matrix(LOGISTIC, cov, np.zeros(3),
-                                design_kind="rademacher")
-
-
 def test_curvature_matrix_vs_mc():
     cov = model.CovarianceModel.identity(3)
     beta = np.array([1.0, 0.0, 0.0])

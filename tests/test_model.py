@@ -69,9 +69,6 @@ def test_covariance_from_spec():
             model.CovarianceModel.from_spec(spec, 6)
     with pytest.raises(ValueError):
         model.CovarianceModel.from_spec("ar1:strong", 6)
-    for spec in ("identity", "ar1:0.5"):
-        with pytest.raises(ValueError, match="need p >= 1"):
-            model.CovarianceModel.from_spec(spec, 0)
 
 
 def test_covariance_factorizations_consistent():
@@ -215,8 +212,6 @@ def test_group_structure_contiguous():
 def test_flat_signal():
     b = model.flat_signal(6, 2, amplitude=3.0)
     assert b.tolist() == [3.0, 3.0, 0.0, 0.0, 0.0, 0.0]
-    with pytest.raises(ValueError):
-        model.flat_signal(3, 4)
 
 
 def test_design_shape_and_mean_zero():
@@ -310,14 +305,6 @@ def test_noise_scale_arithmetic():
     assert model.noise_scale(ds) == pytest.approx(np.sqrt(12.5))
 
 
-def test_noise_scale_rejects_logistic():
-    cov = model.CovarianceModel.identity(2)
-    ds = model.simulate(cov, np.zeros(2), 30, LOGISTIC, "gaussian", 1.0,
-                        seed=6)
-    with pytest.raises(ValueError):
-        model.noise_scale(ds)
-
-
 def test_logistic_labels_balanced_at_zero_signal():
     cov = model.CovarianceModel.identity(2)
     n = 40000
@@ -389,45 +376,16 @@ def test_bit_reproducibility():
     assert a.X.tobytes() != c.X.tobytes()
 
 
-def test_logistic_dataset_rejects_bad_labels():
-    cov = model.CovarianceModel.identity(2)
-    ds = model.simulate(cov, np.zeros(2), 6, LOGISTIC, "gaussian", 1.0,
-                        seed=5)
-    y = ds.y.copy()
-    y[0] = 2.0
-    with pytest.raises(ValueError):
-        model.Dataset(X=ds.X, y=y, model_kind="logistic",
-                      design_kind="gaussian", noise=None,
-                      beta_star=ds.beta_star, covariance=cov)
-
-
 _COV3 = model.CovarianceModel.identity(3)
-_X3 = np.ones((4, 3))
 
 
+# the model's sizes, signals and noise levels are refused by the config
+# (tests/test_harness.py); a matrix guards its own form
 @pytest.mark.parametrize("call, message", [
-    (lambda: model.generate_design(_COV3, 0), "need n >= 1"),
-    (lambda: model.simulate(_COV3, np.ones(4), 4, SQUARED, "gaussian", 1.0,
-                            1),
-     "design has 3 columns but beta_star has 4 entries"),
-    (lambda: model.simulate(_COV3, np.ones(2), 4, LOGISTIC, "gaussian", 1.0,
-                            1),
-     "design has 3 columns but beta_star has 2 entries"),
-    (lambda: SQUARED.responses(np.zeros(4), -1.0, model.stream_rng(1, 1)),
-     "noise_sd must be >= 0 and finite"),
-    (lambda: SQUARED.responses(np.zeros(4), np.inf, model.stream_rng(1, 1)),
-     "noise_sd must be >= 0 and finite"),
-    (lambda: model.Dataset(X=_X3, y=np.zeros(4), model_kind="poisson",
-                           design_kind="gaussian", noise=None,
-                           beta_star=np.ones(3),
-                           covariance=None), "unknown model kind 'poisson'"),
-    (lambda: model.flat_signal(3, 1, np.inf), "amplitude must be finite"),
     # I - e1 e1' has a zero eigenvalue
     (lambda: model.CovarianceModel.rank_one(_COV3, 1.0, -1.0, np.eye(3)[0]),
      "curvature matrix is singular"),
-], ids=["design_n_0", "linear_columns", "logistic_columns",
-        "noise_sd_negative", "noise_sd_inf", "dataset_kind",
-        "amplitude_inf", "rank_one_singular"])
+], ids=["rank_one_singular"])
 def test_model_refuses_bad_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
