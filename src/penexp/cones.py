@@ -1,10 +1,11 @@
 """Cones containing the estimation error, tuning levels and rate scales.
 
 One cone, {u : sum_k ||u_{G_k}|| <= r ||u||}, serves every regularizer: over
-groups of one coordinate it is the lasso cone {u : ||u||_1 <= sqrt(k)||u||}.
-A cone answers membership of an error vector; the penalty levels and
-minimax rate scales are formulas of numbers, defined for p > s >= 1
-(M > s >= 1 for groups) and xi > 0, as harness.ExperimentConfig checks.
+groups of one coordinate it is the lasso cone {u : ||u||_1 <= r ||u||}, and
+harness._setup_point picks each regularizer's radius. A cone answers
+membership of an error vector; the penalty levels and minimax rate scales
+are formulas of numbers, defined for p > s >= 1 (M > s >= 1 for groups) and
+xi > 0, as harness.ExperimentConfig checks.
 """
 
 from __future__ import annotations
@@ -29,18 +30,6 @@ class GroupCone:
         l2 = np.linalg.norm(u)
         norms = self.groups.norms(u)
         return bool(norms.sum() <= self.radius * l2 * (1.0 + 1e-9))
-
-
-def lasso_cone(k, p):
-    """{u in R^p : ||u||_1 <= sqrt(k) ||u||}, k >= 1: the group cone over p
-    groups of one coordinate, whose norms are the |u_j|."""
-    return GroupCone(np.sqrt(float(k)), GroupStructure(p, 1))
-
-
-def group_cone(s, groups, xi):
-    """Group error cone with radius c sqrt(s), c = 2 + 3/xi, the value the
-    tuning analysis guarantees for the error vectors."""
-    return GroupCone((2.0 + 3.0 / float(xi)) * np.sqrt(int(s)), groups)
 
 
 def lasso_penalty_level(scale, p, s, n, xi):

@@ -235,18 +235,19 @@ def _setup_point(cfg, pt):
     if cfg.penalty == "group_lasso":
         groups = model.GroupStructure(pt.M, pt.d)
         beta_star = model.flat_signal(pt.p, pt.s * pt.d, cfg.amplitude)
-        cone = cones.group_cone(pt.s, groups, cfg.xi)
+        cone = cones.GroupCone((2.0 + 3.0 / cfg.xi) * np.sqrt(pt.s), groups)
         r_n = cones.group_rate(pt.n, pt.M, pt.d, pt.s)
     else:
         beta_star = model.flat_signal(pt.p, pt.s, cfg.amplitude)
         if cfg.penalty == "l1_constrained":
             # Error vectors of the constrained fit satisfy the support
             # inequality, which lands them in the sqrt(4s) cone.
-            cone = cones.lasso_cone(4.0 * pt.s, pt.p)
+            radius = np.sqrt(4.0 * pt.s)
         else:
-            cone = cones.lasso_cone(pt.s * (6.0 + 2.0 / cfg.xi) ** 2, pt.p)
+            radius = np.sqrt(pt.s * (6.0 + 2.0 / cfg.xi) ** 2)
+        cone = cones.GroupCone(radius, model.GroupStructure(pt.p, 1))
         r_n = cones.lasso_rate(pt.n, pt.p, pt.s)
-    curv = curvature_matrix(get_loss(cfg.loss), cov, beta_star, cfg.design)
+    curv = curvature_matrix(get_loss(cfg.loss), cov, beta_star)
     sbound = diagnostics.sparsity_bound(pt.s, cfg.xi, cov, curv, groups)
     return _PointSetup(pt, cov, groups, beta_star, curv, cone, r_n, sbound)
 

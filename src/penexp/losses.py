@@ -55,7 +55,7 @@ class SquaredLoss:
     def d2(self, y, u):
         return np.ones_like(np.asarray(u, dtype=float))
 
-    def curvature(self, cov, beta_star, design_kind):
+    def curvature(self, cov, beta_star):
         """cov itself, for any design: factorized once for both roles."""
         return cov
 
@@ -98,7 +98,7 @@ class LogisticLoss:
         s = sigmoid(np.asarray(u, dtype=float))
         return s * (1.0 - s)
 
-    def curvature(self, cov, beta_star, design_kind):
+    def curvature(self, cov, beta_star):
         """K for a Gaussian design, by one fixed trapezoid rule.
 
         The index t = x'beta is N(0, v^2) with v^2 = beta' Sigma beta, and
@@ -112,10 +112,9 @@ class LogisticLoss:
         makes no eigendecomposition of its own, and its products, solves
         and eig_max come from cov's. At v = 0, K = Sigma/4 is the same
         update with m0 = 1/4 and c = 0, and needs no quadrature. Other
-        designs have no closed form, and design_kind is not read: designs
-        names the one this K is for. The paper's conditions
-        assume v <= 1, and past it a warning says the expansion is
-        unverified (K is computed all the same).
+        designs have no closed form, so designs names the Gaussian one
+        alone. The paper's conditions assume v <= 1, and past it a warning
+        says the expansion is unverified (K is computed all the same).
         """
         beta_star = np.asarray(beta_star, dtype=float)
         q = cov @ beta_star
@@ -164,11 +163,9 @@ def _logistic_moments(v):
     return float(np.sum(f)), float(np.sum(f * z * z))
 
 
-def curvature_matrix(loss, cov, beta_star, design_kind="gaussian"):
-    """Population curvature matrix of loss for a design with covariance cov.
-
-    Squared loss returns cov itself; logistic loss integrates by a trapezoid
-    rule, for the Gaussian design its designs name.
-    """
-    return loss.curvature(cov, beta_star, design_kind)
+def curvature_matrix(loss, cov, beta_star):
+    """Population curvature matrix of loss for a design with covariance cov,
+    one of loss.designs: cov itself for squared loss, and for logistic loss
+    a trapezoid rule's rank-one update of cov."""
+    return loss.curvature(cov, beta_star)
 

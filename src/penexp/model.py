@@ -340,7 +340,7 @@ class Dataset:
     design_kind: str
     noise: np.ndarray
     beta_star: np.ndarray
-    covariance: CovarianceModel | None
+    covariance: CovarianceModel
 
     @property
     def n(self):
@@ -392,4 +392,4 @@ def noise_scale(dataset):
     labels have no noise scale.
     """
     eps = dataset.noise
-    return float(np.sqrt(np.mean(eps * eps))) if eps.size else 0.0
+    return float(np.sqrt(np.mean(eps * eps)))

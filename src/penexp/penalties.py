@@ -76,7 +76,7 @@ class L1BallConstraint:
         slack = BOUNDARY_TOL * max(1.0, self.radius)
         if l1 > self.radius + slack:
             return float("inf")
-        gmax = float(np.abs(grad).max()) if grad.size else 0.0
+        gmax = float(np.abs(grad).max())
         if l1 < self.radius - slack:
             # Strict interior: stationarity needs a vanishing gradient.
             return gmax
@@ -112,7 +112,7 @@ class L1BallConstraint:
         rng = stream_rng(seed, 4)
         vals = np.empty(n_draws)
         done = 0
-        chunk = max(1, MC_CHUNK_ELEMENTS // max(beta_star.size, 1))
+        chunk = max(1, MC_CHUNK_ELEMENTS // beta_star.size)
         buf = np.empty((min(chunk, n_draws), beta_star.size))
         while done < n_draws:
             m = min(chunk, n_draws - done)
@@ -178,7 +178,7 @@ class GroupPenalty:
     def residual(self, beta, grad):
         """The largest score."""
         scores = self.scores(beta, grad)
-        return float(scores.max()) if scores.size else 0.0
+        return float(scores.max())
 
     def restrict(self, units):
         """This penalty over the groups units, re-indexed onto the

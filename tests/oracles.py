@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
+from penexp.cones import GroupCone
 from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           draw_rows, stream_rng)
 from penexp.penalties import GroupPenalty, soft_threshold
@@ -42,6 +43,11 @@ def lasso(level, p):
     """The penalized lasso level * ||b||_1 on R^p: the group penalty with
     p groups of one coordinate."""
     return GroupPenalty(level, GroupStructure(p, 1))
+
+
+def lasso_cone(k, p):
+    """{u in R^p : ||u||_1 <= sqrt(k) ||u||}, the cone over singletons."""
+    return GroupCone(np.sqrt(float(k)), GroupStructure(p, 1))
 
 
 def curvature_lower_bound(loss, tau):

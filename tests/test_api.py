@@ -4,9 +4,11 @@ Every public top-level function, class and constant defined in src/penexp
 must be used by code in src/penexp other than its own definition; an import
 alone is not a use. Every public member of those classes (method, property,
 class attribute or dataclass field) must be read, as an attribute or a
-keyword argument, by src/penexp or the benchmark in bench/. Names that only
-tests would call belong in tests/oracles.py instead. The package root holds
-its docstring alone, so every object has one name, the one in its module.
+keyword argument, by src/penexp or the benchmark in bench/. Every parameter
+of a public function, or of a public method of those classes, must be read
+in its body. Names that only tests would call belong in tests/oracles.py
+instead. The package root holds its docstring alone, so every object has
+one name, the one in its module.
 
 numpy is the package's only run-time dependency: scipy is for the tests and
 the benchmark alone.
@@ -35,6 +37,23 @@ ALLOWED_UNREAD_MEMBERS = {
     "d2_lipschitz",
 }
 
+# Parameters that a public function or method takes and does not read, keyed
+# module.Class.method.param (module.function.param for a function), each
+# with the reason it is kept.
+ALLOWED_UNREAD_PARAMS = {
+    # interface conformance: callers pass every loss or penalty the same
+    # arguments, and these implementations need fewer of them
+    "losses.SquaredLoss.d2.y": "l'' is 1",
+    "losses.LogisticLoss.d2.y": "l'' is sig'(u) for either label",
+    "losses.SquaredLoss.curvature.beta_star": "K is cov",
+    "losses.LogisticLoss.responses.noise_sd": "labels have no noise level",
+    "losses.LogisticLoss.penalty_scale.dataset": "the label scale is 1/2",
+    "penalties.GroupPenalty.prox_risk.n_draws": "the risk is exact",
+    "penalties.GroupPenalty.prox_risk.seed": "the risk is exact",
+    # bench-bound (ROADMAP item 1)
+    "solver.fit_expansion.loss": "bench/experiment.py binds it by name",
+}
+
 
 def _defined_name(node):
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -45,12 +64,17 @@ def _defined_name(node):
     return None
 
 
-def _modules(src=os.path.dirname(penexp.__file__)):
+def _named_modules(src=os.path.dirname(penexp.__file__)):
     for fname in sorted(os.listdir(src)):
         if fname.endswith(".py") and fname != "__init__.py" and \
                 not fname.startswith("test_"):
             with open(os.path.join(src, fname)) as fh:
-                yield ast.parse(fh.read(), fname)
+                yield fname[:-3], ast.parse(fh.read(), fname)
+
+
+def _modules(src=os.path.dirname(penexp.__file__)):
+    for _, tree in _named_modules(src):
+        yield tree
 
 
 def _public_definitions():
@@ -124,6 +148,44 @@ def test_every_class_member_is_read_outside_the_tests():
     # equality also catches an allowlist entry that has gained a reader
     assert unread == ALLOWED_UNREAD_MEMBERS, \
         "class members read only by tests: %s" % sorted(unread)
+
+
+def _public_functions():
+    """Public top-level functions, keyed module.function, and the public
+    methods of public top-level classes, keyed module.Class.method."""
+    for module, tree in _named_modules():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef) and \
+                    not top.name.startswith("_"):
+                yield "%s.%s" % (module, top.name), top
+            elif isinstance(top, ast.ClassDef) and \
+                    not top.name.startswith("_"):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef) and \
+                            not node.name.startswith("_"):
+                        yield "%s.%s.%s" % (module, top.name, node.name), node
+
+
+def _unread_params():
+    unread = set()
+    for key, fn in _public_functions():
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + \
+            [a for a in (args.vararg, args.kwarg) if a]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and
+                isinstance(node.ctx, ast.Load)}
+        unread |= {"%s.%s" % (key, a.arg) for a in params
+                   if a.arg not in ("self", "cls") and a.arg not in read}
+    return unread
+
+
+def test_every_parameter_is_read_in_its_body():
+    # equality also catches an allowlist entry that has gained a reader
+    unread = _unread_params()
+    assert unread == set(ALLOWED_UNREAD_PARAMS), \
+        "unread, or listed and read: %s" % sorted(
+            unread ^ set(ALLOWED_UNREAD_PARAMS))
 
 
 def test_no_module_calls_eigh():

@@ -3,10 +3,10 @@ import pytest
 from scipy.special import gammaln
 
 from oracles import (_sup_per_draw, complexity_estimate,
-                     group_complexity_bound, lasso_complexity_bound)
-from penexp.cones import (GroupCone, group_cone, group_penalty_level,
-                          group_rate, lasso_cone, lasso_penalty_level,
-                          lasso_rate)
+                     group_complexity_bound, lasso_complexity_bound,
+                     lasso_cone)
+from penexp.cones import (GroupCone, group_penalty_level, group_rate,
+                          lasso_penalty_level, lasso_rate)
 from penexp.diagnostics import sparsity_bound
 from penexp.losses import get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
@@ -65,11 +65,6 @@ def test_group_level_near_equal_counts():
     """When M/s is near 1 the log term dies and sqrt(d) dominates."""
     lev = group_penalty_level(1.0, M=1001, d=4, s=1000, n=400, xi=0.1)
     assert lev == pytest.approx(1.1 * 2.0 / 20.0, rel=0.03)
-
-
-def test_cone_parameter_validation():
-    with pytest.raises(TypeError):  # c comes from xi, which must be given
-        group_cone(3, GroupStructure(4, 2))
 
 
 def test_member_basis_vector():
@@ -264,15 +259,6 @@ def test_complexity_bound_divides_by_phi():
     phi = np.sqrt(cov.eig_min)
     val = lasso_complexity_bound(6, cov)
     assert val == pytest.approx(np.sqrt(6.0 * np.log(10.0)) / phi, rel=1e-12)
-
-
-def test_group_cone_default_c():
-    groups = GroupStructure(4, 2)
-    cone = group_cone(3, groups, 0.5)
-    assert cone.radius == pytest.approx(8.0 * np.sqrt(3.0), rel=1e-14)
-    assert cone.groups is groups
-    assert group_cone(3, groups, 0.1).radius == \
-        pytest.approx(32.0 * np.sqrt(3.0), rel=1e-14)
 
 
 def test_minimax_rate_lasso():
