@@ -358,15 +358,11 @@ def generate_design(cov, n, design_kind="gaussian", seed=0):
     Sigma^{1/2} times iid signs. Both are sub-Gaussian with respect to their
     covariance with constant L = 1, the L of the penalty-level formulas.
     """
-    return draw_rows(cov, int(n), design_kind, stream_rng(seed, 0))
-
-
-def draw_rows(cov, n, design_kind, rng):
-    """Draw n covariance-cov rows from an already-seeded generator."""
+    rng, shape = stream_rng(seed, 0), (int(n), cov.p)
     if design_kind == "gaussian":
-        raw = rng.standard_normal((n, cov.p))
+        raw = rng.standard_normal(shape)
     elif design_kind == "rademacher":
-        raw = 2.0 * rng.integers(0, 2, size=(n, cov.p)).astype(float) - 1.0
+        raw = 2.0 * rng.integers(0, 2, size=shape).astype(float) - 1.0
     else:
         raise ValueError("unknown design kind %r" % (design_kind,))
     return cov.sqrt_rows(raw)

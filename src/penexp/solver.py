@@ -3,16 +3,14 @@
 fit_penalized minimizes the empirical average of the loss plus a penalty.
 fit_expansion minimizes the quadratic surrogate built at the ground truth
 against the population curvature matrix; its minimizer is the first-order
-expansion of the penalized estimator. Both run the same FISTA loop over a
-smooth part seen through an affine image of the iterate (X b for the fit,
-K (b - z) for the surrogate). The fit finds its step by backtracking; the
-surrogate steps by 1/eig_max, the curvature's certified bound on
-lambda_max(K), exact for covariances and for the logistic K on identity Sigma.
-The fit runs that loop on a working set of columns of X, grown until the
-full-gradient KKT residual certifies the whole vector. Both certify
-convergence through the penalty's subdifferential residual, independent of
-the iteration path, and both are deterministic: identical inputs produce
-bit-identical results. No solve reads a clock; the caller times it.
+expansion of the penalized estimator. Both run one working-set loop: FISTA
+on a set of the penalty's units, grown until the full-gradient KKT residual
+certifies the whole vector, over a smooth part seen through an affine image
+of the iterate (X_W b for the fit, K_WW b - (Kz)_W for the surrogate). The
+fit finds its step by backtracking; the surrogate steps by 1/eig_max, the
+curvature's certified bound on lambda_max(K), exact for covariances and for
+the logistic K on identity Sigma. Both are deterministic: identical inputs
+produce bit-identical results. No solve reads a clock; the caller times it.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ import numpy as np
 BACKTRACK_SHRINK = 0.5
 INITIAL_STEP = 1.0
 CHECK_EVERY = 5
-# Units (coordinates, or groups) in the first working set of the penalized
-# fit, and the factor by which a working set may grow per outer round.
+# Units (coordinates, or groups) in the first working set of either solve,
+# and the factor by which a working set may grow per outer round.
 WS_INITIAL = 100
 WS_GROWTH = 2
 
@@ -132,31 +130,27 @@ def _fista(smooth, penalty, x, u_x, cfg):
                         passes), u_x, g_x
 
 
-def fit_penalized(dataset, loss, penalty, config=None):
-    """Solve the penalized problem by working-set FISTA with backtracking.
+def _working_set(penalty, grad, u, gradient, inner, cfg):
+    """Minimize a smooth part plus penalty by working-set FISTA from 0.
 
-    Starts at 0. Each outer round takes the full gradient X'r and stops if
-    the penalty's residual on all of it is within kkt_tol. Otherwise the
-    working set W, a set of the penalty's units that only grows, takes the
-    worst violators outside it (penalty.scores, ties by index) until it is
-    WS_GROWTH times its size (WS_INITIAL units at first), and FISTA runs on
-    the columns of W, warm-started. W holds the support, since the iterate
-    is zero outside it. The loop ends uncertified when the max_iters budget,
-    shared by all inner solves, is spent or when no unit outside W has a
-    positive score. Inner products with X[:, W] count as passes only when
-    W covers all columns. When W is every column in order, the inner
-    solve's last gradient is X'r at its solution, and the next round takes
-    it instead of making the same product again.
+    grad is the full gradient at 0 (one pass) and u the image there. A
+    round stops if the penalty's residual on the full gradient is within
+    kkt_tol. Otherwise the working set W of the penalty's units grows by
+    the worst violators (_grow), and FISTA runs, warm-started, on
+    inner(cols, u, grad): the smooth part on W's coordinates cols and the
+    iterate's image under it. The next full gradient is gradient(beta, u),
+    one pass, at the solution beta of inner image u. The loop ends
+    uncertified when the max_iters budget, shared by all inner solves, is
+    spent or when no unit outside W has a positive score. Once W covers all
+    coordinates, inner products count as passes, and the inner solve's last
+    gradient is the full one, which the next round takes.
     """
-    cfg = config or DEFAULT_CONFIG
-    X, y, n, p = dataset.X, dataset.y, dataset.n, dataset.p
-    beta, u = np.zeros(p), np.zeros(n)
+    beta = np.zeros(grad.size)
     work = np.zeros(0, dtype=np.intp)
-    iterations = passes = 0
-    grad = None
+    iterations, passes = 0, 1
     while True:
         if grad is None:
-            grad = X.T @ loss.d1(y, u) / n
+            grad = gradient(beta, u)
             passes += 1
         res = penalty.residual(beta, grad)
         if res <= cfg.kkt_tol or iterations == cfg.max_iters:
@@ -166,21 +160,15 @@ def fit_penalized(dataset, loss, penalty, config=None):
             break
         work = grown
         sub, cols = penalty.restrict(work)
-        full = cols.size == p
-        XW = X if full else X[:, cols]
-        smooth = _Smooth(
-            image=lambda b: XW @ b,
-            value=lambda b, v: float(np.mean(loss.value(y, v))),
-            grad=lambda b, v: XW.T @ loss.d1(y, v) / n,
-            lipschitz=None, grad_products=1)
-        inner, u, grad = _fista(
+        smooth, u = inner(cols, u, grad)
+        solved, u, grad = _fista(
             smooth, sub, beta[cols], u,
             replace(cfg, max_iters=cfg.max_iters - iterations))
-        beta = np.zeros(p)
-        beta[cols] = inner.solution
-        iterations += inner.iterations
-        if full:
-            passes += inner.passes
+        beta = np.zeros(beta.size)
+        beta[cols] = solved.solution
+        iterations += solved.iterations
+        if cols.size == beta.size:
+            passes += solved.passes
         else:
             grad = None
     return SolverResult(beta, float(res), iterations,
@@ -199,13 +187,35 @@ def _grow(scores, work):
     return np.union1d(work, worst)
 
 
+def fit_penalized(dataset, loss, penalty, config=None):
+    """Solve the penalized problem by working-set FISTA with backtracking.
+    The loss average is seen through X[:, W] b, which is X beta, since beta
+    is zero off W, so that image carries over between rounds."""
+    X, y, n = dataset.X, dataset.y, dataset.n
+
+    def gradient(beta, u):
+        return X.T @ loss.d1(y, u) / n
+
+    def inner(cols, u, grad):
+        XW = X if cols.size == X.shape[1] else X[:, cols]
+        return _Smooth(
+            image=lambda b: XW @ b,
+            value=lambda b, v: float(np.mean(loss.value(y, v))),
+            grad=lambda b, v: XW.T @ loss.d1(y, v) / n,
+            lipschitz=None, grad_products=1), u
+
+    u = np.zeros(n)
+    return _working_set(penalty, gradient(None, u), u, gradient, inner,
+                        config or DEFAULT_CONFIG)
+
+
 def expansion_center(dataset, curvature):
     """Point z whose penalized projection under K is the expansion.
 
     z = beta_star - K^{-1} g, where g = -X'e/n is the average loss score at
     the dataset's beta_star and e its score noise: one pass over X, for
-    either model. With identity curvature z is beta_star + X'e/n, which is
-    what makes the expansion a pure prox evaluation in that case.
+    either model. With identity curvature z is beta_star + X'e/n, and the
+    expansion is prox(z).
     """
     g = -(dataset.X.T @ dataset.noise) / dataset.n
     return dataset.beta_star - curvature.solve(g)
@@ -214,28 +224,32 @@ def expansion_center(dataset, curvature):
 def fit_expansion(dataset, loss, curvature, beta_star, penalty, config=None):
     """Solve the quadratic surrogate 0.5 ||K^{1/2}(b - z)||^2 + h(b).
 
-    The smooth part is seen through u = K (b - z), which is also its
-    gradient, so each iteration costs one product with K. The centre z
-    comes from expansion_center, which reads only the dataset: loss is not
-    consulted, and a beta_star other than the dataset's, at which its score
-    noise was drawn, is refused. Both stay parameters because the benchmark
-    binds this function's arguments by name and reads both. passes counts
-    the products with K plus z's one pass over X.
-    The step is 1/curvature.eig_max, where eig_max >= lambda_max(K) is
-    exact for covariances and for the logistic K on identity Sigma. The
-    solve starts at z, so the identity-curvature case converges in one prox
-    step.
+    It runs fit_penalized's working-set loop. For b zero off W the gradient
+    K b - Kz needs only K_WW = curvature.principal(W) and (Kz)_W: the inner
+    image K_WW b - (Kz)_W is that gradient, at the step 1/curvature.eig_max
+    <= 1/lambda_max(K_WW) (interlacing), and a round makes one product with
+    K. z comes from expansion_center, which reads only the dataset, so loss
+    is unread and a beta_star other than the dataset's (its score noise was
+    drawn at it) is refused; both stay because the benchmark binds them by
+    name. passes counts the products with K, Kz among them, and z's pass
+    over X.
     """
-    cfg = config or DEFAULT_CONFIG
     if not np.array_equal(beta_star, dataset.beta_star):
         raise ValueError("the expansion centre needs the dataset's own "
                          "beta_star: its score noise was drawn at it")
-    z = expansion_center(dataset, curvature)
-    smooth = _Smooth(
-        image=lambda b: curvature @ (b - z),
-        value=lambda b, u: 0.5 * float((b - z) @ u),
-        grad=lambda b, u: u,
-        lipschitz=curvature.eig_max, grad_products=0)
-    # the smooth part and its image vanish at z
-    res = _fista(smooth, penalty, z.copy(), np.zeros(z.size), cfg)[0]
+    Kz = curvature @ expansion_center(dataset, curvature)
+
+    def gradient(beta, u):
+        return curvature @ beta - Kz
+
+    def inner(cols, u, grad):
+        KW, c = curvature.principal(cols), Kz[cols]
+        return _Smooth(
+            image=lambda b: KW @ b - c,
+            value=lambda b, v: 0.5 * float(b @ (v - c)),
+            grad=lambda b, v: v,
+            lipschitz=curvature.eig_max, grad_products=0), grad[cols]
+
+    res = _working_set(penalty, -Kz, None, gradient, inner,
+                       config or DEFAULT_CONFIG)
     return replace(res, passes=res.passes + 1)

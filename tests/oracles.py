@@ -17,8 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from penexp.cones import GroupCone
-from penexp.model import (CovarianceModel, Dataset, GroupStructure,
-                          draw_rows, stream_rng)
+from penexp.model import CovarianceModel, Dataset, GroupStructure, stream_rng
 from penexp.penalties import GroupPenalty, soft_threshold
 
 
@@ -103,7 +102,12 @@ def curvature_matrix_mc(loss, cov, beta_star, n_samples, seed,
     chunk = max(1, int(2e6) // max(cov.p, 1))
     while done < n_samples:
         m = min(chunk, int(n_samples) - done)
-        X = draw_rows(cov, m, design_kind, rng)
+        # generate_design's rows, drawn chunk by chunk from this stream
+        if design_kind == "gaussian":
+            raw = rng.standard_normal((m, cov.p))
+        else:
+            raw = 2.0 * rng.integers(0, 2, size=(m, cov.p)).astype(float) - 1.0
+        X = cov.sqrt_rows(raw)
         w = loss.d2(0.0, X @ beta_star)
         acc += (X * w[:, None]).T @ X
         done += m

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import tracemalloc
 
 import mpmath
@@ -78,19 +80,30 @@ def test_prox_risk_quadrature_pinned_to_erfc_at_large_signal():
     assert whole == pytest.approx(0.019736, abs=5e-7)
 
 
+# block_risk_mpmath(m, t, d) at 40 digits, keyed by (d, t, m), as
+# tests/make_block_risk_references.py writes them
+BLOCK_RISK_REFS = {
+    (r["d"], r["t"], r["m"]): float.fromhex(r["risk"])
+    for r in json.loads((pathlib.Path(__file__).parent
+                         / "block_risk_mpmath.json").read_text())}
+
+
 @pytest.mark.parametrize("d", [2, 4, 5])
 def test_group_prox_risk_matches_mpmath_sure_integral(d):
     # one block of norm m tau at level t tau against the same SURE integral
-    # at 40 digits; where the risk is below 1e-8 its terms cancel, and the
-    # 1e-20 absolute floor covers the rounding they leave
+    # at 40 digits, read from the committed references; where the risk is
+    # below 1e-8 its terms cancel, and the 1e-20 absolute floor covers the
+    # rounding they leave
     n, sigma = 100, 1.0
     tau = sigma / np.sqrt(n)
+    # one reference per d is recomputed, so the file cannot drift unseen
+    assert BLOCK_RISK_REFS[(d, 2.0, 3.0)] == block_risk_mpmath(3.0, 2.0, d)
     for t in (0.5, 2.0, 8.0):
         pen = GroupPenalty(t * tau, GroupStructure(1, d))
         for m in (0.0, 0.5, 3.0, 20.0, 100.0):
             beta = np.full(d, m * tau / np.sqrt(d))
             risk, se = pen.prox_risk(beta, sigma, n, 2, 0)
-            want = block_risk_mpmath(m, t, d) * tau * tau
+            want = BLOCK_RISK_REFS[(d, t, m)] * tau * tau
             assert se == 0.0
             assert abs(risk - want) <= 1e-12 * want + 1e-20 * tau * tau, \
                 (d, m, t, risk, want)

@@ -250,6 +250,8 @@ def test_config_boundaries_are_accepted():
     cfg = parse_config("experiment = rates\npenalty = group_lasso\n"
                        "grid = n=50 p=20 s=1 M=5 d=4\n")
     assert cfg.grid[0] == GridPoint(50, 20, 1, M=5, d=4)
+    cfg = parse_config("experiment = rates\ngrid = n=1 p=2 s=1\n")
+    assert cfg.grid[0] == GridPoint(1, 2, 1)
 
 
 @pytest.mark.parametrize("sizes", ["M=5", "d=4"])
@@ -375,7 +377,9 @@ def assert_typed_as_written(recs):
 
 
 def test_run_experiment_outputs(tmp_path):
+    t0 = time.perf_counter()
     cfg, summary = run_tiny(tmp_path, "a")
+    wall = time.perf_counter() - t0
     out = tmp_path / "a"
     body = (out / "records.csv").read_bytes()
     assert body.startswith((",".join(RECORD_SCHEMA) + "\r\n").encode())
@@ -398,22 +402,30 @@ def test_run_experiment_outputs(tmp_path):
     tim = (out / "timings.csv").read_text()
     assert tim.splitlines()[0] == ",".join(TIMING_SCHEMA)
     assert len(tim.splitlines()) == 1 + summary["records"]
-    # the expansion steps by the exact 1/eig_max of K = I, so it makes one
-    # product with K per iteration, plus the one pass over X (X'eps) of its
-    # centre; a fit makes at least the full pass of its certificate
+    # on K = I the expansion's first working set holds prox(z)'s support, so
+    # it is one inner prox step at the exact 1/eig_max and one certificate:
+    # its passes are the centre's one pass over X (X'eps), Kz and the
+    # certificate's product with K; a fit makes at least the full pass of
+    # its certificate
     with open(out / "timings.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     by_task = {(int(r["point"]), int(r["rep"])): r for r in rows}
     for rec in recs:
         row = by_task[(rec["point"], rec["rep"])]
         assert int(row["est_passes"]) >= 1
-        assert int(row["exp_passes"]) == rec["exp_iterations"] + 1
+        assert (rec["exp_iterations"], int(row["exp_passes"])) == (1, 3)
+        # each solve's time is a clock difference within the run
+        assert 0.0 <= float(row["est_time"]) <= wall
+        assert 0.0 <= float(row["exp_time"]) <= wall
 
 
 def test_logistic_expansion_makes_one_pass_over_x(tmp_path):
     # the centre reads the stored score noise, so a logistic expansion makes
-    # one pass over X (X'e) as a squared-loss one does, plus one product
-    # with K per iteration at the exact 1/eig_max of the identity-Sigma K
+    # one pass over X (X'e) as a squared-loss one does, plus Kz. At
+    # p = 30 <= WS_INITIAL the ball scores every coordinate, so the working
+    # set holds every column: each inner iteration, at the exact 1/eig_max
+    # of the identity-Sigma K, is one full product with K, and the last one's
+    # gradient is the certificate
     run_tiny(tmp_path, "logistic", loss="logistic",
              penalty="l1_constrained", amplitude=0.25, replications=2)
     out = tmp_path / "logistic"
@@ -422,7 +434,7 @@ def test_logistic_expansion_makes_one_pass_over_x(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(recs) == 6
     for rec, row in zip(recs, rows):
-        assert int(row["exp_passes"]) == rec["exp_iterations"] + 1
+        assert int(row["exp_passes"]) == rec["exp_iterations"] + 2
 
 
 def test_run_experiment_thread_invariance(tmp_path):
@@ -480,13 +492,13 @@ def test_exact_risk_runs_draw_no_monte_carlo(tmp_path, monkeypatch,
 # est_iterations of all three.
 SOLVER_COUNTS = {
     "lasso": (dict(penalty="l1_penalized", master_seed=1012),
-              [(25, 1, 2, 2), (35, 1, 2, 2)]),
+              [(25, 1, 2, 3), (35, 1, 2, 3)]),
     "ball_ar1": (dict(penalty="l1_constrained", covariance="ar1:0.5",
                       master_seed=1013),
-                 [(115, 55, 3, 56), (105, 45, 3, 46)]),
+                 [(115, 50, 3, 3), (105, 55, 3, 3)]),
     "logistic": (dict(loss="logistic", penalty="l1_constrained",
                       amplitude=0.25, master_seed=1014),
-                 [(40, 10, 2, 11), (45, 10, 2, 11)]),
+                 [(40, 10, 2, 3), (45, 10, 2, 3)]),
 }
 
 
@@ -1099,6 +1111,13 @@ def test_cli_coverage_smoke(tmp_path, capsys):
     assert len(recs) == 8
     assert all(r["covered"] in (True, False) for r in recs)
     assert_typed_as_written(recs)
+    # the coverage and its binomial s.e. are those of the certified flags
+    assert all(r["est_converged"] and r["exp_converged"] for r in recs)
+    freq = sum(r["covered"] for r in recs) / 8
+    assert 0.0 < freq < 1.0
+    assert summary["points"][0]["coverage"] == pytest.approx(freq, rel=1e-12)
+    assert summary["points"][0]["coverage_se"] == pytest.approx(
+        math.sqrt(freq * (1.0 - freq) / 8), rel=1e-12)
     assert all(r["target"] == 1.0 for r in recs)
 
 

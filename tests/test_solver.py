@@ -86,7 +86,10 @@ def test_expansion_prox_identity_isotropic():
 def test_expansion_without_penalty_returns_center():
     ds, cov = linear_instance(90, 30, 3, seed=6, rho=0.5)
     K = curvature_matrix(SQUARED, cov, ds.beta_star)
-    res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, lasso(0.0, ds.p))
+    # the solve starts at 0, so z is reached to within what kkt_tol
+    # certifies: ||b - z|| <= ||K(b - z)|| / eig_min
+    res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, lasso(0.0, ds.p),
+                               solver.SolverConfig(kkt_tol=1e-12))
     z = solver.expansion_center(ds, K)
     assert res.converged
     assert np.abs(res.solution - z).max() < 1e-9
@@ -247,8 +250,10 @@ def counting_residual():
 
 
 def test_uncertified_budget_checks_kkt_once_per_check_point():
-    # a 10-iteration budget is checked at iterations 1, 5 and 10, and the
-    # last check is the reported residual: no second look at iterate 10
+    # a 10-iteration budget is checked at iterations 1, 5 and 10, and both
+    # solves add the working-set loop's two outer checks, at 0 and after the
+    # inner solve; the last is the reported residual, with no second look at
+    # iterate 10
     cfg = solver.SolverConfig(max_iters=10, kkt_tol=1e-14)
     cov = model.CovarianceModel.ar1(40, 0.5)
     ds = model.simulate(cov, model.flat_signal(40, 3), 80, SQUARED,
@@ -256,9 +261,8 @@ def test_uncertified_budget_checks_kkt_once_per_check_point():
     pen = lasso(0.05, ds.p)
     with counting_residual() as residual:
         res = solver.fit_expansion(ds, SQUARED, cov, ds.beta_star, pen, cfg)
-    assert residual.call_count == 3
+    assert residual.call_count == 5
     assert (res.iterations, res.converged) == (10, False)
-    # the penalized fit adds its two outer checks, at 0 and after the solve
     ds, _ = linear_instance(80, 40, 3, seed=3)
     with counting_residual() as residual:
         res = solver.fit_penalized(ds, SQUARED, pen, cfg)
@@ -335,6 +339,66 @@ def test_expansion_general_k_kkt():
     z = solver.expansion_center(ds, K)
     grad = K.matrix @ (res.solution - z)
     assert pen.residual(res.solution, grad) <= 1e-8
+
+
+def expansion_case(loss, rho, kind, seed):
+    """An expansion at p = 300 > WS_INITIAL: its curvature K, centre z and
+    a penalty of each kind that keeps about 15 units of Kz."""
+    p, s = 300, 5
+    cov = (model.CovarianceModel.identity(p) if rho == 0
+           else model.CovarianceModel.ar1(p, rho))
+    beta = model.flat_signal(p, s, 0.25 if loss is LOGISTIC else 1.0)
+    ds = model.simulate(cov, beta, 200, loss, "gaussian", 1.0, seed)
+    K = curvature_matrix(loss, cov, beta)
+    z = solver.expansion_center(ds, K)
+    if kind == "ball":
+        return ds, K, z, L1BallConstraint(float(np.abs(beta).sum()))
+    groups = model.GroupStructure(p // 2 if kind == "group" else p,
+                                  2 if kind == "group" else 1)
+    level = np.sort(groups.norms(K @ z))[-15]
+    return ds, K, z, GroupPenalty(float(level), groups)
+
+
+def recording_inner_sizes():
+    """A patch of solver._fista that records each inner solve's size."""
+    fista, sizes = solver._fista, []
+
+    def recording(smooth, penalty, x, u, cfg):
+        sizes.append(x.size)
+        return fista(smooth, penalty, x, u, cfg)
+
+    return mock.patch.object(solver, "_fista", recording), sizes
+
+
+@pytest.mark.parametrize("kind", ["l1", "ball", "group"])
+@pytest.mark.parametrize("loss", [SQUARED, LOGISTIC], ids=["ar1", "logistic"])
+def test_working_set_expansion_certified_by_dense_k(loss, kind):
+    # the inner solves see K_WW = K.principal(W) and (Kz)_W alone, on a
+    # working set that never holds every coordinate; the dense K certifies
+    # the whole vector
+    ds, K, z, pen = expansion_case(loss, 0.5, kind, seed=29)
+    patch, sizes = recording_inner_sizes()
+    with patch:
+        res = solver.fit_expansion(ds, loss, K, ds.beta_star, pen)
+    assert res.converged
+    assert sizes and max(sizes) < ds.p
+    assert np.count_nonzero(res.solution) > 0
+    grad = K.matrix @ (res.solution - z)
+    assert pen.residual(res.solution, grad) <= solver.DEFAULT_CONFIG.kkt_tol
+
+
+@pytest.mark.parametrize("kind", ["l1", "ball", "group"])
+def test_identity_expansion_is_the_prox_of_z(kind):
+    # on K = I the first inner iterate is prox(z_W), which is prox(z) once
+    # W holds prox(z)'s support, as the first W of WS_INITIAL units does here
+    ds, K, z, pen = expansion_case(SQUARED, 0.0, kind, seed=30)
+    patch, sizes = recording_inner_sizes()
+    with patch:
+        res = solver.fit_expansion(ds, SQUARED, K, ds.beta_star, pen)
+    assert res.converged and res.iterations == 1
+    assert sizes and max(sizes) < ds.p
+    assert np.count_nonzero(res.solution) > 0
+    assert np.array_equal(res.solution, pen.prox(z))
 
 
 def plain_fista(ds, loss, penalty, cfg):
