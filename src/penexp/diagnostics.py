@@ -1,17 +1,22 @@
-"""Verification quantities: the risk identity, de-biased inference, and
-sparsity counts and bounds.
+"""Verification quantities: the risk identity, de-biased inference, the
+error cone, sparsity counts and bounds, and the rate scales.
 
 risk_identity_check, debiased_estimate and sparsity_count return the
-records.csv cells they fill, keyed by column.
+records.csv cells they fill, keyed by column. GroupCone answers membership
+of an error vector. sparsity_bound and the rate scales lasso_rate and
+group_rate are formulas of numbers, defined for p > s >= 1 (M > s >= 1 for
+groups) and xi > 0, as harness.ExperimentConfig checks.
 
 The hypotheses of the risk identity and of the interval are each written
 once, in risk_identity_hypotheses and interval_hypotheses: the harness
 refuses a config with them, and the diagnostic each dataset it is given.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .model import noise_scale
+from .model import GroupStructure, noise_scale
 
 
 def risk_identity_hypotheses(model_kind, design, covariance):
@@ -95,6 +100,24 @@ def debiased_estimate(dataset, beta_hat, a, noise_sd):
                 t_stat=t_stat)
 
 
+@dataclass(frozen=True, eq=False)
+class GroupCone:
+    """{u : sum_k ||u_{G_k}|| <= radius ||u||}. One cone serves every
+    regularizer: over groups of one coordinate it is the lasso cone
+    {u : ||u||_1 <= radius ||u||}, and harness._setup_point picks each
+    regularizer's radius."""
+
+    radius: float
+    groups: GroupStructure
+
+    def member(self, u):
+        """Does u satisfy the defining inequality, with relative slack 1e-9."""
+        u = np.asarray(u, dtype=float)
+        l2 = np.linalg.norm(u)
+        norms = self.groups.norms(u)
+        return bool(norms.sum() <= self.radius * l2 * (1.0 + 1e-9))
+
+
 def sparsity_count(beta, bound, groups=None):
     """Nonzero coordinates and groups (None without groups) of beta, and
     whether the groups, or without groups the coordinates, are <= bound."""
@@ -124,3 +147,14 @@ def sparsity_bound(s, xi, cov, curvature, groups=None):
     b3 = 1.0 if curvature is cov else 1.0 / curvature.relative_bounds[0]
     factor = 2.0 * (3.0 + xi) * (1.0 + 1.0 / xi)
     return float(1.0 + c_max * factor * factor * b3 * b3 / (phi * phi)) * s
+
+
+def lasso_rate(n, p, s):
+    """Rate scale r_n = sqrt(2 s log(p/s)/n) of the estimation error of
+    both l1 fits."""
+    return float(np.sqrt(2.0 * s * np.log(p / s) / n))
+
+
+def group_rate(n, M, d, s):
+    """Rate scale r_n = sqrt((s d + s log(M/s))/n) of the group lasso."""
+    return float(np.sqrt((s * d + s * np.log(M / s)) / n))

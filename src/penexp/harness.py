@@ -45,9 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cones, diagnostics, model, solver
+from . import diagnostics, model, solver
 from .losses import curvature_matrix, get_loss
-from .penalties import GroupPenalty, L1BallConstraint
+from .penalties import (GroupPenalty, L1BallConstraint, group_penalty_level,
+                        lasso_penalty_level)
 
 EXPERIMENT_KINDS = ("rates", "risk_identity", "coverage")
 PENALTY_KINDS = ("l1_penalized", "l1_constrained", "group_lasso")
@@ -235,8 +236,9 @@ def _setup_point(cfg, pt):
     if cfg.penalty == "group_lasso":
         groups = model.GroupStructure(pt.M, pt.d)
         beta_star = model.flat_signal(pt.p, pt.s * pt.d, cfg.amplitude)
-        cone = cones.GroupCone((2.0 + 3.0 / cfg.xi) * np.sqrt(pt.s), groups)
-        r_n = cones.group_rate(pt.n, pt.M, pt.d, pt.s)
+        cone = diagnostics.GroupCone((2.0 + 3.0 / cfg.xi) * np.sqrt(pt.s),
+                                     groups)
+        r_n = diagnostics.group_rate(pt.n, pt.M, pt.d, pt.s)
     else:
         beta_star = model.flat_signal(pt.p, pt.s, cfg.amplitude)
         if cfg.penalty == "l1_constrained":
@@ -245,8 +247,8 @@ def _setup_point(cfg, pt):
             radius = np.sqrt(4.0 * pt.s)
         else:
             radius = np.sqrt(pt.s * (6.0 + 2.0 / cfg.xi) ** 2)
-        cone = cones.GroupCone(radius, model.GroupStructure(pt.p, 1))
-        r_n = cones.lasso_rate(pt.n, pt.p, pt.s)
+        cone = diagnostics.GroupCone(radius, model.GroupStructure(pt.p, 1))
+        r_n = diagnostics.lasso_rate(pt.n, pt.p, pt.s)
     curv = curvature_matrix(get_loss(cfg.loss), cov, beta_star)
     sbound = diagnostics.sparsity_bound(pt.s, cfg.xi, cov, curv, groups)
     return _PointSetup(pt, cov, groups, beta_star, curv, cone, r_n, sbound)
@@ -255,11 +257,11 @@ def _setup_point(cfg, pt):
 def _make_penalty(cfg, setup, loss, ds):
     pt = setup.point
     if cfg.penalty == "l1_penalized":
-        level = cones.lasso_penalty_level(
+        level = lasso_penalty_level(
             loss.penalty_scale(ds), pt.p, pt.s, pt.n, cfg.xi)
         return GroupPenalty(level, model.GroupStructure(pt.p, 1)), level
     if cfg.penalty == "group_lasso":
-        level = cones.group_penalty_level(
+        level = group_penalty_level(
             loss.penalty_scale(ds), pt.M, pt.d, pt.s, pt.n, cfg.xi)
         return GroupPenalty(level, setup.groups), level
     radius = float(np.abs(setup.beta_star).sum())

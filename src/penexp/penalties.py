@@ -10,6 +10,10 @@ the ball) by how far it violates the KKT condition, and restricts itself
 to a subset of units. prox_risk gives the risk of the proximal map at a
 Gaussian perturbation of b*: exact for GroupPenalty, Monte Carlo for the
 ball, whose projection has no closed-form risk.
+
+lasso_penalty_level and group_penalty_level are the levels that tune
+GroupPenalty, formulas of numbers defined for p > s >= 1 (M > s >= 1 for
+groups) and xi > 0, as harness.ExperimentConfig checks.
 """
 
 from __future__ import annotations
@@ -210,6 +214,25 @@ class GroupPenalty:
                                   return_counts=True)
         risks = [_block_risk(m / tau, t, self.groups.d) for m in norms]
         return float(tau * tau * (counts @ np.array(risks))), 0.0
+
+
+def lasso_penalty_level(scale, p, s, n, xi):
+    """Penalty level putting the error vectors in the lasso cone w.h.p.
+
+    L sigma (1+3 xi) sqrt(2 log(p/s)/n), with L = 1 for both designs (the
+    sub-Gaussian constant of Gaussian and Rademacher rows) and sigma = scale,
+    a loss's penalty_scale: the realized noise scale for squared loss, the
+    label sub-Gaussian scale 1/2 for logistic loss.
+    """
+    base = (1.0 + 3.0 * xi) * np.sqrt(2.0 * np.log(p / s) / n)
+    return float(scale * base)
+
+
+def group_penalty_level(scale, M, d, s, n, xi):
+    """Group analog: L sigma (1+xi)[sqrt(d) + (1+2 xi) sqrt(2 log(M/s))]/sqrt(n),
+    with L = 1 for both designs and sigma = scale."""
+    width = np.sqrt(d) + (1.0 + 2.0 * xi) * np.sqrt(2.0 * np.log(M / s))
+    return float(scale * (1.0 + xi) * width / np.sqrt(n))
 
 
 def _gamma_ladder(x, top):

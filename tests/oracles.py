@@ -16,7 +16,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 
-from penexp.cones import GroupCone
+from penexp.diagnostics import GroupCone
 from penexp.model import CovarianceModel, Dataset, GroupStructure, stream_rng
 from penexp.penalties import GroupPenalty, soft_threshold
 

@@ -14,11 +14,11 @@ from oracles import (curvature_matrix_mc, dense_covariance, lasso,
                      make_dataset, smooth_gradient, stability_ratio_check,
                      taylor_remainder_gap)
 from penexp import harness
-from penexp.cones import group_penalty_level, lasso_penalty_level
 from penexp.losses import curvature_matrix, get_loss
 from penexp.model import (CovarianceModel, Dataset, GroupStructure,
                           flat_signal, generate_design, simulate, stream_rng)
-from penexp.penalties import GroupPenalty, L1BallConstraint
+from penexp.penalties import (GroupPenalty, L1BallConstraint,
+                              group_penalty_level, lasso_penalty_level)
 from penexp.solver import fit_expansion, fit_penalized
 
 pytestmark = pytest.mark.acceptance

@@ -20,7 +20,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import penexp
 from penexp import cli, harness
@@ -260,15 +260,42 @@ def test_readme_config_block_lists_every_config_key():
 
 def test_readme_config_block_lists_every_kind_in_order():
     # the comments on the experiment and penalty lines are the kinds the
-    # config accepts, in the order the code lists them
+    # config accepts, in the order the code lists them, before any "; "
     block = _readme().split("## Experiment configs", 1)[1]
     block = block.split("```ini\n", 1)[1].split("```", 1)[0]
-    comments = {line.partition("=")[0].strip(): line.split("#", 1)[1]
+    comments = {line.partition("=")[0].strip():
+                line.split("#", 1)[1].split(";", 1)[0]
                 for line in block.splitlines() if "#" in line}
     for key, kinds in (("experiment", harness.EXPERIMENT_KINDS),
                        ("penalty", harness.PENALTY_KINDS)):
         listed = [k.strip() for k in comments[key].split("|")]
         assert listed == list(kinds), key
+
+
+def test_readme_config_block_states_every_default():
+    # each optional key's comment ends in "; default <value>", read by the
+    # key's own converter; grid's () is refused, so a grid line is required
+    block = _readme().split("## Experiment configs", 1)[1]
+    block = block.split("```ini\n", 1)[1].split("```", 1)[0]
+    stated = {}
+    for line in block.splitlines():
+        key = line.partition("=")[0].strip()
+        m = re.search(r"; default (\S+)$", line.partition("#")[2].strip())
+        if m:
+            stated[key] = harness._FIELD_TYPES[key](m.group(1))
+    defaults = {f.name: f.default for f in fields(harness.ExperimentConfig)
+                if f.default is not MISSING and f.name != "grid"}
+    assert stated == defaults
+
+
+def test_readme_layout_table_lists_every_module():
+    # the first column of the "Library layout" table is the package's
+    # modules, the package root and __main__ aside
+    section = _readme().split("## Library layout\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)`", section, re.M)
+    src = os.path.dirname(penexp.__file__)
+    modules = {f[:-3] for f in os.listdir(src) if f.endswith(".py")}
+    assert sorted(listed) == sorted(modules - {"__init__", "__main__"})
 
 
 def test_readme_output_section_lists_every_record_column():

@@ -5,12 +5,12 @@ from scipy.special import gammaln
 from oracles import (_sup_per_draw, complexity_estimate,
                      group_complexity_bound, lasso_complexity_bound,
                      lasso_cone)
-from penexp.cones import (GroupCone, group_penalty_level, group_rate,
-                          lasso_penalty_level, lasso_rate)
-from penexp.diagnostics import sparsity_bound
+from penexp.diagnostics import (GroupCone, group_rate, lasso_rate,
+                                sparsity_bound)
 from penexp.losses import get_loss
 from penexp.model import (CovarianceModel, GroupStructure, flat_signal,
                           noise_scale, simulate)
+from penexp.penalties import group_penalty_level, lasso_penalty_level
 
 
 SQ = get_loss("squared")

@@ -16,7 +16,7 @@ import penexp
 from oracles import (block_risk_mpmath, dense_covariance, lasso_risk_erfc,
                      logistic_curvature_dense, prox_risk_unchunked)
 from penexp import cli, diagnostics, harness, model, penalties, solver
-from penexp.cones import lasso_rate
+from penexp.diagnostics import lasso_rate
 from penexp.harness import (ExperimentConfig, GridPoint, RECORD_SCHEMA,
                             TIMING_SCHEMA, parse_config, rate_fit,
                             run_experiment, task_seed)

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import dense_covariance, lasso, make_dataset, smooth_gradient
 from penexp import model, solver
-from penexp.cones import lasso_penalty_level
 from penexp.losses import LOGISTIC, SQUARED, curvature_matrix
-from penexp.penalties import GroupPenalty, L1BallConstraint
+from penexp.penalties import (GroupPenalty, L1BallConstraint,
+                              lasso_penalty_level)
 
 
 def linear_instance(n, p, s, seed, noise_sd=1.0, rho=0.0):
